@@ -1,8 +1,8 @@
 //! Hot-path benchmarks with a tracked baseline: the sweep dependence
-//! builder vs the all-pairs reference, incremental liveness repair vs a
-//! whole-function recompute, and end-to-end compilation with
-//! [`SchedConfig::reference_hot_paths`] on and off — measured on the
-//! scaled [`synth::MANY_LOOPS_PRESETS`] workloads.
+//! builder vs the all-pairs reference, region-scoped liveness (seeding
+//! and post-motion repair) vs whole-function solves, and end-to-end
+//! compilation with [`SchedConfig::reference_hot_paths`] on and off —
+//! measured on the scaled [`synth::MANY_LOOPS_PRESETS`] workloads.
 //!
 //! Hand-rolled harness (`harness = false`, like `scheduler.rs`): the
 //! sandbox builds offline, so criterion is unavailable. Each row reports
@@ -43,7 +43,7 @@ use gis_core::{compile, SchedConfig};
 use gis_ir::hash::fnv64_str as fnv64;
 use gis_ir::{BlockId, Function};
 use gis_machine::MachineDescription;
-use gis_pdg::{DataDeps, Liveness};
+use gis_pdg::{DataDeps, Liveness, RegionLiveness};
 use gis_sim::{execute, ExecConfig, TimingSim};
 use gis_workloads::synth;
 use std::hint::black_box;
@@ -152,6 +152,13 @@ fn bench_dep_build(
     reference as f64 / sweep.max(1) as f64
 }
 
+/// The liveness rows price what a global pass pays: one whole-function
+/// solve (`full-recompute`), then a seed per region (`region-seed`: every
+/// in-gate loop region seeded from that solve in turn) and a repair per
+/// motion (`incremental-repair`, over the largest in-gate scope). The
+/// returned ratio is the pass's liveness set-up before and after regions
+/// went scope-local: one solve per region, against one solve plus every
+/// region's seed.
 fn bench_liveness(
     preset: &str,
     f: &Function,
@@ -163,18 +170,32 @@ fn bench_liveness(
     let cfg = Cfg::new(f);
     let n_insts = f.num_insts();
     let full = median_ns(iters, runs, || Liveness::compute(black_box(f), &cfg));
-    // One post-motion repair over the largest in-gate scope — what the
-    // scheduler pays per motion on the fast path. The "motion" is a
-    // no-op (both touched blocks re-summarize to what they already
-    // were), which costs the same as a real one.
-    let scope = loop_scopes(f, config)
-        .into_iter()
-        .max_by_key(Vec::len)
+    let pass = Liveness::compute(f, &cfg);
+    let scopes = loop_scopes(f, config);
+    let seed_insts: usize = scopes
+        .iter()
+        .map(|s| s.iter().map(|&b| f.block(b).len()).sum::<usize>())
+        .sum();
+    let seed = median_ns(iters, runs, || {
+        scopes
+            .iter()
+            .map(|s| {
+                RegionLiveness::seed(black_box(f), &cfg, s, &pass)
+                    .named()
+                    .len()
+            })
+            .sum::<usize>()
+    });
+    // The "motion" is a no-op (both touched blocks re-summarize to what
+    // they already were), which costs the same as a real one.
+    let scope = scopes
+        .iter()
+        .max_by_key(|s| s.len())
         .expect("the workload has at least one in-gate loop");
     let (to, from) = (scope[0], *scope.last().expect("non-empty scope"));
-    let mut live = Liveness::compute(f, &cfg);
+    let mut live = RegionLiveness::seed(f, &cfg, scope, &pass);
     let incremental = median_ns(iters.saturating_mul(8), runs, || {
-        live.update_after_motion(black_box(f), &cfg, &scope, to, from);
+        live.update_after_motion(black_box(f), to, from);
     });
     rows.push(Row {
         name: format!("liveness/{preset}/full-recompute"),
@@ -183,12 +204,18 @@ fn bench_liveness(
         schedule_hash: None,
     });
     rows.push(Row {
+        name: format!("liveness/{preset}/region-seed"),
+        n_insts: seed_insts,
+        median_ns: seed,
+        schedule_hash: None,
+    });
+    rows.push(Row {
         name: format!("liveness/{preset}/incremental-repair"),
         n_insts,
         median_ns: incremental,
         schedule_hash: None,
     });
-    full as f64 / incremental.max(1) as f64
+    (scopes.len() as u128 * full) as f64 / (full + seed).max(1) as f64
 }
 
 fn bench_end_to_end(
@@ -571,7 +598,7 @@ fn main() {
         let (e2e, jobs4, hashes_ok) = bench_end_to_end(preset, f, &machine, iters, runs, &mut rows);
         jobs_hash_match &= hashes_ok;
         speedups.push((format!("dep-build/{preset}"), dep));
-        speedups.push((format!("liveness/{preset}"), live));
+        speedups.push((format!("liveness-setup/{preset}"), live));
         speedups.push((format!("e2e/{preset}"), e2e));
         speedups.push((format!("jobs4/{preset}"), jobs4));
         if preset == "many-loops-m" {

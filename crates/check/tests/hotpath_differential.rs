@@ -2,18 +2,19 @@
 //! same seeded random functions the fuzzer draws: the sweep dependence
 //! builder must produce *exactly* the all-pairs reference builder's
 //! graph, and compiling with [`SchedConfig::reference_hot_paths`] on or
-//! off must yield bit-identical schedules. Running under the test
-//! profile also arms the scheduler's per-motion debug assertion that the
-//! incremental liveness repair matches a whole-function recompute, so
-//! every motion these compilations perform is a differential check of
-//! its own.
+//! off must yield bit-identical schedules. Every region's scope-local
+//! liveness, seeded from one whole-function solve, must match that
+//! solve. Running under the test profile also arms the scheduler's debug
+//! assertion that each region's seeded and repaired liveness matches a
+//! whole-function recompute, so every region and every motion these
+//! compilations perform is a differential check of its own.
 
-use gis_cfg::Cfg;
+use gis_cfg::{Cfg, DomTree, LoopForest, RegionId, RegionTree};
 use gis_check::generate;
 use gis_core::{compile, SchedConfig};
 use gis_ir::BlockId;
 use gis_machine::MachineDescription;
-use gis_pdg::{DataDeps, Liveness};
+use gis_pdg::{DataDeps, Liveness, RegionLiveness};
 use gis_workloads::rng::XorShift64Star;
 
 const CASES: u64 = 200;
@@ -34,26 +35,58 @@ fn sweep_dep_builder_matches_the_reference_builder() {
     }
 }
 
+/// Every block of `rid`'s subtree, ascending — a scheduling scope.
+fn subtree_blocks(tree: &RegionTree, rid: RegionId) -> Vec<BlockId> {
+    let mut out = Vec::new();
+    let mut stack = vec![rid];
+    while let Some(r) = stack.pop() {
+        out.extend(tree.region(r).blocks.iter().copied());
+        stack.extend(tree.region(r).children.iter().copied());
+    }
+    out.sort_unstable();
+    out
+}
+
 #[test]
-fn incremental_liveness_repair_matches_full_recompute() {
+fn region_liveness_matches_the_whole_function_solve() {
     for seed in 1..=CASES {
         let mut rng = XorShift64Star::new(seed);
         let case = generate(&mut rng);
         let f = &case.function;
         let cfg = Cfg::new(f);
-        let blocks: Vec<BlockId> = f.blocks().map(|(id, _)| id).collect();
-        let mut live = Liveness::compute(f, &cfg);
-        // Repair after synthetic motions between random block pairs: the
-        // blocks did not actually change, so the repair must resolve to
-        // the same fixed point from whatever stale state it holds.
-        for _ in 0..8 {
-            let to = blocks[rng.below(blocks.len())];
-            let from = blocks[rng.below(blocks.len())];
-            live.update_after_motion(f, &cfg, &blocks, to, from);
+        let dom = DomTree::dominators(&cfg);
+        let loops = LoopForest::new(&cfg, &dom);
+        let tree = RegionTree::new(&cfg, &loops);
+        let pass = Liveness::compute(f, &cfg);
+        for rid in tree.schedule_order() {
+            let scope = subtree_blocks(&tree, rid);
+            let mut live = RegionLiveness::seed(f, &cfg, &scope, &pass);
             assert_eq!(
-                live,
-                Liveness::compute(f, &cfg),
-                "seed {seed}: repair after ({to}, {from}) diverged\n{}",
+                live.mismatch_with(&pass),
+                None,
+                "seed {seed}: seeding {rid:?} diverged\n{}",
+                case.text
+            );
+            // Repair after synthetic motions between random scope block
+            // pairs: the blocks did not actually change, so the repair
+            // must resolve to the same fixed point from whatever stale
+            // state it holds.
+            for _ in 0..8 {
+                let to = scope[rng.below(scope.len())];
+                let from = scope[rng.below(scope.len())];
+                live.update_after_motion(f, to, from);
+                assert_eq!(
+                    live.mismatch_with(&pass),
+                    None,
+                    "seed {seed}: {rid:?} repair after ({to}, {from}) diverged\n{}",
+                    case.text
+                );
+            }
+            live.resummarize(f);
+            assert_eq!(
+                live.mismatch_with(&pass),
+                None,
+                "seed {seed}: {rid:?} re-summary diverged\n{}",
                 case.text
             );
         }

@@ -124,9 +124,10 @@ pub struct SchedConfig {
     /// [`PassVerifier`].
     pub verify_each_pass: Option<PassVerifier>,
     /// Use the original quadratic analysis implementations — the
-    /// all-pairs dependence builder and a whole-function liveness
-    /// recompute after every motion — instead of the sweep builder and
-    /// the incremental region-local repair. Output is bit-identical
+    /// all-pairs dependence builder and a whole-function liveness solve
+    /// for every region and after every motion — instead of the sweep
+    /// builder and the scope-local liveness seeded from one solve per
+    /// global pass and repaired in place. Output is bit-identical
     /// either way (the fast paths were derived to preserve it, and the
     /// differential tests pin it); this switch exists so the benchmark
     /// harness can measure the speedup honestly and so a regression can

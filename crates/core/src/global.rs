@@ -25,14 +25,19 @@
 //! du-chain is local to its home block, renamed to a fresh register (the
 //! paper's `cr6`→`cr5` motion in Figure 6). Liveness is kept current
 //! across motions ("this type of information has to be updated
-//! dynamically") by an incremental repair: only the source and target
-//! blocks change code, so their `use`/`def` summaries are re-derived and
-//! the dataflow fixed point re-solved over the region's blocks alone
-//! ([`Liveness::update_after_motion`]). The original whole-function
-//! recompute survives as a fallback
-//! ([`SchedConfig::reference_hot_paths`]) and as the differential check
-//! asserted after every motion under debug builds and the
-//! [`SchedConfig::verify_each_pass`] gate.
+//! dynamically") at region cost: each region reads and repairs a
+//! [`RegionLiveness`] over its own blocks and the registers it names,
+//! seeded from the one whole-function [`Liveness`] solve its global pass
+//! makes. After a motion only the source and target blocks change code,
+//! so only their summaries are re-derived before the region's fixed
+//! point is re-solved. This rests on the region-boundary invariant
+//! stated in `gis_pdg`'s liveness module: a legal motion never changes
+//! liveness outside the region that makes it, so the pass-start live-ins
+//! of every exit successor stay exact. Under debug builds and the
+//! [`SchedConfig::verify_each_pass`] gate, every seeded and repaired
+//! region is compared with a whole-function solve; the
+//! [`SchedConfig::reference_hot_paths`] oracle re-seeds from a fresh
+//! whole-function solve at every region and motion instead.
 
 use crate::config::{SchedConfig, SchedLevel};
 use crate::dcp::Heuristics;
@@ -40,7 +45,7 @@ use crate::stats::SchedStats;
 use gis_cfg::{Cfg, NodeId, RegionGraph, RegionNode, RegionTree};
 use gis_ir::{BlockId, DenseBitSet, Function, InstId, Reg};
 use gis_machine::MachineDescription;
-use gis_pdg::{Cspdg, DataDeps, Liveness};
+use gis_pdg::{Cspdg, DataDeps, Liveness, RegionLiveness};
 use gis_trace::{MotionKind, NopObserver, RejectReason, SchedObserver, TieBreak, TraceEvent};
 use std::collections::HashMap;
 
@@ -52,7 +57,9 @@ const NO_NODE: u32 = u32::MAX;
 
 /// Schedules one region of `f`. Returns `false` when the region was
 /// skipped (irreducible or over the §6 size limits); statistics accumulate
-/// into `stats` either way.
+/// into `stats` either way. A region scheduled on its own pays for one
+/// whole-function liveness solve; a global pass shares one among all of
+/// its regions.
 pub fn schedule_region(
     f: &mut Function,
     machine: &MachineDescription,
@@ -77,6 +84,26 @@ pub fn schedule_region_observed<O: SchedObserver>(
     tree: &RegionTree,
     rid: gis_cfg::RegionId,
     config: &SchedConfig,
+    stats: &mut SchedStats,
+    obs: &mut O,
+) -> bool {
+    let pass_live = Liveness::compute(f, cfg);
+    stats.liveness_full += 1;
+    schedule_region_in_pass(f, machine, cfg, tree, rid, config, &pass_live, stats, obs)
+}
+
+/// [`schedule_region_observed`] inside a global pass: `pass_live` is the
+/// pass's whole-function liveness, solved once before its first region.
+/// Only the live-ins of the region's exit successors are read from it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn schedule_region_in_pass<O: SchedObserver>(
+    f: &mut Function,
+    machine: &MachineDescription,
+    cfg: &Cfg,
+    tree: &RegionTree,
+    rid: gis_cfg::RegionId,
+    config: &SchedConfig,
+    pass_live: &Liveness,
     stats: &mut SchedStats,
     obs: &mut O,
 ) -> bool {
@@ -145,7 +172,12 @@ pub fn schedule_region_observed<O: SchedObserver>(
         order_index[id.index()] = i as u32;
     }
 
-    stats.liveness_full += 1;
+    let liveness = if whole_function_liveness(config) {
+        stats.liveness_full += 1;
+        RegionLiveness::seed(f, cfg, &scope_blocks, &Liveness::compute(f, cfg))
+    } else {
+        RegionLiveness::seed(f, cfg, &scope_blocks, pass_live)
+    };
     stats.scratch_allocs += 1;
     let mut pass = RegionPass {
         machine,
@@ -153,15 +185,15 @@ pub fn schedule_region_observed<O: SchedObserver>(
         config,
         deps: &deps,
         reach: &reach,
-        scope: &scope_blocks,
         order_index: &order_index,
         placed: DenseBitSet::with_capacity(bound),
         inst_node: vec![NO_NODE; bound],
-        liveness: Liveness::compute(f, cfg),
+        liveness,
         scratch: Scratch::new(machine, bound),
         stats,
         obs,
     };
+    pass.check_liveness(f, || "at seeding".to_owned());
     for &b in &scope_blocks {
         for inst in f.block(b).insts() {
             pass.inst_node[inst.id.index()] = node_of[&b].index() as u32;
@@ -175,6 +207,19 @@ pub fn schedule_region_observed<O: SchedObserver>(
     }
     pass.stats.regions_scheduled += 1;
     true
+}
+
+/// Whether every region seed and post-commit repair re-solves the whole
+/// function instead of reading the pass-level solve: under the reference
+/// hot paths (the full-solve oracle), and under the planted-fault
+/// switches, whose motions are illegal by design — the region-boundary
+/// invariant that scope-local liveness rests on does not hold for them,
+/// and the planted fault must surface as a wrong schedule for the
+/// differential fuzzer, exactly as before liveness went scope-local.
+fn whole_function_liveness(config: &SchedConfig) -> bool {
+    config.reference_hot_paths
+        || config.inject_skip_live_on_exit
+        || config.inject_skip_dup_pred_check
 }
 
 /// All blocks of a region's subtree (direct blocks plus nested regions').
@@ -261,16 +306,14 @@ struct RegionPass<'a, O: SchedObserver> {
     config: &'a SchedConfig,
     deps: &'a DataDeps,
     reach: &'a [DenseBitSet],
-    /// The region subtree's blocks, ascending — the incremental
-    /// liveness repair re-solves over exactly these.
-    scope: &'a [BlockId],
     order_index: &'a [u32],
     /// Instructions placed by this region pass (any block), by id.
     placed: DenseBitSet,
     /// Current region-graph node index of every scope instruction
     /// (dense by inst id; [`NO_NODE`] outside the scope).
     inst_node: Vec<u32>,
-    liveness: Liveness,
+    /// The region's liveness, over its subtree's blocks (ascending).
+    liveness: RegionLiveness,
     scratch: Scratch,
     stats: &'a mut SchedStats,
     obs: &'a mut O,
@@ -883,11 +926,10 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                                 .collect(),
                         });
                     }
-                    // The join, A, and every sibling changed code: the
-                    // incremental repair models a single source/target
-                    // pair, so duplication pays for a full recompute.
-                    self.liveness = Liveness::compute(f, self.cfg);
-                    self.stats.liveness_full += 1;
+                    // The join, A, and every sibling changed code:
+                    // more than the single source/target pair a motion
+                    // repair models, so the whole scope re-summarizes.
+                    self.refresh_liveness(f, None);
                 } else {
                     if enabled {
                         self.obs.event(TraceEvent::Moved {
@@ -918,29 +960,10 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                         self.stats.moved_speculative += 1;
                     }
                     // §5.3: liveness must be updated after each motion.
-                    // Only A and the home block changed code, so an
-                    // incremental region-local repair suffices (any
-                    // rename done by `speculation_allowed` also touched
-                    // only the home block).
-                    if self.config.reference_hot_paths {
-                        self.liveness = Liveness::compute(f, self.cfg);
-                        self.stats.liveness_full += 1;
-                    } else {
-                        self.liveness
-                            .update_after_motion(f, self.cfg, self.scope, a, cand.home);
-                        self.stats.liveness_incremental += 1;
-                        if cfg!(debug_assertions) || self.config.verify_each_pass.is_some() {
-                            assert_eq!(
-                                self.liveness,
-                                Liveness::compute(f, self.cfg),
-                                "incremental liveness diverged from a full recompute \
-                                 after moving {} from {} into {}",
-                                cand.id,
-                                cand.home,
-                                a
-                            );
-                        }
-                    }
+                    // Only A and the home block changed code (any rename
+                    // done by `speculation_allowed` also touched only the
+                    // home block).
+                    self.refresh_liveness(f, Some((cand.id, cand.home, a)));
                 }
 
                 issued += 1;
@@ -1034,9 +1057,49 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         self.scratch.place_time[cand.id.index()] = self.scratch.place_time[j.index()];
         self.placed.insert(cand.id.index());
         self.stats.dup_copies_deduped += 1;
-        self.liveness = Liveness::compute(f, self.cfg);
-        self.stats.liveness_full += 1;
+        self.refresh_liveness(f, None);
         true
+    }
+
+    /// Brings the region's liveness up to date after a commit changed
+    /// code: `Some((inst, from, to))` for one motion, `None` for commits
+    /// touching more blocks (duplication, the dedup fold), which
+    /// re-summarize the whole scope. The reference hot paths (see
+    /// [`whole_function_liveness`]) re-seed from a fresh whole-function
+    /// solve instead of repairing.
+    fn refresh_liveness(&mut self, f: &Function, motion: Option<(InstId, BlockId, BlockId)>) {
+        if whole_function_liveness(self.config) {
+            let full = Liveness::compute(f, self.cfg);
+            self.stats.liveness_full += 1;
+            self.liveness = RegionLiveness::seed(f, self.cfg, self.liveness.blocks(), &full);
+        } else {
+            match motion {
+                Some((_, from, to)) => self.liveness.update_after_motion(f, to, from),
+                None => self.liveness.resummarize(f),
+            }
+            self.stats.liveness_incremental += 1;
+        }
+        self.check_liveness(f, || match motion {
+            Some((id, from, to)) => format!("after moving {id} from {from} into {to}"),
+            None => "after a duplication commit".to_owned(),
+        });
+    }
+
+    /// The differential behind the region-boundary invariant (stated in
+    /// `gis_pdg`'s liveness module): under debug builds and the
+    /// [`SchedConfig::verify_each_pass`] gate, every scope block's sets
+    /// must match a whole-function solve on every register the region
+    /// names.
+    fn check_liveness(&self, f: &Function, when: impl FnOnce() -> String) {
+        if cfg!(debug_assertions) || self.config.verify_each_pass.is_some() {
+            let full = Liveness::compute(f, self.cfg);
+            if let Some(diff) = self.liveness.mismatch_with(&full) {
+                panic!(
+                    "region liveness diverged from a whole-function solve {}: {diff}",
+                    when()
+                );
+            }
+        }
     }
 
     /// §5.3 gate for a speculative candidate, with the renaming escape.
@@ -1047,7 +1110,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         let clobbered: Vec<Reg> = op
             .defs()
             .into_iter()
-            .filter(|&r| self.liveness.live_out(a).contains(r))
+            .filter(|&r| self.liveness.live_out_contains(a, r))
             .collect();
         if clobbered.is_empty() {
             return true;
@@ -1113,6 +1176,6 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                 return true; // redefined before block end: chain is local
             }
         }
-        !self.liveness.live_out(bid).contains(r)
+        !self.liveness.live_out_contains(bid, r)
     }
 }

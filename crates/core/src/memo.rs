@@ -6,8 +6,12 @@
 //! out-going control edges), the registers live into its exit successors
 //! (the §5.3 guard's only view of the world outside the region), the
 //! region-tree shape below it (which fixes the topological tie-breaks),
-//! the machine description and the configuration. This module keys on
-//! exactly those inputs — [`gis_ir::canon_region`] chained with the
+//! the machine description and the configuration. The exit live-ins are
+//! read from the global pass's one whole-function liveness solve: the
+//! very sets the scheduler seeds the region's liveness from, which stay
+//! exact for the whole pass by the region-boundary invariant stated in
+//! `gis_pdg`'s liveness module. This module keys on exactly those
+//! inputs — [`gis_ir::canon_region`] chained with the
 //! [fingerprints](crate::fingerprint) — and caches the *outcome*: the
 //! final instruction order and operations of the region's direct blocks,
 //! how many fresh registers §5.3 renaming drew per class, and the
@@ -30,13 +34,6 @@
 //! profiles (keyed per instruction id), duplication (mints instruction
 //! ids; splicing would need the parallel merge's full renumbering
 //! machinery), the reference hot paths, and the fault-injection switches.
-//! It also skips any region with an exit successor inside a
-//! *non-ancestor* region: such a block's live-ins can change when its own
-//! region is scheduled earlier in the same pass, so the pass-level
-//! liveness the key is built from could go stale. Ancestors are always
-//! scheduled after their descendants ([`RegionTree::schedule_order`] is
-//! innermost-first) and regions never mutate other regions' blocks, so
-//! ancestor-resident exits are stable.
 //!
 //! The memo is a process-wide bounded LRU (same stamp idiom as
 //! `gis-serve`'s schedule cache) so warm hits carry across functions,
@@ -47,7 +44,7 @@
 
 use crate::config::{SchedConfig, SchedLevel};
 use crate::fingerprint::{write_config_fingerprint, write_machine_fingerprint};
-use crate::global::{region_within_size_limits, schedule_region_observed, subtree_blocks};
+use crate::global::{region_within_size_limits, schedule_region_in_pass, subtree_blocks};
 use crate::stats::SchedStats;
 use gis_cfg::{Cfg, RegionId, RegionKind, RegionTree};
 use gis_ir::hash::Fnv64;
@@ -257,22 +254,6 @@ fn exit_blocks(f: &Function, scope: &[BlockId]) -> Vec<BlockId> {
     out
 }
 
-/// Whether every exit successor lives in a strict ancestor of `rid` —
-/// the condition under which its pass-start live-ins cannot go stale
-/// before `rid`'s turn (ancestors are scheduled after descendants, and
-/// no other region may mutate an ancestor's direct blocks).
-fn exits_are_stable(tree: &RegionTree, rid: RegionId, exits: &[BlockId]) -> bool {
-    let mut ancestors = Vec::new();
-    let mut cur = tree.region(rid).parent;
-    while let Some(p) = cur {
-        ancestors.push(p);
-        cur = tree.region(p).parent;
-    }
-    exits
-        .iter()
-        .all(|&s| ancestors.contains(&tree.innermost(s)))
-}
-
 /// Chains the region-tree shape below `rid` into the hasher: per region
 /// a kind tag, the header block, the direct block ids and the children
 /// (recursively, in child order — the order fixes the supernode
@@ -324,12 +305,10 @@ fn memo_key(
     h.finish()
 }
 
-/// [`schedule_region_observed`] with memoization: an eligible region
+/// [`schedule_region_in_pass`] with memoization: an eligible region
 /// whose key was seen before is spliced from the memo; a miss schedules
-/// it and records the outcome. `pass_live` is the enclosing global
-/// pass's liveness, computed once on the pre-pass function — `None`
-/// bypasses the memo entirely (direct callers of
-/// [`crate::schedule_region`] have no pass to amortize it over).
+/// it and records the outcome. `live` is the enclosing global pass's
+/// whole-function liveness, solved once on the pre-pass function.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn schedule_region_memoized<O: SchedObserver>(
     f: &mut Function,
@@ -340,13 +319,10 @@ pub(crate) fn schedule_region_memoized<O: SchedObserver>(
     config: &SchedConfig,
     stats: &mut SchedStats,
     obs: &mut O,
-    pass_live: Option<&Liveness>,
+    live: &Liveness,
 ) -> bool {
     let run = |f: &mut Function, stats: &mut SchedStats, obs: &mut O| {
-        schedule_region_observed(f, machine, cfg, tree, rid, config, stats, obs)
-    };
-    let Some(live) = pass_live else {
-        return run(f, stats, obs);
+        schedule_region_in_pass(f, machine, cfg, tree, rid, config, live, stats, obs)
     };
     if !memo_eligible(config, obs.enabled()) {
         return run(f, stats, obs);
@@ -359,9 +335,6 @@ pub(crate) fn schedule_region_memoized<O: SchedObserver>(
     }
     let scope = subtree_blocks(tree, rid);
     let exits = exit_blocks(f, &scope);
-    if !exits_are_stable(tree, rid, &exits) {
-        return run(f, stats, obs);
-    }
     let key = memo_key(f, machine, tree, rid, config, &scope, &exits, live);
 
     if let Some(entry) = memo().get(key) {
@@ -373,7 +346,7 @@ pub(crate) fn schedule_region_memoized<O: SchedObserver>(
         splice(f, &entry);
         stats.absorb(entry.stats);
         if let Some(before) = gate {
-            verify_splice(&before, f, &entry, machine, cfg, tree, rid, config);
+            verify_splice(&before, f, &entry, machine, cfg, tree, rid, config, live);
         }
         return true;
     }
@@ -482,16 +455,18 @@ fn verify_splice(
     tree: &RegionTree,
     rid: RegionId,
     config: &SchedConfig,
+    live: &Liveness,
 ) {
     let mut real = before.snapshot();
     let mut st = SchedStats::default();
-    let ok = schedule_region_observed(
+    let ok = schedule_region_in_pass(
         &mut real,
         machine,
         cfg,
         tree,
         rid,
         config,
+        live,
         &mut st,
         &mut NopObserver,
     );
@@ -600,6 +575,81 @@ mod tests {
         assert_eq!(cold.to_string(), warm.to_string());
         assert_eq!(counted(st_cold), counted(st_warm));
         assert_eq!(cold.reg_counters(), warm.reg_counters());
+    }
+
+    /// A loop whose exit falls straight into the next loop's header (the
+    /// shape of `adjacent_single_block_loops_both_rotate`): its exit
+    /// successor heads a sibling region, which the same pass may
+    /// schedule first. The scheduler reads that header's pass-start
+    /// live-ins — exactly what the key hashes — so the region is
+    /// memoized like any other, and a warm pass splices it
+    /// bit-identically to the cold one and to a memo-off pass. (Debug
+    /// builds also re-schedule every hit and compare.)
+    #[test]
+    fn loop_exiting_into_a_sibling_header_is_memoized() {
+        let _guard = serialize();
+        let machine = MachineDescription::rs6k();
+        let config = SchedConfig::speculative();
+        let f0 = gis_ir::parse_function(
+            "func adjacent\n\
+             init:\n LI r1=0\n LI r2=0\n LI r3=0\n LI r4=0\n LI r9=11\n\
+             l1:\n L r5=a(r4,0)\n\
+             l1b:\n AI r1=r1,3\n A r3=r3,r5\n C cr0=r1,r9\n BT l1,cr0,0x1/lt\n\
+             l2:\n AI r2=r2,5\n C cr1=r2,r9\n BT l2,cr1,0x1/lt\n\
+             out:\n PRINT r1\n PRINT r2\n PRINT r3\n RET\n",
+        )
+        .expect("parses");
+        let cfg = Cfg::new(&f0);
+        let dom = gis_cfg::DomTree::dominators(&cfg);
+        let loops = gis_cfg::LoopForest::new(&cfg, &dom);
+        let tree = RegionTree::new(&cfg, &loops);
+        let (l1, l2) = (BlockId::new(1), BlockId::new(3));
+        let first = tree.innermost(l1);
+        let scope = subtree_blocks(&tree, first);
+        let exits = exit_blocks(&f0, &scope);
+        assert_eq!(exits, vec![l2], "the first loop exits into the second");
+        assert_eq!(
+            tree.region(tree.innermost(l2)).parent,
+            tree.region(first).parent,
+            "the exit heads a sibling region"
+        );
+        let live = Liveness::compute(&f0, &cfg);
+        let key = memo_key(&f0, &machine, &tree, first, &config, &scope, &exits, &live);
+        let memoized = || memo().inner.lock().expect("lock").map.contains_key(&key);
+        assert!(!memoized(), "a fresh key");
+
+        let pass = |config: &SchedConfig| {
+            let mut f = f0.clone();
+            let mut st = SchedStats::default();
+            crate::parallel::global_pass(
+                &mut f,
+                &machine,
+                &cfg,
+                &tree,
+                config,
+                0,
+                &mut st,
+                &mut NopObserver,
+            );
+            (f, st)
+        };
+        let (cold, st_cold) = pass(&config);
+        assert!(memoized(), "the cold pass recorded the first loop");
+        let before = region_memo_counters();
+        let (warm, st_warm) = pass(&config);
+        let after = region_memo_counters();
+        let mut off = config.clone();
+        off.region_memo = false;
+        let (reference, st_ref) = pass(&off);
+        assert!(after.hits >= before.hits + 2, "both loops hit");
+        assert_eq!(cold.to_string(), warm.to_string(), "warm text");
+        assert_eq!(cold.to_string(), reference.to_string(), "memo-off text");
+        assert_eq!(counted(st_cold), counted(st_warm), "warm stats");
+        assert_eq!(counted(st_cold), counted(st_ref), "memo-off stats");
+        assert!(
+            st_cold.moved_useful > 0,
+            "the first loop fills its load delay from the latch"
+        );
     }
 
     /// Every configuration the memo cannot prove bit-identical must

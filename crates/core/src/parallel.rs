@@ -63,18 +63,17 @@
 //!   registers — into the sequence the sequential pass would have drawn
 //!   from [`Function::fresh_inst_id`].
 //!
-//! Scheduling one region reads liveness over the whole function, but a
-//! *legal* motion in another task can never change the liveness facts a
-//! task consumes: useful motion stays between equivalent blocks (the
-//! upward-exposure of every register outside the pair is unchanged),
-//! speculative motion may not clobber a live-on-exit register (§5.3),
-//! and renaming replaces a du-chain that was local to its home block.
-//! The differential tests in `tests/parallel_determinism.rs` verify the
-//! equivalence end-to-end on every workload.
+//! Every task reads the same pass-level liveness: one whole-function
+//! solve on the pre-pass function, from which each region seeds its own
+//! scope-local sets. A *legal* motion in another task can never change
+//! the facts a task consumes — the region-boundary invariant stated (and
+//! checked) in `gis_pdg`'s liveness module. The differential tests in
+//! `tests/parallel_determinism.rs` verify the equivalence end-to-end on
+//! every workload.
 
 use crate::config::SchedConfig;
-use crate::global::{region_within_size_limits, schedule_region_observed, subtree_blocks};
-use crate::memo::{memo_eligible, schedule_region_memoized};
+use crate::global::{region_within_size_limits, schedule_region_in_pass, subtree_blocks};
+use crate::memo::schedule_region_memoized;
 use crate::stats::SchedStats;
 use gis_cfg::{Cfg, RegionId, RegionTree};
 use gis_ir::{BlockId, Function, Inst, InstId, Reg, RegClass};
@@ -212,26 +211,20 @@ pub(crate) fn global_pass<O: SchedObserver>(
         .into_iter()
         .filter(|r| tree.region(*r).height <= max_height)
         .collect();
+    if order.is_empty() {
+        return;
+    }
     let jobs = effective_jobs(config.jobs);
-    // Pass-level liveness for the region memo's keys, computed once on
-    // the pre-pass function. Legal motions preserve the facts the keys
-    // read (exit live-ins at ancestor-region blocks; see the memo's
-    // module docs), so one compute serves every lookup of the pass.
-    let pass_live = (memo_eligible(config, obs.enabled()) && !order.is_empty())
-        .then(|| Liveness::compute(f, cfg));
+    // The pass's one whole-function liveness solve, on the pre-pass
+    // function. Every region seeds its scope-local liveness from the
+    // live-ins of its exit successors here, and the memo keys on the
+    // same sets: legal motions never change them (the region-boundary
+    // invariant in `gis_pdg`'s liveness module).
+    let pass_live = Liveness::compute(f, cfg);
+    stats.liveness_full += 1;
     let sequential = |f: &mut Function, stats: &mut SchedStats, obs: &mut O| {
         for &rid in &order {
-            schedule_region_memoized(
-                f,
-                machine,
-                cfg,
-                tree,
-                rid,
-                config,
-                stats,
-                obs,
-                pass_live.as_ref(),
-            );
+            schedule_region_memoized(f, machine, cfg, tree, rid, config, stats, obs, &pass_live);
         }
     };
     if jobs <= 1 || order.len() <= 1 {
@@ -257,7 +250,9 @@ pub(crate) fn global_pass<O: SchedObserver>(
         let before = f.reg_counters();
         let mut st = SchedStats::default();
         let mut rec = MaybeRecorder::new(tracing);
-        schedule_region_observed(f, machine, cfg, tree, rid, config, &mut st, &mut rec);
+        schedule_region_in_pass(
+            f, machine, cfg, tree, rid, config, &pass_live, &mut st, &mut rec,
+        );
         debug_assert_eq!(f.reg_counters(), before, "skipped regions allocate nothing");
         let bound = f.inst_id_bound() as u32;
         let out = RegionOutcome {
@@ -350,7 +345,7 @@ pub(crate) fn global_pass<O: SchedObserver>(
             &results,
             t,
             tracing,
-            pass_live.as_ref(),
+            &pass_live,
         );
         results[t]
             .set(out)
@@ -707,7 +702,7 @@ fn run_task(
     results: &[OnceLock<TaskOutcome>],
     t: usize,
     tracing: bool,
-    pass_live: Option<&Liveness>,
+    pass_live: &Liveness,
 ) -> TaskOutcome {
     let task = &tasks[t];
     let mut fu = master.snapshot();

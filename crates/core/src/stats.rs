@@ -43,11 +43,12 @@ pub struct SchedStats {
     /// Data dependence edges surviving `gis_pdg::DataDeps::reduce`'s
     /// latency-redundancy elimination.
     pub dep_edges_reduced: usize,
-    /// Post-motion liveness repairs done incrementally (region-local
-    /// fixed point).
+    /// Region-local liveness repairs after a motion, a duplication
+    /// commit or a dedup fold (fixed point over the region's blocks).
     pub liveness_incremental: usize,
-    /// Whole-function liveness computations (per-region initialization,
-    /// plus every motion when the reference hot paths are selected).
+    /// Whole-function liveness solves: one per global pass (one per call
+    /// of `schedule_region` on its own), plus one per region and per
+    /// commit when the reference hot paths are selected.
     pub liveness_full: usize,
     /// Per-region scratch buffer bundles allocated by the global
     /// scheduler.

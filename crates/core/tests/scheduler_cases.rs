@@ -353,3 +353,25 @@ J:
         assert!(a.equivalent(&b), "fold preserved behaviour\n{f}");
     }
 }
+
+/// A global pass solves whole-function liveness once, however many
+/// regions it schedules: every region seeds and repairs sets over its own
+/// blocks from that one solve. At `jobs 2` the pass's workers share it.
+#[test]
+fn liveness_is_solved_once_per_global_pass() {
+    let w = gis_workloads::synth::many_loops_preset("many-loops-m").expect("preset");
+    let mut config = SchedConfig::speculative();
+    config.jobs = 2;
+    let mut f = w.program.function.clone();
+    let stats = compile(&mut f, &MachineDescription::rs6k(), &config).expect("compiles");
+    assert_eq!(
+        stats.liveness_full, 2,
+        "one whole-function solve per global pass"
+    );
+    assert!(
+        stats.regions_scheduled > 50,
+        "{} regions scheduled",
+        stats.regions_scheduled
+    );
+    assert!(stats.liveness_incremental > 0, "motions repair in place");
+}
