@@ -1,6 +1,7 @@
 //! Hot-path benchmarks with a tracked baseline: the sweep dependence
 //! builder vs the all-pairs reference, region-scoped liveness (seeding
-//! and post-motion repair) vs whole-function solves, and end-to-end
+//! and post-motion repair) vs whole-function solves, the linear §4.2
+//! web renamer vs the reaching-definitions reference, and end-to-end
 //! compilation with [`SchedConfig::reference_hot_paths`] on and off —
 //! measured on the scaled [`synth::MANY_LOOPS_PRESETS`] workloads.
 //!
@@ -22,7 +23,9 @@
 //! function's text; the fast and reference paths must hash identically
 //! (the rewrite preserves output bit for bit), as must every `jobs`
 //! width (1/2/4/8) — the run aborts on any mismatch rather than
-//! reporting a speedup for a scheduler that changed its answer.
+//! reporting a speedup for a scheduler that changed its answer. The
+//! two renamers are held to the same standard: the run aborts unless
+//! they produce the same canonical bytes and statistics.
 //!
 //! Two groups measure this PR's work-distribution machinery. The
 //! `e2e-memo` group compiles many-loops-m against a cold vs a warm
@@ -41,8 +44,9 @@
 use gis_cfg::{Cfg, DomTree, LoopForest, RegionKind, RegionTree};
 use gis_core::{compile, SchedConfig};
 use gis_ir::hash::fnv64_str as fnv64;
-use gis_ir::{BlockId, Function};
+use gis_ir::{to_canonical_bytes, BlockId, Function};
 use gis_machine::MachineDescription;
+use gis_pdg::webs::{rename_webs, rename_webs_reference};
 use gis_pdg::{DataDeps, Liveness, RegionLiveness};
 use gis_sim::{execute, ExecConfig, TimingSim};
 use gis_workloads::synth;
@@ -216,6 +220,51 @@ fn bench_liveness(
         schedule_hash: None,
     });
     (scopes.len() as u128 * full) as f64 / (full + seed).max(1) as f64
+}
+
+/// The §4.2 renaming rows: the linear boundary-node pass against the
+/// reaching-definitions reference. Each iteration renames a fresh clone
+/// of the function, so both rows include the clone. Before timing, the
+/// run aborts unless both renamers produce the same canonical bytes
+/// (which carry the fresh-register counters) and statistics. Returns
+/// reference ÷ linear.
+fn bench_rename(preset: &str, f: &Function, iters: u32, runs: usize, rows: &mut Vec<Row>) -> f64 {
+    let cfg = Cfg::new(f);
+    let n_insts = f.num_insts();
+    let rename = |reference: bool| {
+        let mut renamed = f.clone();
+        let stats = if reference {
+            rename_webs_reference(&mut renamed, &cfg)
+        } else {
+            rename_webs(&mut renamed, &cfg)
+        };
+        (renamed, stats)
+    };
+    let ((linear_f, linear_stats), (reference_f, reference_stats)) = (rename(false), rename(true));
+    assert!(
+        linear_stats == reference_stats
+            && to_canonical_bytes(&linear_f) == to_canonical_bytes(&reference_f),
+        "{preset}: the linear renamer diverges from the reference \
+         ({linear_stats:?} vs {reference_stats:?})"
+    );
+    let linear = median_ns(iters, runs, || rename(false));
+    // The reference takes half a second on the largest preset: a few
+    // single-iteration runs pin its median well enough.
+    let (ref_iters, ref_runs) = if n_insts > 10_000 {
+        (1, runs.min(3))
+    } else {
+        (iters, runs)
+    };
+    let reference = median_ns(ref_iters, ref_runs, || rename(true));
+    for (label, ns) in [("linear", linear), ("reference", reference)] {
+        rows.push(Row {
+            name: format!("rename/{preset}/{label}"),
+            n_insts,
+            median_ns: ns,
+            schedule_hash: None,
+        });
+    }
+    reference as f64 / linear.max(1) as f64
 }
 
 fn bench_end_to_end(
@@ -595,10 +644,12 @@ fn main() {
         );
         let dep = bench_dep_build(preset, f, &machine, &config, iters, runs, &mut rows);
         let live = bench_liveness(preset, f, &config, iters, runs, &mut rows);
+        let rename = bench_rename(preset, f, iters, runs, &mut rows);
         let (e2e, jobs4, hashes_ok) = bench_end_to_end(preset, f, &machine, iters, runs, &mut rows);
         jobs_hash_match &= hashes_ok;
         speedups.push((format!("dep-build/{preset}"), dep));
         speedups.push((format!("liveness-setup/{preset}"), live));
+        speedups.push((format!("rename/{preset}"), rename));
         speedups.push((format!("e2e/{preset}"), e2e));
         speedups.push((format!("jobs4/{preset}"), jobs4));
         if preset == "many-loops-m" {

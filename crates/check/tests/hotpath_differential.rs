@@ -7,15 +7,19 @@
 //! solve. Running under the test profile also arms the scheduler's debug
 //! assertion that each region's seeded and repaired liveness matches a
 //! whole-function recompute, so every region and every motion these
-//! compilations perform is a differential check of its own.
+//! compilations perform is a differential check of its own. The linear
+//! §4.2 renamer must rename exactly as the reaching-definitions
+//! reference does, down to the order it draws fresh registers in.
 
 use gis_cfg::{Cfg, DomTree, LoopForest, RegionId, RegionTree};
 use gis_check::generate;
 use gis_core::{compile, SchedConfig};
-use gis_ir::BlockId;
+use gis_ir::{to_canonical_bytes, BlockId, Function};
 use gis_machine::MachineDescription;
+use gis_pdg::webs::{rename_webs, rename_webs_reference};
 use gis_pdg::{DataDeps, Liveness, RegionLiveness};
 use gis_workloads::rng::XorShift64Star;
+use gis_workloads::{kernels, spec, synth};
 
 const CASES: u64 = 200;
 
@@ -140,5 +144,57 @@ fn reference_hot_paths_compile_bit_identically() {
             ref_stats.liveness_incremental, 0,
             "seed {seed}: the reference path must never repair incrementally"
         );
+    }
+}
+
+/// Renames `f` with both renamers and compares canonical bytes, which
+/// carry the fresh-register counters (so the draw order is checked
+/// too), and the statistics.
+fn assert_renamers_agree(what: &str, f: &Function) {
+    let cfg = Cfg::new(f);
+    let mut linear = f.clone();
+    let linear_stats = rename_webs(&mut linear, &cfg);
+    let mut reference = f.clone();
+    let reference_stats = rename_webs_reference(&mut reference, &cfg);
+    assert_eq!(
+        linear_stats, reference_stats,
+        "{what}: rename statistics diverge"
+    );
+    assert!(
+        to_canonical_bytes(&linear) == to_canonical_bytes(&reference),
+        "{what}: renamed functions diverge\nlinear:\n{linear}\nreference:\n{reference}"
+    );
+}
+
+#[test]
+fn linear_rename_matches_the_reference() {
+    for seed in 1..=CASES {
+        let case = generate(&mut XorShift64Star::new(seed));
+        assert_renamers_agree(&format!("seed {seed}\n{}", case.text), &case.function);
+    }
+    let mut workloads: Vec<(&str, spec::Workload)> = Vec::new();
+    for &(preset, loops, stmts, seed) in synth::MANY_LOOPS_PRESETS {
+        workloads.push((preset, synth::many_loops_scaled(loops, stmts, seed)));
+    }
+    let (preset, loops, stmts, heavy, seed) = synth::MANY_LOOPS_SKEWED_PRESET;
+    workloads.push((preset, synth::many_loops_skewed(loops, stmts, heavy, seed)));
+    for &(preset, diamonds, seed) in synth::DISPATCH_DIAMONDS_PRESETS {
+        workloads.push((preset, synth::dispatch_diamonds(diamonds, seed)));
+    }
+    for &(preset, ops, seed) in synth::DISPATCH_DECODE_PRESETS {
+        workloads.push((preset, synth::dispatch_decode(ops, seed)));
+    }
+    for w in spec::all(64) {
+        workloads.push((w.name, w));
+    }
+    for w in [
+        kernels::idct8(6),
+        kernels::fletcher(64),
+        kernels::memwalk(64),
+    ] {
+        workloads.push((w.name, w));
+    }
+    for (name, w) in &workloads {
+        assert_renamers_agree(name, &w.program.function);
     }
 }

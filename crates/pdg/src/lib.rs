@@ -26,6 +26,7 @@
 mod control;
 mod data;
 mod liveness;
+mod numbering;
 mod pressure;
 pub mod webs;
 

@@ -53,9 +53,9 @@
 //! compares every region's seeded and repaired sets with the
 //! whole-function solve directly).
 
+use crate::numbering::Numbering;
 use gis_cfg::{Cfg, NodeId};
-use gis_ir::{BlockId, BlockRef, Function, Reg, RegClass, RegSet};
-use std::cell::Cell;
+use gis_ir::{BlockId, BlockRef, Function, Reg, RegSet};
 
 /// Live-in / live-out register sets per basic block of a whole function.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,66 +131,6 @@ impl Liveness {
     }
 }
 
-fn class_slot(class: RegClass) -> usize {
-    match class {
-        RegClass::Gpr => 0,
-        RegClass::Fpr => 1,
-        RegClass::Cr => 2,
-    }
-}
-
-/// Register → region-local number, *version-stamped* like the sweep
-/// tables of `DataDeps::build`: an entry belongs to the current region
-/// only when its stamp matches the table's version, so seeding a region
-/// never clears (or sizes) anything by the function's register count.
-/// One table per thread, lent to each [`RegionLiveness`] while it lives.
-#[derive(Default)]
-struct Numbering {
-    ver: u32,
-    /// Per register class, by register index: `(stamp, local number)`.
-    slots: [Vec<(u32, u32)>; 3],
-}
-
-impl Numbering {
-    const fn new() -> Self {
-        Numbering {
-            ver: 0,
-            slots: [Vec::new(), Vec::new(), Vec::new()],
-        }
-    }
-
-    /// Starts a new region: every entry goes stale at once.
-    fn begin(&mut self) {
-        if self.ver == u32::MAX {
-            for s in &mut self.slots {
-                s.clear();
-            }
-            self.ver = 0;
-        }
-        self.ver += 1;
-    }
-
-    fn get(&self, r: Reg) -> Option<usize> {
-        match self.slots[class_slot(r.class())].get(r.index() as usize) {
-            Some(&(stamp, local)) if stamp == self.ver => Some(local as usize),
-            _ => None,
-        }
-    }
-
-    fn set(&mut self, r: Reg, local: usize) {
-        let slots = &mut self.slots[class_slot(r.class())];
-        let i = r.index() as usize;
-        if i >= slots.len() {
-            slots.resize(i + 1, (0, 0));
-        }
-        slots[i] = (self.ver, local as u32);
-    }
-}
-
-thread_local! {
-    static NUMBERING: Cell<Numbering> = const { Cell::new(Numbering::new()) };
-}
-
 const WORD_BITS: usize = 64;
 
 /// Scope-local liveness of one region: what the global scheduler reads
@@ -255,7 +195,7 @@ impl RegionLiveness {
     /// fixed point over the scope alone.
     pub fn seed(f: &Function, cfg: &Cfg, scope: &[BlockId], pass: &Liveness) -> Self {
         debug_assert!(scope.windows(2).all(|w| w[0] < w[1]), "scope ascending");
-        let mut numbering = NUMBERING.with(Cell::take);
+        let mut numbering = Numbering::take();
         numbering.begin();
         let n = scope.len();
         let mut succ_start = Vec::with_capacity(n + 1);
@@ -498,10 +438,7 @@ impl RegionLiveness {
 impl Drop for RegionLiveness {
     fn drop(&mut self) {
         // Hand the numbering table back for the thread's next region.
-        // During thread teardown the slot may already be gone; the
-        // table is then simply freed.
-        let numbering = std::mem::take(&mut self.numbering);
-        let _ = NUMBERING.try_with(|slot| slot.set(numbering));
+        std::mem::take(&mut self.numbering).give_back();
     }
 }
 

@@ -17,10 +17,37 @@
 //! * registers live on entry to the function (inputs set up by code
 //!   outside the scope) anchor their webs to the original register, and
 //!   such webs are not renamed.
+//!
+//! # Boundary nodes
+//!
+//! [`rename_webs`] never materializes reaching-definition sets. Every
+//! (block, live-in register) pair gets one *boundary node*, unioned with
+//! whatever reaches the end of each predecessor: that block's last def
+//! of the register, or its own boundary node. One union-find over def
+//! sites and boundary nodes then holds the webs; the entry block's
+//! boundary nodes stand for the defs made before the function. They are
+//! exactly the webs of the reaching-definition formulation
+//! ([`rename_webs_reference`]). A boundary link joins two things that
+//! reach the same block boundary, and a register live into a block
+//! reaches a use through it, so the reference unions them too.
+//! Conversely, every def reaching a use travels a def-free path whose
+//! block boundaries are all live, and the links along that path chain
+//! the def to the use's boundary node. One case needs a guard. In
+//! unreachable code a live-in register may be reached by no def at all;
+//! the reference lets such a use fall back to the entry def. Its
+//! boundary node would otherwise link unrelated webs through an
+//! unreachable block, so boundary nodes exist only for live-ins some
+//! def reaches (all of them, in reachable blocks). Fresh registers are
+//! drawn in order of each web's first def in layout order, so the
+//! output and the allocator counters match the reference bit for bit.
+//!
+//! The cost is O(instructions + Σ over CFG edges of the successor's
+//! live-in count), the same order as the liveness solve it reads.
 
+use crate::numbering::Numbering;
 use crate::Liveness;
 use gis_cfg::{Cfg, NodeId};
-use gis_ir::{BlockId, Function, Reg};
+use gis_ir::{BlockId, Function, Reg, RegSet};
 use std::collections::{HashMap, HashSet};
 
 /// Statistics from a [`rename_webs`] run.
@@ -43,12 +70,23 @@ impl UnionFind {
             parent: (0..n).collect(),
         }
     }
-    fn find(&mut self, x: usize) -> usize {
-        if self.parent[x] != x {
-            let root = self.find(self.parent[x]);
-            self.parent[x] = root;
+    fn len(&self) -> usize {
+        self.parent.len()
+    }
+    /// Adds a singleton node and returns it.
+    fn push(&mut self) -> usize {
+        let x = self.parent.len();
+        self.parent.push(x);
+        x
+    }
+    fn find(&mut self, mut x: usize) -> usize {
+        // Path halving: iterative, so long boundary chains cannot
+        // overflow the stack.
+        while self.parent[x] != x {
+            self.parent[x] = self.parent[self.parent[x]];
+            x = self.parent[x];
         }
-        self.parent[x]
+        x
     }
     fn union(&mut self, a: usize, b: usize) {
         let (ra, rb) = (self.find(a), self.find(b));
@@ -72,7 +110,200 @@ enum Site {
 /// verified-equivalent: every use still sees exactly the definitions it
 /// saw before (a property the test suite checks by differential
 /// simulation at the workspace level).
+///
+/// Linear in the function plus its liveness (see the module docs for
+/// why boundary nodes give the reference's webs); output, allocator
+/// counters and statistics are bit-identical to
+/// [`rename_webs_reference`].
 pub fn rename_webs(f: &mut Function, cfg: &Cfg) -> RenameStats {
+    let live = Liveness::compute(f, cfg);
+    let (bnd_start, bnd_regs) = boundaries(f, cfg, &live);
+    let bnd = |b: BlockId| bnd_start[b.index()]..bnd_start[b.index() + 1];
+    // Nodes: the boundary nodes first (block `b`'s `k`-th is
+    // `bnd_start[b] + k`), then every def site in layout order.
+    let first_site = bnd_regs.len();
+    let mut uf = UnionFind::new(first_site);
+    let mut site_reg: Vec<Reg> = Vec::new();
+    let mut named = RegSet::new();
+    let mut table = Numbering::take();
+    let (mut uses, mut defs) = (Vec::new(), Vec::new());
+    // Tied bases no def reaches (unreachable code only): their webs keep
+    // the register, as the entry def's web does.
+    let mut entry_ties: Vec<(Reg, usize)> = Vec::new();
+
+    // --- 1. One walk per block: the table maps each register to the node
+    // reaching the current point. Tied bases join the web they consume;
+    // at the end, each successor's boundary nodes join what reaches here.
+    for (bid, block) in f.blocks() {
+        table.begin();
+        for x in bnd(bid) {
+            table.set(bnd_regs[x], x);
+        }
+        for inst in block.insts() {
+            uses.clear();
+            inst.op.uses_into(&mut uses);
+            defs.clear();
+            inst.op.defs_into(&mut defs);
+            let site = uf.len();
+            for &d in &defs {
+                uf.push();
+                site_reg.push(d);
+            }
+            if inst.op.has_tied_base() {
+                for &u in &uses {
+                    // A register defined twice by one instruction names
+                    // its last def site, as later uses see it.
+                    if let Some(j) = defs.iter().rposition(|&d| d == u) {
+                        match table.get(u) {
+                            Some(x) => uf.union(x, site + j),
+                            None => entry_ties.push((u, site + j)),
+                        }
+                    }
+                }
+            }
+            for (j, &d) in defs.iter().enumerate() {
+                table.set(d, site + j);
+            }
+            for &r in uses.iter().chain(&defs) {
+                named.insert(r);
+            }
+        }
+        for e in cfg.succs(NodeId::block(bid)) {
+            if let Some(s) = e.to.as_block() {
+                for x in bnd(s) {
+                    if let Some(y) = table.get(bnd_regs[x]) {
+                        uf.union(x, y);
+                    }
+                }
+            }
+        }
+    }
+
+    // --- 2. Webs holding an entry def keep their register: those of the
+    // entry block's boundary nodes, and those of tied bases no def
+    // reaches (the reference unions the latter with their entry def).
+    let mut web_reg: Vec<Option<Reg>> = vec![None; uf.len()];
+    for x in bnd(f.entry()) {
+        web_reg[uf.find(x)] = Some(bnd_regs[x]);
+    }
+    for (r, site) in entry_ties {
+        web_reg[uf.find(site)] = Some(r);
+    }
+
+    // --- 3. A fresh register per remaining web, in order of first def.
+    let mut stats = RenameStats::default();
+    for x in first_site..uf.len() {
+        let root = uf.find(x);
+        if web_reg[root].is_none() {
+            web_reg[root] = Some(f.fresh_reg(site_reg[x - first_site].class()));
+            stats.renamed += 1;
+        }
+    }
+    // Every named register has one entry web; the rest were just renamed.
+    stats.webs = named.len() + stats.renamed;
+    let reg_of: Vec<Reg> = (0..uf.len())
+        .map(|x| web_reg[uf.find(x)].expect("every boundary node meets a def"))
+        .collect();
+
+    // --- 4. Rewrite: the same walk, mapping each operand through the
+    // node that reaches it. A use no def reaches keeps its register.
+    let mut site = first_site;
+    for bid in f.block_ids() {
+        table.begin();
+        for x in bnd(bid) {
+            table.set(bnd_regs[x], x);
+        }
+        let mut block = f.block_mut(bid);
+        for pos in 0..block.len() {
+            let op = &mut block.inst_mut(pos).op;
+            defs.clear();
+            op.defs_into(&mut defs);
+            op.map_uses(|u| table.get(u).map_or(u, |x| reg_of[x]));
+            // A tied base arrives here already mapped as a use, to its
+            // web's register; as in the reference, only the instruction's
+            // original def names are looked up.
+            op.map_defs(|d| {
+                defs.iter()
+                    .rposition(|&x| x == d)
+                    .map_or(d, |j| reg_of[site + j])
+            });
+            for (j, &d) in defs.iter().enumerate() {
+                table.set(d, site + j);
+            }
+            site += defs.len();
+        }
+    }
+    table.give_back();
+    stats
+}
+
+/// The boundary registers of every block, as one flat list: block `b`'s
+/// are `regs[start[b]..start[b + 1]]`, ascending. They are its live-ins
+/// that some def (or the function entry) reaches: every live-in of a
+/// reachable block, since a def-free path back from it ends at a def or
+/// at the entry. Unreachable blocks are reached only from each other, so
+/// a forward solve over them alone finds theirs.
+fn boundaries(f: &Function, cfg: &Cfg, live: &Liveness) -> (Vec<usize>, Vec<Reg>) {
+    let n = f.num_blocks();
+    let mut reachable = vec![false; n];
+    for b in cfg
+        .reverse_postorder()
+        .into_iter()
+        .filter_map(NodeId::as_block)
+    {
+        reachable[b.index()] = true;
+    }
+    let unreachable: Vec<BlockId> = f.block_ids().filter(|b| !reachable[b.index()]).collect();
+    let mut defined = vec![RegSet::new(); n];
+    for &b in &unreachable {
+        for inst in f.block(b).insts() {
+            for d in inst.op.defs() {
+                defined[b.index()].insert(d);
+            }
+        }
+    }
+    let mut reached = vec![RegSet::new(); n];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &b in &unreachable {
+            for r in live.live_in(b).iter() {
+                let reaches =
+                    |p: BlockId| defined[p.index()].contains(r) || reached[p.index()].contains(r);
+                if !reached[b.index()].contains(r)
+                    && cfg
+                        .preds(NodeId::block(b))
+                        .iter()
+                        .any(|e| e.to.as_block().is_some_and(reaches))
+                {
+                    reached[b.index()].insert(r);
+                    changed = true;
+                }
+            }
+        }
+    }
+    let mut start = Vec::with_capacity(n + 1);
+    let mut regs = Vec::new();
+    for b in f.block_ids() {
+        start.push(regs.len());
+        if reachable[b.index()] {
+            regs.extend(live.live_in(b).iter());
+        } else {
+            regs.extend(reached[b.index()].iter());
+        }
+    }
+    start.push(regs.len());
+    (start, regs)
+}
+
+/// The reaching-definitions renamer this module started with, kept
+/// verbatim as the differential oracle for [`rename_webs`]: same inputs,
+/// same output, same allocator counters and statistics (checked by the
+/// `gis-check` test suite and used by the benchmark harness to measure
+/// the speedup). It solves per-block maps of reaching def sites to a
+/// fixed point, cloning them at every block on every sweep — do not
+/// call it from the scheduler.
+pub fn rename_webs_reference(f: &mut Function, cfg: &Cfg) -> RenameStats {
     // --- 1. Enumerate definition sites per register. ------------------
     // site ids: for each (block, pos, reg-def) one id; plus one entry-def
     // id per register (allocated lazily below, but we pre-allocate for
@@ -261,12 +492,27 @@ mod tests {
     use super::*;
     use gis_ir::{parse_function, Op};
 
+    /// Renames `text` with [`rename_webs`], checking the result against
+    /// [`rename_webs_reference`]: same statistics, and the same canonical
+    /// bytes, which include the fresh-register counters.
     fn renamed(text: &str) -> (Function, RenameStats) {
         let mut f = parse_function(text).expect("parses");
         let cfg = Cfg::new(&f);
+        let mut reference = f.clone();
+        let reference_stats = rename_webs_reference(&mut reference, &cfg);
         let stats = rename_webs(&mut f, &cfg);
         f.verify().expect("still verifies");
+        assert_eq!(stats, reference_stats, "statistics diverge");
+        assert!(
+            gis_ir::to_canonical_bytes(&f) == gis_ir::to_canonical_bytes(&reference),
+            "renamers diverge\nlinear:\n{f}\nreference:\n{reference}"
+        );
         (f, stats)
+    }
+
+    fn ops_of(f: &Function, id: u32) -> &Op {
+        let (bid, pos) = f.find_inst(gis_ir::InstId::new(id)).expect("exists");
+        &f.block(bid).inst_at(pos).op
     }
 
     fn def_of(f: &Function, id: u32) -> Reg {
@@ -377,5 +623,99 @@ mod tests {
         assert_eq!(lu_defs[1], d0, "base def tied into the base web");
         let (bid2, pos2) = f.find_inst(gis_ir::InstId::new(2)).unwrap();
         assert_eq!(f.block(bid2).inst_at(pos2).op.uses()[0], d0);
+    }
+    #[test]
+    fn unreached_live_in_of_an_unreachable_block_links_nothing() {
+        // U follows an unconditional branch, so nothing reaches it, yet
+        // r1 and cr0 are live into it (it falls into D and branches to
+        // E). No def reaches U, so its uses keep their registers, and it
+        // must not join the webs of I0 (reaching D) and I3 (reaching E).
+        let (f, _) = renamed(
+            "func u\n\
+             A:\n (I0) LI r1=1\n (I1) C cr0=r1,r9\n (I2) BT D,cr0,0x1/lt\n\
+             B:\n (I3) LI r1=2\n (I4) B E\n\
+             U:\n (I5) BT E,cr0,0x1/lt\n\
+             D:\n (I6) PRINT r1\n RET\n\
+             E:\n (I8) PRINT r1\n RET\n",
+        );
+        assert_ne!(def_of(&f, 0), def_of(&f, 3), "two webs, not one");
+        assert_eq!(ops_of(&f, 6).uses(), vec![def_of(&f, 0)]);
+        assert_eq!(ops_of(&f, 8).uses(), vec![def_of(&f, 3)]);
+        assert_eq!(
+            ops_of(&f, 5).uses(),
+            vec![Reg::cr(0)],
+            "unreached use keeps its register"
+        );
+    }
+
+    #[test]
+    fn unreached_tied_base_keeps_its_register() {
+        // In unreachable code, an update-form load whose base no def
+        // reaches ties its base def to the entry web: the base keeps r2,
+        // and so does the later use it reaches.
+        let (f, _) = renamed(
+            "func t\n\
+             A:\n (I0) LI r2=8\n (I1) PRINT r2\n RET\n\
+             U:\n (I3) LU r1,r2=a(r2,8)\n (I4) PRINT r2\n (I5) PRINT r1\n RET\n",
+        );
+        assert_eq!(ops_of(&f, 3).defs()[1], Reg::gpr(2));
+        assert_eq!(ops_of(&f, 4).uses(), vec![Reg::gpr(2)]);
+        assert_ne!(def_of(&f, 0), Reg::gpr(2), "the reachable web is renamed");
+    }
+
+    #[test]
+    fn unreachable_predecessor_defines_into_a_reachable_join() {
+        // U is unreachable but falls into the join C: its def of r1
+        // reaches C's use alongside I0's, so both share one web.
+        let (f, _) = renamed(
+            "func j\n\
+             A:\n (I0) LI r1=1\n (I1) B C\n\
+             U:\n (I2) LI r1=2\n\
+             C:\n (I3) PRINT r1\n RET\n",
+        );
+        assert_eq!(def_of(&f, 0), def_of(&f, 2));
+        assert_eq!(ops_of(&f, 3).uses(), vec![def_of(&f, 0)]);
+    }
+
+    #[test]
+    fn entry_block_as_a_loop_header() {
+        // r1 is a function input redefined around the entry block's own
+        // back edge: the entry def and I0 reach I0's use together, so the
+        // web keeps r1. The compare's web is renamed.
+        let (f, _) = renamed(
+            "func e\n\
+             A:\n (I0) AI r1=r1,1\n (I1) C cr0=r1,r9\n (I2) BT A,cr0,0x1/lt\n\
+             B:\n (I3) PRINT r1\n RET\n",
+        );
+        assert_eq!(def_of(&f, 0), Reg::gpr(1));
+        assert_eq!(ops_of(&f, 3).uses(), vec![Reg::gpr(1)]);
+        assert_ne!(def_of(&f, 1), Reg::cr(0));
+        assert_eq!(ops_of(&f, 2).uses(), vec![def_of(&f, 1)]);
+    }
+
+    #[test]
+    fn one_instruction_naming_a_register_twice_among_its_defs() {
+        // Later uses see the last of the two def sites, so both names
+        // follow its web. The first site still draws a fresh register
+        // that nothing uses, as the reference does: 4 webs renamed (I0
+        // with I1's base, I1's first def, and one per CALL def).
+        let (f, stats) = renamed(
+            "func dd\nA:\n\
+             (I0) LI r2=4096\n\
+             (I1) LU r2,r2=a(r2,8)\n\
+             (I2) PRINT r2\n\
+             (I3) CALL ext0()->(r1,r1)\n\
+             (I4) PRINT r1\n\
+             RET\n",
+        );
+        let base = def_of(&f, 0);
+        assert_eq!(ops_of(&f, 1).defs(), vec![base, base]);
+        assert_eq!(ops_of(&f, 1).uses(), vec![base]);
+        assert_eq!(ops_of(&f, 2).uses(), vec![base]);
+        let call = ops_of(&f, 3).defs();
+        assert_eq!(call[0], call[1]);
+        assert_eq!(ops_of(&f, 4).uses(), vec![call[0]]);
+        assert_eq!(stats.renamed, 4);
+        assert_eq!(stats.webs, 6, "plus the entry webs of r1 and r2");
     }
 }

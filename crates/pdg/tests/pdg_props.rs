@@ -4,31 +4,43 @@
 //!   dependences) agrees with Definition 3 (dominance + postdominance) on
 //!   every reducible region;
 //! * block liveness matches a per-register brute-force path search;
+//! * §4.2 renaming leaves every use reached by the same definitions,
+//!   found by a brute-force backward path search;
 //! * redundant-edge elimination preserves the pairwise longest
 //!   separations of the dependence graph.
 
 use gis_cfg::{Cfg, DomTree, LoopForest, NodeId, RegionGraph, RegionTree};
 use gis_ir::{parse_function, BlockId, Function, InstId, Reg};
 use gis_machine::MachineDescription;
+use gis_pdg::webs::rename_webs;
 use gis_pdg::{Cspdg, DataDeps, Liveness};
 use gis_workloads::rng::XorShift64Star;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Random function whose blocks use/define a handful of registers and
 /// branch arbitrarily (possibly irreducibly — those regions are skipped
-/// where reducibility is required, as the scheduler does).
-fn arb_function(r: &mut XorShift64Star) -> Function {
+/// where reducibility is required, as the scheduler does). Besides plain
+/// reads and writes, the op mix has an update-form load (its base
+/// register is both read and written, a tied pair renaming must keep
+/// together) and a call defining two registers, sometimes the same one
+/// twice. With `jumps`, some blocks end in an unconditional branch,
+/// which often leaves the blocks after them unreachable.
+fn arb_function(r: &mut XorShift64Star, jumps: bool) -> Function {
     let n = 2 + r.below(7);
     let mut text = String::from("func random\n");
     for i in 0..n {
         text.push_str(&format!("B{i}:\n"));
         for _ in 0..r.below(4) {
             let use_ = r.below(4);
-            if r.chance(1, 2) {
-                text.push_str(&format!("    PRINT r{use_}\n"));
-            } else {
-                let def = r.below(4);
-                text.push_str(&format!("    AI r{def}=r{use_},1\n"));
+            let def = r.below(4);
+            match r.below(6) {
+                0 | 1 => text.push_str(&format!("    PRINT r{use_}\n")),
+                2 | 3 => text.push_str(&format!("    AI r{def}=r{use_},1\n")),
+                4 => text.push_str(&format!("    LU r{def},r{use_}=a(r{use_},8)\n")),
+                _ => {
+                    let def2 = if r.chance(1, 2) { def } else { r.below(4) };
+                    text.push_str(&format!("    CALL ext0(r{use_})->(r{def},r{def2})\n"));
+                }
             }
         }
         if i + 1 == n {
@@ -36,6 +48,9 @@ fn arb_function(r: &mut XorShift64Star) -> Function {
         } else if r.chance(1, 2) {
             let target = r.below(n);
             text.push_str(&format!("    BT B{target},cr0,0x1/lt\n"));
+        } else if jumps && r.chance(1, 3) {
+            let target = r.below(n);
+            text.push_str(&format!("    B B{target}\n"));
         }
     }
     parse_function(&text).expect("well formed")
@@ -45,7 +60,7 @@ fn arb_function(r: &mut XorShift64Star) -> Function {
 /// replacement for the previous proptest harness).
 fn for_random_functions(check: impl Fn(&Function)) {
     for seed in 0..128u64 {
-        check(&arb_function(&mut XorShift64Star::new(seed)));
+        check(&arb_function(&mut XorShift64Star::new(seed), false));
     }
 }
 
@@ -100,6 +115,31 @@ fn liveness_matches_per_register_search() {
 }
 
 #[test]
+fn renaming_preserves_reaching_definitions() {
+    // Unreachable blocks are where renaming needs special care (a use no
+    // def reaches keeps its register), so half the cases jump over some.
+    for (seed, jumps) in (0..128u64).flat_map(|s| [(s, false), (s, true)]) {
+        let f = &arb_function(&mut XorShift64Star::new(seed), jumps);
+        let cfg = Cfg::new(f);
+        let mut renamed = f.clone();
+        rename_webs(&mut renamed, &cfg);
+        for (bid, block) in f.blocks() {
+            for (pos, inst) in block.insts().enumerate() {
+                let after = renamed.block(bid).inst_at(pos).op.uses();
+                for (&r, &r2) in inst.op.uses().iter().zip(&after) {
+                    assert_eq!(
+                        reaching_defs_brute(f, &cfg, bid, pos, r),
+                        reaching_defs_brute(&renamed, &cfg, bid, pos, r2),
+                        "use of {r} (now {r2}) by {}\n{f}\nrenamed:\n{renamed}",
+                        inst.id
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn reduction_preserves_longest_separations() {
     for_random_functions(|f| {
         let machine = MachineDescription::rs6k();
@@ -150,6 +190,53 @@ fn live_out_brute(f: &Function, cfg: &Cfg, b: BlockId, r: Reg) -> bool {
         }
     }
     false
+}
+
+/// Brute-force reaching definitions of `r` at position `pos` of block
+/// `b`: the instructions whose def of `r` reaches it along a path with
+/// no other def of `r`, plus `None` when such a path leads back to the
+/// function entry. Searches backward over predecessor blocks.
+fn reaching_defs_brute(
+    f: &Function,
+    cfg: &Cfg,
+    b: BlockId,
+    pos: usize,
+    r: Reg,
+) -> BTreeSet<Option<InstId>> {
+    let last_def = |x: BlockId, end: usize| {
+        let insts: Vec<_> = f.block(x).insts().take(end).collect();
+        insts
+            .into_iter()
+            .rev()
+            .find(|i| i.op.defs().contains(&r))
+            .map(|i| i.id)
+    };
+    let mut out = BTreeSet::new();
+    if let Some(id) = last_def(b, pos) {
+        out.insert(Some(id));
+        return out;
+    }
+    let mut stack = vec![b];
+    let mut seen: Vec<bool> = vec![false; f.num_blocks()];
+    while let Some(x) = stack.pop() {
+        for e in cfg.preds(NodeId::block(x)) {
+            let Some(p) = e.to.as_block() else {
+                out.insert(None); // entered from the function entry
+                continue;
+            };
+            match last_def(p, usize::MAX) {
+                Some(id) => {
+                    out.insert(Some(id));
+                }
+                None if !seen[p.index()] => {
+                    seen[p.index()] = true;
+                    stack.push(p);
+                }
+                None => {}
+            }
+        }
+    }
+    out
 }
 
 /// All-pairs longest separation over the dependence graph, keyed by
