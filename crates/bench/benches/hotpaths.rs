@@ -1,9 +1,11 @@
 //! Hot-path benchmarks with a tracked baseline: the sweep dependence
 //! builder vs the all-pairs reference, region-scoped liveness (seeding
 //! and post-motion repair) vs whole-function solves, the linear §4.2
-//! web renamer vs the reaching-definitions reference, and end-to-end
-//! compilation with [`SchedConfig::reference_hot_paths`] on and off —
-//! measured on the scaled [`synth::MANY_LOOPS_PRESETS`] workloads.
+//! web renamer vs the reaching-definitions reference, the ready-list
+//! basic-block scheduler vs the rescanning reference over every block
+//! of the final pass, and end-to-end compilation with
+//! [`SchedConfig::reference_hot_paths`] on and off — measured on the
+//! scaled [`synth::MANY_LOOPS_PRESETS`] workloads.
 //!
 //! Hand-rolled harness (`harness = false`, like `scheduler.rs`): the
 //! sandbox builds offline, so criterion is unavailable. Each row reports
@@ -25,7 +27,9 @@
 //! width (1/2/4/8) — the run aborts on any mismatch rather than
 //! reporting a speedup for a scheduler that changed its answer. The
 //! two renamers are held to the same standard: the run aborts unless
-//! they produce the same canonical bytes and statistics.
+//! they produce the same canonical bytes and statistics. So are the two
+//! basic-block schedulers: the run aborts unless they order every block
+//! alike, and their `final-bb` rows carry the hash of the result.
 //!
 //! Two groups measure this PR's work-distribution machinery. The
 //! `e2e-memo` group compiles many-loops-m against a cold vs a warm
@@ -42,7 +46,7 @@
 //! the scheduler itself, not the cache.
 
 use gis_cfg::{Cfg, DomTree, LoopForest, RegionKind, RegionTree};
-use gis_core::{compile, SchedConfig};
+use gis_core::{compile, schedule_block, schedule_block_reference, SchedConfig};
 use gis_ir::hash::fnv64_str as fnv64;
 use gis_ir::{to_canonical_bytes, BlockId, Function};
 use gis_machine::MachineDescription;
@@ -265,6 +269,64 @@ fn bench_rename(preset: &str, f: &Function, iters: u32, runs: usize, rows: &mut 
         });
     }
     reference as f64 / linear.max(1) as f64
+}
+
+/// The final basic-block pass: every block of the function as global-2
+/// leaves it (`compile` without the final pass), scheduled by the
+/// ready-list scheduler vs the rescanning reference. Each iteration
+/// schedules a fresh clone, so both rows include the clone. Before
+/// timing, the run aborts unless both leave every block in the same
+/// order; both rows carry the hash of the result. Returns reference ÷
+/// ready.
+fn bench_final_bb(
+    preset: &str,
+    f: &Function,
+    machine: &MachineDescription,
+    iters: u32,
+    runs: usize,
+    rows: &mut Vec<Row>,
+) -> f64 {
+    let mut config = SchedConfig::speculative();
+    config.final_bb_pass = false;
+    config.region_memo = false;
+    let mut global = f.clone();
+    compile(&mut global, machine, &config).expect("compiles");
+    let blocks: Vec<BlockId> = global.block_ids().collect();
+    let n_insts = global.num_insts();
+    let schedule = |reference: bool| {
+        let mut scheduled = global.clone();
+        for &b in &blocks {
+            if reference {
+                schedule_block_reference(&mut scheduled, machine, b);
+            } else {
+                schedule_block(&mut scheduled, machine, b);
+            }
+        }
+        scheduled
+    };
+    let (ready_f, reference_f) = (schedule(false), schedule(true));
+    for &b in &blocks {
+        assert!(
+            ready_f
+                .block(b)
+                .insts()
+                .map(|i| i.id)
+                .eq(reference_f.block(b).insts().map(|i| i.id)),
+            "{preset}: the ready-list scheduler orders block {b} unlike the reference"
+        );
+    }
+    let hash = fnv64(&ready_f.to_string());
+    let ready = median_ns(iters, runs, || schedule(false));
+    let reference = median_ns(iters, runs, || schedule(true));
+    for (label, ns) in [("ready", ready), ("reference", reference)] {
+        rows.push(Row {
+            name: format!("final-bb/{preset}/{label}"),
+            n_insts,
+            median_ns: ns,
+            schedule_hash: Some(hash),
+        });
+    }
+    reference as f64 / ready.max(1) as f64
 }
 
 fn bench_end_to_end(
@@ -645,11 +707,13 @@ fn main() {
         let dep = bench_dep_build(preset, f, &machine, &config, iters, runs, &mut rows);
         let live = bench_liveness(preset, f, &config, iters, runs, &mut rows);
         let rename = bench_rename(preset, f, iters, runs, &mut rows);
+        let final_bb = bench_final_bb(preset, f, &machine, iters, runs, &mut rows);
         let (e2e, jobs4, hashes_ok) = bench_end_to_end(preset, f, &machine, iters, runs, &mut rows);
         jobs_hash_match &= hashes_ok;
         speedups.push((format!("dep-build/{preset}"), dep));
         speedups.push((format!("liveness-setup/{preset}"), live));
         speedups.push((format!("rename/{preset}"), rename));
+        speedups.push((format!("final-bb/{preset}"), final_bb));
         speedups.push((format!("e2e/{preset}"), e2e));
         speedups.push((format!("jobs4/{preset}"), jobs4));
         if preset == "many-loops-m" {

@@ -9,15 +9,20 @@
 //! whole-function recompute, so every region and every motion these
 //! compilations perform is a differential check of its own. The linear
 //! §4.2 renamer must rename exactly as the reaching-definitions
-//! reference does, down to the order it draws fresh registers in.
+//! reference does, down to the order it draws fresh registers in. The
+//! ready-list list scheduler must pick exactly as the full rescan does:
+//! the global passes check every pick against the rescan under the test
+//! profile, and the basic-block scheduler must reorder every block as
+//! the rescanning reference does.
 
 use gis_cfg::{Cfg, DomTree, LoopForest, RegionId, RegionTree};
 use gis_check::generate;
-use gis_core::{compile, SchedConfig};
+use gis_core::{compile, compile_observed, schedule_block, schedule_block_reference, SchedConfig};
 use gis_ir::{to_canonical_bytes, BlockId, Function};
 use gis_machine::MachineDescription;
 use gis_pdg::webs::{rename_webs, rename_webs_reference};
 use gis_pdg::{DataDeps, Liveness, RegionLiveness};
+use gis_trace::Recorder;
 use gis_workloads::rng::XorShift64Star;
 use gis_workloads::{kernels, spec, synth};
 
@@ -166,12 +171,10 @@ fn assert_renamers_agree(what: &str, f: &Function) {
     );
 }
 
-#[test]
-fn linear_rename_matches_the_reference() {
-    for seed in 1..=CASES {
-        let case = generate(&mut XorShift64Star::new(seed));
-        assert_renamers_agree(&format!("seed {seed}\n{}", case.text), &case.function);
-    }
+/// The non-fuzz inputs the hot-path differentials share: every
+/// many-loops, skewed and dispatch preset, the §6 stand-ins and three
+/// real kernels.
+fn workloads() -> Vec<(&'static str, spec::Workload)> {
     let mut workloads: Vec<(&str, spec::Workload)> = Vec::new();
     for &(preset, loops, stmts, seed) in synth::MANY_LOOPS_PRESETS {
         workloads.push((preset, synth::many_loops_scaled(loops, stmts, seed)));
@@ -194,7 +197,73 @@ fn linear_rename_matches_the_reference() {
     ] {
         workloads.push((w.name, w));
     }
-    for (name, w) in &workloads {
+    workloads
+}
+
+#[test]
+fn linear_rename_matches_the_reference() {
+    for seed in 1..=CASES {
+        let case = generate(&mut XorShift64Star::new(seed));
+        assert_renamers_agree(&format!("seed {seed}\n{}", case.text), &case.function);
+    }
+    for (name, w) in &workloads() {
         assert_renamers_agree(name, &w.program.function);
+    }
+}
+
+/// Compiles `f` without the final basic-block pass under four
+/// configurations — every global pick is checked against the full
+/// rescan along the way — then schedules every block of each result
+/// with both basic-block schedulers and requires the same order.
+fn assert_list_schedulers_agree(what: &str, f: &Function) {
+    let machine = MachineDescription::rs6k();
+    let mut speculative = SchedConfig::speculative();
+    speculative.final_bb_pass = false;
+    let mut dup = speculative.clone();
+    dup.duplication = true;
+    let mut branches = speculative.clone();
+    branches.max_speculation_branches = 2;
+    for (label, config, traced) in [
+        ("speculative", &speculative, false),
+        ("dup", &dup, false),
+        ("2 branches", &branches, false),
+        ("traced", &speculative, true),
+    ] {
+        let mut global = f.clone();
+        if traced {
+            compile_observed(&mut global, &machine, config, &mut Recorder::new())
+        } else {
+            compile(&mut global, &machine, config)
+        }
+        .unwrap_or_else(|e| panic!("{what} ({label}): {e}"));
+        let mut ready = global.clone();
+        let mut reference = global;
+        for b in ready.block_ids().collect::<Vec<_>>() {
+            let changed = schedule_block(&mut ready, &machine, b);
+            let expected = schedule_block_reference(&mut reference, &machine, b);
+            assert_eq!(changed, expected, "{what} ({label}): block {b} changed");
+            assert!(
+                ready.block(b).insts().map(|i| i.id).eq(reference.block(b).insts().map(|i| i.id)),
+                "{what} ({label}): block {b} ordered differently\nready list:\n{ready}\nreference:\n{reference}"
+            );
+        }
+    }
+}
+
+#[test]
+fn ready_list_matches_the_rescan() {
+    for seed in 1..=CASES {
+        let case = generate(&mut XorShift64Star::new(seed));
+        assert_list_schedulers_agree(&format!("seed {seed}\n{}", case.text), &case.function);
+    }
+    // many-loops-l would take minutes per compile here: the test
+    // profile also checks every motion's liveness repair against a
+    // whole-function solve. The hotpaths bench's final-bb and e2e
+    // reference rows cover it in release builds.
+    for (name, w) in workloads()
+        .iter()
+        .filter(|(name, _)| *name != "many-loops-l")
+    {
+        assert_list_schedulers_agree(name, &w.program.function);
     }
 }

@@ -6,14 +6,16 @@
 //! sophisticated basic block scheduler"), and it runs as the final pass
 //! after global scheduling ("the basic block scheduler is applied to every
 //! single basic block of a program after the global scheduling is
-//! completed", §5.1).
+//! completed", §5.1). The scheduling loop is the ready-list scheduler of
+//! `list.rs`, shared with the global pass; the rescanning scheduler it
+//! replaced is kept as [`schedule_block_reference`](crate::schedule_block_reference).
 
 use crate::dcp::Heuristics;
+use crate::list::{Commit, ListScheduler, PassHooks, Pick, Pred};
 use gis_ir::{BlockId, Function, InstId};
 use gis_machine::MachineDescription;
 use gis_pdg::DataDeps;
 use gis_trace::{SchedObserver, TraceEvent};
-use std::collections::HashMap;
 
 /// [`schedule_block`], reporting the visit to `obs`.
 pub fn schedule_block_observed<O: SchedObserver>(
@@ -30,6 +32,28 @@ pub fn schedule_block_observed<O: SchedObserver>(
         });
     }
     changed
+}
+
+/// The basic-block pass's priority key: larger `D`, then larger `CP`,
+/// then original order (`usize::MAX - position`, unique per block).
+type BbKey = (u32, u32, usize);
+
+/// Records the issue order; slot `p` is the body instruction at block
+/// position `p`.
+struct BbOrder {
+    order: Vec<InstId>,
+    body_len: usize,
+}
+
+impl PassHooks<BbKey> for BbOrder {
+    fn commit(&mut self, pick: &Pick<BbKey>, _t: u64) -> Commit {
+        self.order.push(pick.id);
+        Commit::Issue
+    }
+
+    fn done(&self) -> bool {
+        self.order.len() == self.body_len
+    }
 }
 
 /// Reorders the instructions of `block` to minimize stalls on `machine`.
@@ -51,89 +75,49 @@ pub fn schedule_block_observed<O: SchedObserver>(
 /// # }
 /// ```
 pub fn schedule_block(f: &mut Function, machine: &MachineDescription, block: BlockId) -> bool {
-    let deps = DataDeps::build(f, machine, &[block], |_, _| false);
-    let h = Heuristics::for_block(f, machine, &deps, block);
-
     let block_ref = f.block(block);
     let has_branch = block_ref.last().is_some_and(|i| i.op.is_branch());
     let body_len = block_ref.len() - usize::from(has_branch);
     if body_len <= 1 {
         return false;
     }
+    let deps = DataDeps::build(f, machine, &[block], |_, _| false);
+    let mut h = Heuristics::new(&deps);
+    h.compute_block(f, machine, &deps, block);
 
-    let pos: HashMap<InstId, usize> = block_ref
-        .insts()
-        .enumerate()
-        .map(|(p, i)| (i.id, p))
-        .collect();
-    let body: Vec<InstId> = block_ref.insts().take(body_len).map(|i| i.id).collect();
-    let branch: Option<InstId> = block_ref.last().filter(|i| i.op.is_branch()).map(|i| i.id);
-
-    // Cycle-by-cycle list scheduling.
-    let mut scheduled_at: HashMap<InstId, u64> = HashMap::new();
-    let mut order: Vec<InstId> = Vec::with_capacity(body.len());
-    let mut units: Vec<Vec<u64>> = machine
-        .unit_kinds()
-        .map(|k| vec![0u64; machine.unit_count(k) as usize])
-        .collect();
-    let width = machine.dispatch_width();
-    let mut t: u64 = 0;
-    while order.len() < body.len() {
-        let mut issued_this_cycle = 0u32;
-        loop {
-            // Ready instructions whose unit kind has a free instance now.
-            let mut best: Option<(u32, u32, usize, InstId)> = None;
-            for &id in &body {
-                if scheduled_at.contains_key(&id) {
-                    continue;
-                }
-                let ready = deps.preds(id).iter().all(|e| {
-                    match (pos.get(&e.from), scheduled_at.get(&e.from)) {
-                        (None, _) => true, // dep from outside the block
-                        (Some(_), Some(&tp)) => tp + e.sep() as u64 <= t,
-                        (Some(_), None) => false,
-                    }
-                });
-                if !ready {
-                    continue;
-                }
-                let p = pos[&id];
-                let class = block_ref.inst_at(p).op.class();
-                let kind = machine.unit_of(class);
-                if !units[kind.index()].iter().any(|&busy| busy <= t) {
-                    continue;
-                }
-                // Priority: larger D, then larger CP, then original order.
-                let key = (h.d(id), h.cp(id), usize::MAX - p, id);
-                if best.is_none_or(|(bd, bcp, bp, _)| (key.0, key.1, key.2) > (bd, bcp, bp)) {
-                    best = Some((key.0, key.1, key.2, id));
-                }
-            }
-            let Some((_, _, _, id)) = best else { break };
-            let p = pos[&id];
-            let class = block_ref.inst_at(p).op.class();
-            let exec = machine.exec_time(class) as u64;
-            let kind = machine.unit_of(class);
-            let slot = units[kind.index()]
-                .iter()
-                .position(|&busy| busy <= t)
-                .expect("checked free above");
-            units[kind.index()][slot] = t + exec;
-            scheduled_at.insert(id, t);
-            order.push(id);
-            issued_this_cycle += 1;
-            if issued_this_cycle >= width {
-                break;
-            }
+    // The scope is this one block, so scope positions are block
+    // positions; the branch stays out of the candidate set.
+    let mut list = ListScheduler::new(machine);
+    list.begin(&deps);
+    for (p, inst) in block_ref.insts().take(body_len).enumerate() {
+        let class = inst.op.class();
+        let key = (h.d(p), h.cp(p), usize::MAX - p);
+        list.push(
+            &deps,
+            inst.id,
+            key,
+            machine.unit_of(class),
+            machine.exec_time(class),
+        );
+    }
+    list.link(&deps, |_, in_set| {
+        if in_set {
+            Pred::Waiting
+        } else {
+            Pred::Satisfied
         }
-        t += 1;
-    }
+    });
+    let mut hooks = BbOrder {
+        order: Vec::with_capacity(block_ref.len()),
+        body_len,
+    };
+    list.run(&deps, machine.dispatch_width(), &mut hooks);
 
-    if let Some(b) = branch {
-        order.push(b);
+    let mut order = hooks.order;
+    if has_branch {
+        order.push(block_ref.inst_at(body_len).id);
     }
-    let old: Vec<InstId> = block_ref.insts().map(|i| i.id).collect();
-    if old == order {
+    if block_ref.insts().map(|i| i.id).eq(order.iter().copied()) {
         return false;
     }
     // A pure index permutation in the arena-backed block list.
@@ -144,6 +128,7 @@ pub fn schedule_block(f: &mut Function, machine: &MachineDescription, block: Blo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule_block_reference;
     use gis_ir::parse_function;
     use gis_sim::{execute, ExecConfig, TimingSim};
 
@@ -154,50 +139,131 @@ mod tests {
             .collect()
     }
 
+    /// Schedules block 0 of `text` on `m` with the ready-list scheduler
+    /// and with the rescanning reference, requires both to agree, and
+    /// returns whether the order changed and the new order.
+    fn scheduled(text: &str, m: &MachineDescription) -> (bool, Vec<u32>) {
+        let mut f = parse_function(text).expect("parses");
+        let mut reference = f.clone();
+        let changed = schedule_block(&mut f, m, BlockId::new(0));
+        let expected = schedule_block_reference(&mut reference, m, BlockId::new(0));
+        assert_eq!(changed, expected, "changed flags differ");
+        assert_eq!(ids(&f, 0), ids(&reference, 0), "orders differ");
+        f.verify().expect("still valid");
+        (changed, ids(&f, 0))
+    }
+
     #[test]
     fn fills_delay_slot_of_a_load() {
         // The independent AI should move between the load and its use.
-        let mut f = parse_function(
+        let (changed, order) = scheduled(
             "func d\nA:\n\
              (I0) L  r1=a(r9,0)\n\
              (I1) AI r2=r1,1\n\
              (I2) AI r3=r3,1\n\
              RET\n",
-        )
-        .expect("parses");
-        let m = MachineDescription::rs6k();
-        let changed = schedule_block(&mut f, &m, BlockId::new(0));
+            &MachineDescription::rs6k(),
+        );
         assert!(changed);
-        assert_eq!(ids(&f, 0), vec![0, 2, 1, 3]);
-        f.verify().expect("still valid");
+        assert_eq!(order, vec![0, 2, 1, 3]);
     }
 
     #[test]
     fn branch_stays_last() {
-        let mut f = parse_function(
+        let (_, order) = scheduled(
             "func b\nA:\n\
              (I0) C  cr0=r1,r2\n\
              (I1) LI r3=1\n\
              (I2) LI r4=2\n\
              (I3) BT A,cr0,0x1/lt\n\
              E:\n RET\n",
-        )
-        .expect("parses");
-        let m = MachineDescription::rs6k();
-        schedule_block(&mut f, &m, BlockId::new(0));
-        let order = ids(&f, 0);
+            &MachineDescription::rs6k(),
+        );
         assert_eq!(*order.last().unwrap(), 3, "branch anchored");
         // The compare should come first: D(compare)=3 dominates.
         assert_eq!(order[0], 0);
-        f.verify().expect("still valid");
     }
 
     #[test]
     fn already_optimal_blocks_unchanged() {
-        let mut f =
-            parse_function("func o\nA:\n (I0) LI r1=1\n (I1) AI r2=r1,1\n RET\n").expect("parses");
-        let m = MachineDescription::rs6k();
-        assert!(!schedule_block(&mut f, &m, BlockId::new(0)));
+        let (changed, _) = scheduled(
+            "func o\nA:\n (I0) LI r1=1\n (I1) AI r2=r1,1\n RET\n",
+            &MachineDescription::rs6k(),
+        );
+        assert!(!changed);
+    }
+
+    #[test]
+    fn trivial_blocks_return_before_any_analysis() {
+        // One body instruction (plus the branch), or none: nothing to
+        // reorder, so no dependence graph is built.
+        for text in [
+            "func t\nA:\n (I0) LI r1=1\n RET\n",
+            "func t\nA:\n (I0) C cr0=r1,r2\n (I1) BT A,cr0,0x1/lt\nE:\n RET\n",
+            "func t\nA:\n RET\n",
+        ] {
+            assert_eq!(
+                scheduled(text, &MachineDescription::rs6k()),
+                (false, {
+                    let f = parse_function(text).expect("parses");
+                    ids(&f, 0)
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn zero_separation_edge_releases_its_successor_in_the_same_cycle() {
+        // I1 redefines the r1 that I0 reads: an anti edge with no
+        // separation. On two fixed point units, placing I0 at cycle 0
+        // must release I1 into that very cycle, where it beats the
+        // independent I4 (higher D and CP) to the second unit. A release
+        // one cycle late would issue I4 there instead.
+        let (changed, order) = scheduled(
+            "func z\nA:\n\
+             (I0) AI r2=r1,1\n\
+             (I1) LI r1=5\n\
+             (I2) L  r3=a(r1,0)\n\
+             (I3) AI r4=r3,1\n\
+             (I4) LI r7=1\n\
+             RET\n",
+            &MachineDescription::issue4(),
+        );
+        assert!(changed);
+        assert_eq!(order, vec![0, 1, 2, 4, 3, 5]);
+        // An output edge (both define r1) separates by nothing either.
+        let (_, order) = scheduled(
+            "func o\nA:\n\
+             (I0) LI r1=4\n\
+             (I1) LI r1=5\n\
+             (I2) L  r3=a(r1,0)\n\
+             (I3) AI r4=r3,1\n\
+             (I4) LI r7=1\n\
+             RET\n",
+            &MachineDescription::issue4(),
+        );
+        assert_eq!(order, vec![0, 1, 2, 4, 3, 5]);
+    }
+
+    #[test]
+    fn idle_cycles_wait_out_a_load_delay() {
+        // Everything after the load I0 needs r1: cycle 1 issues nothing.
+        // At cycle 2 the load I2 goes first (larger D). Its use I3 must
+        // wait for cycle 4, so I1 fills cycle 3 although I3 ranks higher
+        // (larger CP): a scheduler that released I3 on I2's issue alone
+        // would put it before I1.
+        let (changed, order) = scheduled(
+            "func w\nA:\n\
+             (I0) L  r1=a(r9,0)\n\
+             (I1) AI r4=r1,1\n\
+             (I2) L  r3=a(r1,0)\n\
+             (I3) AI r5=r3,1\n\
+             (I4) AI r6=r5,1\n\
+             RET\n",
+            &MachineDescription::rs6k(),
+        );
+        assert!(changed);
+        assert_eq!(order, vec![0, 2, 1, 3, 4, 5]);
     }
 
     #[test]
@@ -215,6 +281,7 @@ mod tests {
         let m = MachineDescription::rs6k();
         let mem = [(0i64, 10i64), (4, 20)];
         let before = execute(&orig, &mem, &ExecConfig::default()).expect("runs");
+        assert!(scheduled(text, &m).0);
         schedule_block(&mut f, &m, BlockId::new(0));
         let after = execute(&f, &mem, &ExecConfig::default()).expect("runs");
         assert!(before.equivalent(&after));

@@ -127,7 +127,9 @@ pub struct SchedConfig {
     /// all-pairs dependence builder and a whole-function liveness solve
     /// for every region and after every motion — instead of the sweep
     /// builder and the scope-local liveness seeded from one solve per
-    /// global pass and repaired in place. Output is bit-identical
+    /// global pass and repaired in place, and check every global pick
+    /// of the ready-list scheduler against a full rescan of the
+    /// candidates (as debug builds always do). Output is bit-identical
     /// either way (the fast paths were derived to preserve it, and the
     /// differential tests pin it); this switch exists so the benchmark
     /// harness can measure the speedup honestly and so a regression can

@@ -5,11 +5,15 @@
 //! speculative level, the immediate CSPDG successors of `A` and of
 //! `EQUIV(A)` that `A` dominates (no duplication, Definition 6; 1-branch
 //! speculation only, Definition 7). Candidate instructions are scheduled
-//! cycle by cycle against the parametric machine description; when a
+//! cycle by cycle against the parametric machine description by the
+//! ready-list scheduler of `list.rs`, which this module drives; when a
 //! candidate from another block is picked it physically moves into `A`
 //! (always upward). The heuristic ladder of §5.2 breaks ties: useful
 //! before speculative, then the delay heuristic `D`, then the critical
-//! path heuristic `CP`, then original program order.
+//! path heuristic `CP`, then original program order. Under debug builds,
+//! [`SchedConfig::verify_each_pass`] and
+//! [`SchedConfig::reference_hot_paths`], every pick is also recomputed by
+//! a full rescan of the candidates and must agree.
 //!
 //! Beyond the paper, [`SchedConfig::duplication`] lifts Definition 6's
 //! no-duplication restriction for one shape: a join every one of whose
@@ -41,9 +45,10 @@
 
 use crate::config::{SchedConfig, SchedLevel};
 use crate::dcp::Heuristics;
+use crate::list::{Commit, ListScheduler, PassHooks, Pick, Pred, UnitPool};
 use crate::stats::SchedStats;
 use gis_cfg::{Cfg, NodeId, RegionGraph, RegionNode, RegionTree};
-use gis_ir::{BlockId, DenseBitSet, Function, InstId, Reg};
+use gis_ir::{BlockId, DenseBitSet, Function, InstId, OpClass, Reg};
 use gis_machine::MachineDescription;
 use gis_pdg::{Cspdg, DataDeps, Liveness, RegionLiveness};
 use gis_trace::{MotionKind, NopObserver, RejectReason, SchedObserver, TieBreak, TraceEvent};
@@ -165,13 +170,6 @@ pub(crate) fn schedule_region_in_pass<O: SchedObserver>(
     stats.dep_edges_reduced += deps.num_edges();
 
     let bound = f.inst_id_bound();
-    // Original program order for the final tie-break (dense by inst id;
-    // only scope instructions are ever looked up).
-    let mut order_index: Vec<u32> = vec![0; bound];
-    for (i, id) in deps.scope_order().iter().enumerate() {
-        order_index[id.index()] = i as u32;
-    }
-
     let liveness = if whole_function_liveness(config) {
         stats.liveness_full += 1;
         RegionLiveness::seed(f, cfg, &scope_blocks, &Liveness::compute(f, cfg))
@@ -185,7 +183,7 @@ pub(crate) fn schedule_region_in_pass<O: SchedObserver>(
         config,
         deps: &deps,
         reach: &reach,
-        order_index: &order_index,
+        heur: Heuristics::new(&deps),
         placed: DenseBitSet::with_capacity(bound),
         inst_node: vec![NO_NODE; bound],
         liveness,
@@ -306,7 +304,9 @@ struct RegionPass<'a, O: SchedObserver> {
     config: &'a SchedConfig,
     deps: &'a DataDeps,
     reach: &'a [DenseBitSet],
-    order_index: &'a [u32],
+    /// `D`/`CP` by scope position, computed per home block as each
+    /// block pass collects its candidates.
+    heur: Heuristics,
     /// Instructions placed by this region pass (any block), by id.
     placed: DenseBitSet,
     /// Current region-graph node index of every scope instruction
@@ -325,7 +325,11 @@ struct RegionPass<'a, O: SchedObserver> {
 /// allocation. The `scratch_allocs` / `scratch_reuses` stats count
 /// bundle creations vs block passes that reused one.
 struct Scratch {
+    /// The block pass's candidates; candidate `i` is list slot `i`.
     cands: Vec<Candidate>,
+    /// The list scheduler, holding one slot per candidate and the unit
+    /// pool.
+    list: ListScheduler<PriorityKey>,
     new_order: Vec<InstId>,
     /// Issue cycle per candidate id ([`UNPLACED`] when not placed);
     /// reset via the candidate list, not a full sweep.
@@ -334,8 +338,6 @@ struct Scratch {
     in_s: DenseBitSet,
     /// §5.3-rejected candidates by inst id.
     rejected: DenseBitSet,
-    /// Busy-until cycle per functional unit, by unit kind.
-    units: Vec<Vec<u64>>,
     /// Final position per placed inst id, for the block reorder.
     rank: Vec<u32>,
     /// Ever used by a block pass already (drives `scratch_reuses`).
@@ -346,20 +348,18 @@ impl Scratch {
     fn new(machine: &MachineDescription, inst_bound: usize) -> Self {
         Scratch {
             cands: Vec::new(),
+            list: ListScheduler::new(machine),
             new_order: Vec::new(),
             place_time: vec![UNPLACED; inst_bound],
             in_s: DenseBitSet::with_capacity(inst_bound),
             rejected: DenseBitSet::with_capacity(inst_bound),
-            units: machine
-                .unit_kinds()
-                .map(|k| vec![0u64; machine.unit_count(k) as usize])
-                .collect(),
             rank: vec![0; inst_bound],
             used: false,
         }
     }
 
-    /// Returns the buffers to their empty state, keeping capacity.
+    /// Returns the buffers to their empty state, keeping capacity (the
+    /// list scheduler is reset by its own `begin`).
     fn reset(&mut self) {
         for &c in &self.cands {
             self.place_time[c.id.index()] = UNPLACED;
@@ -368,9 +368,6 @@ impl Scratch {
         self.new_order.clear();
         self.in_s.clear();
         self.rejected.clear();
-        for u in &mut self.units {
-            u.fill(0);
-        }
     }
 }
 
@@ -392,6 +389,8 @@ struct Candidate {
 
 /// The scheduler's priority key for a candidate: useful-before-
 /// speculative, probability, `D`, `CP`, original order (§5.2 ladder).
+/// Original order is the dependence scope position, so keys are unique
+/// within a region.
 type PriorityKey = (bool, u32, u32, u32, std::cmp::Reverse<usize>);
 
 /// Which rung of the §5.2 ladder separated the winner from the runner-up.
@@ -421,6 +420,188 @@ enum SpecClass {
     ProbGate,
     /// Not a block, already a candidate, or would duplicate (Definition 6).
     Ineligible,
+}
+
+/// One block pass of a region as the list scheduler's [`PassHooks`]: the
+/// terminator rule, the duplication fold, the §5.3 gate and renaming,
+/// the motion commit and the trace events.
+struct BlockPass<'p, 'a, O: SchedObserver> {
+    pass: &'p mut RegionPass<'a, O>,
+    f: &'p mut Function,
+    a: BlockId,
+    node_a: NodeId,
+    dup_joins: &'p [(BlockId, Vec<BlockId>)],
+    /// Slot of A's own branch.
+    a_branch: Option<usize>,
+    /// Instructions of A not yet placed.
+    a_remaining: usize,
+    enabled: bool,
+}
+
+impl<O: SchedObserver> PassHooks<PriorityKey> for BlockPass<'_, '_, O> {
+    fn eligible(&self, slot: usize) -> bool {
+        // The block's own branch waits for the rest of the block (branch
+        // order preserved; blocks keep their terminator last).
+        Some(slot) != self.a_branch || self.a_remaining <= 1
+    }
+
+    fn check(&self, t: u64, units: &UnitPool, pick: Option<&Pick<PriorityKey>>) {
+        if !self.pass.checks_picks() {
+            return;
+        }
+        let a_branch = self.a_branch.map(|s| self.pass.scratch.cands[s].id);
+        let (best, second) =
+            self.pass
+                .rescan_pick(self.f, self.node_a, a_branch, self.a_remaining, t, units);
+        let got = pick.map(|p| ((p.id, p.key), p.second));
+        let want = best.map(|b| (b, second));
+        assert_eq!(
+            got,
+            want,
+            "ready-list pick diverged from the rescan in {} at cycle {t}",
+            self.f.block(self.a).label()
+        );
+    }
+
+    fn commit(&mut self, pick: &Pick<PriorityKey>, t: u64) -> Commit {
+        let (f, a, node_a, enabled) = (&mut *self.f, self.a, self.node_a, self.enabled);
+        let pass = &mut *self.pass;
+        let cand = pass.scratch.cands[pick.slot];
+
+        // CSE at motion commit: when a sibling copy of an instruction
+        // already placed into A comes up, it folds into the placed one
+        // instead of moving — both compute the same value from the same
+        // operand definitions. Checked before the §5.3 gate: a fold
+        // deletes the candidate rather than moving it, so it cannot
+        // clobber anything no matter what is live on exit.
+        if pass.config.duplication && cand.home != a && pass.try_fold_duplicate(f, a, &cand) {
+            return Commit::Fold(pass.scratch.place_time[cand.id.index()]);
+        }
+
+        // §5.3: speculative motion may not clobber a register live on
+        // exit from A — unless a local rename fixes it. Duplication
+        // candidates are exempt: every predecessor's only successor is
+        // the join, so live-on-exit from A is exactly live-on-entry to
+        // the join, and any candidate whose definition an earlier join
+        // instruction still needs is held back by the dependence test
+        // instead.
+        if cand.home != a && !cand.useful && !cand.dup && !pass.speculation_allowed(f, a, &cand) {
+            pass.scratch.rejected.insert(cand.id.index());
+            if enabled {
+                pass.obs.event(TraceEvent::Rejected {
+                    inst: cand.id.index() as u32,
+                    home: f.block(cand.home).label().to_owned(),
+                    target: f.block(a).label().to_owned(),
+                    reason: RejectReason::LiveOnExit,
+                });
+            }
+            return Commit::Reject;
+        }
+
+        // Issue (the list scheduler takes the unit).
+        pass.scratch.place_time[cand.id.index()] = t;
+        pass.placed.insert(cand.id.index());
+        pass.scratch.new_order.push(cand.id);
+
+        if cand.home == a {
+            if enabled {
+                pass.obs.event(TraceEvent::Placed {
+                    inst: cand.id.index() as u32,
+                    block: f.block(a).label().to_owned(),
+                    cycle: t,
+                    tie: tie_break(pick.key, pick.second),
+                });
+            }
+            self.a_remaining -= 1;
+        } else if cand.dup {
+            // Duplication commit: the original keeps its id and moves
+            // into A like any motion; a fresh-id copy lands at the end of
+            // every sibling predecessor, before its terminator. Each
+            // sibling is already scheduled and falls through into the
+            // join unconditionally, so the copy observes exactly the
+            // values the original would have seen along that path, and
+            // each path into the join still executes the operation
+            // exactly once.
+            let copy_op = {
+                let pos = f.block(cand.home).position(cand.id).expect("exists");
+                f.block(cand.home).inst_at(pos).op.clone()
+            };
+            let block_a = f.block(a);
+            let at = block_a.len() - usize::from(block_a.last().is_some_and(|i| i.op.is_branch()));
+            f.relink_inst(cand.id, cand.home, a, at);
+            pass.inst_node[cand.id.index()] = node_a.index() as u32;
+            let sibs: &[BlockId] = self
+                .dup_joins
+                .iter()
+                .find_map(|(b, s)| (*b == cand.home).then_some(s.as_slice()))
+                .expect("dup candidate has a recorded join");
+            let mut copies: Vec<(BlockId, InstId)> = Vec::with_capacity(sibs.len());
+            for &p in sibs {
+                let id = f.fresh_inst_id();
+                f.record_dup_origin(id, cand.id);
+                let bp = f.block(p);
+                let ins = bp.len() - usize::from(bp.last().is_some_and(|i| i.op.is_branch()));
+                f.block_mut(p)
+                    .insert(ins, gis_ir::Inst::new(id, copy_op.clone()));
+                copies.push((p, id));
+            }
+            pass.stats.moved_duplicated += 1;
+            pass.stats.dup_copies_minted += copies.len();
+            if enabled {
+                pass.obs.event(TraceEvent::Duplicated {
+                    inst: cand.id.index() as u32,
+                    home: f.block(cand.home).label().to_owned(),
+                    into: f.block(a).label().to_owned(),
+                    cycle: t,
+                    copies: copies
+                        .iter()
+                        .map(|&(b, id)| (f.block(b).label().to_owned(), id.index() as u32))
+                        .collect(),
+                });
+            }
+            // The join, A, and every sibling changed code: more than the
+            // single source/target pair a motion repair models, so the
+            // whole scope re-summarizes.
+            pass.refresh_liveness(f, None);
+        } else {
+            if enabled {
+                pass.obs.event(TraceEvent::Moved {
+                    inst: cand.id.index() as u32,
+                    from: f.block(cand.home).label().to_owned(),
+                    into: f.block(a).label().to_owned(),
+                    cycle: t,
+                    kind: if cand.useful {
+                        MotionKind::Useful
+                    } else {
+                        MotionKind::Speculative
+                    },
+                    tie: tie_break(pick.key, pick.second),
+                });
+            }
+            // Physical upward motion into A (kept before A's branch;
+            // final order applied at end of pass). Under the arena
+            // representation this relinks one index: the payload never
+            // moves.
+            let block_a = f.block(a);
+            let at = block_a.len() - usize::from(block_a.last().is_some_and(|i| i.op.is_branch()));
+            f.relink_inst(cand.id, cand.home, a, at);
+            pass.inst_node[cand.id.index()] = node_a.index() as u32;
+            if cand.useful {
+                pass.stats.moved_useful += 1;
+            } else {
+                pass.stats.moved_speculative += 1;
+            }
+            // §5.3: liveness must be updated after each motion. Only A
+            // and the home block changed code (any rename done by
+            // `speculation_allowed` also touched only the home block).
+            pass.refresh_liveness(f, Some((cand.id, cand.home, a)));
+        }
+        Commit::Issue
+    }
+
+    fn done(&self) -> bool {
+        self.a_remaining == 0
+    }
 }
 
 impl<O: SchedObserver> RegionPass<'_, O> {
@@ -638,20 +819,28 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         }
         self.scratch.used = true;
         self.scratch.reset();
+        let deps = self.deps;
+        let mut list = std::mem::take(&mut self.scratch.list);
+        list.begin(deps);
         let mut a_remaining = 0usize;
-        let mut a_branch: Option<InstId> = None;
+        let mut a_branch: Option<usize> = None;
         for inst in f.block(a).insts() {
+            let slot = self.add_candidate(
+                f,
+                &mut list,
+                Candidate {
+                    id: inst.id,
+                    home: a,
+                    useful: true,
+                    prob: 1.0,
+                    dup: false,
+                },
+                inst.op.class(),
+            );
             if inst.op.is_branch() {
-                a_branch = Some(inst.id);
+                a_branch = Some(slot);
             }
             a_remaining += 1;
-            self.scratch.cands.push(Candidate {
-                id: inst.id,
-                home: a,
-                useful: true,
-                prob: 1.0,
-                dup: false,
-            });
         }
         for &n in useful_blocks.iter().skip(1) {
             let RegionNode::Block(b) = g.node(n) else {
@@ -659,13 +848,18 @@ impl<O: SchedObserver> RegionPass<'_, O> {
             };
             for inst in f.block(b).insts() {
                 if inst.op.may_cross_block() {
-                    self.scratch.cands.push(Candidate {
-                        id: inst.id,
-                        home: b,
-                        useful: true,
-                        prob: 1.0,
-                        dup: false,
-                    });
+                    self.add_candidate(
+                        f,
+                        &mut list,
+                        Candidate {
+                            id: inst.id,
+                            home: b,
+                            useful: true,
+                            prob: 1.0,
+                            dup: false,
+                        },
+                        inst.op.class(),
+                    );
                 }
             }
         }
@@ -678,13 +872,18 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                 if inst.op.may_speculate()
                     && (self.config.speculative_loads || class != gis_ir::OpClass::Load)
                 {
-                    self.scratch.cands.push(Candidate {
-                        id: inst.id,
-                        home: b,
-                        useful: false,
-                        prob,
-                        dup: false,
-                    });
+                    self.add_candidate(
+                        f,
+                        &mut list,
+                        Candidate {
+                            id: inst.id,
+                            home: b,
+                            useful: false,
+                            prob,
+                            dup: false,
+                        },
+                        class,
+                    );
                 } else if enabled && !inst.op.is_branch() {
                     self.obs.event(TraceEvent::CandidateRejected {
                         inst: inst.id.index() as u32,
@@ -708,13 +907,18 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                 if inst.op.may_speculate()
                     && (self.config.speculative_loads || class != gis_ir::OpClass::Load)
                 {
-                    self.scratch.cands.push(Candidate {
-                        id: inst.id,
-                        home: *b,
-                        useful: false,
-                        prob: 1.0,
-                        dup: true,
-                    });
+                    self.add_candidate(
+                        f,
+                        &mut list,
+                        Candidate {
+                            id: inst.id,
+                            home: *b,
+                            useful: false,
+                            prob: 1.0,
+                            dup: true,
+                        },
+                        class,
+                    );
                 } else if enabled && !inst.op.is_branch() {
                     self.obs.event(TraceEvent::CandidateRejected {
                         inst: inst.id.index() as u32,
@@ -749,230 +953,45 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                 }
             }
         }
-        for c in &self.scratch.cands {
-            self.scratch.in_s.insert(c.id.index());
-        }
 
-        // Per-block D/CP heuristics over current block contents.
-        let mut heur: HashMap<BlockId, Heuristics> = HashMap::new();
-        for c in &self.scratch.cands {
-            heur.entry(c.home)
-                .or_insert_with(|| Heuristics::for_block(f, self.machine, self.deps, c.home));
-        }
+        // Classify every predecessor once, with `ready`'s precedence:
+        // placed in an earlier block of this region (the paper's
+        // per-block restart; interlocks cover residual delays), then a
+        // candidate to wait for, then — outside the candidate set —
+        // blocked when it could still execute between A and the
+        // candidate's home block. Nothing outside the set moves during a
+        // block pass, so the last test holds for the whole pass.
+        let (placed, reach_a, inst_node) =
+            (&self.placed, &self.reach[node_a.index()], &self.inst_node);
+        list.link(deps, |from, in_set| {
+            if placed.contains(from.index()) {
+                Pred::Satisfied
+            } else if in_set {
+                Pred::Waiting
+            } else if reach_a.contains(inst_node[from.index()] as usize) {
+                Pred::Blocks
+            } else {
+                Pred::Satisfied
+            }
+        });
 
         // ---- Cycle-by-cycle list scheduling. --------------------------
         let width = self.machine.dispatch_width();
-        let mut t: u64 = 0;
-
-        'cycles: while a_remaining > 0 {
-            let mut issued = 0u32;
-            'picks: loop {
-                let mut best: Option<(Candidate, PriorityKey)> = None;
-                // The runner-up's key, tracked only for the trace's
-                // tie-break attribution.
-                let mut second: Option<PriorityKey> = None;
-                for c in &self.scratch.cands {
-                    if self.scratch.place_time[c.id.index()] != UNPLACED
-                        || self.scratch.rejected.contains(c.id.index())
-                    {
-                        continue;
-                    }
-                    // The block's own branch waits for the rest of the
-                    // block (branch order preserved; blocks keep their
-                    // terminator last).
-                    if Some(c.id) == a_branch && a_remaining > 1 {
-                        continue;
-                    }
-                    if !self.ready(node_a, c.id, t) {
-                        continue;
-                    }
-                    let pos = f.block(c.home).position(c.id).expect("candidate exists");
-                    let op = &f.block(c.home).inst_at(pos).op;
-                    let kind = self.machine.unit_of(op.class());
-                    if !self.scratch.units[kind.index()]
-                        .iter()
-                        .any(|&busy| busy <= t)
-                    {
-                        continue;
-                    }
-                    let h = &heur[&c.home];
-                    let key = (
-                        c.useful,
-                        (c.prob * 1000.0) as u32, // likelier gambles first
-                        h.d(c.id),
-                        h.cp(c.id),
-                        std::cmp::Reverse(self.order_index[c.id.index()] as usize),
-                    );
-                    if best.as_ref().is_none_or(|(_, bk)| key > *bk) {
-                        if enabled {
-                            second = best.map(|(_, bk)| bk);
-                        }
-                        best = Some((*c, key));
-                    } else if enabled && second.is_none_or(|sk| key > sk) {
-                        second = Some(key);
-                    }
-                }
-                let Some((cand, best_key)) = best else {
-                    break 'picks;
-                };
-
-                // CSE at motion commit: when a sibling copy of an
-                // instruction already placed into A comes up, it folds
-                // into the placed one instead of moving — both compute
-                // the same value from the same operand definitions.
-                // Checked before the §5.3 gate: a fold deletes the
-                // candidate rather than moving it, so it cannot clobber
-                // anything no matter what is live on exit.
-                if self.config.duplication && cand.home != a && self.try_fold_duplicate(f, a, &cand)
-                {
-                    continue;
-                }
-
-                // §5.3: speculative motion may not clobber a register live
-                // on exit from A — unless a local rename fixes it.
-                // Duplication candidates are exempt: every predecessor's
-                // only successor is the join, so live-on-exit from A is
-                // exactly live-on-entry to the join, and any candidate
-                // whose definition an earlier join instruction still
-                // needs is held back by the dependence test instead.
-                if cand.home != a
-                    && !cand.useful
-                    && !cand.dup
-                    && !self.speculation_allowed(f, a, &cand)
-                {
-                    self.scratch.rejected.insert(cand.id.index());
-                    if enabled {
-                        self.obs.event(TraceEvent::Rejected {
-                            inst: cand.id.index() as u32,
-                            home: f.block(cand.home).label().to_owned(),
-                            target: f.block(a).label().to_owned(),
-                            reason: RejectReason::LiveOnExit,
-                        });
-                    }
-                    continue;
-                }
-
-                // Issue.
-                let pos = f.block(cand.home).position(cand.id).expect("exists");
-                let class = f.block(cand.home).inst_at(pos).op.class();
-                let kind = self.machine.unit_of(class);
-                let exec = self.machine.exec_time(class) as u64;
-                let slot = self.scratch.units[kind.index()]
-                    .iter()
-                    .position(|&busy| busy <= t)
-                    .expect("free unit checked");
-                self.scratch.units[kind.index()][slot] = t + exec;
-                self.scratch.place_time[cand.id.index()] = t;
-                self.placed.insert(cand.id.index());
-                self.scratch.new_order.push(cand.id);
-
-                if cand.home == a {
-                    if enabled {
-                        self.obs.event(TraceEvent::Placed {
-                            inst: cand.id.index() as u32,
-                            block: f.block(a).label().to_owned(),
-                            cycle: t,
-                            tie: tie_break(best_key, second),
-                        });
-                    }
-                    a_remaining -= 1;
-                    if a_remaining == 0 {
-                        break 'cycles;
-                    }
-                } else if cand.dup {
-                    // Duplication commit: the original keeps its id and
-                    // moves into A like any motion; a fresh-id copy lands
-                    // at the end of every sibling predecessor, before its
-                    // terminator. Each sibling is already scheduled and
-                    // falls through into the join unconditionally, so the
-                    // copy observes exactly the values the original would
-                    // have seen along that path, and each path into the
-                    // join still executes the operation exactly once.
-                    let copy_op = {
-                        let pos = f.block(cand.home).position(cand.id).expect("exists");
-                        f.block(cand.home).inst_at(pos).op.clone()
-                    };
-                    let block_a = f.block(a);
-                    let at = block_a.len()
-                        - usize::from(block_a.last().is_some_and(|i| i.op.is_branch()));
-                    f.relink_inst(cand.id, cand.home, a, at);
-                    self.inst_node[cand.id.index()] = node_a.index() as u32;
-                    let sibs: &[BlockId] = dup_joins
-                        .iter()
-                        .find_map(|(b, s)| (*b == cand.home).then_some(s.as_slice()))
-                        .expect("dup candidate has a recorded join");
-                    let mut copies: Vec<(BlockId, InstId)> = Vec::with_capacity(sibs.len());
-                    for &p in sibs {
-                        let id = f.fresh_inst_id();
-                        f.record_dup_origin(id, cand.id);
-                        let bp = f.block(p);
-                        let ins =
-                            bp.len() - usize::from(bp.last().is_some_and(|i| i.op.is_branch()));
-                        f.block_mut(p)
-                            .insert(ins, gis_ir::Inst::new(id, copy_op.clone()));
-                        copies.push((p, id));
-                    }
-                    self.stats.moved_duplicated += 1;
-                    self.stats.dup_copies_minted += copies.len();
-                    if enabled {
-                        self.obs.event(TraceEvent::Duplicated {
-                            inst: cand.id.index() as u32,
-                            home: f.block(cand.home).label().to_owned(),
-                            into: f.block(a).label().to_owned(),
-                            cycle: t,
-                            copies: copies
-                                .iter()
-                                .map(|&(b, id)| (f.block(b).label().to_owned(), id.index() as u32))
-                                .collect(),
-                        });
-                    }
-                    // The join, A, and every sibling changed code:
-                    // more than the single source/target pair a motion
-                    // repair models, so the whole scope re-summarizes.
-                    self.refresh_liveness(f, None);
-                } else {
-                    if enabled {
-                        self.obs.event(TraceEvent::Moved {
-                            inst: cand.id.index() as u32,
-                            from: f.block(cand.home).label().to_owned(),
-                            into: f.block(a).label().to_owned(),
-                            cycle: t,
-                            kind: if cand.useful {
-                                MotionKind::Useful
-                            } else {
-                                MotionKind::Speculative
-                            },
-                            tie: tie_break(best_key, second),
-                        });
-                    }
-                    // Physical upward motion into A (kept before A's
-                    // branch; final order applied at end of pass). Under
-                    // the arena representation this relinks one index:
-                    // the payload never moves.
-                    let block_a = f.block(a);
-                    let at = block_a.len()
-                        - usize::from(block_a.last().is_some_and(|i| i.op.is_branch()));
-                    f.relink_inst(cand.id, cand.home, a, at);
-                    self.inst_node[cand.id.index()] = node_a.index() as u32;
-                    if cand.useful {
-                        self.stats.moved_useful += 1;
-                    } else {
-                        self.stats.moved_speculative += 1;
-                    }
-                    // §5.3: liveness must be updated after each motion.
-                    // Only A and the home block changed code (any rename
-                    // done by `speculation_allowed` also touched only the
-                    // home block).
-                    self.refresh_liveness(f, Some((cand.id, cand.home, a)));
-                }
-
-                issued += 1;
-                if issued >= width {
-                    break 'picks;
-                }
-            }
-            t += 1;
-        }
+        list.run(
+            deps,
+            width,
+            &mut BlockPass {
+                pass: self,
+                f,
+                a,
+                node_a,
+                dup_joins: &dup_joins,
+                a_branch,
+                a_remaining,
+                enabled,
+            },
+        );
+        self.scratch.list = list;
 
         // ---- Apply A's final order. ------------------------------------
         debug_assert_eq!(
@@ -985,6 +1004,103 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         }
         let rank = &self.scratch.rank;
         f.block_mut(a).sort_by_key(|inst| rank[inst.id.index()]);
+    }
+
+    /// Adds a candidate to the block pass: its `D`/`CP` (computed for
+    /// its home block when the block's first candidate arrives — each
+    /// block's candidates are collected together), its membership, and
+    /// its list slot. Returns the slot.
+    fn add_candidate(
+        &mut self,
+        f: &Function,
+        list: &mut ListScheduler<PriorityKey>,
+        c: Candidate,
+        class: OpClass,
+    ) -> usize {
+        if self
+            .scratch
+            .cands
+            .last()
+            .is_none_or(|last| last.home != c.home)
+        {
+            self.heur.compute_block(f, self.machine, self.deps, c.home);
+        }
+        self.scratch.cands.push(c);
+        self.scratch.in_s.insert(c.id.index());
+        list.push(
+            self.deps,
+            c.id,
+            self.key(&c),
+            self.machine.unit_of(class),
+            self.machine.exec_time(class),
+        )
+    }
+
+    /// `c`'s §5.2 priority key, from the `D`/`CP` of its home block.
+    fn key(&self, c: &Candidate) -> PriorityKey {
+        let p = self.deps.position(c.id).expect("candidate in scope");
+        (
+            c.useful,
+            (c.prob * 1000.0) as u32, // likelier gambles first
+            self.heur.d(p),
+            self.heur.cp(p),
+            std::cmp::Reverse(p),
+        )
+    }
+
+    /// Whether every ready-list pick is checked against the full
+    /// rescan ([`Self::rescan_pick`]): under debug builds, the
+    /// [`SchedConfig::verify_each_pass`] gate and the
+    /// [`SchedConfig::reference_hot_paths`] oracle.
+    fn checks_picks(&self) -> bool {
+        cfg!(debug_assertions)
+            || self.config.verify_each_pass.is_some()
+            || self.config.reference_hot_paths
+    }
+
+    /// The pick as it was made before the ready list: a rescan of every
+    /// candidate through [`Self::ready`], kept as the oracle every
+    /// ready-list pick is checked against under
+    /// [`Self::checks_picks`]. Returns the winner with its key, and the
+    /// runner-up's key.
+    fn rescan_pick(
+        &self,
+        f: &Function,
+        node_a: NodeId,
+        a_branch: Option<InstId>,
+        a_remaining: usize,
+        t: u64,
+        units: &UnitPool,
+    ) -> (Option<(InstId, PriorityKey)>, Option<PriorityKey>) {
+        let mut best: Option<(InstId, PriorityKey)> = None;
+        let mut second: Option<PriorityKey> = None;
+        for c in &self.scratch.cands {
+            if self.scratch.place_time[c.id.index()] != UNPLACED
+                || self.scratch.rejected.contains(c.id.index())
+            {
+                continue;
+            }
+            if Some(c.id) == a_branch && a_remaining > 1 {
+                continue;
+            }
+            if !self.ready(node_a, c.id, t) {
+                continue;
+            }
+            let pos = f.block(c.home).position(c.id).expect("candidate exists");
+            let op = &f.block(c.home).inst_at(pos).op;
+            let kind = self.machine.unit_of(op.class());
+            if !units.free(kind.index(), t) {
+                continue;
+            }
+            let key = self.key(c);
+            if best.is_none_or(|(_, bk)| key > bk) {
+                second = best.map(|(_, bk)| bk);
+                best = Some((c.id, key));
+            } else if second.is_none_or(|sk| key > sk) {
+                second = Some(key);
+            }
+        }
+        (best, second)
     }
 
     /// Whether all data dependences into `id` are fulfilled at cycle `t`.

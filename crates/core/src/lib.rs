@@ -43,10 +43,12 @@ mod config;
 mod dcp;
 pub mod fingerprint;
 mod global;
+mod list;
 mod memo;
 mod parallel;
 mod pipeline;
 mod profile;
+mod reference;
 mod rotate;
 mod stats;
 mod unroll;
@@ -60,6 +62,7 @@ pub use memo::{
 pub use parallel::effective_jobs;
 pub use pipeline::{compile, compile_observed, CompileError};
 pub use profile::BranchProfile;
+pub use reference::schedule_block_reference;
 pub use rotate::{rotate_loop, rotate_loop_observed};
 pub use stats::SchedStats;
 pub use unroll::{unroll_loop, unroll_loop_observed};

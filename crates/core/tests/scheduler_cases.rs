@@ -1,10 +1,12 @@
 //! Focused scheduler scenarios: anchoring, store motion, region skipping,
-//! and the candidate-policy corners of §5.1.
+//! the candidate-policy corners of §5.1, and the ready-list states of the
+//! global list scheduler.
 
-use gis_core::{compile, schedule_block, SchedConfig, SchedLevel};
+use gis_core::{compile, compile_observed, schedule_block, SchedConfig, SchedLevel, SchedStats};
 use gis_ir::{parse_function, BlockId, Function, InstId};
 use gis_machine::MachineDescription;
 use gis_sim::{execute, ExecConfig};
+use gis_trace::{Pass, Recorder, TraceEvent};
 use std::collections::HashMap;
 
 fn placement(f: &Function) -> HashMap<InstId, BlockId> {
@@ -374,4 +376,194 @@ fn liveness_is_solved_once_per_global_pass() {
         stats.regions_scheduled
     );
     assert!(stats.liveness_incremental > 0, "motions repair in place");
+}
+
+// --- Ready-list states --------------------------------------------------
+//
+// The global pass keeps, per candidate, a count of unplaced predecessors
+// in the candidate set, the earliest cycle its placed ones allow, and a
+// static blocked flag. These cases pin the states those counters must
+// get right. Under the test profile every pick is also checked against
+// the full rescan, and each case is compiled again with the reference
+// hot paths, which must schedule identically.
+
+/// Compiles `text` traced under `config` and again untraced with the
+/// reference hot paths; the two schedules must agree.
+fn traced_checked(text: &str, config: &SchedConfig) -> (Function, SchedStats, Recorder) {
+    let original = parse_function(text).expect("parses");
+    let machine = MachineDescription::rs6k();
+    let mut f = original.clone();
+    let mut rec = Recorder::new();
+    let stats = compile_observed(&mut f, &machine, config, &mut rec).expect("compiles");
+    let mut reference = original;
+    let mut ref_config = config.clone();
+    ref_config.reference_hot_paths = true;
+    compile(&mut reference, &machine, &ref_config).expect("compiles");
+    assert_eq!(f.to_string(), reference.to_string(), "reference diverged");
+    (f, stats, rec)
+}
+
+/// `(inst, into, cycle)` of every motion in the first global pass.
+fn first_pass_motions(rec: &Recorder) -> Vec<(u32, String, u64)> {
+    rec.events()
+        .skip_while(|e| {
+            !matches!(
+                e,
+                TraceEvent::PassBegin {
+                    pass: Pass::Global1
+                }
+            )
+        })
+        .take_while(|e| {
+            !matches!(
+                e,
+                TraceEvent::PassEnd {
+                    pass: Pass::Global1,
+                    ..
+                }
+            )
+        })
+        .filter_map(|e| match e {
+            TraceEvent::Moved {
+                inst, into, cycle, ..
+            } => Some((*inst, into.clone(), *cycle)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A diamond whose fall-through arm `F` defines `r5` and feeds it to
+/// `I4`; the join `T` reads `r5` when `LIVE` is `r5`.
+const REJECTED_PRED: &str = "\
+func r
+A:
+    (I0) L  r1=a(r9,0)
+    (I1) C  cr0=r1,r8
+    (I2) BT T,cr0,0x1/lt
+F:
+    (I3) LI r5=1
+    (I4) AI r6=r5,2
+    (I5) PRINT r6
+T:
+    (I6) PRINT LIVE
+    (I7) RET
+";
+
+#[test]
+fn successor_of_a_rejected_candidate_never_issues_in_that_block_pass() {
+    // r5 is live on exit from A (T reads it) and live out of F, so I3's
+    // speculation is rejected and cannot be renamed; I4, which is itself
+    // free to speculate, waits on I3 for the rest of A's pass.
+    let (f, stats, rec) = traced_checked(
+        &REJECTED_PRED.replace("LIVE", "r5"),
+        &SchedConfig::speculative(),
+    );
+    assert!(
+        rec.events().any(|e| matches!(
+            e,
+            TraceEvent::Rejected { inst: 3, target, .. } if target == "A"
+        )),
+        "I3 rejected by §5.3\n{f}"
+    );
+    assert!(stats.rejected_live_out >= 1);
+    assert_eq!(
+        first_pass_motions(&rec),
+        vec![],
+        "nothing moves into A\n{f}"
+    );
+    // With r5 dead on exit from A, both speculate.
+    let (f, _, rec) = traced_checked(
+        &REJECTED_PRED.replace("LIVE", "r8"),
+        &SchedConfig::speculative(),
+    );
+    let moved: Vec<u32> = first_pass_motions(&rec).iter().map(|m| m.0).collect();
+    assert_eq!(moved, vec![3, 4], "\n{f}");
+}
+
+#[test]
+fn reachable_predecessor_outside_the_candidate_set_blocks_its_successor() {
+    // The store I3 may not speculate, so it is no candidate, yet it can
+    // still run between A and F: the load I4 behind it (the bases differ,
+    // so the two may alias) stays put. Without the store, the load fills
+    // A's load-delay slot.
+    let text = "\
+func b
+A:
+    (I0) L  r1=a(r9,0)
+    (I1) C  cr0=r1,r8
+    (I2) BT T,cr0,0x1/lt
+F:
+    (I3) ST r8=>b(r9,0)
+    (I4) L  r4=b(r10,0)
+    (I5) PRINT r4
+T:
+    (I6) RET
+";
+    let (f, _, rec) = traced_checked(text, &SchedConfig::speculative());
+    assert_eq!(first_pass_motions(&rec), vec![], "the load is blocked\n{f}");
+    let unblocked = text.replace("    (I3) ST r8=>b(r9,0)\n", "");
+    let (f, _, rec) = traced_checked(&unblocked, &SchedConfig::speculative());
+    assert_eq!(
+        first_pass_motions(&rec),
+        vec![(4, "A".to_owned(), 1)],
+        "\n{f}"
+    );
+}
+
+#[test]
+fn a_folded_twin_releases_its_successors_at_the_twins_cycle() {
+    // I7 in T is a recorded copy of I4 in E. I4 speculates into H at
+    // cycle 3; I7 comes up at cycle 5 and folds into it, taking no unit.
+    // Its successor I8 counts I7 as placed at cycle 3, so it is ready at
+    // cycle 4 and moves at 5, the fold's cycle — before H's branch ends
+    // the block pass at 6. Released at the fold's own cycle, I8 would
+    // wait for cycle 6 and stay in T.
+    let text = "\
+func dd
+H:
+    (I0) LI r7=3
+    (I1) L r1=p(r0,0)
+    (I2) C cr0=r1,r2
+    (I3) BT T,cr0,0x1/lt
+E:
+    (I4) A r5=r7,r7
+    (I5) AI r6=r5,1
+    (I6) B J
+T:
+    (I7) A r5=r7,r7
+    (I8) AI r9=r5,1
+J:
+    (I9) PRINT r5
+    (I10) RET
+";
+    let original = parse_function(text).expect("parses");
+    let mut config = SchedConfig::paper_example(SchedLevel::Speculative);
+    config.duplication = true;
+    let machine = MachineDescription::rs6k();
+    let compile_both = |reference: bool| {
+        let mut f = original.clone();
+        f.record_dup_origin(InstId::new(4), InstId::new(7));
+        let mut config = config.clone();
+        config.reference_hot_paths = reference;
+        let mut rec = Recorder::new();
+        let stats = compile_observed(&mut f, &machine, &config, &mut rec).expect("compiles");
+        (f, stats, rec)
+    };
+    let (f, stats, rec) = compile_both(false);
+    assert_eq!(compile_both(true).0.to_string(), f.to_string());
+    assert_eq!(stats.dup_copies_deduped, 1, "I7 folded\n{f}");
+    assert_eq!(
+        first_pass_motions(&rec),
+        vec![
+            (4, "H".to_owned(), 3),
+            (5, "H".to_owned(), 4),
+            (8, "H".to_owned(), 5),
+        ],
+        "\n{f}"
+    );
+    for inputs in [&[(0, -1)][..], &[(0, 1)][..]] {
+        let a = execute(&original, inputs, &ExecConfig::default()).expect("runs");
+        let b = execute(&f, inputs, &ExecConfig::default()).expect("runs");
+        assert!(a.equivalent(&b), "fold preserved behaviour\n{f}");
+    }
 }

@@ -574,23 +574,27 @@ impl DataDeps {
         }
     }
 
+    /// The scope position of `i`: its index in [`Self::scope_order`],
+    /// or `None` for instructions outside the scope. Callers index
+    /// per-scope tables by it instead of by instruction id.
+    pub fn position(&self, i: InstId) -> Option<usize> {
+        // Ids below the base wrap around and fall off the map's end.
+        match self.local.get(i.index().wrapping_sub(self.id_base)) {
+            Some(&p) if p != LOCAL_NONE => Some(p as usize),
+            _ => None,
+        }
+    }
+
     /// Dependence edges into `i` (instructions `i` must wait for).
     /// Empty for instructions outside the scope.
     pub fn preds(&self, i: InstId) -> &[DataDep] {
-        // Ids below the base wrap around and fall off the map's end.
-        match self.local.get(i.index().wrapping_sub(self.id_base)) {
-            Some(&p) if p != LOCAL_NONE => self.preds_at(p as usize),
-            _ => &[],
-        }
+        self.position(i).map_or(&[], |p| self.preds_at(p))
     }
 
     /// Dependence edges out of `i`. Empty for instructions outside the
     /// scope.
     pub fn succs(&self, i: InstId) -> &[DataDep] {
-        match self.local.get(i.index().wrapping_sub(self.id_base)) {
-            Some(&p) if p != LOCAL_NONE => self.succs_at(p as usize),
-            _ => &[],
-        }
+        self.position(i).map_or(&[], |p| self.succs_at(p))
     }
 
     fn preds_at(&self, p: usize) -> &[DataDep] {

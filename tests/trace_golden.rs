@@ -6,7 +6,7 @@
 use gis_core::{compile, compile_observed, SchedConfig, SchedLevel, SchedStats};
 use gis_ir::Function;
 use gis_machine::MachineDescription;
-use gis_trace::{Metrics, MotionKind, Recorder, TraceEvent, TraceQuery};
+use gis_trace::{Metrics, MotionKind, Recorder, TieBreak, TraceEvent, TraceQuery};
 use gis_workloads::minmax;
 
 fn traced(level: SchedLevel) -> (Function, SchedStats, Recorder) {
@@ -375,4 +375,64 @@ fn gate_off_traces_are_byte_identical_to_the_pre_duplication_golden() {
     let lines = stable_json_lines(&rec);
     assert!(!lines.contains("duplicat"), "no duplication vocabulary");
     assert_trace_golden("dup_diamond_gate_off.trace.jsonl", &lines);
+}
+
+// --- Tie-break attribution ----------------------------------------------
+
+/// Per-rung counts of the tie-break every `Placed` and `Moved` event
+/// attributes its pick to, in [`TieBreak`] order.
+fn tie_break_counts(rec: &Recorder) -> [(TieBreak, u64); 6] {
+    let mut counts = [
+        TieBreak::Sole,
+        TieBreak::Usefulness,
+        TieBreak::Probability,
+        TieBreak::DelayHeuristic,
+        TieBreak::CriticalPath,
+        TieBreak::OriginalOrder,
+    ]
+    .map(|t| (t, 0));
+    for e in rec.events() {
+        if let TraceEvent::Placed { tie, .. } | TraceEvent::Moved { tie, .. } = e {
+            counts
+                .iter_mut()
+                .find(|(t, _)| t == tie)
+                .expect("known rung")
+                .1 += 1;
+        }
+    }
+    counts
+}
+
+#[test]
+fn tie_break_counts_match_the_rescanning_scheduler() {
+    // The golden traces above only reach the sole, d and usefulness
+    // rungs. These two compiles also decide thousands of picks by CP and
+    // by original order, where the runner-up key must be exactly the one
+    // a rescan of every candidate finds. The counts were recorded with
+    // the scheduler that rescanned every candidate on every pick.
+    let machine = MachineDescription::rs6k();
+    let many_loops_s = gis_workloads::synth::many_loops_preset("many-loops-s").expect("preset");
+    for (name, function, expected) in [
+        (
+            "idct8(6)",
+            gis_workloads::kernels::idct8(6).program.function,
+            [66, 24, 0, 26, 58, 263],
+        ),
+        (
+            "many-loops-s",
+            many_loops_s.program.function,
+            [381, 97, 0, 222, 298, 435],
+        ),
+    ] {
+        let mut f = function;
+        let mut rec = Recorder::new();
+        compile_observed(&mut f, &machine, &SchedConfig::speculative(), &mut rec)
+            .expect("compiles");
+        let counts = tie_break_counts(&rec);
+        assert_eq!(
+            counts.map(|(_, n)| n),
+            expected,
+            "{name}: tie-break counts drifted: {counts:?}"
+        );
+    }
 }
