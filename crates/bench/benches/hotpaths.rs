@@ -37,11 +37,11 @@
 //! instead of re-scheduling), after asserting bit-identical schedules
 //! across memo {off, on-cold, on-warm} × jobs {1, 2, 4, 8}. The
 //! `e2e-steal` group compiles the skewed preset (one loop ~10× the
-//! rest, placed last) under the size-aware work-stealing plan vs
-//! `static_units` in-order claiming at jobs {1, 2, 4, 8} — on a
-//! single-CPU host all widths collapse to one inline worker, so the
-//! steal-vs-static delta is only meaningful on a multi-core machine;
-//! the hash-equality gate is meaningful everywhere. The plain `e2e`
+//! rest, placed last) under the size-aware work-stealing plan at jobs
+//! {1, 2, 4, 8} — on a single-CPU host all widths collapse to one
+//! inline worker, so the timings against `jobs 1` are only meaningful
+//! on a multi-core machine; the hash-equality gate is meaningful
+//! everywhere. The plain `e2e`
 //! baselines pin `region_memo = false` so their rows keep measuring
 //! the scheduler itself, not the cache.
 
@@ -486,13 +486,13 @@ fn bench_memo(
     hashes_ok
 }
 
-/// Measures the size-aware work-stealing plan against `static_units`
-/// in-order claiming on the skewed preset (one loop ~10× the rest,
-/// deliberately placed last so in-order claiming starts it last). Every
-/// (policy × jobs) schedule must hash identically — claiming order can
-/// shift wall time, never output. On a single-CPU host every width runs
-/// one inline worker, so the timing delta only says something on a
-/// multi-core machine; the determinism gate holds everywhere.
+/// Measures the size-aware work-stealing plan on the skewed preset (one
+/// loop ~10× the rest, deliberately placed last so in-order claiming
+/// would start it last) at every width. Every schedule must hash
+/// identically — claiming order can shift wall time, never output. On a
+/// single-CPU host every width runs one inline worker, so the timings
+/// only say something on a multi-core machine; the determinism gate
+/// holds everywhere.
 fn bench_steal(
     preset: &str,
     f: &Function,
@@ -500,54 +500,36 @@ fn bench_steal(
     iters: u32,
     runs: usize,
     rows: &mut Vec<Row>,
-    speedups: &mut Vec<(String, f64)>,
 ) -> bool {
     let n_insts = f.num_insts();
-    let mut hashes: Vec<(String, u64)> = Vec::new();
-    let mut timings: Vec<(bool, usize, u128)> = Vec::new();
-    for static_units in [false, true] {
-        for jobs in [1usize, 2, 4, 8] {
-            let mut config = SchedConfig::speculative();
-            config.region_memo = false;
-            config.static_units = static_units;
-            config.jobs = jobs;
-            let ns = median_ns(iters, runs, || {
-                let mut scheduled = f.clone();
-                compile(&mut scheduled, machine, &config).expect("compiles");
-                scheduled
-            });
+    let mut hashes: Vec<(usize, u64)> = Vec::new();
+    for jobs in [1usize, 2, 4, 8] {
+        let mut config = SchedConfig::speculative();
+        config.region_memo = false;
+        config.jobs = jobs;
+        let ns = median_ns(iters, runs, || {
             let mut scheduled = f.clone();
             compile(&mut scheduled, machine, &config).expect("compiles");
-            let hash = fnv64(&scheduled.to_string());
-            let policy = if static_units { "static" } else { "steal" };
-            hashes.push((format!("{policy}/jobs={jobs}"), hash));
-            timings.push((static_units, jobs, ns));
-            rows.push(Row {
-                name: format!("e2e-steal/{preset}/{policy}-jobs{jobs}"),
-                n_insts,
-                median_ns: ns,
-                schedule_hash: Some(hash),
-            });
-        }
+            scheduled
+        });
+        let mut scheduled = f.clone();
+        compile(&mut scheduled, machine, &config).expect("compiles");
+        let hash = fnv64(&scheduled.to_string());
+        hashes.push((jobs, hash));
+        rows.push(Row {
+            name: format!("e2e-steal/{preset}/steal-jobs{jobs}"),
+            n_insts,
+            median_ns: ns,
+            schedule_hash: Some(hash),
+        });
     }
     let reference = hashes[0].1;
     let hashes_ok = hashes.iter().all(|&(_, h)| h == reference);
     assert!(
         hashes_ok,
-        "{preset}: schedule hashes diverge across steal/static × jobs \
-         ({hashes:x?}) — the claiming policy changed the scheduler's output"
+        "{preset}: schedule hashes diverge across jobs ({hashes:x?}) — \
+         the claiming order changed the scheduler's output"
     );
-    let at = |stat: bool, jobs: usize| {
-        timings
-            .iter()
-            .find(|&&(s, j, _)| s == stat && j == jobs)
-            .expect("timed")
-            .2
-    };
-    speedups.push((
-        format!("steal-vs-static/{preset}"),
-        at(true, 4) as f64 / at(false, 4).max(1) as f64,
-    ));
     hashes_ok
 }
 
@@ -731,7 +713,7 @@ fn main() {
             f.num_blocks(),
             f.num_insts()
         );
-        jobs_hash_match &= bench_steal(preset, f, &machine, iters, runs, &mut rows, &mut speedups);
+        jobs_hash_match &= bench_steal(preset, f, &machine, iters, runs, &mut rows);
     }
 
     let mut quality = Vec::new();

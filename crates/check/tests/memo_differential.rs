@@ -3,9 +3,11 @@
 //! memo disabled, with the memo enabled against a cold cache, and again
 //! against the cache the cold run just warmed must all produce
 //! bit-identical schedules. The warm compile is the interesting column —
-//! it exercises the splice path (cached block payloads relinked instead
-//! of re-scheduled), and under the test profile every splice is
-//! re-verified against a from-scratch re-schedule of the region.
+//! it exercises the apply path (memoized region outcomes replayed
+//! instead of re-scheduled), and under the test profile every hit is
+//! re-verified against a from-scratch re-schedule of the region. The
+//! duplication column repeats the three compiles with the `--dup` gate
+//! on, whose outcomes mint instruction ids and fold copies away.
 
 use gis_check::generate;
 use gis_core::{compile, region_memo_counters, SchedConfig};
@@ -48,6 +50,31 @@ fn memo_warm_and_cold_schedules_are_bit_identical() {
             "seed {seed}: memo-on (warm) diverges from memo-off\n{}",
             case.text
         );
+
+        // Duplication on: memo off, cold and warm again.
+        let dup_on = SchedConfig {
+            duplication: true,
+            ..SchedConfig::speculative()
+        };
+        let dup_off = SchedConfig {
+            region_memo: false,
+            ..dup_on.clone()
+        };
+        let compiled = |config: &SchedConfig, what: &str| {
+            let mut f = case.function.clone();
+            compile(&mut f, &machine, config).unwrap_or_else(|e| panic!("{what}: {e}"));
+            let origins: Vec<_> = f.dup_origins().collect();
+            (f.to_string(), origins, f.inst_id_bound())
+        };
+        let reference = compiled(&dup_off, "dup memo-off");
+        for what in ["dup memo-on (cold)", "dup memo-on (warm)"] {
+            assert_eq!(
+                reference,
+                compiled(&dup_on, what),
+                "seed {seed}: {what} diverges from dup memo-off\n{}",
+                case.text
+            );
+        }
     }
     // The sweep must actually have exercised the splice path, not just
     // 200 cold misses (the counter is process-wide and monotonic, so a

@@ -101,22 +101,17 @@ pub struct SchedConfig {
     /// one worker per available CPU.
     pub jobs: usize,
     /// Consult (and feed) the process-wide region memo during global
-    /// passes: a region whose content address was scheduled before is
-    /// spliced from the memo instead of re-running list scheduling.
-    /// Output is bit-identical either way — splices replay the recorded
-    /// permutation, renames and statistics exactly, and a differential
+    /// passes: a region whose content address was scheduled before has
+    /// its recorded outcome applied instead of re-running list
+    /// scheduling. Output is bit-identical either way — a hit replays the
+    /// recorded order, renames, duplication copies, statistics and trace
+    /// events, renumbered onto the current allocators, and a differential
     /// gate re-schedules on hit under `verify_each_pass`/debug builds.
     /// On by default; the benchmark harness turns it off to measure cold
     /// paths honestly. Memoization self-disables for configurations it
-    /// cannot prove bit-identical (tracing observers, duplication,
-    /// profiles, reference paths, fault injection).
+    /// cannot prove bit-identical (profiles, reference paths, fault
+    /// injection).
     pub region_memo: bool,
-    /// Use the pre-0.8 static work assignment — one task per maximal
-    /// region subtree, claimed in order — instead of the size-aware
-    /// work-stealing split. Output is bit-identical either way; this
-    /// switch exists so the benchmark harness can measure the stealing
-    /// win honestly and a scaling regression can be bisected.
-    pub static_units: bool,
     /// Debug gate: run this verifier between every pipeline pass (`None`,
     /// the default, checks nothing and costs nothing). The pipeline
     /// snapshots the function before each pass so the verifier can also
@@ -190,7 +185,6 @@ impl SchedConfig {
             duplication: false,
             jobs: 1,
             region_memo: true,
-            static_units: false,
             verify_each_pass: None,
             reference_hot_paths: false,
             inject_skip_live_on_exit: false,

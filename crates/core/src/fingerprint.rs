@@ -65,10 +65,10 @@ pub fn write_machine_fingerprint(h: &mut Fnv64, machine: &MachineDescription) {
 
 /// Feeds every output-relevant scheduling option into the hasher.
 ///
-/// `jobs`, `reference_hot_paths`, `region_memo` and `static_units` are
-/// deliberately **excluded**: all four are guaranteed (and differentially
-/// tested) to produce bit-identical schedules, so including them would
-/// only split caches for no correctness gain. Debug-only fields
+/// `jobs`, `reference_hot_paths` and `region_memo` are deliberately
+/// **excluded**: all three are guaranteed (and differentially tested) to
+/// produce bit-identical schedules, so including them would only split
+/// caches for no correctness gain. Debug-only fields
 /// (`verify_each_pass`, fault injection) are excluded for the same reason
 /// they must never be set in a serving daemon. A branch profile, if
 /// present, is hashed entry by entry (probed over the function's

@@ -44,7 +44,9 @@ mod dcp;
 pub mod fingerprint;
 mod global;
 mod list;
+mod lru;
 mod memo;
+mod outcome;
 mod parallel;
 mod pipeline;
 mod profile;
@@ -56,9 +58,8 @@ mod unroll;
 pub use bb::{schedule_block, schedule_block_observed};
 pub use config::{PassVerifier, SchedConfig, SchedLevel};
 pub use global::{schedule_region, schedule_region_observed};
-pub use memo::{
-    region_memo_clear, region_memo_counters, region_memo_set_capacity, RegionMemoCounters,
-};
+pub use lru::Lru;
+pub use memo::{region_memo_clear, region_memo_counters, RegionMemoCounters};
 pub use parallel::effective_jobs;
 pub use pipeline::{compile, compile_observed, CompileError};
 pub use profile::BranchProfile;

@@ -1,167 +1,66 @@
-//! The process-wide region memo: content-addressed re-use of scheduled
-//! regions.
+//! The process-wide region memo: content-addressed re-use of region
+//! outcomes.
 //!
-//! Scheduling one region is pure: the final block contents are a function
-//! of the region subtree's pre-schedule content (instructions, intra- and
+//! Scheduling one region is pure: its [`RegionOutcome`] is a function of
+//! the region subtree's pre-schedule content (instructions, intra- and
 //! out-going control edges), the registers live into its exit successors
 //! (the §5.3 guard's only view of the world outside the region), the
 //! region-tree shape below it (which fixes the topological tie-breaks),
-//! the machine description and the configuration. The exit live-ins are
-//! read from the global pass's one whole-function liveness solve: the
-//! very sets the scheduler seeds the region's liveness from, which stay
-//! exact for the whole pass by the region-boundary invariant stated in
-//! `gis_pdg`'s liveness module. This module keys on exactly those
-//! inputs — [`gis_ir::canon_region`] chained with the
-//! [fingerprints](crate::fingerprint) — and caches the *outcome*: the
-//! final instruction order and operations of the region's direct blocks,
-//! how many fresh registers §5.3 renaming drew per class, and the
-//! statistics delta. A hit replays the outcome onto the arena — relink,
-//! reorder, renumber the recorded renames onto the current allocator —
-//! instead of re-running list scheduling, and is bit-identical to the
-//! cold run by construction (and by the differential gate, which
-//! re-schedules on a snapshot and compares under debug builds or
-//! [`SchedConfig::verify_each_pass`]).
+//! the machine description and the configuration — and, under
+//! duplication, the recorded origin of every scope instruction, which
+//! the dedup fold reads. The exit live-ins are read from the global
+//! pass's one whole-function liveness solve: the very sets the scheduler
+//! seeds the region's liveness from, which stay exact for the whole pass
+//! by the region-boundary invariant stated in `gis_pdg`'s liveness
+//! module. This module keys on exactly those inputs —
+//! [`gis_ir::canon_region`] chained with the
+//! [fingerprints](crate::fingerprint) — plus one byte saying whether the
+//! outcome carries trace events, and stores the outcome.
 //!
-//! Why direct blocks suffice: §4.1 confines every motion to the region
-//! being scheduled, and candidates only ever live in (and renames only
-//! ever rewrite) the region's *direct* blocks — enclosed child regions
-//! appear as frozen supernodes. The child blocks still shape the
-//! analyses, which is why the key's canonical bytes cover the whole
-//! subtree while the payload covers only what can change.
+//! A hit [applies](RegionOutcome::apply) the stored outcome instead of
+//! re-running list scheduling. Apply draws the recorded registers and
+//! instruction ids from the current allocators, renumbers them wherever
+//! they appear, and names the applying region in replayed events (the
+//! key holds no region id), so a hit is bit-identical to the cold run by
+//! construction — and by the differential gate, which under debug builds
+//! or [`SchedConfig::verify_each_pass`] re-schedules on a snapshot and
+//! compares blocks, allocators, origins, statistics and events.
 //!
 //! Memoization self-disables for configurations it cannot prove
-//! bit-identical: tracing observers (a hit emits no events), branch
-//! profiles (keyed per instruction id), duplication (mints instruction
-//! ids; splicing would need the parallel merge's full renumbering
-//! machinery), the reference hot paths, and the fault-injection switches.
+//! bit-identical: branch profiles (keyed per instruction id), the
+//! reference hot paths, and the fault-injection switches.
 //!
-//! The memo is a process-wide bounded LRU (same stamp idiom as
-//! `gis-serve`'s schedule cache) so warm hits carry across functions,
-//! passes, requests and — in the daemon — client connections: editing
-//! one function of a batch re-schedules only the regions whose bytes
-//! changed. Counters are exported via [`region_memo_counters`] and
+//! The memo is a process-wide bounded [`Lru`] (the store behind
+//! `gis-serve`'s schedule cache too) so warm hits carry across
+//! functions, passes, requests and — in the daemon — client connections:
+//! editing one function of a batch re-schedules only the regions whose
+//! bytes changed. Counters are exported via [`region_memo_counters`] and
 //! surface as `cache.region.{hit,miss,splice}` in the daemon's stats.
 
 use crate::config::{SchedConfig, SchedLevel};
 use crate::fingerprint::{write_config_fingerprint, write_machine_fingerprint};
-use crate::global::{region_within_size_limits, schedule_region_in_pass, subtree_blocks};
+use crate::global::{region_within_size_limits, subtree_blocks};
+use crate::lru::Lru;
+use crate::outcome::{class_slot, RegionOutcome};
+use crate::parallel::GlobalPass;
 use crate::stats::SchedStats;
-use gis_cfg::{Cfg, RegionId, RegionKind, RegionTree};
+use gis_cfg::{RegionId, RegionKind, RegionTree};
 use gis_ir::hash::Fnv64;
-use gis_ir::{BlockId, Function, InstId, Op, Reg, RegClass};
-use gis_machine::MachineDescription;
-use gis_pdg::Liveness;
-use gis_trace::{NopObserver, SchedObserver};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use gis_ir::{BlockId, Function, InstId, Op};
+use gis_trace::{Recorder, SchedObserver};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
-const CLASSES: [RegClass; 3] = [RegClass::Gpr, RegClass::Fpr, RegClass::Cr];
+/// Number of region outcomes the memo retains.
+const CAPACITY: usize = 4096;
 
-fn class_slot(class: RegClass) -> usize {
-    match class {
-        RegClass::Gpr => 0,
-        RegClass::Fpr => 1,
-        RegClass::Cr => 2,
-    }
+fn memo() -> &'static Lru<RegionOutcome> {
+    static MEMO: OnceLock<Lru<RegionOutcome>> = OnceLock::new();
+    MEMO.get_or_init(|| Lru::new(CAPACITY))
 }
 
-/// Default number of scheduled regions the memo retains.
-const DEFAULT_CAPACITY: usize = 4096;
-
-/// One memoized scheduling outcome.
-struct MemoEntry {
-    /// Final content of the region's direct blocks: instruction ids in
-    /// their scheduled order with their (possibly renamed) operations.
-    blocks: Vec<(BlockId, Vec<(InstId, Op)>)>,
-    /// Register counters when the recorded run started; operations
-    /// referencing registers at or above this base are §5.3 renames.
-    reg_base: [u32; 3],
-    /// Fresh registers the recorded run drew, per class.
-    draws: [u32; 3],
-    /// The recorded run's statistics delta.
-    stats: SchedStats,
-}
-
-struct Slot {
-    value: Arc<MemoEntry>,
-    stamp: u64,
-}
-
-#[derive(Default)]
-struct Inner {
-    map: HashMap<u64, Slot>,
-    /// stamp → key, for O(log n) least-recently-used eviction.
-    by_stamp: BTreeMap<u64, u64>,
-    clock: u64,
-}
-
-struct RegionMemo {
-    inner: Mutex<Inner>,
-    capacity: AtomicUsize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    splices: AtomicU64,
-}
-
-impl RegionMemo {
-    fn get(&self, key: u64) -> Option<Arc<MemoEntry>> {
-        if self.capacity.load(Ordering::Relaxed) == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let mut inner = self.inner.lock().expect("region memo lock");
-        inner.clock += 1;
-        let stamp = inner.clock;
-        match inner.map.get_mut(&key) {
-            Some(slot) => {
-                let old = std::mem::replace(&mut slot.stamp, stamp);
-                let value = Arc::clone(&slot.value);
-                inner.by_stamp.remove(&old);
-                inner.by_stamp.insert(stamp, key);
-                drop(inner);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(value)
-            }
-            None => {
-                drop(inner);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn insert(&self, key: u64, value: Arc<MemoEntry>) {
-        let capacity = self.capacity.load(Ordering::Relaxed);
-        if capacity == 0 {
-            return;
-        }
-        let mut inner = self.inner.lock().expect("region memo lock");
-        inner.clock += 1;
-        let stamp = inner.clock;
-        if let Some(old) = inner.map.remove(&key) {
-            inner.by_stamp.remove(&old.stamp);
-        } else if inner.map.len() >= capacity {
-            if let Some((&oldest_stamp, &oldest_key)) = inner.by_stamp.iter().next() {
-                inner.by_stamp.remove(&oldest_stamp);
-                inner.map.remove(&oldest_key);
-            }
-        }
-        inner.map.insert(key, Slot { value, stamp });
-        inner.by_stamp.insert(stamp, key);
-    }
-}
-
-fn memo() -> &'static RegionMemo {
-    static MEMO: OnceLock<RegionMemo> = OnceLock::new();
-    MEMO.get_or_init(|| RegionMemo {
-        inner: Mutex::new(Inner::default()),
-        capacity: AtomicUsize::new(DEFAULT_CAPACITY),
-        hits: AtomicU64::new(0),
-        misses: AtomicU64::new(0),
-        splices: AtomicU64::new(0),
-    })
-}
+/// Block payloads spliced from memoized outcomes.
+static SPLICES: AtomicU64 = AtomicU64::new(0);
 
 /// A snapshot of the region memo's lifetime counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,7 +74,7 @@ pub struct RegionMemoCounters {
     pub splices: u64,
     /// Memoized regions currently held.
     pub entries: u64,
-    /// Retention bound (0 disables the memo).
+    /// Retention bound.
     pub capacity: u64,
 }
 
@@ -186,53 +85,27 @@ pub struct RegionMemoCounters {
 pub fn region_memo_counters() -> RegionMemoCounters {
     let m = memo();
     RegionMemoCounters {
-        hits: m.hits.load(Ordering::Relaxed),
-        misses: m.misses.load(Ordering::Relaxed),
-        splices: m.splices.load(Ordering::Relaxed),
-        entries: m.inner.lock().expect("region memo lock").map.len() as u64,
-        capacity: m.capacity.load(Ordering::Relaxed) as u64,
+        hits: m.hits(),
+        misses: m.misses(),
+        splices: SPLICES.load(Ordering::Relaxed),
+        entries: m.len() as u64,
+        capacity: m.capacity() as u64,
     }
 }
 
 /// Empties the region memo and zeroes its counters. The benchmark
 /// harness calls this before cold runs; nothing else should need to.
 pub fn region_memo_clear() {
-    let m = memo();
-    let mut inner = m.inner.lock().expect("region memo lock");
-    inner.map.clear();
-    inner.by_stamp.clear();
-    m.hits.store(0, Ordering::Relaxed);
-    m.misses.store(0, Ordering::Relaxed);
-    m.splices.store(0, Ordering::Relaxed);
-}
-
-/// Bounds the region memo to `capacity` scheduled regions (least
-/// recently used beyond that are evicted; 0 disables memoization
-/// entirely). The default is 4096.
-pub fn region_memo_set_capacity(capacity: usize) {
-    let m = memo();
-    m.capacity.store(capacity, Ordering::Relaxed);
-    if capacity == 0 {
-        return;
-    }
-    let mut inner = m.inner.lock().expect("region memo lock");
-    while inner.map.len() > capacity {
-        let Some((&oldest_stamp, &oldest_key)) = inner.by_stamp.iter().next() else {
-            break;
-        };
-        inner.by_stamp.remove(&oldest_stamp);
-        inner.map.remove(&oldest_key);
-    }
+    memo().clear();
+    SPLICES.store(0, Ordering::Relaxed);
 }
 
 /// Whether this configuration can use the memo at all (see the module
 /// docs for why each exclusion exists).
-pub(crate) fn memo_eligible(config: &SchedConfig, tracing: bool) -> bool {
+pub(crate) fn memo_eligible(config: &SchedConfig) -> bool {
     config.region_memo
-        && !tracing
         && config.level != SchedLevel::BasicBlockOnly
         && config.profile.is_none()
-        && !config.duplication
         && !config.reference_hot_paths
         && !config.inject_skip_live_on_exit
         && !config.inject_skip_dup_pred_check
@@ -275,227 +148,114 @@ fn write_tree_shape(h: &mut Fnv64, tree: &RegionTree, rid: RegionId) {
     }
 }
 
-/// The memo key: every input that determines the scheduling outcome.
-#[allow(clippy::too_many_arguments)]
-fn memo_key(
-    f: &Function,
-    machine: &MachineDescription,
-    tree: &RegionTree,
-    rid: RegionId,
-    config: &SchedConfig,
-    scope: &[BlockId],
-    exits: &[BlockId],
-    live: &Liveness,
-) -> u64 {
+/// The memo key — every input that determines the outcome — or `None`
+/// when the configuration bypasses the memo or the region is over the
+/// size limits (a skip is cheaper to re-detect than to look up).
+fn memo_key(pass: &GlobalPass, f: &Function, rid: RegionId, tracing: bool) -> Option<u64> {
+    let config = pass.config;
+    if !memo_eligible(config) || !region_within_size_limits(f, pass.tree, rid, config) {
+        return None;
+    }
+    let scope = subtree_blocks(pass.tree, rid);
     let mut h = Fnv64::new();
-    h.write(b"region-memo/v1\0");
-    h.write(&gis_ir::canon_region(f, scope));
-    write_tree_shape(&mut h, tree, rid);
+    h.write(b"region-memo/v2\0");
+    h.write_u8(u8::from(tracing));
+    h.write(&gis_ir::canon_region(f, &scope));
+    write_tree_shape(&mut h, pass.tree, rid);
+    let exits = exit_blocks(f, &scope);
     h.write_u32(exits.len() as u32);
-    for &b in exits {
+    for &b in &exits {
         h.write_u32(b.index() as u32);
-        for r in live.live_in(b).iter() {
+        for r in pass.live.live_in(b).iter() {
             h.write_u8(class_slot(r.class()) as u8);
             h.write_u32(r.index());
         }
         h.write_u8(0xff);
     }
-    write_machine_fingerprint(&mut h, machine);
+    if config.duplication {
+        for &b in &scope {
+            for inst in f.block(b).insts() {
+                h.write_u32(f.dup_origin(inst.id).map_or(u32::MAX, |o| o.index() as u32));
+            }
+        }
+    }
+    write_machine_fingerprint(&mut h, pass.machine);
     write_config_fingerprint(&mut h, config, f.inst_id_bound());
-    h.finish()
+    Some(h.finish())
 }
 
-/// [`schedule_region_in_pass`] with memoization: an eligible region
-/// whose key was seen before is spliced from the memo; a miss schedules
-/// it and records the outcome. `live` is the enclosing global pass's
-/// whole-function liveness, solved once on the pre-pass function.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn schedule_region_memoized<O: SchedObserver>(
+/// Schedules region `rid` of `f` through the memo, reports its
+/// statistics and events into `stats` and `obs`, and returns its
+/// outcome: applied from the memo on a hit, else recorded (and memoized
+/// when the key allows). `tracing` says whether the outcome carries
+/// events — a pool worker records them for the merge while reporting
+/// nowhere.
+pub(crate) fn region_outcome<O: SchedObserver>(
+    pass: &GlobalPass,
     f: &mut Function,
-    machine: &MachineDescription,
-    cfg: &Cfg,
-    tree: &RegionTree,
     rid: RegionId,
-    config: &SchedConfig,
+    tracing: bool,
     stats: &mut SchedStats,
     obs: &mut O,
-    live: &Liveness,
-) -> bool {
-    let run = |f: &mut Function, stats: &mut SchedStats, obs: &mut O| {
-        schedule_region_in_pass(f, machine, cfg, tree, rid, config, live, stats, obs)
-    };
-    if !memo_eligible(config, obs.enabled()) {
-        return run(f, stats, obs);
-    }
-    // Regions the scheduler will skip for size never pay for a key (and
-    // are never memoized — a skip is cheaper to re-detect than to look
-    // up). Irreducible regions do pay for one wasted key and miss.
-    if !region_within_size_limits(f, tree, rid, config) {
-        return run(f, stats, obs);
-    }
-    let scope = subtree_blocks(tree, rid);
-    let exits = exit_blocks(f, &scope);
-    let key = memo_key(f, machine, tree, rid, config, &scope, &exits, live);
-
-    if let Some(entry) = memo().get(key) {
-        // Differential gate: under debug builds or the verify-each-pass
-        // switch, re-schedule on a snapshot and require the splice to
-        // reproduce it exactly.
-        let gate =
-            (cfg!(debug_assertions) || config.verify_each_pass.is_some()).then(|| f.snapshot());
-        splice(f, &entry);
-        stats.absorb(entry.stats);
-        if let Some(before) = gate {
-            verify_splice(&before, f, &entry, machine, cfg, tree, rid, config, live);
+) -> Arc<RegionOutcome> {
+    let key = memo_key(pass, f, rid, tracing);
+    if let Some(out) = key.and_then(|key| memo().get(key)) {
+        if cfg!(debug_assertions) || pass.config.verify_each_pass.is_some() {
+            verify_hit(pass, f, rid, &out, tracing);
         }
-        return true;
+        out.apply(f, rid, stats, obs);
+        SPLICES.fetch_add(out.num_blocks() as u64, Ordering::Relaxed);
+        return out;
     }
-
-    let reg_base = f.reg_counters();
-    let inst_base = f.inst_id_bound();
-    let mut local = SchedStats::default();
-    let ok = run(f, &mut local, obs);
-    stats.absorb(local);
-    if ok && f.inst_id_bound() == inst_base {
-        let reg_now = f.reg_counters();
-        let draws = [
-            reg_now[0] - reg_base[0],
-            reg_now[1] - reg_base[1],
-            reg_now[2] - reg_base[2],
-        ];
-        let blocks = tree
-            .region(rid)
-            .blocks
-            .iter()
-            .map(|&b| {
-                let insts = f.block(b).insts().map(|i| (i.id, i.op.clone())).collect();
-                (b, insts)
-            })
-            .collect();
-        memo().insert(
-            key,
-            Arc::new(MemoEntry {
-                blocks,
-                reg_base,
-                draws,
-                stats: local,
-            }),
-        );
+    let out = Arc::new(RegionOutcome::record(pass, f, rid, tracing));
+    out.report(stats, obs);
+    if let Some(key) = key {
+        memo().insert(key, Arc::clone(&out));
     }
-    ok
+    out
 }
 
-/// Replays a memoized outcome onto `f`: draws the same fresh registers
-/// the recorded run drew, moves every instruction to its recorded block,
-/// restores the recorded order, and rewrites the operations §5.3
-/// renaming touched (renumbered from the recorded allocator base to the
-/// current one). Pure index-list manipulation except for the rename
-/// rewrites, so copy-on-write snapshots stay cheap on rename-free
-/// regions.
-fn splice(f: &mut Function, entry: &MemoEntry) {
-    let cur_base = f.reg_counters();
-    for class in CLASSES {
-        for _ in 0..entry.draws[class_slot(class)] {
-            f.fresh_reg(class);
-        }
-    }
-    let mut cur_block: HashMap<InstId, BlockId> = HashMap::new();
-    for &(b, _) in &entry.blocks {
-        for inst in f.block(b).insts() {
-            cur_block.insert(inst.id, b);
-        }
-    }
-    for (b, insts) in &entry.blocks {
-        for &(id, _) in insts {
-            let from = *cur_block
-                .get(&id)
-                .expect("memoized region holds the same instruction set");
-            if from != *b {
-                let at = f.block(*b).len();
-                f.relink_inst(id, from, *b, at);
-                cur_block.insert(id, *b);
-            }
-        }
-    }
-    let renamed = entry.draws != [0, 0, 0];
-    let remap = |r: Reg| {
-        let s = class_slot(r.class());
-        if r.index() >= entry.reg_base[s] && r.index() < entry.reg_base[s] + entry.draws[s] {
-            Reg::new(r.class(), cur_base[s] + (r.index() - entry.reg_base[s]))
-        } else {
-            r
-        }
-    };
-    for (b, insts) in &entry.blocks {
-        let order: Vec<InstId> = insts.iter().map(|&(id, _)| id).collect();
-        f.block_mut(*b).set_order(&order);
-        if renamed {
-            for (pos, (_, op)) in insts.iter().enumerate() {
-                let mut op = op.clone();
-                op.map_defs(&remap);
-                op.map_uses(&remap);
-                if f.block(*b).inst_at(pos).op != op {
-                    f.block_mut(*b).inst_mut(pos).op = op;
-                }
-            }
-        }
-        memo().splices.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// The differential gate: schedules the region for real on the pre-hit
-/// snapshot and panics unless the splice reproduced it bit for bit.
-#[allow(clippy::too_many_arguments)]
-fn verify_splice(
-    before: &Function,
-    spliced: &Function,
-    entry: &MemoEntry,
-    machine: &MachineDescription,
-    cfg: &Cfg,
-    tree: &RegionTree,
-    rid: RegionId,
-    config: &SchedConfig,
-    live: &Liveness,
-) {
-    let mut real = before.snapshot();
-    let mut st = SchedStats::default();
-    let ok = schedule_region_in_pass(
-        &mut real,
-        machine,
-        cfg,
-        tree,
-        rid,
-        config,
-        live,
-        &mut st,
-        &mut NopObserver,
-    );
-    assert!(ok, "region memo: hit on a region the scheduler skips");
+/// The differential gate: applies the memoized outcome and schedules the
+/// region for real, each on its own snapshot of `f`, and panics unless
+/// the two agree on every block, allocator, origin, statistic and event.
+fn verify_hit(pass: &GlobalPass, f: &Function, rid: RegionId, out: &RegionOutcome, tracing: bool) {
+    let (mut applied, mut stats, mut events) =
+        (f.snapshot(), SchedStats::default(), Recorder::new());
+    out.apply(&mut applied, rid, &mut stats, &mut events);
+    let mut real = f.snapshot();
+    let want = RegionOutcome::record(pass, &mut real, rid, tracing);
+    let mut want_stats = SchedStats::default();
+    let mut want_events = Recorder::new();
+    want.report(&mut want_stats, &mut want_events);
+    assert_eq!(stats, want_stats, "region memo: statistics diverged");
     assert_eq!(
-        st, entry.stats,
-        "region memo: statistics diverged from the recorded run"
+        events.into_events(),
+        want_events.into_events(),
+        "region memo: trace events diverged"
     );
     assert_eq!(
+        applied.reg_counters(),
         real.reg_counters(),
-        spliced.reg_counters(),
-        "region memo: allocator state diverged"
+        "region memo: registers diverged"
     );
-    for &(b, _) in &entry.blocks {
-        let got: Vec<(InstId, Op)> = spliced
-            .block(b)
-            .insts()
-            .map(|i| (i.id, i.op.clone()))
-            .collect();
-        let want: Vec<(InstId, Op)> = real
-            .block(b)
-            .insts()
-            .map(|i| (i.id, i.op.clone()))
-            .collect();
+    assert_eq!(
+        applied.inst_id_bound(),
+        real.inst_id_bound(),
+        "region memo: ids diverged"
+    );
+    assert!(
+        applied.dup_origins().eq(real.dup_origins()),
+        "region memo: duplication origins diverged"
+    );
+    let content = |g: &Function, b: BlockId| -> Vec<(InstId, Op)> {
+        g.block(b).insts().map(|i| (i.id, i.op.clone())).collect()
+    };
+    for &b in &pass.tree.region(rid).blocks {
         assert_eq!(
-            got,
-            want,
-            "region memo: spliced block {} diverged from the scheduled one",
-            spliced.block(b).label()
+            content(&applied, b),
+            content(&real, b),
+            "region memo: block {} diverged from a re-schedule",
+            real.block(b).label()
         );
     }
 }
@@ -503,18 +263,15 @@ fn verify_splice(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile;
+    use crate::parallel::tests::{analyses, TWO_DUP_LOOPS, TWO_LOOPS};
+    use crate::{compile, compile_observed};
     use gis_machine::MachineDescription;
+    use gis_pdg::Liveness;
+    use gis_trace::{NopObserver, TraceEvent};
 
     // The memo is process-wide and the test harness runs tests
     // concurrently, so counter assertions below are monotonic deltas,
-    // never exact values — and tests that depend on the capacity (or on
-    // hits actually happening) serialize on this lock so the
-    // capacity-zero test cannot interleave with them.
-    fn serialize() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    // never exact values.
 
     /// Strips the wall-clock pass timings, which are the one
     /// nondeterministic field of [`SchedStats`].
@@ -523,19 +280,12 @@ mod tests {
         st
     }
 
-    const TWO_LOOPS: &str = "func two\n\
-        init:\n LI r1=0\n LI r2=0\n LI r9=5\n\
-        l1:\n AI r1=r1,1\n C cr0=r1,r9\n BT l1,cr0,0x1/lt\n\
-        l2:\n AI r2=r2,2\n C cr1=r2,r9\n BT l2,cr1,0x1/lt\n\
-        out:\n PRINT r1\n PRINT r2\n RET\n";
-
     /// The core contract: a warm compile is bit-identical to the cold
     /// one and to a memo-off compile — text, statistics and allocator
     /// state. (Debug builds also run the differential gate on every
-    /// hit, so this test exercises the full splice-vs-schedule compare.)
+    /// hit, so this test exercises the full apply-vs-schedule compare.)
     #[test]
     fn warm_compile_is_bit_identical() {
-        let _guard = serialize();
         let machine = MachineDescription::rs6k();
         let config = SchedConfig::speculative();
         let mut off = config.clone();
@@ -558,12 +308,11 @@ mod tests {
         assert!(after.splices > before.splices, "hits spliced payloads");
     }
 
-    /// A splice must replay §5.3 renames, renumbered onto the current
+    /// A hit must replay §5.3 renames, renumbered onto the current
     /// allocator: the Figure 2 function renames `cr6` during speculative
     /// scheduling (the paper's Figure 6 motion).
     #[test]
     fn warm_compile_replays_renames() {
-        let _guard = serialize();
         let machine = MachineDescription::rs6k();
         let config = SchedConfig::paper_example(SchedLevel::Speculative);
         let f0 = gis_workloads::minmax::figure2_function(99);
@@ -577,32 +326,152 @@ mod tests {
         assert_eq!(cold.reg_counters(), warm.reg_counters());
     }
 
+    /// A traced compile goes through the memo like any other: its
+    /// outcomes carry their events, and a hit replays them — renamed
+    /// registers and region ids respelled for the applying run — so the
+    /// stream is identical cold, warm and with the memo off, at one job
+    /// and at four.
+    #[test]
+    fn traced_compiles_replay_identical_events() {
+        let machine = MachineDescription::rs6k();
+        let traced = |f0: &Function, config: &SchedConfig| {
+            let mut f = f0.clone();
+            let mut rec = Recorder::new();
+            let st = compile_observed(&mut f, &machine, config, &mut rec).expect("compiles");
+            let mut events = rec.into_events();
+            for e in &mut events {
+                if let TraceEvent::PassEnd { nanos, .. } = e {
+                    *nanos = 0;
+                }
+            }
+            (f.to_string(), counted(st), events)
+        };
+        let figure2 = gis_workloads::minmax::figure2_function(99);
+        let two_loops = gis_ir::parse_function(TWO_LOOPS).expect("parses");
+        let cases = [
+            (figure2, SchedConfig::paper_example(SchedLevel::Speculative)),
+            (two_loops, SchedConfig::speculative()),
+        ];
+        for (f0, base) in cases {
+            for jobs in [1, 4] {
+                let config = SchedConfig {
+                    jobs,
+                    ..base.clone()
+                };
+                let off = SchedConfig {
+                    region_memo: false,
+                    ..config.clone()
+                };
+                let before = region_memo_counters().hits;
+                let cold = traced(&f0, &config);
+                let warm = traced(&f0, &config);
+                let reference = traced(&f0, &off);
+                assert!(region_memo_counters().hits > before, "jobs {jobs}: hits");
+                assert_eq!(cold, warm, "jobs {jobs}: warm");
+                assert_eq!(cold, reference, "jobs {jobs}: memo off");
+                assert!(
+                    cold.2
+                        .iter()
+                        .any(|e| matches!(e, TraceEvent::RegionBegin { .. })),
+                    "regions were traced"
+                );
+            }
+        }
+    }
+
+    /// Duplication mints instruction ids and folds copies away; a warm
+    /// `--dup` compile draws the same ids, records the same origins and
+    /// leaves the same allocators as the cold and memo-off compiles.
+    #[test]
+    fn warm_duplication_compile_is_bit_identical() {
+        let machine = MachineDescription::rs6k();
+        let config = SchedConfig {
+            duplication: true,
+            ..SchedConfig::speculative()
+        };
+        let off = SchedConfig {
+            region_memo: false,
+            ..config.clone()
+        };
+        let f0 = gis_ir::parse_function(TWO_DUP_LOOPS).expect("parses");
+        let run = |config: &SchedConfig| {
+            let mut f = f0.clone();
+            let st = compile(&mut f, &machine, config).expect("compiles");
+            let origins: Vec<_> = f.dup_origins().collect();
+            let state = (f.reg_counters(), f.inst_id_bound());
+            (f.to_string(), counted(st), origins, state)
+        };
+        let before = region_memo_counters().hits;
+        let cold = run(&config);
+        let warm = run(&config);
+        let reference = run(&off);
+        assert!(region_memo_counters().hits > before, "the warm run hit");
+        assert!(
+            cold.1.dup_copies_minted > 0,
+            "duplication fires: {:?}",
+            cold.1
+        );
+        assert_eq!(cold, warm, "warm");
+        assert_eq!(cold, reference, "memo off");
+    }
+
+    /// The dedup fold reads recorded duplication origins, so they are
+    /// part of the key: the same instructions fold with a recorded origin
+    /// and stay without one, whichever was memoized first, and a warm
+    /// hit deletes the folded copy exactly as the cold run did.
+    #[test]
+    fn duplication_origins_split_the_key() {
+        let machine = MachineDescription::rs6k();
+        let config = SchedConfig {
+            duplication: true,
+            ..SchedConfig::paper_example(SchedLevel::Speculative)
+        };
+        let off = SchedConfig {
+            region_memo: false,
+            ..config.clone()
+        };
+        let run = |config: &SchedConfig, origin: bool| {
+            let mut f = gis_ir::parse_function(
+                "func fold\n\
+                 H:\n LI r7=3\n L r1=p(r0,0)\n C cr0=r1,r2\n BT T,cr0,0x1/lt\n\
+                 E:\n A r5=r7,r7\n B J\n\
+                 T:\n A r5=r7,r7\n\
+                 J:\n PRINT r5\n RET\n",
+            )
+            .expect("parses");
+            if origin {
+                f.record_dup_origin(InstId::new(4), InstId::new(6));
+            }
+            let st = compile(&mut f, &machine, config).expect("compiles");
+            (f.to_string(), st.dup_copies_deduped)
+        };
+        for origin in [true, false, true, false] {
+            let (text, deduped) = run(&config, origin);
+            assert_eq!((text, deduped), run(&off, origin), "origin {origin}");
+            assert_eq!(deduped, usize::from(origin), "the twins fold iff related");
+        }
+    }
+
     /// A loop whose exit falls straight into the next loop's header (the
     /// shape of `adjacent_single_block_loops_both_rotate`): its exit
     /// successor heads a sibling region, which the same pass may
     /// schedule first. The scheduler reads that header's pass-start
     /// live-ins — exactly what the key hashes — so the region is
-    /// memoized like any other, and a warm pass splices it
+    /// memoized like any other, and a warm pass applies it
     /// bit-identically to the cold one and to a memo-off pass. (Debug
     /// builds also re-schedule every hit and compare.)
     #[test]
     fn loop_exiting_into_a_sibling_header_is_memoized() {
-        let _guard = serialize();
         let machine = MachineDescription::rs6k();
         let config = SchedConfig::speculative();
-        let f0 = gis_ir::parse_function(
+        let (f0, cfg, tree) = analyses(
             "func adjacent\n\
              init:\n LI r1=0\n LI r2=0\n LI r3=0\n LI r4=0\n LI r9=11\n\
              l1:\n L r5=a(r4,0)\n\
              l1b:\n AI r1=r1,3\n A r3=r3,r5\n C cr0=r1,r9\n BT l1,cr0,0x1/lt\n\
              l2:\n AI r2=r2,5\n C cr1=r2,r9\n BT l2,cr1,0x1/lt\n\
              out:\n PRINT r1\n PRINT r2\n PRINT r3\n RET\n",
-        )
-        .expect("parses");
-        let cfg = Cfg::new(&f0);
-        let dom = gis_cfg::DomTree::dominators(&cfg);
-        let loops = gis_cfg::LoopForest::new(&cfg, &dom);
-        let tree = RegionTree::new(&cfg, &loops);
+        );
         let (l1, l2) = (BlockId::new(1), BlockId::new(3));
         let first = tree.innermost(l1);
         let scope = subtree_blocks(&tree, first);
@@ -613,12 +482,18 @@ mod tests {
             tree.region(first).parent,
             "the exit heads a sibling region"
         );
-        let live = Liveness::compute(&f0, &cfg);
-        let key = memo_key(&f0, &machine, &tree, first, &config, &scope, &exits, &live);
-        let memoized = || memo().inner.lock().expect("lock").map.contains_key(&key);
+        let pass = GlobalPass {
+            machine: &machine,
+            cfg: &cfg,
+            tree: &tree,
+            config: &config,
+            live: Liveness::compute(&f0, &cfg),
+        };
+        let key = memo_key(&pass, &f0, first, false).expect("eligible");
+        let memoized = || memo().entries().iter().any(|&(k, _)| k == key);
         assert!(!memoized(), "a fresh key");
 
-        let pass = |config: &SchedConfig| {
+        let global = |config: &SchedConfig| {
             let mut f = f0.clone();
             let mut st = SchedStats::default();
             crate::parallel::global_pass(
@@ -633,14 +508,14 @@ mod tests {
             );
             (f, st)
         };
-        let (cold, st_cold) = pass(&config);
+        let (cold, st_cold) = global(&config);
         assert!(memoized(), "the cold pass recorded the first loop");
         let before = region_memo_counters();
-        let (warm, st_warm) = pass(&config);
+        let (warm, st_warm) = global(&config);
         let after = region_memo_counters();
         let mut off = config.clone();
         off.region_memo = false;
-        let (reference, st_ref) = pass(&off);
+        let (reference, st_ref) = global(&off);
         assert!(after.hits >= before.hits + 2, "both loops hit");
         assert_eq!(cold.to_string(), warm.to_string(), "warm text");
         assert_eq!(cold.to_string(), reference.to_string(), "memo-off text");
@@ -654,47 +529,45 @@ mod tests {
 
     /// Every configuration the memo cannot prove bit-identical must
     /// bypass it (the module docs list why each exclusion exists).
+    /// Traced and duplicating compiles are eligible: events and minted
+    /// ids travel with the outcome.
     #[test]
     fn ineligible_configs_bypass_the_memo() {
-        let tracing_off = false;
+        let machine = MachineDescription::rs6k();
+        let (f, cfg, tree) = analyses(TWO_LOOPS);
         let mut config = SchedConfig::speculative();
-        assert!(memo_eligible(&config, tracing_off));
-        assert!(!memo_eligible(&config, true), "tracing bypasses");
-        config.region_memo = false;
-        assert!(!memo_eligible(&config, tracing_off), "switch bypasses");
-        config.region_memo = true;
+        let key = |config: &SchedConfig, tracing: bool| {
+            let live = Liveness::compute(&f, &cfg);
+            let pass = GlobalPass {
+                machine: &machine,
+                cfg: &cfg,
+                tree: &tree,
+                config,
+                live,
+            };
+            memo_key(&pass, &f, tree.root(), tracing)
+        };
+        assert!(memo_eligible(&config));
+        assert!(key(&config, true).is_some(), "tracing is eligible");
+        assert_ne!(
+            key(&config, true),
+            key(&config, false),
+            "events split the key"
+        );
         config.duplication = true;
-        assert!(!memo_eligible(&config, tracing_off), "duplication bypasses");
+        assert!(memo_eligible(&config), "duplication is eligible");
+        assert!(key(&config, false).is_some());
         config.duplication = false;
+        config.region_memo = false;
+        assert!(!memo_eligible(&config), "switch bypasses");
+        config.region_memo = true;
         config.profile = Some(crate::BranchProfile::default());
-        assert!(!memo_eligible(&config, tracing_off), "profiles bypass");
+        assert!(!memo_eligible(&config), "profiles bypass");
         config.profile = None;
         config.reference_hot_paths = true;
-        assert!(
-            !memo_eligible(&config, tracing_off),
-            "reference paths bypass"
-        );
+        assert!(!memo_eligible(&config), "reference paths bypass");
         config.reference_hot_paths = false;
         config.level = SchedLevel::BasicBlockOnly;
-        assert!(!memo_eligible(&config, tracing_off), "bb-only bypasses");
-    }
-
-    /// Capacity 0 disables the memo; restoring it re-enables.
-    #[test]
-    fn capacity_zero_disables() {
-        let _guard = serialize();
-        let machine = MachineDescription::rs6k();
-        let config = SchedConfig::speculative();
-        let f0 = gis_ir::parse_function(TWO_LOOPS).expect("parses");
-        region_memo_set_capacity(0);
-        let before = region_memo_counters();
-        assert_eq!(before.capacity, 0);
-        let mut a = f0.clone();
-        compile(&mut a, &machine, &config).expect("compiles");
-        let mut b = f0;
-        compile(&mut b, &machine, &config).expect("compiles");
-        assert_eq!(a.to_string(), b.to_string());
-        region_memo_set_capacity(DEFAULT_CAPACITY);
-        assert_eq!(region_memo_counters().capacity, DEFAULT_CAPACITY as u64);
+        assert!(!memo_eligible(&config), "bb-only bypasses");
     }
 }

@@ -151,24 +151,11 @@ impl InstArena {
         self.live
     }
 
-    /// Total slots ever allocated (live + freed), for snapshot-alignment
-    /// assertions: two arenas with equal `slots_len` that diverged only
-    /// by copy-on-write edits address the same slots by the same indices.
+    /// Total slots ever allocated (live + freed).
     pub(crate) fn slots_len(&self) -> usize {
         match self.chunks.last() {
             Some(last) => (self.chunks.len() - 1) * CHUNK + last.len(),
             None => 0,
-        }
-    }
-
-    /// Copies the payload at `idx` from `src` (a diverged snapshot of
-    /// this arena) into this arena. Both sides must hold a live slot of
-    /// the same generation at `idx`.
-    pub(crate) fn adopt_payload(&mut self, src: &InstArena, idx: InstIdx) {
-        let theirs = src.get(idx).expect("source snapshot holds the slot");
-        let mine = self.get_mut(idx).expect("target arena holds the slot");
-        if mine != theirs {
-            *mine = theirs.clone();
         }
     }
 
@@ -252,13 +239,6 @@ mod tests {
         ));
         assert!(matches!(
             a.get(idx).unwrap().op,
-            Op::LoadImm { imm: 99, .. }
-        ));
-        // Adopting the payload back copies the divergence.
-        let mut master = snap.clone();
-        master.adopt_payload(&a, idx);
-        assert!(matches!(
-            master.get(idx).unwrap().op,
             Op::LoadImm { imm: 99, .. }
         ));
     }

@@ -572,8 +572,8 @@ impl Function {
     /// The next index [`Function::fresh_reg`] will hand out for each
     /// class, in `[Gpr, Fpr, Cr]` order. Snapshotting these counters
     /// around a transformation identifies exactly the registers the
-    /// transformation allocated — the parallel scheduler uses this to
-    /// renumber per-worker allocations into one deterministic sequence.
+    /// transformation allocated — the scheduler records a region's draws
+    /// this way and replays them onto another function's allocators.
     pub fn reg_counters(&self) -> [u32; 3] {
         self.next_reg
     }
@@ -749,37 +749,6 @@ impl Function {
         self.clone()
     }
 
-    /// Adopts block `b` from `src`, a diverged [`Function::snapshot`] of
-    /// this function: this function's block (label and index list) is
-    /// replaced by `src`'s, and when `copy_payloads` is set the payloads
-    /// of the adopted instructions are copied across too.
-    ///
-    /// This is the zero-clone merge primitive of the parallel scheduler:
-    /// scheduling only *relinks* indices (and, when renaming fired,
-    /// edits payloads in place — never allocating or freeing slots), so
-    /// a worker's result block can be adopted by swapping one `Arc` and,
-    /// only when the worker renamed, copying the touched payloads.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if the two functions' arenas are not
-    /// slot-aligned, and at payload copy if an adopted index is stale on
-    /// either side.
-    pub fn adopt_block_from(&mut self, src: &Function, b: BlockId, copy_payloads: bool) {
-        debug_assert_eq!(
-            self.arena.slots_len(),
-            src.arena.slots_len(),
-            "adopt_block_from requires slot-aligned arenas"
-        );
-        let src_block = &src.blocks[b.index()];
-        if copy_payloads {
-            for &ix in &src_block.list {
-                self.arena.adopt_payload(&src.arena, ix);
-            }
-        }
-        self.blocks[b.index()] = Arc::clone(src_block);
-    }
-
     /// Records that `copy` was minted by duplicating `origin`. Chains are
     /// flattened: if `origin` is itself a recorded copy, `copy` maps to
     /// `origin`'s root, so [`Function::dup_origin`] is always one hop.
@@ -809,13 +778,6 @@ impl Function {
     /// [`Function::num_insts`] as long as every list entry is live).
     pub fn arena_live(&self) -> usize {
         self.arena.len()
-    }
-
-    /// Total arena slots ever allocated (live + freed). Grows on alloc
-    /// when no freed slot is available; never shrinks. Slot-count
-    /// equality is the precondition for [`Function::adopt_block_from`].
-    pub fn arena_slots(&self) -> usize {
-        self.arena.slots_len()
     }
 }
 
@@ -933,26 +895,6 @@ mod tests {
         assert_eq!(f.block(b1).len(), 2);
         assert_eq!(snap.block(b1).len(), 1, "snapshot unaffected");
         assert_eq!(snap.num_insts(), 2);
-    }
-
-    #[test]
-    fn adopt_block_takes_list_and_payloads() {
-        let f = two_block_function();
-        let mut worker = f.snapshot();
-        let b0 = BlockId::new(0);
-        let b1 = BlockId::new(1);
-        // The worker moves the branchless path: relink I1's RET stays,
-        // but rename-style payload edits must be adoptable too.
-        if let Op::BranchCond { bit, .. } = &mut worker.block_mut(b0).inst_mut(0).op {
-            *bit = CondBit::Gt;
-        }
-        let mut master = f.snapshot();
-        master.adopt_block_from(&worker, b0, true);
-        master.adopt_block_from(&worker, b1, false);
-        match &master.block(b0).inst_at(0).op {
-            Op::BranchCond { bit, .. } => assert_eq!(*bit, CondBit::Gt),
-            other => panic!("unexpected op {other:?}"),
-        }
     }
 
     #[test]

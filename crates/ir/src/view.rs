@@ -8,9 +8,8 @@
 //!
 //! For *mutable* per-worker scratch, the companion primitive is
 //! [`Function::snapshot`]: a copy-on-write snapshot whose cost is
-//! reference-count bumps, which a worker mutates freely and the merge
-//! adopts back block-by-block via
-//! [`Function::adopt_block_from`].
+//! reference-count bumps, which a worker mutates freely while the
+//! original stays untouched.
 
 use crate::block::{BlockId, Inst};
 use crate::function::{BlockRef, Function};

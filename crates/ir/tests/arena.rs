@@ -105,11 +105,4 @@ fn snapshot_stays_slot_aligned_through_scheduling_mutations() {
             assert_eq!(master.inst(ix).id, id, "slot-aligned at {ix}");
         }
     }
-
-    // Adopting the worker's blocks reproduces its text on the master.
-    let mut merged = master.snapshot();
-    for b in worker.block_ids().collect::<Vec<_>>() {
-        merged.adopt_block_from(&worker, b, false);
-    }
-    assert_eq!(format!("{merged}"), format!("{worker}"));
 }

@@ -11,21 +11,18 @@
 //! run, the same block-cache idea JITs use to avoid re-translating
 //! unchanged code.
 //!
-//! Eviction is least-recently-used over a bounded capacity: every access
-//! bumps a monotonic stamp, and inserting past capacity evicts the entry
-//! with the smallest stamp (a `BTreeMap` from stamp to key makes both
-//! the bump and the eviction `O(log n)`). Hit, miss and eviction counts
-//! are kept in atomics so the serving threads never contend on the
-//! counters.
+//! Eviction is least-recently-used over a bounded capacity
+//! ([`gis_core::Lru`], the same store as the region memo); the cache
+//! adds only the persisted image ([`ScheduleCache::dump`]/[`load`]).
+//!
+//! [`load`]: ScheduleCache::load
 
 use gis_core::fingerprint::{write_config_fingerprint, write_machine_fingerprint};
-use gis_core::SchedConfig;
+use gis_core::{Lru, SchedConfig};
 use gis_ir::hash::Fnv64;
 use gis_ir::Function;
 use gis_machine::MachineDescription;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One cached scheduling result.
 #[derive(Debug)]
@@ -42,27 +39,19 @@ pub struct CachedSchedule {
     pub nanos: u64,
 }
 
-struct Entry {
-    value: Arc<CachedSchedule>,
-    stamp: u64,
-}
-
-#[derive(Default)]
-struct Inner {
-    map: HashMap<u64, Entry>,
-    /// stamp → key, for O(log n) least-recently-used eviction.
-    by_stamp: BTreeMap<u64, u64>,
-    clock: u64,
-}
-
 /// A bounded, thread-safe, content-addressed map from cache key to
-/// scheduled result with least-recently-used eviction.
-pub struct ScheduleCache {
-    inner: Mutex<Inner>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+/// scheduled result with least-recently-used eviction: the shared
+/// [`Lru`] (reached through `Deref`) plus the persisted image. Two
+/// compiles of one key racing to insert are harmless, because scheduling
+/// is deterministic and both hold identical results.
+pub struct ScheduleCache(Lru<CachedSchedule>);
+
+impl std::ops::Deref for ScheduleCache {
+    type Target = Lru<CachedSchedule>;
+
+    fn deref(&self) -> &Lru<CachedSchedule> {
+        &self.0
+    }
 }
 
 impl ScheduleCache {
@@ -70,89 +59,7 @@ impl ScheduleCache {
     /// disables caching entirely (every lookup misses, inserts are
     /// dropped) — useful for measuring cold throughput.
     pub fn new(capacity: usize) -> Self {
-        ScheduleCache {
-            inner: Mutex::new(Inner::default()),
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// Looks up a key, bumping its recency on a hit. Counts the access.
-    pub fn get(&self, key: u64) -> Option<Arc<CachedSchedule>> {
-        if self.capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let mut inner = self.inner.lock().expect("cache lock");
-        inner.clock += 1;
-        let stamp = inner.clock;
-        match inner.map.get_mut(&key) {
-            Some(entry) => {
-                let old = std::mem::replace(&mut entry.stamp, stamp);
-                let value = Arc::clone(&entry.value);
-                inner.by_stamp.remove(&old);
-                inner.by_stamp.insert(stamp, key);
-                drop(inner);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(value)
-            }
-            None => {
-                drop(inner);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Inserts (or refreshes) a schedule, evicting the least-recently
-    /// used entry if the cache is full. Concurrent compiles of the same
-    /// key may both insert; the later one wins, which is harmless because
-    /// scheduling is deterministic — both hold identical results.
-    pub fn insert(&self, key: u64, value: Arc<CachedSchedule>) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut inner = self.inner.lock().expect("cache lock");
-        inner.clock += 1;
-        let stamp = inner.clock;
-        if let Some(old) = inner.map.remove(&key) {
-            inner.by_stamp.remove(&old.stamp);
-        } else if inner.map.len() >= self.capacity {
-            if let Some((&oldest_stamp, &oldest_key)) = inner.by_stamp.iter().next() {
-                inner.by_stamp.remove(&oldest_stamp);
-                inner.map.remove(&oldest_key);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        inner.map.insert(key, Entry { value, stamp });
-        inner.by_stamp.insert(stamp, key);
-    }
-
-    /// Number of schedules currently held.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("cache lock").map.len()
-    }
-
-    /// Whether the cache holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lifetime hit count.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime miss count.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime eviction count.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        ScheduleCache(Lru::new(capacity))
     }
 
     /// The counters as `(name, value)` pairs for the metrics registry
@@ -164,7 +71,7 @@ impl ScheduleCache {
             ("cache.misses", self.misses()),
             ("cache.evictions", self.evictions()),
             ("cache.entries", self.len() as u64),
-            ("cache.capacity", self.capacity as u64),
+            ("cache.capacity", self.capacity() as u64),
         ]
     }
 
@@ -174,20 +81,19 @@ impl ScheduleCache {
     /// not persisted — they describe one daemon's lifetime, not the
     /// cache contents.
     pub fn dump(&self) -> Vec<u8> {
-        let inner = self.inner.lock().expect("cache lock");
+        let entries = self.entries();
         let mut out = Vec::new();
         out.extend_from_slice(DUMP_MAGIC);
         out.extend_from_slice(&DUMP_VERSION.to_le_bytes());
-        out.extend_from_slice(&(inner.map.len() as u64).to_le_bytes());
-        for key in inner.by_stamp.values() {
-            let entry = &inner.map[key];
+        out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+        for (key, value) in entries {
             out.extend_from_slice(&key.to_le_bytes());
-            out.extend_from_slice(&entry.value.hash.to_le_bytes());
-            out.extend_from_slice(&entry.value.moved_useful.to_le_bytes());
-            out.extend_from_slice(&entry.value.moved_speculative.to_le_bytes());
-            out.extend_from_slice(&entry.value.nanos.to_le_bytes());
-            out.extend_from_slice(&(entry.value.text.len() as u64).to_le_bytes());
-            out.extend_from_slice(entry.value.text.as_bytes());
+            out.extend_from_slice(&value.hash.to_le_bytes());
+            out.extend_from_slice(&value.moved_useful.to_le_bytes());
+            out.extend_from_slice(&value.moved_speculative.to_le_bytes());
+            out.extend_from_slice(&value.nanos.to_le_bytes());
+            out.extend_from_slice(&(value.text.len() as u64).to_le_bytes());
+            out.extend_from_slice(value.text.as_bytes());
         }
         out
     }

@@ -103,7 +103,7 @@ pub fn many_loops_source(loops: usize, stmts: usize, seed: u64) -> String {
     many_loops_source_with(&mut rng, loops, stmts)
 }
 
-/// The skewed many-loops preset the steal-vs-static benchmark measures:
+/// The skewed many-loops preset the work-stealing benchmark measures:
 /// `(name, loops, stmts, heavy_factor, seed)`. All loops carry `stmts`
 /// template statements except the *last*, which carries
 /// `stmts * heavy_factor` — one region roughly an order of magnitude
@@ -574,7 +574,7 @@ mod tests {
 
     #[test]
     fn skewed_source_is_pinned() {
-        // The steal-vs-static benchmark rows are only comparable across
+        // The work-stealing benchmark rows are only comparable across
         // runs while the preset's input stays byte-identical; pin it.
         let (_, loops, stmts, heavy, seed) = MANY_LOOPS_SKEWED_PRESET;
         let w = many_loops_skewed(loops, stmts, heavy, seed);

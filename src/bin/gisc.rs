@@ -36,8 +36,6 @@
 //!                        join instructions into every predecessor)
 //!   --no-memo            disable the process-wide region schedule memo
 //!                        (output is bit-identical either way)
-//!   --static-units       one task per partition unit, claimed in region
-//!                        order (disables size-aware splitting/stealing)
 //!   --branches <N>       max speculation depth (default 1)
 //!   --jobs <N>           worker threads for the global passes; 0 = one
 //!                        per CPU (default 1; output is identical for any N)
@@ -111,7 +109,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: gisc [--tinyc|--asm] [--level base|useful|speculative] \
          [--machine rs6k|scalar|issue2/4/8|wideN|vliwN] [--no-unroll] [--no-rotate] \
-         [--no-rename] [--paper] [--dup] [--no-memo] [--static-units] [--branches N] \
+         [--no-rename] [--paper] [--dup] [--no-memo] [--branches N] \
          [--jobs N] [--opt] [--run] [--stats] \
          [--dot-cfg[=traced]] [--dot-cspdg[=traced]] [--report <out.html>] \
          [--trace[=json:<path>]] [--metrics] [--explain <inst>] [--timeline] <file|->\n\
@@ -191,7 +189,6 @@ fn parse_args() -> Options {
             "--no-rename" => opts.config_tweaks.push(|c| c.rename = false),
             "--dup" => opts.config_tweaks.push(|c| c.duplication = true),
             "--no-memo" => opts.config_tweaks.push(|c| c.region_memo = false),
-            "--static-units" => opts.config_tweaks.push(|c| c.static_units = true),
             "--paper" => opts.config_tweaks.push(|c| {
                 c.rename = false;
                 c.unroll = false;
