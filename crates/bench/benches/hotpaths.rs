@@ -1,6 +1,6 @@
 //! Hot-path benchmarks with a tracked baseline: the sweep dependence
-//! builder vs the all-pairs reference, region-scoped liveness (seeding
-//! and post-motion repair) vs whole-function solves, the linear §4.2
+//! builder vs the all-pairs reference, the sparse whole-function liveness
+//! solve vs the dense reference and the §5.3 queries, the linear §4.2
 //! web renamer vs the reaching-definitions reference, the ready-list
 //! basic-block scheduler vs the rescanning reference over every block
 //! of the final pass, and end-to-end compilation with
@@ -46,12 +46,12 @@
 //! the scheduler itself, not the cache.
 
 use gis_cfg::{Cfg, DomTree, LoopForest, RegionKind, RegionTree};
-use gis_core::{compile, schedule_block, schedule_block_reference, SchedConfig};
+use gis_core::{compile, schedule_block, schedule_block_reference, SchedConfig, SchedLevel};
 use gis_ir::hash::fnv64_str as fnv64;
-use gis_ir::{to_canonical_bytes, BlockId, Function};
+use gis_ir::{to_canonical_bytes, BlockId, Function, Reg};
 use gis_machine::MachineDescription;
 use gis_pdg::webs::{rename_webs, rename_webs_reference};
-use gis_pdg::{DataDeps, Liveness, RegionLiveness};
+use gis_pdg::{DataDeps, Liveness};
 use gis_sim::{execute, ExecConfig, TimingSim};
 use gis_workloads::synth;
 use std::hint::black_box;
@@ -86,7 +86,7 @@ fn median_ns<T>(iters: u32, runs: usize, mut f: impl FnMut() -> T) -> u128 {
 
 /// The scheduling scopes the global passes would visit: every loop
 /// region within the §6 size gates, innermost first. The liveness
-/// benchmark repairs over such a scope exactly as the scheduler does.
+/// benchmark queries over such scopes as the scheduler's §5.3 gate does.
 fn loop_scopes(f: &Function, config: &SchedConfig) -> Vec<Vec<BlockId>> {
     let cfg = Cfg::new(f);
     let dom = DomTree::dominators(&cfg);
@@ -160,70 +160,82 @@ fn bench_dep_build(
     reference as f64 / sweep.max(1) as f64
 }
 
-/// The liveness rows price what a global pass pays: one whole-function
-/// solve (`full-recompute`), then a seed per region (`region-seed`: every
-/// in-gate loop region seeded from that solve in turn) and a repair per
-/// motion (`incremental-repair`, over the largest in-gate scope). The
-/// returned ratio is the pass's liveness set-up before and after regions
-/// went scope-local: one solve per region, against one solve plus every
-/// region's seed.
+/// The liveness rows price what a global pass pays, on the function as
+/// global-1 sees it (after §4.2 renaming and unrolling, where most
+/// registers are short webs): the sparse whole-function solve
+/// (`pass-solve`), the dense oracle it replaced (`pass-solve-reference`),
+/// and the §5.3 queries walked against the solve (`queries`: every
+/// register defined in every in-gate loop scope, asked at every block of
+/// that scope). Before timing, the run aborts unless the two solves agree
+/// on every block. Returns reference ÷ sparse.
 fn bench_liveness(
     preset: &str,
     f: &Function,
+    machine: &MachineDescription,
     config: &SchedConfig,
     iters: u32,
     runs: usize,
     rows: &mut Vec<Row>,
 ) -> f64 {
-    let cfg = Cfg::new(f);
-    let n_insts = f.num_insts();
-    let full = median_ns(iters, runs, || Liveness::compute(black_box(f), &cfg));
-    let pass = Liveness::compute(f, &cfg);
-    let scopes = loop_scopes(f, config);
-    let seed_insts: usize = scopes
+    let mut prepare = SchedConfig::speculative();
+    prepare.level = SchedLevel::BasicBlockOnly;
+    prepare.final_bb_pass = false;
+    prepare.region_memo = false;
+    let mut g = f.clone();
+    compile(&mut g, machine, &prepare).expect("renames and unrolls");
+    let cfg = Cfg::new(&g);
+    let n_insts = g.num_insts();
+    let pass = Liveness::compute(&g, &cfg);
+    assert!(
+        pass == Liveness::compute_reference(&g, &cfg),
+        "{preset}: the sparse liveness solve diverges from the dense reference"
+    );
+    let sparse = median_ns(iters, runs, || Liveness::compute(black_box(&g), &cfg));
+    let reference = median_ns(iters, runs, || {
+        Liveness::compute_reference(black_box(&g), &cfg)
+    });
+    let queries: Vec<(Vec<BlockId>, Vec<Reg>)> = loop_scopes(&g, config)
+        .into_iter()
+        .map(|mut scope| {
+            scope.sort_unstable();
+            let mut defs: Vec<Reg> = scope
+                .iter()
+                .flat_map(|&b| g.block(b).insts())
+                .flat_map(|i| i.op.defs())
+                .collect();
+            defs.sort_unstable();
+            defs.dedup();
+            (scope, defs)
+        })
+        .collect();
+    let query_insts: usize = queries
         .iter()
-        .map(|s| s.iter().map(|&b| f.block(b).len()).sum::<usize>())
+        .map(|(s, _)| s.iter().map(|&b| g.block(b).len()).sum::<usize>())
         .sum();
-    let seed = median_ns(iters, runs, || {
-        scopes
-            .iter()
-            .map(|s| {
-                RegionLiveness::seed(black_box(f), &cfg, s, &pass)
-                    .named()
-                    .len()
-            })
-            .sum::<usize>()
+    let walked = median_ns(iters, runs, || {
+        let mut live = 0usize;
+        for (scope, defs) in &queries {
+            for &b in scope {
+                for &r in defs {
+                    live += usize::from(pass.walk_live_out(black_box(&g), &cfg, scope, b, r));
+                }
+            }
+        }
+        live
     });
-    // The "motion" is a no-op (both touched blocks re-summarize to what
-    // they already were), which costs the same as a real one.
-    let scope = scopes
-        .iter()
-        .max_by_key(|s| s.len())
-        .expect("the workload has at least one in-gate loop");
-    let (to, from) = (scope[0], *scope.last().expect("non-empty scope"));
-    let mut live = RegionLiveness::seed(f, &cfg, scope, &pass);
-    let incremental = median_ns(iters.saturating_mul(8), runs, || {
-        live.update_after_motion(black_box(f), to, from);
-    });
-    rows.push(Row {
-        name: format!("liveness/{preset}/full-recompute"),
-        n_insts,
-        median_ns: full,
-        schedule_hash: None,
-    });
-    rows.push(Row {
-        name: format!("liveness/{preset}/region-seed"),
-        n_insts: seed_insts,
-        median_ns: seed,
-        schedule_hash: None,
-    });
-    rows.push(Row {
-        name: format!("liveness/{preset}/incremental-repair"),
-        n_insts,
-        median_ns: incremental,
-        schedule_hash: None,
-    });
-    (scopes.len() as u128 * full) as f64 / (full + seed).max(1) as f64
+    for (label, n, ns) in [
+        ("pass-solve", n_insts, sparse),
+        ("pass-solve-reference", n_insts, reference),
+        ("queries", query_insts, walked),
+    ] {
+        rows.push(Row {
+            name: format!("liveness/{preset}/{label}"),
+            n_insts: n,
+            median_ns: ns,
+            schedule_hash: None,
+        });
+    }
+    reference as f64 / sparse.max(1) as f64
 }
 
 /// The §4.2 renaming rows: the linear boundary-node pass against the
@@ -361,10 +373,10 @@ fn bench_end_to_end(
         // splice; these rows track the scheduler itself, so pin it off
         // (the e2e-memo group measures the cache deliberately).
         config.region_memo = false;
-        // The reference path recomputes whole-function liveness after
-        // every motion, so it is orders of magnitude slower: time a
-        // single compile, with no warm-up, and hash its result rather
-        // than compiling again.
+        // The reference path answers every §5.3 query from a fresh
+        // whole-function liveness solve, so it is orders of magnitude
+        // slower: time a single compile, with no warm-up, and hash its
+        // result rather than compiling again.
         let (ns, scheduled) = if reference {
             let t0 = Instant::now();
             let mut scheduled = f.clone();
@@ -687,13 +699,13 @@ fn main() {
             f.num_insts()
         );
         let dep = bench_dep_build(preset, f, &machine, &config, iters, runs, &mut rows);
-        let live = bench_liveness(preset, f, &config, iters, runs, &mut rows);
+        let live = bench_liveness(preset, f, &machine, &config, iters, runs, &mut rows);
         let rename = bench_rename(preset, f, iters, runs, &mut rows);
         let final_bb = bench_final_bb(preset, f, &machine, iters, runs, &mut rows);
         let (e2e, jobs4, hashes_ok) = bench_end_to_end(preset, f, &machine, iters, runs, &mut rows);
         jobs_hash_match &= hashes_ok;
         speedups.push((format!("dep-build/{preset}"), dep));
-        speedups.push((format!("liveness-setup/{preset}"), live));
+        speedups.push((format!("liveness-pass/{preset}"), live));
         speedups.push((format!("rename/{preset}"), rename));
         speedups.push((format!("final-bb/{preset}"), final_bb));
         speedups.push((format!("e2e/{preset}"), e2e));

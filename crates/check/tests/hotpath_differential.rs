@@ -2,11 +2,13 @@
 //! same seeded random functions the fuzzer draws: the sweep dependence
 //! builder must produce *exactly* the all-pairs reference builder's
 //! graph, and compiling with [`SchedConfig::reference_hot_paths`] on or
-//! off must yield bit-identical schedules. Every region's scope-local
-//! liveness, seeded from one whole-function solve, must match that
-//! solve. Running under the test profile also arms the scheduler's debug
-//! assertion that each region's seeded and repaired liveness matches a
-//! whole-function recompute, so every region and every motion these
+//! off must yield bit-identical schedules. The sparse whole-function
+//! liveness solve must equal the dense reference, and every §5.3 query a
+//! region can ask, walked against the sparse solve, must match the
+//! reference. Running under the test profile also arms the scheduler's
+//! debug assertions that every query it makes matches a reference solve
+//! of the current function and that every commit leaves the exits'
+//! pass-level live-ins exact, so every region and every motion these
 //! compilations perform is a differential check of its own. The linear
 //! §4.2 renamer must rename exactly as the reaching-definitions
 //! reference does, down to the order it draws fresh registers in. The
@@ -18,10 +20,10 @@
 use gis_cfg::{Cfg, DomTree, LoopForest, RegionId, RegionTree};
 use gis_check::generate;
 use gis_core::{compile, compile_observed, schedule_block, schedule_block_reference, SchedConfig};
-use gis_ir::{to_canonical_bytes, BlockId, Function};
+use gis_ir::{to_canonical_bytes, BlockId, Function, Reg};
 use gis_machine::MachineDescription;
 use gis_pdg::webs::{rename_webs, rename_webs_reference};
-use gis_pdg::{DataDeps, Liveness, RegionLiveness};
+use gis_pdg::{DataDeps, Liveness};
 use gis_trace::Recorder;
 use gis_workloads::rng::XorShift64Star;
 use gis_workloads::{kernels, spec, synth};
@@ -67,37 +69,33 @@ fn region_liveness_matches_the_whole_function_solve() {
         let loops = LoopForest::new(&cfg, &dom);
         let tree = RegionTree::new(&cfg, &loops);
         let pass = Liveness::compute(f, &cfg);
+        let reference = Liveness::compute_reference(f, &cfg);
+        assert_eq!(
+            pass, reference,
+            "seed {seed}: the sparse solve diverged\n{}",
+            case.text
+        );
+        // Every query a region can ask: each scope block, each register
+        // the region names, walked against the pass solve.
         for rid in tree.schedule_order() {
             let scope = subtree_blocks(&tree, rid);
-            let mut live = RegionLiveness::seed(f, &cfg, &scope, &pass);
-            assert_eq!(
-                live.mismatch_with(&pass),
-                None,
-                "seed {seed}: seeding {rid:?} diverged\n{}",
-                case.text
-            );
-            // Repair after synthetic motions between random scope block
-            // pairs: the blocks did not actually change, so the repair
-            // must resolve to the same fixed point from whatever stale
-            // state it holds.
-            for _ in 0..8 {
-                let to = scope[rng.below(scope.len())];
-                let from = scope[rng.below(scope.len())];
-                live.update_after_motion(f, to, from);
-                assert_eq!(
-                    live.mismatch_with(&pass),
-                    None,
-                    "seed {seed}: {rid:?} repair after ({to}, {from}) diverged\n{}",
-                    case.text
-                );
+            let mut named: Vec<Reg> = scope
+                .iter()
+                .flat_map(|&b| f.block(b).insts())
+                .flat_map(|i| i.op.uses().into_iter().chain(i.op.defs()))
+                .collect();
+            named.sort_unstable();
+            named.dedup();
+            for &b in &scope {
+                for &r in &named {
+                    assert_eq!(
+                        pass.walk_live_out(f, &cfg, &scope, b, r),
+                        reference.live_out_contains(&cfg, b, r),
+                        "seed {seed}: {rid:?} live-out of {b} on {r} diverged\n{}",
+                        case.text
+                    );
+                }
             }
-            live.resummarize(f);
-            assert_eq!(
-                live.mismatch_with(&pass),
-                None,
-                "seed {seed}: {rid:?} re-summary diverged\n{}",
-                case.text
-            );
         }
     }
 }
@@ -147,7 +145,7 @@ fn reference_hot_paths_compile_bit_identically() {
         );
         assert_eq!(
             ref_stats.liveness_incremental, 0,
-            "seed {seed}: the reference path must never repair incrementally"
+            "seed {seed}: the reference path must never walk a region"
         );
     }
 }
@@ -257,9 +255,9 @@ fn ready_list_matches_the_rescan() {
         assert_list_schedulers_agree(&format!("seed {seed}\n{}", case.text), &case.function);
     }
     // many-loops-l would take minutes per compile here: the test
-    // profile also checks every motion's liveness repair against a
-    // whole-function solve. The hotpaths bench's final-bb and e2e
-    // reference rows cover it in release builds.
+    // profile also checks every commit against a whole-function
+    // liveness solve. The hotpaths bench's final-bb and e2e reference
+    // rows cover it in release builds.
     for (name, w) in workloads()
         .iter()
         .filter(|(name, _)| *name != "many-loops-l")

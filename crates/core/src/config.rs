@@ -119,10 +119,10 @@ pub struct SchedConfig {
     /// [`PassVerifier`].
     pub verify_each_pass: Option<PassVerifier>,
     /// Use the original quadratic analysis implementations — the
-    /// all-pairs dependence builder and a whole-function liveness solve
-    /// for every region and after every motion — instead of the sweep
-    /// builder and the scope-local liveness seeded from one solve per
-    /// global pass and repaired in place, and check every global pick
+    /// all-pairs dependence builder and a fresh dense whole-function
+    /// liveness solve for every §5.3 query — instead of the sweep
+    /// builder and the query that walks the region against one sparse
+    /// solve per global pass, and check every global pick
     /// of the ready-list scheduler against a full rescan of the
     /// candidates (as debug builds always do). Output is bit-identical
     /// either way (the fast paths were derived to preserve it, and the

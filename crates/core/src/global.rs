@@ -27,21 +27,24 @@
 //! Speculative motions obey §5.3: an instruction defining a register that
 //! is live on exit from `A` is rejected — or, when the definition's
 //! du-chain is local to its home block, renamed to a fresh register (the
-//! paper's `cr6`→`cr5` motion in Figure 6). Liveness is kept current
-//! across motions ("this type of information has to be updated
-//! dynamically") at region cost: each region reads and repairs a
-//! [`RegionLiveness`] over its own blocks and the registers it names,
-//! seeded from the one whole-function [`Liveness`] solve its global pass
-//! makes. After a motion only the source and target blocks change code,
-//! so only their summaries are re-derived before the region's fixed
-//! point is re-solved. This rests on the region-boundary invariant
-//! stated in `gis_pdg`'s liveness module: a legal motion never changes
-//! liveness outside the region that makes it, so the pass-start live-ins
-//! of every exit successor stay exact. Under debug builds and the
-//! [`SchedConfig::verify_each_pass`] gate, every seeded and repaired
-//! region is compared with a whole-function solve; the
-//! [`SchedConfig::reference_hot_paths`] oracle re-seeds from a fresh
-//! whole-function solve at every region and motion instead.
+//! paper's `cr6`→`cr5` motion in Figure 6). Liveness is current across
+//! motions ("this type of information has to be updated dynamically")
+//! because it is never stored: the gate's one question, whether a
+//! register is live on exit from a scope block, is answered on demand
+//! by [`Liveness::walk_live_out`] over the region's current code, and a
+//! path that leaves the region reads the one whole-function
+//! [`Liveness`] solve its global pass makes. A motion therefore costs
+//! nothing for liveness and a query O(region). This rests on the
+//! region-boundary invariant stated in `gis_pdg`'s liveness module: a
+//! legal motion never changes liveness outside the region that makes
+//! it, so the pass-start live-ins of every exit successor stay exact.
+//! The same invariant lets the region memo key on those live-ins and
+//! the `--jobs` workers share the one solve. Under debug builds and the
+//! [`SchedConfig::verify_each_pass`] gate, every answer is compared with
+//! [`Liveness::compute_reference`] on the current function and, after
+//! every commit, the exit successors' pass-level live-ins with a fresh
+//! reference solve; the [`SchedConfig::reference_hot_paths`] oracle
+//! answers every query from a fresh reference solve instead.
 
 use crate::config::{SchedConfig, SchedLevel};
 use crate::dcp::Heuristics;
@@ -50,7 +53,7 @@ use crate::stats::SchedStats;
 use gis_cfg::{Cfg, NodeId, RegionGraph, RegionNode, RegionTree};
 use gis_ir::{BlockId, DenseBitSet, Function, InstId, OpClass, Reg};
 use gis_machine::MachineDescription;
-use gis_pdg::{Cspdg, DataDeps, Liveness, RegionLiveness};
+use gis_pdg::{Cspdg, DataDeps, Liveness};
 use gis_trace::{MotionKind, NopObserver, RejectReason, SchedObserver, TieBreak, TraceEvent};
 use std::collections::HashMap;
 
@@ -170,12 +173,6 @@ pub(crate) fn schedule_region_in_pass<O: SchedObserver>(
     stats.dep_edges_reduced += deps.num_edges();
 
     let bound = f.inst_id_bound();
-    let liveness = if whole_function_liveness(config) {
-        stats.liveness_full += 1;
-        RegionLiveness::seed(f, cfg, &scope_blocks, &Liveness::compute(f, cfg))
-    } else {
-        RegionLiveness::seed(f, cfg, &scope_blocks, pass_live)
-    };
     stats.scratch_allocs += 1;
     let mut pass = RegionPass {
         machine,
@@ -186,13 +183,15 @@ pub(crate) fn schedule_region_in_pass<O: SchedObserver>(
         heur: Heuristics::new(&deps),
         placed: DenseBitSet::with_capacity(bound),
         inst_node: vec![NO_NODE; bound],
-        liveness,
+        pass_live,
+        scope: scope_blocks,
+        reference: None,
         scratch: Scratch::new(machine, bound),
         stats,
         obs,
     };
-    pass.check_liveness(f, || "at seeding".to_owned());
-    for &b in &scope_blocks {
+    pass.check_boundary(f, || "at the region's start".to_owned());
+    for &b in &pass.scope {
         for inst in f.block(b).insts() {
             pass.inst_node[inst.id.index()] = node_of[&b].index() as u32;
         }
@@ -207,13 +206,13 @@ pub(crate) fn schedule_region_in_pass<O: SchedObserver>(
     true
 }
 
-/// Whether every region seed and post-commit repair re-solves the whole
-/// function instead of reading the pass-level solve: under the reference
-/// hot paths (the full-solve oracle), and under the planted-fault
-/// switches, whose motions are illegal by design — the region-boundary
-/// invariant that scope-local liveness rests on does not hold for them,
+/// Whether every §5.3 query reads a fresh whole-function solve instead
+/// of walking the region against the pass-level solve: under the
+/// reference hot paths (the full-solve oracle), and under the
+/// planted-fault switches, whose motions are illegal by design — the
+/// region-boundary invariant the walk rests on does not hold for them,
 /// and the planted fault must surface as a wrong schedule for the
-/// differential fuzzer, exactly as before liveness went scope-local.
+/// differential fuzzer, not as a stale answer.
 fn whole_function_liveness(config: &SchedConfig) -> bool {
     config.reference_hot_paths
         || config.inject_skip_live_on_exit
@@ -312,8 +311,15 @@ struct RegionPass<'a, O: SchedObserver> {
     /// Current region-graph node index of every scope instruction
     /// (dense by inst id; [`NO_NODE`] outside the scope).
     inst_node: Vec<u32>,
-    /// The region's liveness, over its subtree's blocks (ascending).
-    liveness: RegionLiveness,
+    /// The pass's whole-function liveness: exact at the region's exits
+    /// for the whole pass (the region-boundary invariant).
+    pass_live: &'a Liveness,
+    /// The region's subtree's blocks, ascending.
+    scope: Vec<BlockId>,
+    /// The reference solve [`RegionPass::check_boundary`] made at the
+    /// last commit, which every query is checked against; `None` when
+    /// the checks are off.
+    reference: Option<Liveness>,
     scratch: Scratch,
     stats: &'a mut SchedStats,
     obs: &'a mut O,
@@ -559,10 +565,7 @@ impl<O: SchedObserver> PassHooks<PriorityKey> for BlockPass<'_, '_, O> {
                         .collect(),
                 });
             }
-            // The join, A, and every sibling changed code: more than the
-            // single source/target pair a motion repair models, so the
-            // whole scope re-summarizes.
-            pass.refresh_liveness(f, None);
+            pass.check_boundary(f, || format!("after duplicating {} into {a}", cand.id));
         } else {
             if enabled {
                 pass.obs.event(TraceEvent::Moved {
@@ -591,10 +594,9 @@ impl<O: SchedObserver> PassHooks<PriorityKey> for BlockPass<'_, '_, O> {
             } else {
                 pass.stats.moved_speculative += 1;
             }
-            // §5.3: liveness must be updated after each motion. Only A
-            // and the home block changed code (any rename done by
-            // `speculation_allowed` also touched only the home block).
-            pass.refresh_liveness(f, Some((cand.id, cand.home, a)));
+            pass.check_boundary(f, || {
+                format!("after moving {} from {} into {a}", cand.id, cand.home)
+            });
         }
         Commit::Issue
     }
@@ -1173,49 +1175,70 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         self.scratch.place_time[cand.id.index()] = self.scratch.place_time[j.index()];
         self.placed.insert(cand.id.index());
         self.stats.dup_copies_deduped += 1;
-        self.refresh_liveness(f, None);
+        self.check_boundary(f, || format!("after folding {} into {a}", cand.id));
         true
     }
 
-    /// Brings the region's liveness up to date after a commit changed
-    /// code: `Some((inst, from, to))` for one motion, `None` for commits
-    /// touching more blocks (duplication, the dedup fold), which
-    /// re-summarize the whole scope. The reference hot paths (see
-    /// [`whole_function_liveness`]) re-seed from a fresh whole-function
-    /// solve instead of repairing.
-    fn refresh_liveness(&mut self, f: &Function, motion: Option<(InstId, BlockId, BlockId)>) {
-        if whole_function_liveness(self.config) {
-            let full = Liveness::compute(f, self.cfg);
-            self.stats.liveness_full += 1;
-            self.liveness = RegionLiveness::seed(f, self.cfg, self.liveness.blocks(), &full);
-        } else {
-            match motion {
-                Some((_, from, to)) => self.liveness.update_after_motion(f, to, from),
-                None => self.liveness.resummarize(f),
-            }
-            self.stats.liveness_incremental += 1;
-        }
-        self.check_liveness(f, || match motion {
-            Some((id, from, to)) => format!("after moving {id} from {from} into {to}"),
-            None => "after a duplication commit".to_owned(),
-        });
-    }
-
     /// The differential behind the region-boundary invariant (stated in
-    /// `gis_pdg`'s liveness module): under debug builds and the
-    /// [`SchedConfig::verify_each_pass`] gate, every scope block's sets
-    /// must match a whole-function solve on every register the region
-    /// names.
-    fn check_liveness(&self, f: &Function, when: impl FnOnce() -> String) {
-        if cfg!(debug_assertions) || self.config.verify_each_pass.is_some() {
-            let full = Liveness::compute(f, self.cfg);
-            if let Some(diff) = self.liveness.mismatch_with(&full) {
-                panic!(
-                    "region liveness diverged from a whole-function solve {}: {diff}",
+    /// `gis_pdg`'s liveness module), at the region's start and after every
+    /// commit under debug builds and the [`SchedConfig::verify_each_pass`]
+    /// gate: a fresh reference solve of the current function must agree
+    /// with the pass solve on the live-ins of every exit successor, on
+    /// every register the region names. That solve then checks every
+    /// query until the next commit. Skipped under
+    /// [`whole_function_liveness`], whose queries read fresh solves.
+    fn check_boundary(&mut self, f: &Function, when: impl FnOnce() -> String) {
+        let (config, cfg, scope) = (self.config, self.cfg, &self.scope);
+        if !(cfg!(debug_assertions) || config.verify_each_pass.is_some())
+            || whole_function_liveness(config)
+        {
+            return;
+        }
+        let fresh = Liveness::compute_reference(f, cfg);
+        let mut named: Vec<Reg> = scope
+            .iter()
+            .flat_map(|&b| f.block(b).insts())
+            .flat_map(|i| i.op.uses().into_iter().chain(i.op.defs()))
+            .collect();
+        named.sort();
+        named.dedup();
+        let exits = scope.iter().flat_map(|&b| cfg.block_succs(b));
+        for s in exits.filter(|s| scope.binary_search(s).is_err()) {
+            for &r in &named {
+                assert_eq!(
+                    self.pass_live.live_in_contains(s, r),
+                    fresh.live_in_contains(s, r),
+                    "live-in of exit {s} on {r} went stale {}",
                     when()
                 );
             }
         }
+        self.reference = Some(fresh);
+    }
+
+    /// Whether `r` is live on exit from scope block `b` in `f`'s current
+    /// code: §5.3's one question, asked of the target block (would a
+    /// speculated definition clobber a live value?) and of the home block
+    /// (does a renamable du-chain end there?). The walk
+    /// ([`Liveness::walk_live_out`]) answers, checked against the kept
+    /// reference solve when [`Self::check_boundary`] made one; under
+    /// [`whole_function_liveness`] a fresh whole-function solve answers.
+    fn live_out(&mut self, f: &Function, b: BlockId, r: Reg) -> bool {
+        let cfg = self.cfg;
+        if whole_function_liveness(self.config) {
+            self.stats.liveness_full += 1;
+            return Liveness::compute_reference(f, cfg).live_out_contains(cfg, b, r);
+        }
+        self.stats.liveness_incremental += 1;
+        let live = self.pass_live.walk_live_out(f, cfg, &self.scope, b, r);
+        if let Some(reference) = &self.reference {
+            let want = reference.live_out_contains(cfg, b, r);
+            assert_eq!(
+                live, want,
+                "live-out of {b} on {r} diverged from a full solve"
+            );
+        }
+        live
     }
 
     /// §5.3 gate for a speculative candidate, with the renaming escape.
@@ -1226,7 +1249,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         let clobbered: Vec<Reg> = op
             .defs()
             .into_iter()
-            .filter(|&r| self.liveness.live_out_contains(a, r))
+            .filter(|&r| self.live_out(f, a, r))
             .collect();
         if clobbered.is_empty() {
             return true;
@@ -1281,7 +1304,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
 
     /// Whether the du-chain of the definition of `r` at `(bid, pos)` is
     /// contained in `bid` (see [`RegionPass::speculation_allowed`]).
-    fn chain_is_local(&self, f: &Function, bid: BlockId, pos: usize, r: Reg) -> bool {
+    fn chain_is_local(&mut self, f: &Function, bid: BlockId, pos: usize, r: Reg) -> bool {
         for inst in f.block(bid).insts().skip(pos + 1) {
             // An update-form base both uses and defines `r` in one field;
             // the chain cannot be renamed apart from its successor.
@@ -1292,6 +1315,6 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                 return true; // redefined before block end: chain is local
             }
         }
-        !self.liveness.live_out_contains(bid, r)
+        !self.live_out(f, bid, r)
     }
 }

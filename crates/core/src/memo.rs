@@ -9,10 +9,11 @@
 //! the machine description and the configuration — and, under
 //! duplication, the recorded origin of every scope instruction, which
 //! the dedup fold reads. The exit live-ins are read from the global
-//! pass's one whole-function liveness solve: the very sets the scheduler
-//! seeds the region's liveness from, which stay exact for the whole pass
-//! by the region-boundary invariant stated in `gis_pdg`'s liveness
-//! module. This module keys on exactly those inputs —
+//! pass's one whole-function liveness solve: the very lists the
+//! scheduler's §5.3 query answers from once a path leaves the region,
+//! which stay exact for the whole pass by the region-boundary invariant
+//! stated in `gis_pdg`'s liveness module. They iterate in `RegSet`'s
+//! `(class, index)` order. This module keys on exactly those inputs —
 //! [`gis_ir::canon_region`] chained with the
 //! [fingerprints](crate::fingerprint) — plus one byte saying whether the
 //! outcome carries trace events, and stores the outcome.
@@ -166,7 +167,7 @@ fn memo_key(pass: &GlobalPass, f: &Function, rid: RegionId, tracing: bool) -> Op
     h.write_u32(exits.len() as u32);
     for &b in &exits {
         h.write_u32(b.index() as u32);
-        for r in pass.live.live_in(b).iter() {
+        for &r in pass.live.live_in(b) {
             h.write_u8(class_slot(r.class()) as u8);
             h.write_u32(r.index());
         }

@@ -41,10 +41,11 @@
 //! their turn.
 //!
 //! Every task reads the same pass-level liveness: one whole-function
-//! solve on the pre-pass function, from which each region seeds its own
-//! scope-local sets. A *legal* motion in another task can never change
-//! the facts a task consumes — the region-boundary invariant stated (and
-//! checked) in `gis_pdg`'s liveness module. The differential tests in
+//! solve on the pre-pass function, whose live-ins answer a region's
+//! §5.3 queries wherever a path leaves the region. A *legal* motion in
+//! another task can never change the facts a task consumes — the
+//! region-boundary invariant stated (and checked) in `gis_pdg`'s
+//! liveness module. The differential tests in
 //! `tests/parallel_determinism.rs` verify the equivalence end-to-end on
 //! every workload.
 
@@ -80,10 +81,10 @@ pub(crate) struct GlobalPass<'a> {
     pub(crate) tree: &'a RegionTree,
     pub(crate) config: &'a SchedConfig,
     /// The pass's one whole-function liveness solve, on the pre-pass
-    /// function. Every region seeds its scope-local liveness from the
-    /// live-ins of its exit successors here, and the memo keys on the
-    /// same sets: legal motions never change them (the region-boundary
-    /// invariant in `gis_pdg`'s liveness module).
+    /// function. Every region's §5.3 queries read the live-ins of its
+    /// exit successors here, and the memo keys on the same lists: legal
+    /// motions never change them (the region-boundary invariant in
+    /// `gis_pdg`'s liveness module).
     pub(crate) live: Liveness,
 }
 

@@ -43,12 +43,13 @@ pub struct SchedStats {
     /// Data dependence edges surviving `gis_pdg::DataDeps::reduce`'s
     /// latency-redundancy elimination.
     pub dep_edges_reduced: usize,
-    /// Region-local liveness repairs after a motion, a duplication
-    /// commit or a dedup fold (fixed point over the region's blocks).
+    /// §5.3 live-on-exit queries answered by walking the region's
+    /// current code (`gis_pdg::Liveness::walk_live_out`), which reads the
+    /// pass solve only where a path leaves the region.
     pub liveness_incremental: usize,
     /// Whole-function liveness solves: one per global pass (one per call
-    /// of `schedule_region` on its own), plus one per region and per
-    /// commit when the reference hot paths are selected.
+    /// of `schedule_region` on its own), plus one per §5.3 query when the
+    /// reference hot paths are selected.
     pub liveness_full: usize,
     /// Per-region scratch buffer bundles allocated by the global
     /// scheduler.

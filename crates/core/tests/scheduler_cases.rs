@@ -357,8 +357,9 @@ J:
 }
 
 /// A global pass solves whole-function liveness once, however many
-/// regions it schedules: every region seeds and repairs sets over its own
-/// blocks from that one solve. At `jobs 2` the pass's workers share it.
+/// regions it schedules: every region's §5.3 queries walk its own code
+/// and read that one solve where a path leaves the region. At `jobs 2`
+/// the pass's workers share it.
 #[test]
 fn liveness_is_solved_once_per_global_pass() {
     let w = gis_workloads::synth::many_loops_preset("many-loops-m").expect("preset");
@@ -375,7 +376,10 @@ fn liveness_is_solved_once_per_global_pass() {
         "{} regions scheduled",
         stats.regions_scheduled
     );
-    assert!(stats.liveness_incremental > 0, "motions repair in place");
+    assert!(
+        stats.liveness_incremental > 0,
+        "§5.3 queries walk the region's code"
+    );
 }
 
 // --- Ready-list states --------------------------------------------------

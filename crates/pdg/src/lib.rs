@@ -32,5 +32,5 @@ pub mod webs;
 
 pub use control::{cspdg_to_dot, cspdg_to_dot_with, duplication_pred_set, Cspdg};
 pub use data::{DataDep, DataDeps, DepKind};
-pub use liveness::{Liveness, RegionLiveness};
+pub use liveness::Liveness;
 pub use pressure::{register_pressure, PressureReport};

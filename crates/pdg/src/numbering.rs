@@ -1,10 +1,12 @@
-//! The version-stamped register table shared by region liveness and web
-//! renaming.
+//! The version-stamped register table of web renaming, and the class
+//! order register tables share.
 
 use gis_ir::{Reg, RegClass};
 use std::cell::Cell;
 
-fn class_slot(class: RegClass) -> usize {
+/// A register class's slot in per-class tables, in `(class, index)`
+/// order.
+pub(crate) fn class_slot(class: RegClass) -> usize {
     match class {
         RegClass::Gpr => 0,
         RegClass::Fpr => 1,
@@ -14,9 +16,8 @@ fn class_slot(class: RegClass) -> usize {
 
 /// Register → `u32`, *version-stamped* like the sweep tables of
 /// `DataDeps::build`: an entry belongs to the current scope only when
-/// its stamp matches the table's version, so starting a scope (a
-/// region for [`RegionLiveness`](crate::RegionLiveness), a block for
-/// [`rename_webs`](crate::webs::rename_webs)) never clears or sizes
+/// its stamp matches the table's version, so starting a scope (a block
+/// for [`rename_webs`](crate::webs::rename_webs)) never clears or sizes
 /// anything by the function's register count. One table per thread,
 /// lent out with [`take`](Self::take) and handed back with
 /// [`give_back`](Self::give_back).

@@ -267,7 +267,7 @@ fn boundaries(f: &Function, cfg: &Cfg, live: &Liveness) -> (Vec<usize>, Vec<Reg>
     while changed {
         changed = false;
         for &b in &unreachable {
-            for r in live.live_in(b).iter() {
+            for &r in live.live_in(b) {
                 let reaches =
                     |p: BlockId| defined[p.index()].contains(r) || reached[p.index()].contains(r);
                 if !reached[b.index()].contains(r)
@@ -287,7 +287,7 @@ fn boundaries(f: &Function, cfg: &Cfg, live: &Liveness) -> (Vec<usize>, Vec<Reg>
     for b in f.block_ids() {
         start.push(regs.len());
         if reachable[b.index()] {
-            regs.extend(live.live_in(b).iter());
+            regs.extend_from_slice(live.live_in(b));
         } else {
             regs.extend(reached[b.index()].iter());
         }
@@ -356,7 +356,7 @@ pub fn rename_webs_reference(f: &mut Function, cfg: &Cfg) -> RenameStats {
     let entry = BlockId::new(0);
     let mut entry_env: HashMap<Reg, HashSet<usize>> = HashMap::new();
     for &r in &regs {
-        if live.live_in(entry).contains(r) {
+        if live.live_in_contains(entry, r) {
             entry_env.insert(r, HashSet::from([entry_site(r)]));
         }
     }
@@ -370,7 +370,7 @@ pub fn rename_webs_reference(f: &mut Function, cfg: &Cfg) -> RenameStats {
                 env.insert(d, HashSet::from([site_of[&(bid, pos, d)]]));
             }
         }
-        let out_live = live.live_out(bid);
+        let out_live = live.live_out(cfg, bid);
         env.retain(|&r, _| out_live.contains(r));
         env
     };
@@ -388,7 +388,7 @@ pub fn rename_webs_reference(f: &mut Function, cfg: &Cfg) -> RenameStats {
             for e in cfg.preds(NodeId::block(bid)) {
                 if let Some(p) = e.to.as_block() {
                     for (r, ss) in &rd_out[p.index()] {
-                        if live.live_in(bid).contains(*r) {
+                        if live.live_in_contains(bid, *r) {
                             inn.entry(*r).or_default().extend(ss.iter().copied());
                         }
                     }

@@ -3,7 +3,8 @@
 //! * the paper's practical equivalence test (identical control
 //!   dependences) agrees with Definition 3 (dominance + postdominance) on
 //!   every reducible region;
-//! * block liveness matches a per-register brute-force path search;
+//! * block liveness, sparse and dense, matches a per-register
+//!   brute-force path search, unreachable blocks included;
 //! * §4.2 renaming leaves every use reached by the same definitions,
 //!   found by a brute-force backward path search;
 //! * redundant-edge elimination preserves the pairwise longest
@@ -95,23 +96,38 @@ fn identical_cd_agrees_with_definition_3() {
 
 #[test]
 fn liveness_matches_per_register_search() {
-    for_random_functions(|f| {
+    // Half the cases jump over blocks, leaving some unreachable: both
+    // solves must cover those too.
+    for (seed, jumps) in (0..128u64).flat_map(|s| [(s, false), (s, true)]) {
+        let f = &arb_function(&mut XorShift64Star::new(seed), jumps);
         let cfg = Cfg::new(f);
         let live = Liveness::compute(f, &cfg);
+        assert_eq!(
+            live,
+            Liveness::compute_reference(f, &cfg),
+            "sparse vs dense\n{f}"
+        );
         // Oracle: r is live out of b iff some successor path reaches a
         // use of r before any redefinition.
         let regs: Vec<Reg> = f.all_regs();
         for (bid, _) in f.blocks() {
+            let out = live.live_out(&cfg, bid);
             for &r in &regs {
                 let expected = live_out_brute(f, &cfg, bid, r);
+                assert_eq!(out.contains(r), expected, "live_out({bid}) for {r}\n{f}");
                 assert_eq!(
-                    live.live_out(bid).contains(r),
+                    live.live_out_contains(&cfg, bid, r),
                     expected,
-                    "live_out({bid}) for {r}\n{f}"
+                    "live_out_contains({bid}) for {r}\n{f}"
+                );
+                assert_eq!(
+                    live.live_in_contains(bid, r),
+                    live_in_brute(f, &cfg, bid, r),
+                    "live_in({bid}) for {r}\n{f}"
                 );
             }
         }
-    });
+    }
 }
 
 #[test]
@@ -156,6 +172,20 @@ fn reduction_preserves_longest_separations() {
         let sep_reduced = all_pairs_longest(&reduced, &ids);
         assert_eq!(sep_full, sep_reduced, "separations changed\n{f}");
     });
+}
+
+/// Brute-force live-in: `b` reads `r` before writing it, or writes it
+/// nowhere and `r` is live out of `b`.
+fn live_in_brute(f: &Function, cfg: &Cfg, b: BlockId, r: Reg) -> bool {
+    for inst in f.block(b).insts() {
+        if inst.op.uses().contains(&r) {
+            return true;
+        }
+        if inst.op.defs().contains(&r) {
+            return false;
+        }
+    }
+    live_out_brute(f, cfg, b, r)
 }
 
 /// Brute-force live-out: BFS over paths from each successor of `b`.

@@ -34,7 +34,10 @@ use gis_core::SchedStats;
 
 /// The scheduler's performance counters as metric name/value pairs —
 /// the same names `gisc --metrics` prints for one-shot compiles, so
-/// daemon metrics and CLI metrics line up.
+/// daemon metrics and CLI metrics line up. `perf.liveness-full` counts
+/// whole-function liveness solves (one per global pass);
+/// `perf.liveness-incremental` counts §5.3 live-on-exit queries answered
+/// by walking the region's own code.
 pub fn perf_counters(stats: &SchedStats) -> [(&'static str, u64); 6] {
     [
         ("perf.dep-edges", stats.dep_edges as u64),

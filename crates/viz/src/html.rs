@@ -136,7 +136,8 @@ pub struct ScheduleReport<'a> {
     pub cycles: Option<(u64, u64)>,
     /// Extra named counters folded into the metrics section — the
     /// driver passes the scheduler's perf counters (dependence edges
-    /// built, incremental vs full liveness repairs, scratch reuse) and
+    /// built, whole-function liveness solves and §5.3 liveness queries,
+    /// scratch reuse) and
     /// the region memo's `cache.region.*` counters, none of which are
     /// derived from trace events. Empty leaves the section
     /// event-derived only.

@@ -289,6 +289,9 @@ fn parse_args() -> Options {
 /// metrics registry — surfaced by `--metrics` and the HTML report's
 /// metrics section. The `perf.` prefix keeps them grouped (and apart from
 /// the event-derived counters) in the sorted registry listing.
+/// `perf.liveness-full` counts whole-function liveness solves (one per
+/// global pass); `perf.liveness-incremental` counts §5.3 live-on-exit
+/// queries answered by walking the region's own code.
 fn perf_counters(stats: &SchedStats) -> [(&'static str, u64); 6] {
     [
         ("perf.dep-edges", stats.dep_edges as u64),
