@@ -3,12 +3,20 @@
 //! behaviour ([`ExecOutcome::equivalent`]: output trace + final memory;
 //! registers are deliberately excluded — renaming and speculation
 //! legitimately change dead ones).
+//!
+//! Every column compiles with [`check_pass`] plugged in as the per-pass
+//! verifier, so structural violations surface even when the schedule
+//! happens to behave. Plugging it in also arms the scheduler's oracle
+//! checks in release builds ([`TestHooks::armed`]): every dependence
+//! graph, ready-list pick, §5.3 liveness answer and region memo hit is
+//! checked against its oracle as it is made.
 
 use crate::verify::check_pass;
-use gis_core::{compile, SchedConfig};
+use gis_core::{compile_with_hooks, Fault, SchedConfig, TestHooks};
 use gis_ir::Function;
 use gis_machine::MachineDescription;
 use gis_sim::{execute, ExecConfig, ExecOutcome};
+use gis_trace::NopObserver;
 use std::fmt;
 
 /// One column of the differential matrix: a labelled scheduling
@@ -21,32 +29,36 @@ pub struct DiffConfig {
     pub sched: SchedConfig,
     /// The machine model to schedule for.
     pub machine: MachineDescription,
+    /// A miscompile to plant, for proving the oracle catches one
+    /// (`None` in every standard matrix).
+    pub fault: Option<Fault>,
+}
+
+impl DiffConfig {
+    fn new(label: String, sched: SchedConfig, machine: MachineDescription) -> Self {
+        DiffConfig {
+            label,
+            sched,
+            machine,
+            fault: None,
+        }
+    }
 }
 
 /// The standard matrix: full speculative scheduling across `jobs` 1, 4
 /// and 0 (one worker per CPU) — the parallel determinism surface — plus a
-/// useful-only column. Every column runs with
-/// [`check_pass`] plugged into `verify_each_pass`, so structural
-/// violations surface even when the schedule happens to behave.
+/// useful-only column.
 pub fn jobs_matrix() -> Vec<DiffConfig> {
     let mut out = Vec::new();
     for jobs in [1usize, 4, 0] {
         let mut sched = SchedConfig::speculative();
         sched.jobs = jobs;
-        sched.verify_each_pass = Some(check_pass);
-        out.push(DiffConfig {
-            label: format!("spec/jobs={jobs}"),
-            sched,
-            machine: MachineDescription::rs6k(),
-        });
+        let label = format!("spec/jobs={jobs}");
+        out.push(DiffConfig::new(label, sched, MachineDescription::rs6k()));
     }
-    let mut useful = SchedConfig::useful();
-    useful.verify_each_pass = Some(check_pass);
-    out.push(DiffConfig {
-        label: "useful/jobs=1".to_owned(),
-        sched: useful,
-        machine: MachineDescription::rs6k(),
-    });
+    let useful = SchedConfig::useful();
+    let label = "useful/jobs=1".to_owned();
+    out.push(DiffConfig::new(label, useful, MachineDescription::rs6k()));
     out
 }
 
@@ -55,9 +67,9 @@ pub fn jobs_matrix() -> Vec<DiffConfig> {
 /// merge renumbering is part of the surface under test) and speculation
 /// depth {1, 2} branches (Definition 7 interacts with which blocks are
 /// already candidates and hence ineligible for duplication). All
-/// columns run speculative scheduling with [`check_pass`] plugged in,
-/// so an unrecorded copy or a lost twin fails structurally even when
-/// the schedule happens to behave.
+/// columns run speculative scheduling; [`check_pass`] makes an
+/// unrecorded copy or a lost twin fail structurally even when the
+/// schedule happens to behave.
 pub fn duplication_matrix() -> Vec<DiffConfig> {
     let mut out = Vec::new();
     for dup in [false, true] {
@@ -67,15 +79,9 @@ pub fn duplication_matrix() -> Vec<DiffConfig> {
                 sched.duplication = dup;
                 sched.jobs = jobs;
                 sched.max_speculation_branches = branches;
-                sched.verify_each_pass = Some(check_pass);
-                out.push(DiffConfig {
-                    label: format!(
-                        "dup={}/jobs={jobs}/branches={branches}",
-                        if dup { "on" } else { "off" }
-                    ),
-                    sched,
-                    machine: MachineDescription::rs6k(),
-                });
+                let on = if dup { "on" } else { "off" };
+                let label = format!("dup={on}/jobs={jobs}/branches={branches}");
+                out.push(DiffConfig::new(label, sched, MachineDescription::rs6k()));
             }
         }
     }
@@ -96,12 +102,8 @@ pub fn wide_machine_matrix() -> Vec<DiffConfig> {
             let mut sched = SchedConfig::speculative();
             sched.duplication = dup;
             sched.jobs = jobs;
-            sched.verify_each_pass = Some(check_pass);
-            out.push(DiffConfig {
-                label: format!("issue8/dup={}/jobs={jobs}", if dup { "on" } else { "off" }),
-                sched,
-                machine: MachineDescription::issue8(),
-            });
+            let label = format!("issue8/dup={}/jobs={jobs}", if dup { "on" } else { "off" });
+            out.push(DiffConfig::new(label, sched, MachineDescription::issue8()));
         }
     }
     out
@@ -113,9 +115,8 @@ pub fn wide_machine_matrix() -> Vec<DiffConfig> {
 /// and a stale or mis-keyed entry shows up here as a divergence between
 /// the memo-on and memo-off columns. The memo is process-global, so
 /// within one fuzz run later iterations schedule against a cache warmed
-/// by earlier ones — exactly the aliasing surface worth fuzzing. All
-/// columns also run the memo's own splice-verification gate via
-/// [`check_pass`].
+/// by earlier ones — exactly the aliasing surface worth fuzzing. The
+/// armed checks also re-schedule every hit and compare.
 pub fn memo_matrix() -> Vec<DiffConfig> {
     let mut out = Vec::new();
     for memo in [false, true] {
@@ -123,12 +124,8 @@ pub fn memo_matrix() -> Vec<DiffConfig> {
             let mut sched = SchedConfig::speculative();
             sched.region_memo = memo;
             sched.jobs = jobs;
-            sched.verify_each_pass = Some(check_pass);
-            out.push(DiffConfig {
-                label: format!("memo={}/jobs={jobs}", if memo { "on" } else { "off" }),
-                sched,
-                machine: MachineDescription::rs6k(),
-            });
+            let label = format!("memo={}/jobs={jobs}", if memo { "on" } else { "off" });
+            out.push(DiffConfig::new(label, sched, MachineDescription::rs6k()));
         }
     }
     out
@@ -184,7 +181,8 @@ impl CaseResult {
 }
 
 /// Runs `f` through the oracle: interpret unscheduled as the reference,
-/// then compile + interpret under every matrix column and compare.
+/// then compile (with [`check_pass`] plugged in) and interpret under
+/// every matrix column and compare.
 pub fn run_case(
     f: &Function,
     memory: &[(i64, i64)],
@@ -197,7 +195,13 @@ pub fn run_case(
     };
     for column in matrix {
         let mut scheduled = f.clone();
-        if let Err(e) = compile(&mut scheduled, &column.machine, &column.sched) {
+        let hooks = TestHooks {
+            verifier: Some(check_pass),
+            fault: column.fault,
+        };
+        let (machine, sched) = (&column.machine, &column.sched);
+        if let Err(e) = compile_with_hooks(&mut scheduled, machine, sched, &hooks, &mut NopObserver)
+        {
             return CaseResult::Diverged(Divergence {
                 config: column.label.clone(),
                 detail: format!("compile failed: {e}"),
@@ -261,7 +265,7 @@ mod tests {
         .expect("parses");
         let mut matrix = jobs_matrix();
         for c in &mut matrix {
-            c.sched.inject_skip_live_on_exit = true;
+            c.fault = Some(Fault::SkipLiveOnExit);
             c.sched.speculative_renaming = false;
         }
         let result = run_case(&f, &[], &matrix, &ExecConfig::default());

@@ -12,8 +12,8 @@
 //!   [`Function::verify`](gis_ir::Function::verify): CFG well-formedness,
 //!   register-class consistency, and use-before-def along dominators;
 //!   [`check_pass`] additionally enforces §4.1 region confinement between
-//!   pipeline passes via the
-//!   [`SchedConfig::verify_each_pass`](gis_core::SchedConfig) debug gate;
+//!   pipeline passes, plugged in as the
+//!   [`TestHooks::verifier`](gis_core::TestHooks);
 //! * [`run_fuzz`] — a differential oracle that interprets
 //!   each generated function before and after scheduling (across a matrix
 //!   of configurations, including `jobs` 1/4/0) and, on divergence,

@@ -16,7 +16,7 @@
 //!
 //! [`check_pass`] packages both as a
 //! [`PassVerifier`](gis_core::PassVerifier) suitable for
-//! `SchedConfig::verify_each_pass`.
+//! [`TestHooks::verifier`](gis_core::TestHooks).
 
 use gis_cfg::{Cfg, DomTree, LoopForest, NodeId, RegionTree};
 use gis_ir::{BlockId, Function, InstId, Reg};
@@ -299,10 +299,10 @@ pub fn verify_region_confinement(
 }
 
 /// A [`PassVerifier`](gis_core::PassVerifier) for
-/// `SchedConfig::verify_each_pass`: after every pipeline pass, re-runs
-/// the IR-level verifier, rejects *newly introduced* use-before-def
-/// violations, and — for the two global passes — enforces §4.1 region
-/// confinement. The final basic-block pass must additionally leave every
+/// [`TestHooks::verifier`](gis_core::TestHooks): after every pipeline
+/// pass, re-runs the IR-level verifier, rejects *newly introduced*
+/// use-before-def violations, and — for the two global passes — enforces
+/// §4.1 region confinement. The final basic-block pass must additionally leave every
 /// block's instruction *set* untouched (it only reorders within blocks).
 ///
 /// # Errors

@@ -1,5 +1,5 @@
 //! Self-test by mutation: plant a miscompile in the scheduler (skip the
-//! §5.3 live-on-exit guard via `SchedConfig::inject_skip_live_on_exit`)
+//! §5.3 live-on-exit guard via `Fault::SkipLiveOnExit`)
 //! and assert the differential fuzzer catches it within a bounded number
 //! of iterations, then that the minimizer produces a verifier-clean
 //! reproducer that still witnesses the fault — and only the fault: the
@@ -9,6 +9,7 @@ use gis_check::{
     duplication_matrix, jobs_matrix, parse_reproducer, run_case, run_fuzz, verify_function,
     CaseResult, DiffConfig,
 };
+use gis_core::Fault;
 use gis_sim::ExecConfig;
 
 /// Bound on how many fuzz iterations the planted fault may hide for.
@@ -22,7 +23,7 @@ const MAX_ITERS: u64 = 200;
 fn faulty_matrix() -> Vec<DiffConfig> {
     let mut matrix = jobs_matrix();
     for c in &mut matrix {
-        c.sched.inject_skip_live_on_exit = true;
+        c.fault = Some(Fault::SkipLiveOnExit);
         c.sched.speculative_renaming = false;
         c.label = format!("faulty/{}", c.label);
     }
@@ -78,14 +79,14 @@ fn fuzzer_catches_the_planted_miscompile_and_minimizes_it() {
 }
 
 /// The duplication columns with the predecessor guard disabled
-/// (`SchedConfig::inject_skip_dup_pred_check`): copies land above
+/// (`Fault::SkipDupPredCheck`): copies land above
 /// conditional branches, so a path that branches away from the join
 /// executes the copy anyway — a live-range that was never isolated.
 fn dup_faulty_matrix() -> Vec<DiffConfig> {
     let mut matrix = duplication_matrix();
     matrix.retain(|c| c.sched.duplication);
     for c in &mut matrix {
-        c.sched.inject_skip_dup_pred_check = true;
+        c.fault = Some(Fault::SkipDupPredCheck);
         c.label = format!("faulty/{}", c.label);
     }
     matrix

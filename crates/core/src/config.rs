@@ -1,4 +1,4 @@
-//! Scheduling configuration.
+//! Scheduling configuration, and the test hooks that stay out of it.
 
 use gis_ir::Function;
 use gis_trace::Pass;
@@ -12,8 +12,55 @@ use gis_trace::Pass;
 /// well-formedness, use-before-def along dominators, §4.1 region
 /// confinement): `gis-core` cannot depend on `gis-check` — the checker
 /// drives the scheduler — so the verifier is injected as a plain function
-/// pointer via [`SchedConfig::verify_each_pass`].
+/// pointer via [`TestHooks::verifier`].
 pub type PassVerifier = fn(Pass, &Function, &Function) -> Result<(), String>;
+
+/// A planted miscompile, for proving that the differential fuzzer
+/// catches scheduler bugs (`gis-check`'s mutation self-test). Never
+/// plant one outside tests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// Skip the §5.3 live-on-exit guard for speculative motion, so a
+    /// speculated definition may clobber a live register.
+    SkipLiveOnExit,
+    /// Skip the duplication guard requiring every sibling predecessor to
+    /// fall through into the join unconditionally, so copies land above
+    /// conditional branches and clobber registers on the untaken path (a
+    /// copy placed without its live range being isolated).
+    SkipDupPredCheck,
+}
+
+/// What tests and the fuzzer plug into a compile, through
+/// [`compile_with_hooks`](crate::compile_with_hooks); [`compile`](crate::compile)
+/// and [`compile_observed`](crate::compile_observed) run with none.
+///
+/// Plugging in a verifier also arms the scheduler's oracle checks in
+/// release builds (debug builds always arm them, see
+/// [`TestHooks::armed`]). A planted fault makes the compile bypass the
+/// region memo and skip the region-boundary liveness check, whose
+/// invariant its illegal motions break: the fault must surface as a
+/// wrong schedule, not as a failed assertion.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TestHooks {
+    /// Run this verifier between every pipeline pass. The pipeline
+    /// snapshots the function before each pass so the verifier can also
+    /// check *relative* invariants such as region confinement.
+    pub verifier: Option<PassVerifier>,
+    /// Plant this miscompile.
+    pub fault: Option<Fault>,
+}
+
+impl TestHooks {
+    /// Whether every fast-path decision is checked against its quadratic
+    /// oracle as it is made: each region's sweep dependence graph against
+    /// the all-pairs builder, each ready-list pick against a full rescan,
+    /// each §5.3 answer and the region boundary against a fresh reference
+    /// liveness solve, and each region memo hit against a re-schedule.
+    /// True in debug builds and whenever a verifier is plugged in.
+    pub fn armed(&self) -> bool {
+        cfg!(debug_assertions) || self.verifier.is_some()
+    }
+}
 
 /// How far instructions may move (§5.1's "levels of scheduling").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,45 +153,12 @@ pub struct SchedConfig {
     /// scheduling. Output is bit-identical either way — a hit replays the
     /// recorded order, renames, duplication copies, statistics and trace
     /// events, renumbered onto the current allocators, and a differential
-    /// gate re-schedules on hit under `verify_each_pass`/debug builds.
-    /// On by default; the benchmark harness turns it off to measure cold
-    /// paths honestly. Memoization self-disables for configurations it
-    /// cannot prove bit-identical (profiles, reference paths, fault
-    /// injection).
+    /// gate re-schedules on hit under the armed checks
+    /// ([`TestHooks::armed`]). On by default; the benchmark harness turns
+    /// it off to measure cold paths honestly. Memoization self-disables
+    /// for what it cannot prove bit-identical (branch profiles, and a
+    /// planted [`Fault`]).
     pub region_memo: bool,
-    /// Debug gate: run this verifier between every pipeline pass (`None`,
-    /// the default, checks nothing and costs nothing). The pipeline
-    /// snapshots the function before each pass so the verifier can also
-    /// check *relative* invariants such as region confinement. See
-    /// [`PassVerifier`].
-    pub verify_each_pass: Option<PassVerifier>,
-    /// Use the original quadratic analysis implementations — the
-    /// all-pairs dependence builder and a fresh dense whole-function
-    /// liveness solve for every §5.3 query — instead of the sweep
-    /// builder and the query that walks the region against one sparse
-    /// solve per global pass, and check every global pick
-    /// of the ready-list scheduler against a full rescan of the
-    /// candidates (as debug builds always do). Output is bit-identical
-    /// either way (the fast paths were derived to preserve it, and the
-    /// differential tests pin it); this switch exists so the benchmark
-    /// harness can measure the speedup honestly and so a regression can
-    /// be bisected to the hot-path rewrite in the field.
-    pub reference_hot_paths: bool,
-    /// **Fault injection — test harness use only.** When true, the §5.3
-    /// live-on-exit guard for speculative motion is deliberately skipped,
-    /// planting a known miscompile. `gis-check`'s self-test flips this to
-    /// prove the differential fuzzer actually catches scheduler bugs.
-    /// Never enable outside tests.
-    pub inject_skip_live_on_exit: bool,
-    /// **Fault injection — test harness use only.** When true, the
-    /// duplication guard requiring every sibling predecessor to fall
-    /// through into the join unconditionally is skipped, so copies land
-    /// above conditional branches and clobber registers on the untaken
-    /// path — a planted duplication miscompile (a copy placed without its
-    /// live range being isolated). `gis-check`'s self-test flips this to
-    /// prove the differential fuzzer catches duplication bugs. Never
-    /// enable outside tests.
-    pub inject_skip_dup_pred_check: bool,
 }
 
 impl SchedConfig {
@@ -185,10 +199,6 @@ impl SchedConfig {
             duplication: false,
             jobs: 1,
             region_memo: true,
-            verify_each_pass: None,
-            reference_hot_paths: false,
-            inject_skip_live_on_exit: false,
-            inject_skip_dup_pred_check: false,
         }
     }
 

@@ -65,12 +65,11 @@ pub fn write_machine_fingerprint(h: &mut Fnv64, machine: &MachineDescription) {
 
 /// Feeds every output-relevant scheduling option into the hasher.
 ///
-/// `jobs`, `reference_hot_paths` and `region_memo` are deliberately
-/// **excluded**: all three are guaranteed (and differentially tested) to
-/// produce bit-identical schedules, so including them would only split
-/// caches for no correctness gain. Debug-only fields
-/// (`verify_each_pass`, fault injection) are excluded for the same reason
-/// they must never be set in a serving daemon. A branch profile, if
+/// `jobs` and `region_memo` are deliberately **excluded**: both are
+/// guaranteed (and differentially tested) to produce bit-identical
+/// schedules, so including them would only split caches for no
+/// correctness gain. Test hooks ([`TestHooks`](crate::TestHooks)) are not
+/// part of the configuration at all. A branch profile, if
 /// present, is hashed entry by entry (probed over the function's
 /// instruction-id range — profiles key on [`gis_ir::InstId`], so their
 /// content is per-function anyway).

@@ -10,10 +10,11 @@
 //! candidate from another block is picked it physically moves into `A`
 //! (always upward). The heuristic ladder of §5.2 breaks ties: useful
 //! before speculative, then the delay heuristic `D`, then the critical
-//! path heuristic `CP`, then original program order. Under debug builds,
-//! [`SchedConfig::verify_each_pass`] and
-//! [`SchedConfig::reference_hot_paths`], every pick is also recomputed by
-//! a full rescan of the candidates and must agree.
+//! path heuristic `CP`, then original program order. Under the armed
+//! checks ([`TestHooks::armed`]: debug builds, or a plugged-in verifier),
+//! every pick is also recomputed by a full rescan of the candidates, and
+//! every region's sweep dependence graph is rebuilt by the all-pairs
+//! [`DataDeps::build_reference`]; both must agree.
 //!
 //! Beyond the paper, [`SchedConfig::duplication`] lifts Definition 6's
 //! no-duplication restriction for one shape: a join every one of whose
@@ -39,22 +40,21 @@
 //! legal motion never changes liveness outside the region that makes
 //! it, so the pass-start live-ins of every exit successor stay exact.
 //! The same invariant lets the region memo key on those live-ins and
-//! the `--jobs` workers share the one solve. Under debug builds and the
-//! [`SchedConfig::verify_each_pass`] gate, every answer is compared with
-//! [`Liveness::compute_reference`] on the current function and, after
-//! every commit, the exit successors' pass-level live-ins with a fresh
-//! reference solve; the [`SchedConfig::reference_hot_paths`] oracle
-//! answers every query from a fresh reference solve instead.
+//! the `--jobs` workers share the one solve. Under the armed checks,
+//! every answer is compared with [`Liveness::compute_reference`] on the
+//! current function and, after every commit, the exit successors'
+//! pass-level live-ins with a fresh reference solve.
 
-use crate::config::{SchedConfig, SchedLevel};
+use crate::config::{Fault, SchedConfig, SchedLevel};
 use crate::dcp::Heuristics;
 use crate::list::{Commit, ListScheduler, PassHooks, Pick, Pred, UnitPool};
+use crate::parallel::GlobalPass;
 use crate::stats::SchedStats;
-use gis_cfg::{Cfg, NodeId, RegionGraph, RegionNode, RegionTree};
+use gis_cfg::{NodeId, RegionGraph, RegionNode, RegionTree};
 use gis_ir::{BlockId, DenseBitSet, Function, InstId, OpClass, Reg};
 use gis_machine::MachineDescription;
 use gis_pdg::{Cspdg, DataDeps, Liveness};
-use gis_trace::{MotionKind, NopObserver, RejectReason, SchedObserver, TieBreak, TraceEvent};
+use gis_trace::{MotionKind, RejectReason, SchedObserver, TieBreak, TraceEvent};
 use std::collections::HashMap;
 
 /// Sentinel for "not placed in this block pass" in the dense
@@ -63,160 +63,105 @@ const UNPLACED: u64 = u64::MAX;
 /// Sentinel for "no node" in the dense instruction→node table.
 const NO_NODE: u32 = u32::MAX;
 
-/// Schedules one region of `f`. Returns `false` when the region was
-/// skipped (irreducible or over the §6 size limits); statistics accumulate
-/// into `stats` either way. A region scheduled on its own pays for one
-/// whole-function liveness solve; a global pass shares one among all of
-/// its regions.
-pub fn schedule_region(
-    f: &mut Function,
-    machine: &MachineDescription,
-    cfg: &Cfg,
-    tree: &RegionTree,
-    rid: gis_cfg::RegionId,
-    config: &SchedConfig,
-    stats: &mut SchedStats,
-) -> bool {
-    schedule_region_observed(f, machine, cfg, tree, rid, config, stats, &mut NopObserver)
-}
-
-/// [`schedule_region`], reporting every decision — candidate blocks,
-/// motions with their winning tie-break, §5.3 rejections, renames — to
-/// `obs`. With the no-op observer the schedule is bit-identical to
-/// `schedule_region`.
-#[allow(clippy::too_many_arguments)]
-pub fn schedule_region_observed<O: SchedObserver>(
-    f: &mut Function,
-    machine: &MachineDescription,
-    cfg: &Cfg,
-    tree: &RegionTree,
-    rid: gis_cfg::RegionId,
-    config: &SchedConfig,
-    stats: &mut SchedStats,
-    obs: &mut O,
-) -> bool {
-    let pass_live = Liveness::compute(f, cfg);
-    stats.liveness_full += 1;
-    schedule_region_in_pass(f, machine, cfg, tree, rid, config, &pass_live, stats, obs)
-}
-
-/// [`schedule_region_observed`] inside a global pass: `pass_live` is the
-/// pass's whole-function liveness, solved once before its first region.
-/// Only the live-ins of the region's exit successors are read from it.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn schedule_region_in_pass<O: SchedObserver>(
-    f: &mut Function,
-    machine: &MachineDescription,
-    cfg: &Cfg,
-    tree: &RegionTree,
-    rid: gis_cfg::RegionId,
-    config: &SchedConfig,
-    pass_live: &Liveness,
-    stats: &mut SchedStats,
-    obs: &mut O,
-) -> bool {
-    if config.level == SchedLevel::BasicBlockOnly {
-        return false;
-    }
-    let region = rid.index() as u32;
-    let skip = |stats: &mut SchedStats, obs: &mut O, reason: RejectReason| -> bool {
-        stats.regions_skipped += 1;
+impl GlobalPass<'_> {
+    /// Schedules region `rid` of `f`, reporting every decision — candidate
+    /// blocks, motions with their winning tie-break, §5.3 rejections,
+    /// renames — to `obs`. Returns `false` when the region was skipped
+    /// (irreducible or over the §6 size limits); statistics accumulate
+    /// into `stats` either way.
+    pub(crate) fn schedule<O: SchedObserver>(
+        &self,
+        f: &mut Function,
+        rid: gis_cfg::RegionId,
+        stats: &mut SchedStats,
+        obs: &mut O,
+    ) -> bool {
+        let (machine, cfg, tree, config) = (self.machine, self.cfg, self.tree, self.config);
+        if config.level == SchedLevel::BasicBlockOnly {
+            return false;
+        }
+        let region = rid.index() as u32;
+        let skip = |stats: &mut SchedStats, obs: &mut O, reason: RejectReason| -> bool {
+            stats.regions_skipped += 1;
+            if obs.enabled() {
+                obs.event(TraceEvent::RegionSkipped { region, reason });
+            }
+            false
+        };
+        let scope_blocks = subtree_blocks(tree, rid);
+        if let Some(reason) = size_gate(f, &scope_blocks, config) {
+            return skip(stats, obs, reason);
+        }
+        let Ok(g) = RegionGraph::new(cfg, tree, rid) else {
+            return skip(stats, obs, RejectReason::Irreducible);
+        };
         if obs.enabled() {
-            obs.event(TraceEvent::RegionSkipped { region, reason });
+            obs.event(TraceEvent::RegionBegin {
+                region,
+                blocks: scope_blocks
+                    .iter()
+                    .map(|&b| f.block(b).label().to_owned())
+                    .collect(),
+            });
         }
-        false
-    };
-    // §6 size limits: at most 64 blocks / 256 instructions per region.
-    let scope_blocks = subtree_blocks(tree, rid);
-    if scope_blocks.len() > config.max_region_blocks {
-        return skip(stats, obs, RejectReason::RegionTooManyBlocks);
-    }
-    let scope_insts: usize = scope_blocks.iter().map(|b| f.block(*b).len()).sum();
-    if scope_insts > config.max_region_insts {
-        return skip(stats, obs, RejectReason::RegionTooManyInsts);
-    }
-    let Ok(g) = RegionGraph::new(cfg, tree, rid) else {
-        return skip(stats, obs, RejectReason::Irreducible);
-    };
-    if obs.enabled() {
-        obs.event(TraceEvent::RegionBegin {
-            region,
-            blocks: scope_blocks
-                .iter()
-                .map(|&b| f.block(b).label().to_owned())
-                .collect(),
-        });
-    }
-    let cspdg = Cspdg::new(&g);
+        let cspdg = Cspdg::new(&g);
 
-    // Node-level forward reachability (small graphs; dense matrix).
-    let reach = reachability(&g);
+        // Node-level forward reachability (small graphs; dense matrix).
+        let reach = reachability(&g);
 
-    // Map every scope block to its node: direct blocks to their own node,
-    // blocks of enclosed regions to the supernode of the enclosing child.
-    let node_of: HashMap<BlockId, NodeId> = scope_blocks
-        .iter()
-        .map(|&b| (b, lift_block(&g, tree, rid, b)))
-        .collect();
+        // Map every scope block to its node: direct blocks to their own
+        // node, blocks of enclosed regions to the supernode of the
+        // enclosing child.
+        let node_of: HashMap<BlockId, NodeId> = scope_blocks
+            .iter()
+            .map(|&b| (b, lift_block(&g, tree, rid, b)))
+            .collect();
 
-    let may_follow = |x: BlockId, y: BlockId| {
-        let (nx, ny) = (node_of[&x], node_of[&y]);
-        nx != ny && reach[nx.index()].contains(ny.index())
-    };
-    let mut deps = if config.reference_hot_paths {
-        DataDeps::build_reference(f, machine, &scope_blocks, may_follow)
-    } else {
-        DataDeps::build(f, machine, &scope_blocks, may_follow)
-    };
-    stats.dep_edges += deps.num_edges();
-    deps.reduce();
-    stats.dep_edges_reduced += deps.num_edges();
-
-    let bound = f.inst_id_bound();
-    stats.scratch_allocs += 1;
-    let mut pass = RegionPass {
-        machine,
-        cfg,
-        config,
-        deps: &deps,
-        reach: &reach,
-        heur: Heuristics::new(&deps),
-        placed: DenseBitSet::with_capacity(bound),
-        inst_node: vec![NO_NODE; bound],
-        pass_live,
-        scope: scope_blocks,
-        reference: None,
-        scratch: Scratch::new(machine, bound),
-        stats,
-        obs,
-    };
-    pass.check_boundary(f, || "at the region's start".to_owned());
-    for &b in &pass.scope {
-        for inst in f.block(b).insts() {
-            pass.inst_node[inst.id.index()] = node_of[&b].index() as u32;
+        let may_follow = |x: BlockId, y: BlockId| {
+            let (nx, ny) = (node_of[&x], node_of[&y]);
+            nx != ny && reach[nx.index()].contains(ny.index())
+        };
+        let mut deps = DataDeps::build(f, machine, &scope_blocks, may_follow);
+        if self.hooks.armed() {
+            assert!(
+                deps == DataDeps::build_reference(f, machine, &scope_blocks, may_follow),
+                "region {region}: the sweep dependence graph diverged from the all-pairs reference"
+            );
         }
-    }
+        stats.dep_edges += deps.num_edges();
+        deps.reduce();
+        stats.dep_edges_reduced += deps.num_edges();
 
-    for &node in g.topo_order() {
-        if let RegionNode::Block(a) = g.node(node) {
-            pass.schedule_block(f, &g, &cspdg, node, a);
+        let bound = f.inst_id_bound();
+        stats.scratch_allocs += 1;
+        let mut pass = RegionPass {
+            global: self,
+            deps: &deps,
+            reach: &reach,
+            heur: Heuristics::new(&deps),
+            placed: DenseBitSet::with_capacity(bound),
+            inst_node: vec![NO_NODE; bound],
+            scope: scope_blocks,
+            reference: None,
+            scratch: Scratch::new(machine, bound),
+            stats,
+            obs,
+        };
+        pass.check_boundary(f, || "at the region's start".to_owned());
+        for &b in &pass.scope {
+            for inst in f.block(b).insts() {
+                pass.inst_node[inst.id.index()] = node_of[&b].index() as u32;
+            }
         }
-    }
-    pass.stats.regions_scheduled += 1;
-    true
-}
 
-/// Whether every §5.3 query reads a fresh whole-function solve instead
-/// of walking the region against the pass-level solve: under the
-/// reference hot paths (the full-solve oracle), and under the
-/// planted-fault switches, whose motions are illegal by design — the
-/// region-boundary invariant the walk rests on does not hold for them,
-/// and the planted fault must surface as a wrong schedule for the
-/// differential fuzzer, not as a stale answer.
-fn whole_function_liveness(config: &SchedConfig) -> bool {
-    config.reference_hot_paths
-        || config.inject_skip_live_on_exit
-        || config.inject_skip_dup_pred_check
+        for &node in g.topo_order() {
+            if let RegionNode::Block(a) = g.node(node) {
+                pass.schedule_block(f, &g, &cspdg, node, a);
+            }
+        }
+        pass.stats.regions_scheduled += 1;
+        true
+    }
 }
 
 /// All blocks of a region's subtree (direct blocks plus nested regions').
@@ -232,27 +177,26 @@ pub(crate) fn subtree_blocks(tree: &RegionTree, rid: gis_cfg::RegionId) -> Vec<B
     out
 }
 
-/// Whether a region passes the §6 size gates that
-/// [`schedule_region_observed`] applies before building any analyses.
-/// The parallel driver uses this to predict — without mutating anything —
-/// which regions [`schedule_region_observed`] will skip. The prediction
-/// made on the pre-pass function matches the sequential outcome exactly
+/// The §6 size gates, at most 64 blocks and 256 instructions per region
+/// by default: `None` when a region with these scope blocks may be
+/// scheduled, else why it is skipped. [`GlobalPass::schedule`] reads it
+/// before building any analyses, and the region memo and the parallel
+/// driver read it to predict — without mutating anything — which regions
+/// will be skipped. A prediction made on the pre-pass function holds
 /// because regions are disjoint and each is visited once per pass: the
 /// only transformation that changes an instruction count — duplication —
 /// mutates blocks of the region *currently being scheduled*, after its
 /// own size gate was read, and never another region's.
-pub(crate) fn region_within_size_limits(
+pub(crate) fn size_gate(
     f: &Function,
-    tree: &RegionTree,
-    rid: gis_cfg::RegionId,
+    scope: &[BlockId],
     config: &SchedConfig,
-) -> bool {
-    let scope_blocks = subtree_blocks(tree, rid);
-    if scope_blocks.len() > config.max_region_blocks {
-        return false;
+) -> Option<RejectReason> {
+    if scope.len() > config.max_region_blocks {
+        return Some(RejectReason::RegionTooManyBlocks);
     }
-    let scope_insts: usize = scope_blocks.iter().map(|b| f.block(*b).len()).sum();
-    scope_insts <= config.max_region_insts
+    let insts: usize = scope.iter().map(|&b| f.block(b).len()).sum();
+    (insts > config.max_region_insts).then_some(RejectReason::RegionTooManyInsts)
 }
 
 /// Dense forward reachability over a region graph (reflexive), one bit
@@ -298,9 +242,9 @@ fn lift_block(g: &RegionGraph, tree: &RegionTree, rid: gis_cfg::RegionId, b: Blo
 }
 
 struct RegionPass<'a, O: SchedObserver> {
-    machine: &'a MachineDescription,
-    cfg: &'a Cfg,
-    config: &'a SchedConfig,
+    /// The pass's inputs. Its whole-function liveness is exact at the
+    /// region's exits for the whole pass (the region-boundary invariant).
+    global: &'a GlobalPass<'a>,
     deps: &'a DataDeps,
     reach: &'a [DenseBitSet],
     /// `D`/`CP` by scope position, computed per home block as each
@@ -311,9 +255,6 @@ struct RegionPass<'a, O: SchedObserver> {
     /// Current region-graph node index of every scope instruction
     /// (dense by inst id; [`NO_NODE`] outside the scope).
     inst_node: Vec<u32>,
-    /// The pass's whole-function liveness: exact at the region's exits
-    /// for the whole pass (the region-boundary invariant).
-    pass_live: &'a Liveness,
     /// The region's subtree's blocks, ascending.
     scope: Vec<BlockId>,
     /// The reference solve [`RegionPass::check_boundary`] made at the
@@ -428,6 +369,17 @@ enum SpecClass {
     Ineligible,
 }
 
+/// How [`RegionPass::offer`] treats a block's movable instructions.
+#[derive(Clone, Copy)]
+enum Offer {
+    /// As candidates: speculative ones with this probability, or
+    /// duplication candidates out of an eligible join.
+    Candidates { prob: f64, dup: bool },
+    /// As `WouldDuplicate` rejections: the block is a join that fails
+    /// the duplication guards.
+    WouldDuplicate,
+}
+
 /// One block pass of a region as the list scheduler's [`PassHooks`]: the
 /// terminator rule, the duplication fold, the §5.3 gate and renaming,
 /// the motion commit and the trace events.
@@ -452,7 +404,7 @@ impl<O: SchedObserver> PassHooks<PriorityKey> for BlockPass<'_, '_, O> {
     }
 
     fn check(&self, t: u64, units: &UnitPool, pick: Option<&Pick<PriorityKey>>) {
-        if !self.pass.checks_picks() {
+        if !self.pass.global.hooks.armed() {
             return;
         }
         let a_branch = self.a_branch.map(|s| self.pass.scratch.cands[s].id);
@@ -480,7 +432,8 @@ impl<O: SchedObserver> PassHooks<PriorityKey> for BlockPass<'_, '_, O> {
         // operand definitions. Checked before the §5.3 gate: a fold
         // deletes the candidate rather than moving it, so it cannot
         // clobber anything no matter what is live on exit.
-        if pass.config.duplication && cand.home != a && pass.try_fold_duplicate(f, a, &cand) {
+        let may_fold = pass.global.config.duplication && cand.home != a;
+        if may_fold && pass.try_fold_duplicate(f, a, &cand) {
             return Commit::Fold(pass.scratch.place_time[cand.id.index()]);
         }
 
@@ -615,7 +568,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         node_a: NodeId,
         a: BlockId,
     ) {
-        let enabled = self.obs.enabled();
+        let (config, enabled) = (self.global.config, self.obs.enabled());
         // ---- Candidate blocks. ----------------------------------------
         let equiv: Vec<NodeId> = cspdg.equiv_dominated(node_a);
         let mut useful_blocks: Vec<NodeId> = equiv.clone();
@@ -627,12 +580,12 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         // [`SchedConfig::duplication`] is on.
         let mut dup_joins: Vec<(BlockId, Vec<BlockId>)> = Vec::new();
         let mut dup_rejected: Vec<BlockId> = Vec::new();
-        if self.config.level == SchedLevel::Speculative {
+        if config.level == SchedLevel::Speculative {
             // Probability that the child of a CD edge executes, from the
             // branch profile when one is supplied (§1's profile-guided
             // speculation); 1.0 when unknown.
             let prob_of = |parent: NodeId, label: gis_cfg::EdgeLabel| -> f64 {
-                let Some(profile) = &self.config.profile else {
+                let Some(profile) = &config.profile else {
                     return 1.0;
                 };
                 let RegionNode::Block(pb) = g.node(parent) else {
@@ -656,7 +609,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                     && cspdg.dom().strictly_dominates(node_a, n);
                 if !structural {
                     SpecClass::Ineligible
-                } else if prob < self.config.min_speculation_probability {
+                } else if prob < config.min_speculation_probability {
                     SpecClass::ProbGate
                 } else {
                     SpecClass::Eligible
@@ -668,7 +621,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
             let mut frontier: Vec<(NodeId, f64)> = std::iter::once((node_a, 1.0))
                 .chain(equiv.iter().map(|&e| (e, 1.0)))
                 .collect();
-            for _ in 0..self.config.max_speculation_branches {
+            for _ in 0..config.max_speculation_branches {
                 let mut next = Vec::new();
                 for &(n, p) in &frontier {
                     for &(c, l) in cspdg.cd_children(n) {
@@ -732,7 +685,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
             // gambling on a branch. `A` must additionally be the
             // topologically last predecessor, so every sibling's
             // schedule is already final when the copies are minted.
-            if self.config.duplication {
+            if config.duplication {
                 let topo = g.topo_order();
                 let topo_pos = |n: NodeId| topo.iter().position(|&x| x == n).unwrap_or(usize::MAX);
                 for &(s, _) in g.succs(node_a) {
@@ -758,14 +711,14 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                     if preds.len() < 2 {
                         continue; // not a join: Definitions 6/7 cover it
                     }
-                    let safe = match gis_pdg::duplication_pred_set(self.cfg, g, s) {
+                    let safe = match gis_pdg::duplication_pred_set(self.global.cfg, g, s) {
                         Some(set) => Some(set),
                         // Planted-miscompile hook for the gis-check
                         // self-test: pretend the fall-through guard
                         // passed, so copies land above conditional
                         // branches and run on paths that bypass the join
-                        // (see SchedConfig::inject_skip_dup_pred_check).
-                        None if self.config.inject_skip_dup_pred_check
+                        // (see Fault::SkipDupPredCheck).
+                        None if self.global.hooks.fault == Some(Fault::SkipDupPredCheck)
                             && preds
                                 .iter()
                                 .all(|&p| matches!(g.node(p), RegionNode::Block(_))) =>
@@ -866,94 +819,25 @@ impl<O: SchedObserver> RegionPass<'_, O> {
             }
         }
         for &(n, prob) in &spec_blocks {
-            let RegionNode::Block(b) = g.node(n) else {
-                continue;
-            };
-            for inst in f.block(b).insts() {
-                let class = inst.op.class();
-                if inst.op.may_speculate()
-                    && (self.config.speculative_loads || class != gis_ir::OpClass::Load)
-                {
-                    self.add_candidate(
-                        f,
-                        &mut list,
-                        Candidate {
-                            id: inst.id,
-                            home: b,
-                            useful: false,
-                            prob,
-                            dup: false,
-                        },
-                        class,
-                    );
-                } else if enabled && !inst.op.is_branch() {
-                    self.obs.event(TraceEvent::CandidateRejected {
-                        inst: inst.id.index() as u32,
-                        home: f.block(b).label().to_owned(),
-                        target: f.block(a).label().to_owned(),
-                        reason: if inst.op.may_speculate() {
-                            RejectReason::LoadSpeculationDisabled
-                        } else {
-                            RejectReason::MayNotSpeculate
-                        },
-                    });
-                }
+            if let RegionNode::Block(b) = g.node(n) {
+                self.offer(f, &mut list, a, b, Offer::Candidates { prob, dup: false });
             }
         }
         // Instructions of eligible duplication joins: the speculation
         // operand gates apply (no side effects cross a block boundary,
         // loads obey the config), but not the §5.3 register gate.
-        for (b, _) in &dup_joins {
-            for inst in f.block(*b).insts() {
-                let class = inst.op.class();
-                if inst.op.may_speculate()
-                    && (self.config.speculative_loads || class != gis_ir::OpClass::Load)
-                {
-                    self.add_candidate(
-                        f,
-                        &mut list,
-                        Candidate {
-                            id: inst.id,
-                            home: *b,
-                            useful: false,
-                            prob: 1.0,
-                            dup: true,
-                        },
-                        class,
-                    );
-                } else if enabled && !inst.op.is_branch() {
-                    self.obs.event(TraceEvent::CandidateRejected {
-                        inst: inst.id.index() as u32,
-                        home: f.block(*b).label().to_owned(),
-                        target: f.block(a).label().to_owned(),
-                        reason: if inst.op.may_speculate() {
-                            RejectReason::LoadSpeculationDisabled
-                        } else {
-                            RejectReason::MayNotSpeculate
-                        },
-                    });
-                }
-            }
+        for &(b, _) in &dup_joins {
+            let offer = Offer::Candidates {
+                prob: 1.0,
+                dup: true,
+            };
+            self.offer(f, &mut list, a, b, offer);
         }
         // Joins whose shape fails the duplication guards (a predecessor
         // branches around the join, or the join heads a loop): their
         // movable instructions are reported as needing duplication.
         for &b in &dup_rejected {
-            for inst in f.block(b).insts() {
-                if inst.op.may_speculate()
-                    && (self.config.speculative_loads || inst.op.class() != gis_ir::OpClass::Load)
-                {
-                    self.stats.rejected_would_duplicate += 1;
-                    if enabled {
-                        self.obs.event(TraceEvent::CandidateRejected {
-                            inst: inst.id.index() as u32,
-                            home: f.block(b).label().to_owned(),
-                            target: f.block(a).label().to_owned(),
-                            reason: RejectReason::WouldDuplicate,
-                        });
-                    }
-                }
-            }
+            self.offer(f, &mut list, a, b, Offer::WouldDuplicate);
         }
 
         // Classify every predecessor once, with `ready`'s precedence:
@@ -978,7 +862,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         });
 
         // ---- Cycle-by-cycle list scheduling. --------------------------
-        let width = self.machine.dispatch_width();
+        let width = self.global.machine.dispatch_width();
         list.run(
             deps,
             width,
@@ -1025,7 +909,8 @@ impl<O: SchedObserver> RegionPass<'_, O> {
             .last()
             .is_none_or(|last| last.home != c.home)
         {
-            self.heur.compute_block(f, self.machine, self.deps, c.home);
+            self.heur
+                .compute_block(f, self.global.machine, self.deps, c.home);
         }
         self.scratch.cands.push(c);
         self.scratch.in_s.insert(c.id.index());
@@ -1033,9 +918,62 @@ impl<O: SchedObserver> RegionPass<'_, O> {
             self.deps,
             c.id,
             self.key(&c),
-            self.machine.unit_of(class),
-            self.machine.exec_time(class),
+            self.global.machine.unit_of(class),
+            self.global.machine.exec_time(class),
         )
+    }
+
+    /// Offers block `b`'s instructions to `A` beyond useful motion. An
+    /// instruction is movable when it may cross a branch at all (no side
+    /// effects) and is not a load with load speculation off. Movable
+    /// instructions become non-useful candidates, or `WouldDuplicate`
+    /// rejections for a join that fails the duplication guards; under
+    /// [`Offer::Candidates`] the others, branches aside, are reported as
+    /// rejected candidates.
+    fn offer(
+        &mut self,
+        f: &Function,
+        list: &mut ListScheduler<PriorityKey>,
+        a: BlockId,
+        b: BlockId,
+        offer: Offer,
+    ) {
+        for inst in f.block(b).insts() {
+            let (op, class) = (&inst.op, inst.op.class());
+            let movable = op.may_speculate()
+                && (self.global.config.speculative_loads || class != OpClass::Load);
+            let reason = match offer {
+                Offer::Candidates { prob, dup } if movable => {
+                    let c = Candidate {
+                        id: inst.id,
+                        home: b,
+                        useful: false,
+                        prob,
+                        dup,
+                    };
+                    self.add_candidate(f, list, c, class);
+                    continue;
+                }
+                Offer::Candidates { .. } if op.is_branch() => continue,
+                Offer::Candidates { .. } if op.may_speculate() => {
+                    RejectReason::LoadSpeculationDisabled
+                }
+                Offer::Candidates { .. } => RejectReason::MayNotSpeculate,
+                Offer::WouldDuplicate if movable => {
+                    self.stats.rejected_would_duplicate += 1;
+                    RejectReason::WouldDuplicate
+                }
+                Offer::WouldDuplicate => continue,
+            };
+            if self.obs.enabled() {
+                self.obs.event(TraceEvent::CandidateRejected {
+                    inst: inst.id.index() as u32,
+                    home: f.block(b).label().to_owned(),
+                    target: f.block(a).label().to_owned(),
+                    reason,
+                });
+            }
+        }
     }
 
     /// `c`'s §5.2 priority key, from the `D`/`CP` of its home block.
@@ -1050,21 +988,10 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         )
     }
 
-    /// Whether every ready-list pick is checked against the full
-    /// rescan ([`Self::rescan_pick`]): under debug builds, the
-    /// [`SchedConfig::verify_each_pass`] gate and the
-    /// [`SchedConfig::reference_hot_paths`] oracle.
-    fn checks_picks(&self) -> bool {
-        cfg!(debug_assertions)
-            || self.config.verify_each_pass.is_some()
-            || self.config.reference_hot_paths
-    }
-
     /// The pick as it was made before the ready list: a rescan of every
     /// candidate through [`Self::ready`], kept as the oracle every
-    /// ready-list pick is checked against under
-    /// [`Self::checks_picks`]. Returns the winner with its key, and the
-    /// runner-up's key.
+    /// ready-list pick is checked against under the armed checks. Returns
+    /// the winner with its key, and the runner-up's key.
     fn rescan_pick(
         &self,
         f: &Function,
@@ -1090,7 +1017,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
             }
             let pos = f.block(c.home).position(c.id).expect("candidate exists");
             let op = &f.block(c.home).inst_at(pos).op;
-            let kind = self.machine.unit_of(op.class());
+            let kind = self.global.machine.unit_of(op.class());
             if !units.free(kind.index(), t) {
                 continue;
             }
@@ -1181,17 +1108,16 @@ impl<O: SchedObserver> RegionPass<'_, O> {
 
     /// The differential behind the region-boundary invariant (stated in
     /// `gis_pdg`'s liveness module), at the region's start and after every
-    /// commit under debug builds and the [`SchedConfig::verify_each_pass`]
-    /// gate: a fresh reference solve of the current function must agree
-    /// with the pass solve on the live-ins of every exit successor, on
-    /// every register the region names. That solve then checks every
-    /// query until the next commit. Skipped under
-    /// [`whole_function_liveness`], whose queries read fresh solves.
+    /// commit under the armed checks: a fresh reference solve of the
+    /// current function must agree with the pass solve on the live-ins of
+    /// every exit successor, on every register the region names. That
+    /// solve then checks every query until the next commit. Skipped under
+    /// a planted [`Fault`], whose motions are illegal by design: the
+    /// invariant does not hold for them, and the fault must surface as a
+    /// wrong schedule for the differential fuzzer, not as an assertion.
     fn check_boundary(&mut self, f: &Function, when: impl FnOnce() -> String) {
-        let (config, cfg, scope) = (self.config, self.cfg, &self.scope);
-        if !(cfg!(debug_assertions) || config.verify_each_pass.is_some())
-            || whole_function_liveness(config)
-        {
+        let (cfg, scope) = (self.global.cfg, &self.scope);
+        if !self.global.hooks.armed() || self.global.hooks.fault.is_some() {
             return;
         }
         let fresh = Liveness::compute_reference(f, cfg);
@@ -1206,7 +1132,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         for s in exits.filter(|s| scope.binary_search(s).is_err()) {
             for &r in &named {
                 assert_eq!(
-                    self.pass_live.live_in_contains(s, r),
+                    self.global.live.live_in_contains(s, r),
                     fresh.live_in_contains(s, r),
                     "live-in of exit {s} on {r} went stale {}",
                     when()
@@ -1221,16 +1147,11 @@ impl<O: SchedObserver> RegionPass<'_, O> {
     /// speculated definition clobber a live value?) and of the home block
     /// (does a renamable du-chain end there?). The walk
     /// ([`Liveness::walk_live_out`]) answers, checked against the kept
-    /// reference solve when [`Self::check_boundary`] made one; under
-    /// [`whole_function_liveness`] a fresh whole-function solve answers.
+    /// reference solve when [`Self::check_boundary`] made one.
     fn live_out(&mut self, f: &Function, b: BlockId, r: Reg) -> bool {
-        let cfg = self.cfg;
-        if whole_function_liveness(self.config) {
-            self.stats.liveness_full += 1;
-            return Liveness::compute_reference(f, cfg).live_out_contains(cfg, b, r);
-        }
+        let cfg = self.global.cfg;
         self.stats.liveness_incremental += 1;
-        let live = self.pass_live.walk_live_out(f, cfg, &self.scope, b, r);
+        let live = self.global.live.walk_live_out(f, cfg, &self.scope, b, r);
         if let Some(reference) = &self.reference {
             let want = reference.live_out_contains(cfg, b, r);
             assert_eq!(
@@ -1256,11 +1177,11 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         }
         // Planted-miscompile hook for the gis-check self-test: pretend the
         // live-on-exit guard passed, letting the speculated definition
-        // clobber a live register (see SchedConfig::inject_skip_live_on_exit).
-        if self.config.inject_skip_live_on_exit {
+        // clobber a live register (see Fault::SkipLiveOnExit).
+        if self.global.hooks.fault == Some(Fault::SkipLiveOnExit) {
             return true;
         }
-        if !self.config.speculative_renaming || op.has_tied_base() {
+        if !self.global.config.speculative_renaming || op.has_tied_base() {
             self.stats.rejected_live_out += 1;
             return false;
         }

@@ -56,12 +56,11 @@ mod stats;
 mod unroll;
 
 pub use bb::{schedule_block, schedule_block_observed};
-pub use config::{PassVerifier, SchedConfig, SchedLevel};
-pub use global::{schedule_region, schedule_region_observed};
+pub use config::{Fault, PassVerifier, SchedConfig, SchedLevel, TestHooks};
 pub use lru::Lru;
 pub use memo::{region_memo_clear, region_memo_counters, RegionMemoCounters};
 pub use parallel::effective_jobs;
-pub use pipeline::{compile, compile_observed, CompileError};
+pub use pipeline::{compile, compile_observed, compile_with_hooks, CompileError};
 pub use profile::BranchProfile;
 pub use reference::schedule_block_reference;
 pub use rotate::{rotate_loop, rotate_loop_observed};

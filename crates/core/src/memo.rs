@@ -23,13 +23,14 @@
 //! instruction ids from the current allocators, renumbers them wherever
 //! they appear, and names the applying region in replayed events (the
 //! key holds no region id), so a hit is bit-identical to the cold run by
-//! construction — and by the differential gate, which under debug builds
-//! or [`SchedConfig::verify_each_pass`] re-schedules on a snapshot and
-//! compares blocks, allocators, origins, statistics and events.
+//! construction — and by the differential gate, which under the armed
+//! checks ([`TestHooks::armed`]) re-schedules on a snapshot and compares
+//! blocks, allocators, origins, statistics and events.
 //!
-//! Memoization self-disables for configurations it cannot prove
-//! bit-identical: branch profiles (keyed per instruction id), the
-//! reference hot paths, and the fault-injection switches.
+//! Memoization self-disables for what it cannot prove bit-identical:
+//! branch profiles (keyed per instruction id) and planted faults
+//! ([`TestHooks::fault`]), whose illegal motions break the
+//! region-boundary invariant the key rests on.
 //!
 //! The memo is a process-wide bounded [`Lru`] (the store behind
 //! `gis-serve`'s schedule cache too) so warm hits carry across
@@ -38,9 +39,9 @@
 //! bytes changed. Counters are exported via [`region_memo_counters`] and
 //! surface as `cache.region.{hit,miss,splice}` in the daemon's stats.
 
-use crate::config::{SchedConfig, SchedLevel};
+use crate::config::{SchedConfig, SchedLevel, TestHooks};
 use crate::fingerprint::{write_config_fingerprint, write_machine_fingerprint};
-use crate::global::{region_within_size_limits, subtree_blocks};
+use crate::global::{size_gate, subtree_blocks};
 use crate::lru::Lru;
 use crate::outcome::{class_slot, RegionOutcome};
 use crate::parallel::GlobalPass;
@@ -101,15 +102,13 @@ pub fn region_memo_clear() {
     SPLICES.store(0, Ordering::Relaxed);
 }
 
-/// Whether this configuration can use the memo at all (see the module
-/// docs for why each exclusion exists).
-pub(crate) fn memo_eligible(config: &SchedConfig) -> bool {
+/// Whether a compile under this configuration and these hooks can use
+/// the memo at all (see the module docs for why each exclusion exists).
+pub(crate) fn memo_eligible(config: &SchedConfig, hooks: &TestHooks) -> bool {
     config.region_memo
         && config.level != SchedLevel::BasicBlockOnly
         && config.profile.is_none()
-        && !config.reference_hot_paths
-        && !config.inject_skip_live_on_exit
-        && !config.inject_skip_dup_pred_check
+        && hooks.fault.is_none()
 }
 
 /// Blocks outside `scope` that some scope block branches or falls
@@ -154,10 +153,13 @@ fn write_tree_shape(h: &mut Fnv64, tree: &RegionTree, rid: RegionId) {
 /// size limits (a skip is cheaper to re-detect than to look up).
 fn memo_key(pass: &GlobalPass, f: &Function, rid: RegionId, tracing: bool) -> Option<u64> {
     let config = pass.config;
-    if !memo_eligible(config) || !region_within_size_limits(f, pass.tree, rid, config) {
+    if !memo_eligible(config, pass.hooks) {
         return None;
     }
     let scope = subtree_blocks(pass.tree, rid);
+    if size_gate(f, &scope, config).is_some() {
+        return None;
+    }
     let mut h = Fnv64::new();
     h.write(b"region-memo/v2\0");
     h.write_u8(u8::from(tracing));
@@ -201,7 +203,7 @@ pub(crate) fn region_outcome<O: SchedObserver>(
 ) -> Arc<RegionOutcome> {
     let key = memo_key(pass, f, rid, tracing);
     if let Some(out) = key.and_then(|key| memo().get(key)) {
-        if cfg!(debug_assertions) || pass.config.verify_each_pass.is_some() {
+        if pass.hooks.armed() {
             verify_hit(pass, f, rid, &out, tracing);
         }
         out.apply(f, rid, stats, obs);
@@ -488,6 +490,7 @@ mod tests {
             cfg: &cfg,
             tree: &tree,
             config: &config,
+            hooks: &TestHooks::default(),
             live: Liveness::compute(&f0, &cfg),
         };
         let key = memo_key(&pass, &f0, first, false).expect("eligible");
@@ -503,6 +506,7 @@ mod tests {
                 &cfg,
                 &tree,
                 config,
+                &TestHooks::default(),
                 0,
                 &mut st,
                 &mut NopObserver,
@@ -528,15 +532,88 @@ mod tests {
         );
     }
 
-    /// Every configuration the memo cannot prove bit-identical must
-    /// bypass it (the module docs list why each exclusion exists).
-    /// Traced and duplicating compiles are eligible: events and minted
-    /// ids travel with the outcome.
+    /// A task that panics on a `--jobs` worker must fail the pass, not
+    /// leave the other workers waiting for it forever. The panic here is
+    /// the armed memo-hit check: one inner loop's key holds an outcome
+    /// recorded for another loop. A verifier is plugged in so the check
+    /// is armed in release test builds too. On a 1-CPU host the pool runs
+    /// inline, so there the test cannot hang whatever the pool does.
+    #[test]
+    fn a_panicking_task_fails_the_pass_instead_of_hanging() {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        use std::time::Duration;
+        // A seed no other test uses: the memo is process-wide.
+        let f0 = gis_workloads::synth::many_loops(6, 0x5EED_9A41)
+            .program
+            .function;
+        let cfg = gis_cfg::Cfg::new(&f0);
+        let dom = gis_cfg::DomTree::dominators(&cfg);
+        let tree = RegionTree::new(&cfg, &gis_cfg::LoopForest::new(&cfg, &dom));
+        let machine = MachineDescription::rs6k();
+        let config = SchedConfig {
+            jobs: 2,
+            ..SchedConfig::speculative()
+        };
+        let hooks = TestHooks {
+            verifier: Some(|_, _, _| Ok(())),
+            fault: None,
+        };
+        let inner: Vec<RegionId> = tree
+            .schedule_order()
+            .into_iter()
+            .filter(|&r| tree.region(r).height == 0)
+            .collect();
+        assert_eq!(inner.len(), 6, "one task per loop");
+        let pass = GlobalPass {
+            machine: &machine,
+            cfg: &cfg,
+            tree: &tree,
+            config: &config,
+            hooks: &hooks,
+            live: Liveness::compute(&f0, &cfg),
+        };
+        let other = RegionOutcome::record(&pass, &mut f0.clone(), inner[0], false);
+        let key = memo_key(&pass, &f0, inner[1], false).expect("eligible");
+        memo().insert(key, Arc::new(other));
+
+        let (done, ended) = channel::<()>();
+        let run = std::thread::spawn(move || {
+            let _done = done; // dropped when the pass returns or panics
+            let mut f = f0;
+            let mut st = SchedStats::default();
+            crate::parallel::global_pass(
+                &mut f,
+                &machine,
+                &cfg,
+                &tree,
+                &config,
+                &hooks,
+                0,
+                &mut st,
+                &mut NopObserver,
+            );
+        });
+        assert_eq!(
+            ended.recv_timeout(Duration::from_secs(60)),
+            Err(RecvTimeoutError::Disconnected),
+            "the pass hung after a task panicked"
+        );
+        assert!(
+            run.join().is_err(),
+            "the planted memo entry made the pass panic"
+        );
+    }
+
+    /// Every compile the memo cannot prove bit-identical must bypass it
+    /// (the module docs list why each exclusion exists). Traced and
+    /// duplicating compiles are eligible: events and minted ids travel
+    /// with the outcome.
     #[test]
     fn ineligible_configs_bypass_the_memo() {
         let machine = MachineDescription::rs6k();
         let (f, cfg, tree) = analyses(TWO_LOOPS);
         let mut config = SchedConfig::speculative();
+        let none = TestHooks::default();
         let key = |config: &SchedConfig, tracing: bool| {
             let live = Liveness::compute(&f, &cfg);
             let pass = GlobalPass {
@@ -544,11 +621,12 @@ mod tests {
                 cfg: &cfg,
                 tree: &tree,
                 config,
+                hooks: &none,
                 live,
             };
             memo_key(&pass, &f, tree.root(), tracing)
         };
-        assert!(memo_eligible(&config));
+        assert!(memo_eligible(&config, &none));
         assert!(key(&config, true).is_some(), "tracing is eligible");
         assert_ne!(
             key(&config, true),
@@ -556,19 +634,21 @@ mod tests {
             "events split the key"
         );
         config.duplication = true;
-        assert!(memo_eligible(&config), "duplication is eligible");
+        assert!(memo_eligible(&config, &none), "duplication is eligible");
         assert!(key(&config, false).is_some());
         config.duplication = false;
         config.region_memo = false;
-        assert!(!memo_eligible(&config), "switch bypasses");
+        assert!(!memo_eligible(&config, &none), "switch bypasses");
         config.region_memo = true;
         config.profile = Some(crate::BranchProfile::default());
-        assert!(!memo_eligible(&config), "profiles bypass");
+        assert!(!memo_eligible(&config, &none), "profiles bypass");
         config.profile = None;
-        config.reference_hot_paths = true;
-        assert!(!memo_eligible(&config), "reference paths bypass");
-        config.reference_hot_paths = false;
+        let planted = TestHooks {
+            fault: Some(crate::Fault::SkipLiveOnExit),
+            ..none
+        };
+        assert!(!memo_eligible(&config, &planted), "planted faults bypass");
         config.level = SchedLevel::BasicBlockOnly;
-        assert!(!memo_eligible(&config), "bb-only bypasses");
+        assert!(!memo_eligible(&config, &none), "bb-only bypasses");
     }
 }

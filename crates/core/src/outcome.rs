@@ -290,7 +290,7 @@ impl Renumber {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{SchedConfig, SchedLevel};
+    use crate::config::{SchedConfig, SchedLevel, TestHooks};
     use gis_cfg::{Cfg, DomTree, LoopForest, RegionTree};
     use gis_machine::MachineDescription;
     use gis_pdg::Liveness;
@@ -312,6 +312,7 @@ mod tests {
             cfg: &cfg,
             tree: &tree,
             config: &config,
+            hooks: &TestHooks::default(),
             live: Liveness::compute(&f0, &cfg),
         };
         let (mut f, mut g) = (f0.clone(), f0);

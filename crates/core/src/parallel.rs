@@ -49,8 +49,8 @@
 //! `tests/parallel_determinism.rs` verify the equivalence end-to-end on
 //! every workload.
 
-use crate::config::SchedConfig;
-use crate::global::{region_within_size_limits, schedule_region_in_pass, subtree_blocks};
+use crate::config::{SchedConfig, TestHooks};
+use crate::global::{size_gate, subtree_blocks};
 use crate::memo::{memo_eligible, region_outcome};
 use crate::outcome::RegionOutcome;
 use crate::stats::SchedStats;
@@ -60,7 +60,7 @@ use gis_machine::MachineDescription;
 use gis_pdg::Liveness;
 use gis_trace::{NopObserver, SchedObserver};
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 /// Resolves the configured job count: `0` means one worker per available
 /// CPU (falling back to 1 when the count is unknown).
@@ -80,6 +80,7 @@ pub(crate) struct GlobalPass<'a> {
     pub(crate) cfg: &'a Cfg,
     pub(crate) tree: &'a RegionTree,
     pub(crate) config: &'a SchedConfig,
+    pub(crate) hooks: &'a TestHooks,
     /// The pass's one whole-function liveness solve, on the pre-pass
     /// function. Every region's §5.3 queries read the live-ins of its
     /// exit successors here, and the memo keys on the same lists: legal
@@ -89,18 +90,6 @@ pub(crate) struct GlobalPass<'a> {
 }
 
 impl GlobalPass<'_> {
-    /// Schedules region `rid` of `f`; `false` when it was skipped.
-    pub(crate) fn schedule<O: SchedObserver>(
-        &self,
-        f: &mut Function,
-        rid: RegionId,
-        stats: &mut SchedStats,
-        obs: &mut O,
-    ) -> bool {
-        let (machine, cfg, tree, config) = (self.machine, self.cfg, self.tree, self.config);
-        schedule_region_in_pass(f, machine, cfg, tree, rid, config, &self.live, stats, obs)
-    }
-
     /// Schedules region `rid` of `f` on the calling thread, through the
     /// memo when the configuration allows. Nothing else reads an outcome
     /// here, so none is recorded without the memo.
@@ -111,7 +100,7 @@ impl GlobalPass<'_> {
         stats: &mut SchedStats,
         obs: &mut O,
     ) {
-        if memo_eligible(self.config) {
+        if memo_eligible(self.config, self.hooks) {
             region_outcome(self, f, rid, obs.enabled(), stats, obs);
         } else {
             self.schedule(f, rid, stats, obs);
@@ -152,6 +141,7 @@ pub(crate) fn global_pass<O: SchedObserver>(
     cfg: &Cfg,
     tree: &RegionTree,
     config: &SchedConfig,
+    hooks: &TestHooks,
     max_height: usize,
     stats: &mut SchedStats,
     obs: &mut O,
@@ -171,6 +161,7 @@ pub(crate) fn global_pass<O: SchedObserver>(
         cfg,
         tree,
         config,
+        hooks,
         live,
     };
     let jobs = effective_jobs(config.jobs);
@@ -200,11 +191,40 @@ pub(crate) fn global_pass<O: SchedObserver>(
     }
 }
 
+/// The task queue the pool's workers share.
+struct Queue {
+    ready: Vec<usize>,
+    indegree: Vec<usize>,
+    /// Tasks not yet completed; zero ends the pool.
+    remaining: usize,
+}
+
+/// Ends the pool when a worker's task panics (an armed check firing, for
+/// one). The worker never completes its task, so without this the others
+/// would wait for it on the ready condvar forever and the scope would
+/// never join to re-raise the panic.
+struct EndOnPanic<'q> {
+    queue: &'q Mutex<Queue>,
+    ready_cv: &'q Condvar,
+}
+
+impl Drop for EndOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            q.remaining = 0;
+            drop(q);
+            self.ready_cv.notify_all();
+        }
+    }
+}
+
 /// Fans the tasks out over the pool and returns each task's outcomes,
 /// parallel to its regions. Ready tasks are claimed from a shared queue,
 /// heaviest first, but every task runs against its own snapshot of
 /// `master` plus its dependencies' outcomes, so the claim order cannot
-/// influence any result.
+/// influence any result. A panicking task ends the pool, and the panic
+/// propagates to the caller.
 fn run_tasks(
     pass: &GlobalPass,
     master: &Function,
@@ -221,61 +241,63 @@ fn run_tasks(
             dependents[d].push(i);
         }
     }
-    struct Queue {
-        ready: Vec<usize>,
-        indegree: Vec<usize>,
-        remaining: usize,
-    }
     let queue = Mutex::new(Queue {
         ready: (0..n).filter(|&i| tasks[i].deps.is_empty()).collect(),
         indegree: tasks.iter().map(|t| t.deps.len()).collect(),
         remaining: n,
     });
     let ready_cv = Condvar::new();
-    let work = || loop {
-        let t = {
-            let mut q = queue.lock().expect("no poisoned task queue");
-            loop {
-                if q.remaining == 0 {
-                    return;
-                }
-                // Steal from the heavy end: heaviest ready task, ties to
-                // the lowest index.
-                let heaviest = q
-                    .ready
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|&(_, &t)| (tasks[t].weight, std::cmp::Reverse(t)))
-                    .map(|(pos, _)| pos);
-                if let Some(pos) = heaviest {
-                    break q.ready.swap_remove(pos);
-                }
-                q = ready_cv.wait(q).expect("no poisoned task queue");
-            }
+    let work = || {
+        let _end_on_panic = EndOnPanic {
+            queue: &queue,
+            ready_cv: &ready_cv,
         };
-        let mut fu = master.snapshot();
-        apply_deps(&mut fu, tasks, &results, t);
-        let outs = tasks[t]
-            .regions
-            .iter()
-            .map(|&rid| {
-                let mut dropped = SchedStats::default();
-                region_outcome(pass, &mut fu, rid, tracing, &mut dropped, &mut NopObserver)
-            })
-            .collect();
-        results[t]
-            .set(outs)
-            .unwrap_or_else(|_| unreachable!("each task is claimed once"));
-        let mut q = queue.lock().expect("no poisoned task queue");
-        q.remaining -= 1;
-        for &d in &dependents[t] {
-            q.indegree[d] -= 1;
-            if q.indegree[d] == 0 {
-                q.ready.push(d);
+        loop {
+            let t = {
+                let mut q = queue.lock().expect("no poisoned task queue");
+                loop {
+                    if q.remaining == 0 {
+                        return;
+                    }
+                    // Steal from the heavy end: heaviest ready task, ties to
+                    // the lowest index.
+                    let heaviest = q
+                        .ready
+                        .iter()
+                        .enumerate()
+                        .max_by_key(|&(_, &t)| (tasks[t].weight, std::cmp::Reverse(t)))
+                        .map(|(pos, _)| pos);
+                    if let Some(pos) = heaviest {
+                        break q.ready.swap_remove(pos);
+                    }
+                    q = ready_cv.wait(q).expect("no poisoned task queue");
+                }
+            };
+            let mut fu = master.snapshot();
+            apply_deps(&mut fu, tasks, &results, t);
+            let outs = tasks[t]
+                .regions
+                .iter()
+                .map(|&rid| {
+                    let mut dropped = SchedStats::default();
+                    region_outcome(pass, &mut fu, rid, tracing, &mut dropped, &mut NopObserver)
+                })
+                .collect();
+            results[t]
+                .set(outs)
+                .unwrap_or_else(|_| unreachable!("each task is claimed once"));
+            let mut q = queue.lock().expect("no poisoned task queue");
+            // Saturating: a panicking worker may have ended the pool already.
+            q.remaining = q.remaining.saturating_sub(1);
+            for &d in &dependents[t] {
+                q.indegree[d] -= 1;
+                if q.indegree[d] == 0 {
+                    q.ready.push(d);
+                }
             }
+            drop(q);
+            ready_cv.notify_all();
         }
-        drop(q);
-        ready_cv.notify_all();
     };
     // More runnable threads than hardware can run is pure scheduler
     // overhead for CPU-bound work: cap the pool at the machine's
@@ -340,7 +362,7 @@ fn unit_roots(
 ) -> Vec<RegionId> {
     let eligible: HashMap<RegionId, bool> = order
         .iter()
-        .map(|&r| (r, region_within_size_limits(f, tree, r, config)))
+        .map(|&r| (r, size_gate(f, &subtree_blocks(tree, r), config).is_none()))
         .collect();
     let is_eligible = |r: &RegionId| eligible.get(r).copied().unwrap_or(false);
     order
@@ -465,8 +487,9 @@ pub(crate) mod tests {
         let mut st = SchedStats::default();
         let mut rec = Recorder::new();
         let max_h = config.max_region_height;
+        let hooks = TestHooks::default();
         global_pass(
-            &mut f, &machine, cfg, tree, config, max_h, &mut st, &mut rec,
+            &mut f, &machine, cfg, tree, config, &hooks, max_h, &mut st, &mut rec,
         );
         (f, st, rec.into_events())
     }

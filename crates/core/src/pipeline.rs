@@ -10,7 +10,7 @@
 //! 6. the basic block scheduler runs over every block.
 
 use crate::bb::schedule_block_observed;
-use crate::config::{SchedConfig, SchedLevel};
+use crate::config::{SchedConfig, SchedLevel, TestHooks};
 use crate::parallel::global_pass;
 use crate::rotate::rotate_loop_observed;
 use crate::stats::SchedStats;
@@ -32,8 +32,8 @@ pub enum CompileError {
     /// The pipeline produced (or was handed) a function that fails
     /// [`Function::verify`].
     Malformed(VerifyFunctionError),
-    /// The [`SchedConfig::verify_each_pass`] debug verifier rejected the
-    /// function a pass just produced.
+    /// The [`TestHooks::verifier`] rejected the function a pass just
+    /// produced.
     PassCheck {
         /// The pass after which the verifier fired.
         pass: Pass,
@@ -117,7 +117,7 @@ pub fn compile(
     machine: &MachineDescription,
     config: &SchedConfig,
 ) -> Result<SchedStats, CompileError> {
-    compile_observed(f, machine, config, &mut NopObserver)
+    compile_with_hooks(f, machine, config, &TestHooks::default(), &mut NopObserver)
 }
 
 /// Marks a pass begin for the observer and starts its wall clock.
@@ -137,15 +137,15 @@ fn pass_end<O: SchedObserver>(obs: &mut O, pass: Pass, t0: Instant, stats: &mut 
     }
 }
 
-/// Runs the [`SchedConfig::verify_each_pass`] debug verifier (if any)
-/// against the pre-pass snapshot and the current function state.
+/// Runs the [`TestHooks::verifier`] (if any) against the pre-pass
+/// snapshot and the current function state.
 fn pass_checkpoint(
-    config: &SchedConfig,
+    hooks: &TestHooks,
     pass: Pass,
     before: Option<&Function>,
     after: &Function,
 ) -> Result<(), CompileError> {
-    if let (Some(check), Some(before)) = (config.verify_each_pass, before) {
+    if let (Some(check), Some(before)) = (hooks.verifier, before) {
         check(pass, before, after).map_err(|detail| CompileError::PassCheck { pass, detail })?;
     }
     Ok(())
@@ -166,11 +166,29 @@ pub fn compile_observed<O: SchedObserver>(
     config: &SchedConfig,
     obs: &mut O,
 ) -> Result<SchedStats, CompileError> {
+    compile_with_hooks(f, machine, config, &TestHooks::default(), obs)
+}
+
+/// [`compile_observed`] with test hooks plugged in: a per-pass verifier,
+/// which also arms the scheduler's oracle checks in release builds, and
+/// a planted fault (see [`TestHooks`]). With the default hooks this is
+/// exactly `compile_observed`.
+///
+/// # Errors
+///
+/// See [`compile`]; [`CompileError::PassCheck`] when the verifier fires.
+pub fn compile_with_hooks<O: SchedObserver>(
+    f: &mut Function,
+    machine: &MachineDescription,
+    config: &SchedConfig,
+    hooks: &TestHooks,
+    obs: &mut O,
+) -> Result<SchedStats, CompileError> {
     f.verify().map_err(CompileError::Malformed)?;
     let mut stats = SchedStats::default();
-    // Snapshot before each pass only when the debug verifier is plugged
-    // in; `None` keeps the normal path allocation-free.
-    let snapshot = |f: &Function| config.verify_each_pass.map(|_| f.clone());
+    // Snapshot before each pass only when a verifier is plugged in;
+    // `None` keeps the normal path allocation-free.
+    let snapshot = |f: &Function| hooks.verifier.map(|_| f.clone());
 
     // 1. Register-web renaming.
     if config.rename {
@@ -184,7 +202,7 @@ pub fn compile_observed<O: SchedObserver>(
             });
         }
         pass_end(obs, Pass::Rename, t0, &mut stats);
-        pass_checkpoint(config, Pass::Rename, snap.as_ref(), f)?;
+        pass_checkpoint(hooks, Pass::Rename, snap.as_ref(), f)?;
     }
 
     // 2. Unroll small inner loops (once per §6; extra rounds double
@@ -213,7 +231,7 @@ pub fn compile_observed<O: SchedObserver>(
             }
         }
         pass_end(obs, Pass::Unroll, t0, &mut stats);
-        pass_checkpoint(config, Pass::Unroll, snap.as_ref(), f)?;
+        pass_checkpoint(hooks, Pass::Unroll, snap.as_ref(), f)?;
     }
 
     // 3. First global pass: inner regions (height 0). Both global passes
@@ -223,9 +241,11 @@ pub fn compile_observed<O: SchedObserver>(
         let snap = snapshot(f);
         let t0 = pass_begin(obs, Pass::Global1);
         let an = analyze(f);
-        global_pass(f, machine, &an.cfg, &an.tree, config, 0, &mut stats, obs);
+        global_pass(
+            f, machine, &an.cfg, &an.tree, config, hooks, 0, &mut stats, obs,
+        );
         pass_end(obs, Pass::Global1, t0, &mut stats);
-        pass_checkpoint(config, Pass::Global1, snap.as_ref(), f)?;
+        pass_checkpoint(hooks, Pass::Global1, snap.as_ref(), f)?;
 
         // 4. Rotate small inner loops (once each: after rotation the loop
         //    re-forms and must not be treated as a fresh candidate).
@@ -261,7 +281,7 @@ pub fn compile_observed<O: SchedObserver>(
                 }
             }
             pass_end(obs, Pass::Rotate, t0, &mut stats);
-            pass_checkpoint(config, Pass::Rotate, snap.as_ref(), f)?;
+            pass_checkpoint(hooks, Pass::Rotate, snap.as_ref(), f)?;
         }
 
         // 5. Second global pass: rotated inner loops and outer regions
@@ -275,12 +295,13 @@ pub fn compile_observed<O: SchedObserver>(
             &an.cfg,
             &an.tree,
             config,
+            hooks,
             config.max_region_height,
             &mut stats,
             obs,
         );
         pass_end(obs, Pass::Global2, t0, &mut stats);
-        pass_checkpoint(config, Pass::Global2, snap.as_ref(), f)?;
+        pass_checkpoint(hooks, Pass::Global2, snap.as_ref(), f)?;
     }
 
     // 6. Final basic block pass.
@@ -293,7 +314,7 @@ pub fn compile_observed<O: SchedObserver>(
             }
         }
         pass_end(obs, Pass::FinalBb, t0, &mut stats);
-        pass_checkpoint(config, Pass::FinalBb, snap.as_ref(), f)?;
+        pass_checkpoint(hooks, Pass::FinalBb, snap.as_ref(), f)?;
     }
 
     f.verify().map_err(CompileError::Malformed)?;

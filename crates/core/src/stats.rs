@@ -47,9 +47,8 @@ pub struct SchedStats {
     /// current code (`gis_pdg::Liveness::walk_live_out`), which reads the
     /// pass solve only where a path leaves the region.
     pub liveness_incremental: usize,
-    /// Whole-function liveness solves: one per global pass (one per call
-    /// of `schedule_region` on its own), plus one per §5.3 query when the
-    /// reference hot paths are selected.
+    /// Whole-function liveness solves: one per global pass, shared by
+    /// all of its regions.
     pub liveness_full: usize,
     /// Per-region scratch buffer bundles allocated by the global
     /// scheduler.

@@ -2,11 +2,14 @@
 //! the candidate-policy corners of §5.1, and the ready-list states of the
 //! global list scheduler.
 
-use gis_core::{compile, compile_observed, schedule_block, SchedConfig, SchedLevel, SchedStats};
+use gis_core::{
+    compile, compile_observed, compile_with_hooks, schedule_block, Fault, SchedConfig, SchedLevel,
+    SchedStats, TestHooks,
+};
 use gis_ir::{parse_function, BlockId, Function, InstId};
 use gis_machine::MachineDescription;
 use gis_sim::{execute, ExecConfig};
-use gis_trace::{Pass, Recorder, TraceEvent};
+use gis_trace::{NopObserver, Pass, Recorder, TraceEvent};
 use std::collections::HashMap;
 
 fn placement(f: &Function) -> HashMap<InstId, BlockId> {
@@ -359,27 +362,41 @@ J:
 /// A global pass solves whole-function liveness once, however many
 /// regions it schedules: every region's §5.3 queries walk its own code
 /// and read that one solve where a path leaves the region. At `jobs 2`
-/// the pass's workers share it.
+/// the pass's workers share it. A planted fault changes nothing here:
+/// its queries walk the region too.
 #[test]
 fn liveness_is_solved_once_per_global_pass() {
     let w = gis_workloads::synth::many_loops_preset("many-loops-m").expect("preset");
     let mut config = SchedConfig::speculative();
     config.jobs = 2;
-    let mut f = w.program.function.clone();
-    let stats = compile(&mut f, &MachineDescription::rs6k(), &config).expect("compiles");
-    assert_eq!(
-        stats.liveness_full, 2,
-        "one whole-function solve per global pass"
-    );
-    assert!(
-        stats.regions_scheduled > 50,
-        "{} regions scheduled",
-        stats.regions_scheduled
-    );
-    assert!(
-        stats.liveness_incremental > 0,
-        "§5.3 queries walk the region's code"
-    );
+    for fault in [None, Some(Fault::SkipLiveOnExit)] {
+        let mut f = w.program.function.clone();
+        let hooks = TestHooks {
+            verifier: None,
+            fault,
+        };
+        let stats = compile_with_hooks(
+            &mut f,
+            &MachineDescription::rs6k(),
+            &config,
+            &hooks,
+            &mut NopObserver,
+        )
+        .expect("compiles");
+        assert_eq!(
+            stats.liveness_full, 2,
+            "{fault:?}: one whole-function solve per global pass"
+        );
+        assert!(
+            stats.regions_scheduled > 50,
+            "{fault:?}: {} regions scheduled",
+            stats.regions_scheduled
+        );
+        assert!(
+            stats.liveness_incremental > 0,
+            "{fault:?}: §5.3 queries walk the region's code"
+        );
+    }
 }
 
 // --- Ready-list states --------------------------------------------------
@@ -388,22 +405,16 @@ fn liveness_is_solved_once_per_global_pass() {
 // in the candidate set, the earliest cycle its placed ones allow, and a
 // static blocked flag. These cases pin the states those counters must
 // get right. Under the test profile every pick is also checked against
-// the full rescan, and each case is compiled again with the reference
-// hot paths, which must schedule identically.
+// the full rescan, and every region's dependence graph against the
+// all-pairs builder.
 
-/// Compiles `text` traced under `config` and again untraced with the
-/// reference hot paths; the two schedules must agree.
+/// Compiles `text` traced under `config`; the test profile's armed
+/// checks hold every pick and every dependence graph to its oracle.
 fn traced_checked(text: &str, config: &SchedConfig) -> (Function, SchedStats, Recorder) {
-    let original = parse_function(text).expect("parses");
-    let machine = MachineDescription::rs6k();
-    let mut f = original.clone();
+    let mut f = parse_function(text).expect("parses");
     let mut rec = Recorder::new();
-    let stats = compile_observed(&mut f, &machine, config, &mut rec).expect("compiles");
-    let mut reference = original;
-    let mut ref_config = config.clone();
-    ref_config.reference_hot_paths = true;
-    compile(&mut reference, &machine, &ref_config).expect("compiles");
-    assert_eq!(f.to_string(), reference.to_string(), "reference diverged");
+    let stats =
+        compile_observed(&mut f, &MachineDescription::rs6k(), config, &mut rec).expect("compiles");
     (f, stats, rec)
 }
 
@@ -544,17 +555,10 @@ J:
     let mut config = SchedConfig::paper_example(SchedLevel::Speculative);
     config.duplication = true;
     let machine = MachineDescription::rs6k();
-    let compile_both = |reference: bool| {
-        let mut f = original.clone();
-        f.record_dup_origin(InstId::new(4), InstId::new(7));
-        let mut config = config.clone();
-        config.reference_hot_paths = reference;
-        let mut rec = Recorder::new();
-        let stats = compile_observed(&mut f, &machine, &config, &mut rec).expect("compiles");
-        (f, stats, rec)
-    };
-    let (f, stats, rec) = compile_both(false);
-    assert_eq!(compile_both(true).0.to_string(), f.to_string());
+    let mut f = original.clone();
+    f.record_dup_origin(InstId::new(4), InstId::new(7));
+    let mut rec = Recorder::new();
+    let stats = compile_observed(&mut f, &machine, &config, &mut rec).expect("compiles");
     assert_eq!(stats.dup_copies_deduped, 1, "I7 folded\n{f}");
     assert_eq!(
         first_pass_motions(&rec),

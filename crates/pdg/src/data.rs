@@ -536,7 +536,9 @@ impl DataDeps {
     /// differential oracle for [`build`](Self::build): same inputs,
     /// same output (checked by the `gis-check` test suite and used by
     /// the benchmark harness to measure the speedup). Quadratic in the
-    /// scope size — do not call it from the scheduler.
+    /// scope size — the scheduler calls it only under its armed checks
+    /// (debug builds, or a plugged-in verifier), to check each region's
+    /// graph.
     pub fn build_reference(
         f: &Function,
         machine: &MachineDescription,

@@ -49,17 +49,17 @@
 //! parallel pass sharing that solve among its workers (`parallel.rs`),
 //! and the region memo keying on it (`memo.rs`).
 //!
-//! It is checked, not assumed. Under debug builds and `gis-core`'s
-//! `SchedConfig::verify_each_pass`, every answer the §5.3 gate reads must
-//! equal [`Liveness::compute_reference`] on the current function, and
-//! after every commit each exit successor's pass-level live-ins must agree
-//! with a fresh reference solve on every register the region names; the
-//! differential fuzzer (`gisc fuzz`) sets that gate on every
-//! configuration. `SchedConfig::reference_hot_paths` answers every query
-//! from a fresh reference solve instead, and
-//! `crates/check/tests/hotpath_differential.rs` holds the two paths to
-//! bit-identical schedules over 200 generated functions (it also compares
-//! every query a region can ask with the reference solve directly).
+//! It is checked, not assumed. Under `gis-core`'s armed checks (debug
+//! builds, or a verifier plugged in through `TestHooks`), every answer
+//! the §5.3 gate reads must equal [`Liveness::compute_reference`] on the
+//! current function, and after every commit each exit successor's
+//! pass-level live-ins must agree with a fresh reference solve on every
+//! register the region names; the differential fuzzer (`gisc fuzz`)
+//! plugs its verifier into every configuration. A planted fault skips
+//! the boundary check, since its illegal motions break the invariant by
+//! design. `crates/check/tests/hotpath_differential.rs` also compares
+//! every query a region can ask with the reference solve directly, over
+//! 200 generated functions.
 
 use crate::numbering::class_slot;
 use gis_cfg::{Cfg, NodeId};
