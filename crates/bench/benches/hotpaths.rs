@@ -1,10 +1,11 @@
-//! Hot-path benchmarks with a tracked baseline: the sweep dependence
-//! builder vs the all-pairs reference, the sparse whole-function liveness
-//! solve vs the dense reference and the §5.3 queries, the linear §4.2
-//! web renamer vs the reaching-definitions reference, the ready-list
-//! basic-block scheduler vs the rescanning reference over every block
-//! of the final pass, and end-to-end compilation across `jobs` widths —
-//! measured on the scaled [`synth::MANY_LOOPS_PRESETS`] workloads.
+//! Hot-path benchmarks with a tracked baseline: the tinyc front end,
+//! the sweep dependence builder vs the all-pairs reference, the sparse
+//! whole-function liveness solve vs the dense reference and the §5.3
+//! queries, the linear §4.2 web renamer vs the reaching-definitions
+//! reference, the ready-list basic-block scheduler vs the rescanning
+//! reference over every block of the final pass, and end-to-end
+//! compilation across `jobs` widths — measured on the scaled
+//! [`synth::MANY_LOOPS_PRESETS`] workloads.
 //!
 //! Hand-rolled harness (`harness = false`, like `scheduler.rs`): the
 //! sandbox builds offline, so criterion is unavailable. Each row reports
@@ -20,16 +21,19 @@
 //! cargo bench -p gis-bench --bench hotpaths -- --out out.json
 //! ```
 //!
-//! Every end-to-end row carries an FNV-64 hash of the scheduled
-//! function's text; every `jobs` width (1/2/4/8) must hash identically
-//! — the run aborts on any mismatch rather than reporting a speedup for
-//! a scheduler that changed its answer. The global passes' own oracles
-//! are not timed here: debug builds and a plugged-in verifier check
-//! every decision against them as it is made (`gis_core::TestHooks`). The
-//! two renamers are held to the same standard: the run aborts unless
-//! they produce the same canonical bytes and statistics. So are the two
-//! basic-block schedulers: the run aborts unless they order every block
-//! alike, and their `final-bb` rows carry the hash of the result.
+//! Every `frontend` row carries an FNV-64 hash of the emitted
+//! function's canonical bytes, which pins what the front end produces
+//! across commits. Every end-to-end row carries an FNV-64 hash of the
+//! scheduled function's text; every `jobs` width (1/2/4/8) must hash
+//! identically — the run aborts on any mismatch rather than reporting a
+//! speedup for a scheduler that changed its answer. The global passes'
+//! own oracles are not timed here: debug builds and a plugged-in
+//! verifier check every decision against them as it is made
+//! (`gis_core::TestHooks`). The two renamers are held to the same
+//! standard: the run aborts unless they produce the same canonical
+//! bytes and statistics. So are the two basic-block schedulers: the run
+//! aborts unless they order every block alike, and their `final-bb`
+//! rows carry the hash of the result.
 //!
 //! Two groups measure this PR's work-distribution machinery. The
 //! `e2e-memo` group compiles many-loops-m against a cold vs a warm
@@ -47,7 +51,7 @@
 
 use gis_cfg::{Cfg, DomTree, LoopForest, RegionKind, RegionTree};
 use gis_core::{compile, schedule_block, schedule_block_reference, SchedConfig, SchedLevel};
-use gis_ir::hash::fnv64_str as fnv64;
+use gis_ir::hash::{fnv64 as fnv64_bytes, fnv64_str as fnv64};
 use gis_ir::{to_canonical_bytes, BlockId, Function, Reg};
 use gis_machine::MachineDescription;
 use gis_pdg::webs::{rename_webs, rename_webs_reference};
@@ -62,7 +66,8 @@ struct Row {
     name: String,
     n_insts: usize,
     median_ns: u128,
-    /// FNV-64 of the scheduled function text, for end-to-end rows.
+    /// FNV-64 of the scheduled function text for schedule rows, or of
+    /// the emitted function's canonical bytes for `frontend` rows.
     schedule_hash: Option<u64>,
 }
 
@@ -100,6 +105,20 @@ fn loop_scopes(f: &Function, config: &SchedConfig) -> Vec<Vec<BlockId>> {
             blocks.len() <= config.max_region_blocks && insts <= config.max_region_insts
         })
         .collect()
+}
+
+/// The front end on the preset's tinyc source: lexing, parsing and IR
+/// emission through `compile_program`. The row's hash is the FNV-64 of
+/// the emitted function's canonical bytes.
+fn bench_frontend(preset: &str, src: &str, iters: u32, runs: usize, rows: &mut Vec<Row>) {
+    let program = gis_tinyc::compile_program(src).expect("the preset compiles");
+    let ns = median_ns(iters, runs, || gis_tinyc::compile_program(black_box(src)));
+    rows.push(Row {
+        name: format!("frontend/{preset}"),
+        n_insts: program.function.num_insts(),
+        median_ns: ns,
+        schedule_hash: Some(fnv64_bytes(&to_canonical_bytes(&program.function))),
+    });
 }
 
 fn bench_dep_build(
@@ -680,6 +699,7 @@ fn main() {
             f.num_blocks(),
             f.num_insts()
         );
+        bench_frontend(preset, &w.source, iters, runs, &mut rows);
         let dep = bench_dep_build(preset, f, &machine, &config, iters, runs, &mut rows);
         let live = bench_liveness(preset, f, &machine, &config, iters, runs, &mut rows);
         let rename = bench_rename(preset, f, iters, runs, &mut rows);

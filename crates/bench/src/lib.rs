@@ -242,7 +242,6 @@ pub fn optimizer_effect(
                 program: gis_tinyc::CompiledProgram {
                     function: f,
                     arrays: w.program.arrays.clone(),
-                    text: String::new(),
                 },
                 memory: w.memory.clone(),
                 source: String::new(),

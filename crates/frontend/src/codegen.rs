@@ -1,9 +1,9 @@
 //! Code generation: tinyc AST → `gis-ir`, in the XL compiler's style.
 //!
-//! The generator emits the textual assembly form and assembles it with
-//! [`gis_ir::parse_function`], which doubles as a structural check. Shape
-//! choices mirror what the paper's Figure 2 shows the XL C compiler
-//! doing:
+//! The generator builds the [`Function`] directly: one pass over the AST
+//! appends each instruction to the current block as it is generated, and
+//! [`Function::verify`] checks the result. Shape choices mirror what the
+//! paper's Figure 2 shows the XL C compiler doing:
 //!
 //! * conditions compile to `C`/`CI` followed by a *branch-false* around
 //!   the guarded code;
@@ -17,11 +17,32 @@
 //! Comparisons are only valid in conditions (`if`/`while`), matching the
 //! era's code shape; `%` lowers to `a - (a/b)*b` under the machine's
 //! total division (`x/0 = 0`).
+//!
+//! Everything the IR numbers follows emission order, which pins the
+//! output byte for byte (`tests/kernel_golden.rs`):
+//!
+//! * blocks are laid out in the order their labels are placed, and a
+//!   branch always ends its block, so every branch is followed by a fresh
+//!   (possibly empty) fall-through block;
+//! * labels are `entry` and `L{n}.{tag}`, with `n` the order in which
+//!   labels are *created* — a forward branch names its label before the
+//!   label is placed, and branch targets are resolved once every label
+//!   has its block;
+//! * instruction ids and registers are handed out in emission order, so
+//!   each register class's counter ends one past its highest index;
+//! * an array's symbol is interned at its first memory access, so an
+//!   array that is never accessed has none.
+//!
+//! Source is outside input (the daemon compiles what clients send):
+//! constant indices and array sizes are checked, never wrapped, on their
+//! way into displacements and base addresses.
 
 use crate::ast::{BinOp, Expr, Global, Program, Stmt, UnOp};
 use crate::parser::parse_program;
 use crate::FrontendError;
-use gis_ir::{parse_function, Function};
+use gis_ir::{
+    BlockId, CondBit, Function, FxBinOp, Inst, InstIdx, MemRef, Op, Reg, RegClass, SymId,
+};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -39,12 +60,11 @@ pub struct ArraySlot {
 /// A compiled tinyc program.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
-    /// The entry function in IR form.
+    /// The entry function in IR form (its `Display` form is the
+    /// assembly listing).
     pub function: Function,
     /// Array placement, in declaration order.
     pub arrays: Vec<ArraySlot>,
-    /// The generated assembly text (useful for debugging and examples).
-    pub text: String,
 }
 
 impl CompiledProgram {
@@ -86,14 +106,32 @@ impl CompiledProgram {
 /// First array base address (past the paper example's region).
 const ARRAY_BASE: i64 = 0x1000;
 
-struct Gen {
-    text: String,
-    vars: HashMap<String, u32>,
-    array_regs: HashMap<String, u32>,
-    arrays: Vec<ArraySlot>,
-    next_gpr: u32,
-    next_cr: u32,
-    next_label: u32,
+/// A branch target: the label's creation number and its tag, spelled
+/// `L{n}.{tag}` once placed.
+#[derive(Clone, Copy)]
+struct Label {
+    n: u32,
+    tag: &'static str,
+}
+
+/// A global array as the generator sees it.
+struct ArrayInfo {
+    /// Register holding the base address.
+    base: Reg,
+    /// The array's symbol, interned at its first memory access.
+    sym: Option<SymId>,
+}
+
+struct Gen<'a> {
+    f: Function,
+    /// The block instructions are appended to.
+    cur: BlockId,
+    vars: HashMap<&'a str, Reg>,
+    arrays: HashMap<&'a str, ArrayInfo>,
+    /// Each label's block, by creation number; `None` until placed.
+    placed: Vec<Option<BlockId>>,
+    /// Branches whose target still holds a label's creation number.
+    branches: Vec<InstIdx>,
 }
 
 type GResult<T> = Result<T, FrontendError>;
@@ -102,80 +140,95 @@ fn err<T>(msg: impl Into<String>) -> GResult<T> {
     Err(FrontendError::Codegen(msg.into()))
 }
 
-impl Gen {
-    fn gpr(&mut self) -> u32 {
-        let r = self.next_gpr;
-        self.next_gpr += 1;
-        r
+impl<'a> Gen<'a> {
+    fn gpr(&mut self) -> Reg {
+        self.f.fresh_reg(RegClass::Gpr)
     }
 
-    fn cr(&mut self) -> u32 {
-        let r = self.next_cr;
-        self.next_cr += 1;
-        r
+    fn cr(&mut self) -> Reg {
+        self.f.fresh_reg(RegClass::Cr)
     }
 
-    fn label(&mut self, tag: &str) -> String {
-        let l = format!("L{}.{tag}", self.next_label);
-        self.next_label += 1;
-        l
+    fn emit(&mut self, op: Op) -> InstIdx {
+        let id = self.f.fresh_inst_id();
+        self.f.block_mut(self.cur).push(Inst::new(id, op))
     }
 
-    fn line(&mut self, s: &str) {
-        let _ = writeln!(self.text, "    {s}");
+    fn label(&mut self, tag: &'static str) -> Label {
+        let n = self.placed.len() as u32;
+        self.placed.push(None);
+        Label { n, tag }
     }
 
-    /// Emits a branch and opens a fresh fall-through block (the parser
-    /// requires branches to terminate their block).
-    fn branch_line(&mut self, s: &str) {
-        self.line(s);
-        let l = self.label("ft");
-        let _ = writeln!(self.text, "{l}:");
+    /// Opens the block `label` names; later instructions go there.
+    fn place(&mut self, label: Label) {
+        let mut name = String::with_capacity(label.tag.len() + 12);
+        let _ = write!(name, "L{}.{}", label.n, label.tag);
+        self.cur = self.f.add_block(name);
+        self.placed[label.n as usize] = Some(self.cur);
     }
 
-    fn start_block(&mut self, label: &str) {
-        let _ = writeln!(self.text, "{label}:");
+    /// Emits the branch `op` builds and opens a fresh fall-through block
+    /// (a branch ends its block). The branch targets `target`'s creation
+    /// number until [`Gen::resolve_branches`] points it at the label's
+    /// block.
+    fn branch(&mut self, target: Label, op: impl FnOnce(BlockId) -> Op) {
+        let ix = self.emit(op(BlockId::new(target.n)));
+        self.branches.push(ix);
+        let ft = self.label("ft");
+        self.place(ft);
     }
 
-    fn var(&self, name: &str) -> GResult<u32> {
+    /// Points every branch at its label's block, once all are placed.
+    fn resolve_branches(&mut self) -> GResult<()> {
+        for &ix in &self.branches {
+            let op = &mut self.f.inst_mut(ix).op;
+            let n = op.branch_target().map_or(usize::MAX, BlockId::index);
+            let Some(block) = self.placed.get(n).copied().flatten() else {
+                return err("internal: a branch targets a label that was never placed");
+            };
+            op.map_targets(|_| block);
+        }
+        Ok(())
+    }
+
+    fn var(&self, name: &str) -> GResult<Reg> {
         match self.vars.get(name) {
             Some(&r) => Ok(r),
             None => err(format!("unknown variable {name:?}")),
         }
     }
 
+    fn array_base(&self, name: &str) -> GResult<Reg> {
+        match self.arrays.get(name) {
+            Some(a) => Ok(a.base),
+            None => err(format!("unknown array {name:?}")),
+        }
+    }
+
     // ---- Expressions. ---------------------------------------------------
 
-    fn gen_expr(&mut self, e: &Expr) -> GResult<u32> {
+    fn gen_expr(&mut self, e: &'a Expr) -> GResult<Reg> {
         match e {
             Expr::Int(v) => {
                 let r = self.gpr();
-                self.line(&format!("LI r{r}={v}"));
+                self.emit(Op::LoadImm { rt: r, imm: *v });
                 Ok(r)
             }
             Expr::Var(name) => self.var(name),
             Expr::Index(name, idx) => {
-                let Some(&base) = self.array_regs.get(name) else {
-                    return err(format!("unknown array {name:?}"));
-                };
+                let base = self.array_base(name)?;
                 let r = self.gpr();
-                match idx.as_ref() {
-                    Expr::Int(k) => {
-                        self.line(&format!("L r{r}={name}(r{base},{})", 4 * k));
-                    }
-                    _ => {
-                        let addr = self.gen_address(name, base, idx)?;
-                        self.line(&format!("L r{r}={name}(r{addr},0)"));
-                    }
-                }
+                let mem = self.address(name, base, idx)?;
+                self.emit(Op::Load { rt: r, mem });
                 Ok(r)
             }
             Expr::Unary(UnOp::Neg, inner) => {
                 let v = self.gen_expr(inner)?;
                 let z = self.gpr();
-                self.line(&format!("LI r{z}=0"));
+                self.emit(Op::LoadImm { rt: z, imm: 0 });
                 let r = self.gpr();
-                self.line(&format!("S r{r}=r{z},r{v}"));
+                self.fx(FxBinOp::Sub, r, z, v);
                 Ok(r)
             }
             Expr::Unary(UnOp::Not, _) => err("'!' is only supported in conditions"),
@@ -188,45 +241,46 @@ impl Gen {
                     let a = self.gen_expr(lhs)?;
                     let b = self.gen_expr(rhs)?;
                     let q = self.gpr();
-                    self.line(&format!("DIV r{q}=r{a},r{b}"));
+                    self.fx(FxBinOp::Div, q, a, b);
                     let m = self.gpr();
-                    self.line(&format!("MUL r{m}=r{q},r{b}"));
+                    self.fx(FxBinOp::Mul, m, q, b);
                     let r = self.gpr();
-                    self.line(&format!("S r{r}=r{a},r{m}"));
+                    self.fx(FxBinOp::Sub, r, a, m);
                     return Ok(r);
                 }
-                let mn = |op: BinOp| match op {
-                    BinOp::Add => "A",
-                    BinOp::Sub => "S",
-                    BinOp::Mul => "MUL",
-                    BinOp::Div => "DIV",
-                    BinOp::And => "AND",
-                    BinOp::Or => "OR",
-                    BinOp::Xor => "XOR",
-                    BinOp::Shl => "SLL",
-                    BinOp::Shr => "SRA",
+                let fx = match op {
+                    BinOp::Add => FxBinOp::Add,
+                    BinOp::Sub => FxBinOp::Sub,
+                    BinOp::Mul => FxBinOp::Mul,
+                    BinOp::Div => FxBinOp::Div,
+                    BinOp::And => FxBinOp::And,
+                    BinOp::Or => FxBinOp::Or,
+                    BinOp::Xor => FxBinOp::Xor,
+                    BinOp::Shl => FxBinOp::Sll,
+                    BinOp::Shr => FxBinOp::Sra,
                     _ => unreachable!("handled above"),
                 };
-                let commutes = matches!(
-                    op,
-                    BinOp::Add | BinOp::Mul | BinOp::And | BinOp::Or | BinOp::Xor
-                );
                 // Immediate forms where the shape allows.
                 let (l, r_imm) = match (lhs.as_ref(), rhs.as_ref()) {
                     (_, Expr::Int(k)) => (lhs.as_ref(), Some(*k)),
-                    (Expr::Int(k), _) if commutes => (rhs.as_ref(), Some(*k)),
+                    (Expr::Int(k), _) if fx.commutes() => (rhs.as_ref(), Some(*k)),
                     _ => (lhs.as_ref(), None),
                 };
                 let t = self.gpr();
                 match r_imm {
-                    Some(k) => {
-                        let a = self.gen_expr(l)?;
-                        self.line(&format!("{}I r{t}=r{a},{k}", mn(*op)));
+                    Some(imm) => {
+                        let ra = self.gen_expr(l)?;
+                        self.emit(Op::FxImm {
+                            op: fx,
+                            rt: t,
+                            ra,
+                            imm,
+                        });
                     }
                     None => {
                         let a = self.gen_expr(lhs)?;
                         let b = self.gen_expr(rhs)?;
-                        self.line(&format!("{} r{t}=r{a},r{b}", mn(*op)));
+                        self.fx(fx, t, a, b);
                     }
                 }
                 Ok(t)
@@ -234,38 +288,59 @@ impl Gen {
         }
     }
 
-    /// Address register for `name[idx]` (dynamic index).
-    fn gen_address(&mut self, _name: &str, base: u32, idx: &Expr) -> GResult<u32> {
-        let i = self.gen_expr(idx)?;
-        let scaled = self.gpr();
-        self.line(&format!("SLLI r{scaled}=r{i},2"));
-        let addr = self.gpr();
-        self.line(&format!("A r{addr}=r{base},r{scaled}"));
-        Ok(addr)
+    fn fx(&mut self, op: FxBinOp, rt: Reg, ra: Reg, rb: Reg) {
+        self.emit(Op::Fx { op, rt, ra, rb });
+    }
+
+    /// The memory operand of `name[idx]`: a constant index folds into
+    /// the displacement, any other is scaled into an address register.
+    fn address(&mut self, name: &'a str, base: Reg, idx: &'a Expr) -> GResult<MemRef> {
+        let (base, disp) = match idx {
+            Expr::Int(k) => match k.checked_mul(4) {
+                Some(disp) => (base, disp),
+                None => return err(format!("index {k} of array {name:?} is out of range")),
+            },
+            _ => {
+                let i = self.gen_expr(idx)?;
+                let scaled = self.gpr();
+                self.emit(Op::FxImm {
+                    op: FxBinOp::Sll,
+                    rt: scaled,
+                    ra: i,
+                    imm: 2,
+                });
+                let addr = self.gpr();
+                self.fx(FxBinOp::Add, addr, base, scaled);
+                (addr, 0)
+            }
+        };
+        let array = self.arrays.get_mut(name).expect("looked up by the caller");
+        let sym = *array.sym.get_or_insert_with(|| self.f.add_symbol(name));
+        Ok(MemRef::sym(sym, base, disp))
     }
 
     // ---- Conditions. ----------------------------------------------------
 
     /// Emits code that jumps to `target` when `cond` is FALSE.
-    fn jump_if_false(&mut self, cond: &Expr, target: &str) -> GResult<()> {
+    fn jump_if_false(&mut self, cond: &'a Expr, target: Label) -> GResult<()> {
         self.jump_cond(cond, target, false)
     }
 
     /// Emits code that jumps to `target` when `cond` is TRUE.
-    fn jump_if_true(&mut self, cond: &Expr, target: &str) -> GResult<()> {
+    fn jump_if_true(&mut self, cond: &'a Expr, target: Label) -> GResult<()> {
         self.jump_cond(cond, target, true)
     }
 
-    fn jump_cond(&mut self, cond: &Expr, target: &str, when_true: bool) -> GResult<()> {
+    fn jump_cond(&mut self, cond: &'a Expr, target: Label, when_true: bool) -> GResult<()> {
         match cond {
             Expr::Unary(UnOp::Not, inner) => self.jump_cond(inner, target, !when_true),
             Expr::Binary(BinOp::LogAnd, l, r) => {
                 if when_true {
                     // Jump when both hold: fail fast past the jump.
                     let skip = self.label("and");
-                    self.jump_cond(l, &skip, false)?;
+                    self.jump_cond(l, skip, false)?;
                     self.jump_cond(r, target, true)?;
-                    self.start_block(&skip);
+                    self.place(skip);
                 } else {
                     self.jump_cond(l, target, false)?;
                     self.jump_cond(r, target, false)?;
@@ -278,51 +353,56 @@ impl Gen {
                     self.jump_cond(r, target, true)?;
                 } else {
                     let skip = self.label("or");
-                    self.jump_cond(l, &skip, true)?;
+                    self.jump_cond(l, skip, true)?;
                     self.jump_cond(r, target, false)?;
-                    self.start_block(&skip);
+                    self.place(skip);
                 }
                 Ok(())
             }
             Expr::Binary(op, l, r) if op.is_comparison() => {
-                let cr = self.cr();
+                let crt = self.cr();
                 match r.as_ref() {
-                    Expr::Int(k) => {
-                        let a = self.gen_expr(l)?;
-                        self.line(&format!("CI cr{cr}=r{a},{k}"));
+                    Expr::Int(imm) => {
+                        let ra = self.gen_expr(l)?;
+                        self.emit(Op::CompareImm { crt, ra, imm: *imm });
                     }
                     _ => {
-                        let a = self.gen_expr(l)?;
-                        let b = self.gen_expr(r)?;
-                        self.line(&format!("C cr{cr}=r{a},r{b}"));
+                        let ra = self.gen_expr(l)?;
+                        let rb = self.gen_expr(r)?;
+                        self.emit(Op::Compare { crt, ra, rb });
                     }
                 }
                 // Each comparison maps to (bit, sense-when-true); e.g.
                 // `<` is true when the lt bit is set, `>=` when clear.
                 let (bit, set_means_true) = match op {
-                    BinOp::Lt => ("0x1/lt", true),
-                    BinOp::Gt => ("0x2/gt", true),
-                    BinOp::Eq => ("0x4/eq", true),
-                    BinOp::Ge => ("0x1/lt", false),
-                    BinOp::Le => ("0x2/gt", false),
-                    BinOp::Ne => ("0x4/eq", false),
+                    BinOp::Lt => (CondBit::Lt, true),
+                    BinOp::Gt => (CondBit::Gt, true),
+                    BinOp::Eq => (CondBit::Eq, true),
+                    BinOp::Ge => (CondBit::Lt, false),
+                    BinOp::Le => (CondBit::Gt, false),
+                    BinOp::Ne => (CondBit::Eq, false),
                     _ => unreachable!(),
                 };
-                let mnemonic = if when_true == set_means_true {
-                    "BT"
-                } else {
-                    "BF"
-                };
-                self.branch_line(&format!("{mnemonic} {target},cr{cr},{bit}"));
+                let when = when_true == set_means_true;
+                self.branch(target, |target| Op::BranchCond {
+                    target,
+                    cr: crt,
+                    bit,
+                    when,
+                });
                 Ok(())
             }
             // Any other expression: non-zero is true.
             other => {
-                let v = self.gen_expr(other)?;
-                let cr = self.cr();
-                self.line(&format!("CI cr{cr}=r{v},0"));
-                let mnemonic = if when_true { "BF" } else { "BT" };
-                self.branch_line(&format!("{mnemonic} {target},cr{cr},0x4/eq"));
+                let ra = self.gen_expr(other)?;
+                let crt = self.cr();
+                self.emit(Op::CompareImm { crt, ra, imm: 0 });
+                self.branch(target, |target| Op::BranchCond {
+                    target,
+                    cr: crt,
+                    bit: CondBit::Eq,
+                    when: !when_true,
+                });
                 Ok(())
             }
         }
@@ -330,78 +410,77 @@ impl Gen {
 
     // ---- Statements. ------------------------------------------------------
 
-    fn gen_stmts(&mut self, stmts: &[Stmt]) -> GResult<()> {
+    fn gen_stmts(&mut self, stmts: &'a [Stmt]) -> GResult<()> {
         for s in stmts {
             self.gen_stmt(s)?;
         }
         Ok(())
     }
 
-    fn gen_stmt(&mut self, s: &Stmt) -> GResult<()> {
+    fn declared(&self, name: &str) -> bool {
+        self.vars.contains_key(name) || self.arrays.contains_key(name)
+    }
+
+    fn gen_stmt(&mut self, s: &'a Stmt) -> GResult<()> {
         match s {
             Stmt::Local(name, init) => {
-                if self.vars.contains_key(name) || self.array_regs.contains_key(name) {
+                if self.declared(name) {
                     return err(format!("{name:?} is already declared"));
                 }
-                let v = match init {
+                let rs = match init {
                     Some(e) => self.gen_expr(e)?,
                     None => {
                         let r = self.gpr();
-                        self.line(&format!("LI r{r}=0"));
+                        self.emit(Op::LoadImm { rt: r, imm: 0 });
                         r
                     }
                 };
-                let r = self.gpr();
-                self.line(&format!("LR r{r}=r{v}"));
-                self.vars.insert(name.clone(), r);
+                let rt = self.gpr();
+                self.emit(Op::Move { rt, rs });
+                self.vars.insert(name, rt);
                 Ok(())
             }
             Stmt::Assign(name, e) => {
-                let v = self.gen_expr(e)?;
-                let r = self.var(name)?;
-                self.line(&format!("LR r{r}=r{v}"));
+                let rs = self.gen_expr(e)?;
+                let rt = self.var(name)?;
+                self.emit(Op::Move { rt, rs });
                 Ok(())
             }
             Stmt::Store(name, idx, value) => {
-                let Some(&base) = self.array_regs.get(name) else {
-                    return err(format!("unknown array {name:?}"));
-                };
-                let v = self.gen_expr(value)?;
-                match idx {
-                    Expr::Int(k) => {
-                        self.line(&format!("ST r{v}=>{name}(r{base},{})", 4 * k));
-                    }
-                    _ => {
-                        let addr = self.gen_address(name, base, idx)?;
-                        self.line(&format!("ST r{v}=>{name}(r{addr},0)"));
-                    }
-                }
+                let base = self.array_base(name)?;
+                let rs = self.gen_expr(value)?;
+                let mem = self.address(name, base, idx)?;
+                self.emit(Op::Store { rs, mem });
                 Ok(())
             }
             Stmt::Print(e) => {
-                let v = self.gen_expr(e)?;
-                self.line(&format!("PRINT r{v}"));
+                let rs = self.gen_expr(e)?;
+                self.emit(Op::Print { rs });
                 Ok(())
             }
             Stmt::Call(name) => {
-                self.line(&format!("CALL {name}()->()"));
+                self.emit(Op::Call {
+                    name: name.clone(),
+                    uses: Vec::new(),
+                    defs: Vec::new(),
+                });
                 Ok(())
             }
             Stmt::If(cond, then, els) => {
                 if els.is_empty() {
                     let end = self.label("endif");
-                    self.jump_if_false(cond, &end)?;
+                    self.jump_if_false(cond, end)?;
                     self.gen_stmts(then)?;
-                    self.start_block(&end);
+                    self.place(end);
                 } else {
                     let else_l = self.label("else");
                     let end = self.label("endif");
-                    self.jump_if_false(cond, &else_l)?;
+                    self.jump_if_false(cond, else_l)?;
                     self.gen_stmts(then)?;
-                    self.branch_line(&format!("B {end}"));
-                    self.start_block(&else_l);
+                    self.branch(end, |target| Op::Branch { target });
+                    self.place(else_l);
                     self.gen_stmts(els)?;
-                    self.start_block(&end);
+                    self.place(end);
                 }
                 Ok(())
             }
@@ -409,11 +488,11 @@ impl Gen {
                 // XL shape: entry guard, bottom test (see Figure 2).
                 let exit = self.label("wexit");
                 let head = self.label("wloop");
-                self.jump_if_false(cond, &exit)?;
-                self.start_block(&head);
+                self.jump_if_false(cond, exit)?;
+                self.place(head);
                 self.gen_stmts(body)?;
-                self.jump_if_true(cond, &head)?;
-                self.start_block(&exit);
+                self.jump_if_true(cond, head)?;
+                self.place(exit);
                 Ok(())
             }
         }
@@ -425,7 +504,8 @@ impl Gen {
 /// # Errors
 ///
 /// Returns [`FrontendError`] for lexical, syntactic, or semantic problems
-/// (unknown names, redeclarations, comparisons used as values).
+/// (unknown names, redeclarations, comparisons used as values, constant
+/// indices or array sizes too large to address).
 pub fn compile_program(src: &str) -> Result<CompiledProgram, FrontendError> {
     let program: Program = parse_program(src)?;
     compile_ast(&program)
@@ -437,59 +517,67 @@ pub fn compile_program(src: &str) -> Result<CompiledProgram, FrontendError> {
 ///
 /// See [`compile_program`].
 pub fn compile_ast(program: &Program) -> Result<CompiledProgram, FrontendError> {
+    let mut f = Function::new(program.name.as_str());
+    let cur = f.add_block("entry");
     let mut g = Gen {
-        text: String::new(),
+        f,
+        cur,
         vars: HashMap::new(),
-        array_regs: HashMap::new(),
-        arrays: Vec::new(),
-        next_gpr: 0,
-        next_cr: 0,
-        next_label: 0,
+        arrays: HashMap::new(),
+        placed: Vec::new(),
+        branches: Vec::new(),
     };
-    let _ = writeln!(g.text, "func {}", program.name);
-    g.start_block("entry");
 
     // Globals: arrays get a base-address register; scalars a register
     // with their initial value.
+    let mut slots = Vec::new();
     let mut next_base = ARRAY_BASE;
     for global in &program.globals {
         match global {
             Global::Array(name, len) => {
-                if g.array_regs.contains_key(name) || g.vars.contains_key(name) {
+                if g.declared(name) {
                     return err(format!("{name:?} is already declared"));
                 }
-                let r = g.gpr();
-                g.line(&format!("LI r{r}={next_base}"));
-                g.array_regs.insert(name.clone(), r);
-                g.arrays.push(ArraySlot {
+                let base = g.gpr();
+                g.emit(Op::LoadImm {
+                    rt: base,
+                    imm: next_base,
+                });
+                g.arrays.insert(name, ArrayInfo { base, sym: None });
+                slots.push(ArraySlot {
                     name: name.clone(),
                     base: next_base,
                     len: *len,
                 });
                 // 16-byte align the next array.
-                next_base += ((*len as i64 * 4) + 15) / 16 * 16;
+                let end = i64::try_from(*len)
+                    .ok()
+                    .and_then(|len| len.checked_mul(4)?.checked_add(15))
+                    .and_then(|bytes| next_base.checked_add(bytes / 16 * 16));
+                match end {
+                    Some(end) => next_base = end,
+                    None => return err(format!("array {name:?} of {len} elements is too large")),
+                }
             }
             Global::Scalar(name, init) => {
-                if g.array_regs.contains_key(name) || g.vars.contains_key(name) {
+                if g.declared(name) {
                     return err(format!("{name:?} is already declared"));
                 }
                 let r = g.gpr();
-                g.line(&format!("LI r{r}={init}"));
-                g.vars.insert(name.clone(), r);
+                g.emit(Op::LoadImm { rt: r, imm: *init });
+                g.vars.insert(name, r);
             }
         }
     }
 
     g.gen_stmts(&program.body)?;
-    g.line("RET");
-
-    let text = g.text.clone();
-    let function = parse_function(&text)
-        .map_err(|e| FrontendError::Codegen(format!("internal: generated bad IR: {e}\n{text}")))?;
+    g.emit(Op::Ret);
+    g.resolve_branches()?;
+    g.f.verify()
+        .map_err(|e| FrontendError::Codegen(format!("internal: generated bad IR: {e}")))?;
     Ok(CompiledProgram {
-        function,
-        arrays: g.arrays,
-        text,
+        function: g.f,
+        arrays: slots,
     })
 }
 
@@ -501,10 +589,15 @@ mod tests {
         compile_program(src).expect("compiles")
     }
 
+    fn ops(p: &CompiledProgram) -> Vec<Op> {
+        p.function.insts().map(|(_, i)| i.op.clone()).collect()
+    }
+
     #[test]
     fn straight_line_program() {
         let p = compile("void f() { int x = 6; int y = x * 7; print(y); }");
-        assert!(p.text.contains("MULI"), "{}", p.text);
+        let text = p.function.to_string();
+        assert!(text.contains("MULI"), "{text}");
         assert!(p.function.num_blocks() >= 1);
     }
 
@@ -513,9 +606,14 @@ mod tests {
         let p =
             compile("int n = 5; void f() { int i = 0; while (i < n) { i = i + 1; } print(i); }");
         // Guard (BF) before the loop, BT at the bottom — the Figure 2 shape.
-        let bf = p.text.find("BF ").expect("guard branch");
-        let bt = p.text.find("BT ").expect("bottom test");
-        assert!(bf < bt, "{}", p.text);
+        let senses: Vec<bool> = ops(&p)
+            .iter()
+            .filter_map(|op| match op {
+                Op::BranchCond { when, .. } => Some(*when),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(senses, [false, true], "{}", p.function);
     }
 
     #[test]
@@ -528,8 +626,53 @@ mod tests {
         let b = p.array("b").expect("b placed");
         assert_eq!(a.base, 0x1000);
         assert_eq!(b.base, 0x1000 + 32);
-        assert!(p.text.contains("ST r"), "{}", p.text);
-        assert!(p.text.contains("=a(r"), "array symbol used: {}", p.text);
+        let sym_a = p.function.symbol("a").expect("array symbol used");
+        assert!(
+            ops(&p)
+                .iter()
+                .any(|op| matches!(op, Op::Store { mem, .. } if mem.sym == Some(sym_a))),
+            "{}",
+            p.function
+        );
+    }
+
+    #[test]
+    fn symbols_are_interned_at_first_access() {
+        // `b` is declared first but read second; `c` is never accessed.
+        let p = compile(
+            "int b[4]; int a[4]; int c[4];
+             void f() { int i = 1; print(a[b[i]]); }",
+        );
+        let symbols: Vec<&str> = p.function.symbols().map(|(_, s)| s).collect();
+        assert_eq!(symbols, ["b", "a"]);
+    }
+
+    #[test]
+    fn forward_branches_reach_labels_placed_later() {
+        let p = compile("int x = 1; void f() { if (x < 2) { print(x); } else { print(0); } }");
+        let f = &p.function;
+        let labels: Vec<&str> = f.blocks().map(|(_, b)| b.label()).collect();
+        assert_eq!(
+            labels,
+            ["entry", "L2.ft", "L3.ft", "L0.else", "L1.endif"],
+            "{f}"
+        );
+        let targets: Vec<&str> = f
+            .insts()
+            .filter_map(|(_, i)| i.op.branch_target())
+            .map(|t| f.block(t).label())
+            .collect();
+        assert_eq!(targets, ["L0.else", "L1.endif"], "{f}");
+    }
+
+    #[test]
+    fn allocators_end_past_the_highest_index() {
+        let p = compile("int n = 3; void f() { while (n > 0) { n = n - 1; } }");
+        let f = &p.function;
+        assert_eq!(f.inst_id_bound(), f.num_insts());
+        let mut g = f.clone();
+        g.recompute_allocators();
+        assert_eq!(f.reg_counters(), g.reg_counters());
     }
 
     #[test]
@@ -557,7 +700,7 @@ mod tests {
             "int a = 1; int b = 2;
              void f() { if (a < b && b < 3 || a == 0) { print(a); } }",
         );
-        let branches = p.text.matches("\n    B").count();
-        assert!(branches >= 3, "short-circuit chains: {}", p.text);
+        let branches = ops(&p).iter().filter(|op| op.is_branch()).count();
+        assert!(branches >= 3, "short-circuit chains: {}", p.function);
     }
 }

@@ -8,6 +8,13 @@
 //! the XL style (compare + branch-false, bottom-tested loops with an
 //! entry guard, which is exactly the shape of Figure 2).
 //!
+//! The pipeline is lexer → recursive-descent parser → AST → a generator
+//! that builds the [`gis_ir::Function`] directly, checked by
+//! `Function::verify`; the assembly listing is the function's `Display`
+//! form. Source is treated as outside input (the scheduling daemon
+//! compiles what clients send): nesting depth is bounded, and constant
+//! indices and array sizes that cannot be addressed are errors.
+//!
 //! # Example
 //!
 //! ```

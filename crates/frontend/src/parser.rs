@@ -26,9 +26,20 @@ impl fmt::Display for ParseProgramError {
 
 impl Error for ParseProgramError {}
 
+/// The deepest nesting the parser accepts. It counts enclosing
+/// statements, parentheses and unary operators, and each operand of an
+/// operator chain, so it bounds the height of the syntax tree as well as
+/// the parser's own recursion. Code generation and dropping the tree
+/// recurse as deep as the tree is high: source nested deeper fails with
+/// an error instead of overflowing the stack of the thread compiling it.
+const MAX_NESTING: usize = 256;
+
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
+    /// Current nesting, against [`MAX_NESTING`]. Left as it was on an
+    /// error, which ends the parse.
+    depth: usize,
 }
 
 type PResult<T> = Result<T, ParseProgramError>;
@@ -49,10 +60,30 @@ impl Parser {
         })
     }
 
-    fn bump(&mut self) -> Option<TokenKind> {
-        let t = self.toks.get(self.pos).map(|t| t.kind.clone());
-        self.pos += 1;
-        t
+    /// Enters one more level of nesting.
+    fn nest(&mut self) -> PResult<()> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        Ok(())
+    }
+
+    /// Moves the identifier at the cursor out of the token stream and
+    /// steps past it; `None`, with the cursor unmoved, on any other
+    /// token. A consumed token is never read again: the parser only
+    /// steps back to report an error, which reads the token's line.
+    fn take_ident(&mut self) -> Option<String> {
+        match self.toks.get_mut(self.pos) {
+            Some(Token {
+                kind: TokenKind::Ident(name),
+                ..
+            }) => {
+                self.pos += 1;
+                Some(std::mem::take(name))
+            }
+            _ => None,
+        }
     }
 
     fn eat(&mut self, want: &TokenKind) -> PResult<()> {
@@ -70,15 +101,11 @@ impl Parser {
     }
 
     fn ident(&mut self) -> PResult<String> {
+        if let Some(name) = self.take_ident() {
+            return Ok(name);
+        }
         match self.peek() {
-            Some(TokenKind::Ident(_)) => match self.bump() {
-                Some(TokenKind::Ident(s)) => Ok(s),
-                _ => unreachable!(),
-            },
-            Some(k) => {
-                let k = k.clone();
-                self.err(format!("expected identifier, found {k}"))
-            }
+            Some(k) => self.err(format!("expected identifier, found {k}")),
             None => self.err("expected identifier, found end of input"),
         }
     }
@@ -89,12 +116,12 @@ impl Parser {
         if neg {
             self.pos += 1;
         }
-        match self.bump() {
-            Some(TokenKind::Int(v)) => Ok(if neg { -v } else { v }),
-            other => {
-                self.pos -= 1;
-                self.err(format!("expected integer literal, found {other:?}"))
+        match self.peek() {
+            Some(&TokenKind::Int(v)) => {
+                self.pos += 1;
+                Ok(if neg { -v } else { v })
             }
+            other => self.err(format!("expected integer literal, found {other:?}")),
         }
     }
 
@@ -175,6 +202,13 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> PResult<Stmt> {
+        self.nest()?;
+        let stmt = self.stmt_inner()?;
+        self.depth -= 1;
+        Ok(stmt)
+    }
+
+    fn stmt_inner(&mut self) -> PResult<Stmt> {
         match self.peek() {
             Some(TokenKind::KwIf) => {
                 self.pos += 1;
@@ -294,6 +328,8 @@ impl Parser {
     }
 
     fn expr(&mut self, min_bp: u8) -> PResult<Expr> {
+        let depth = self.depth;
+        self.nest()?;
         let mut lhs = self.unary()?;
         while let Some(k) = self.peek() {
             let Some((op, bp)) = Self::binop_for(k) else {
@@ -303,42 +339,42 @@ impl Parser {
                 break;
             }
             self.pos += 1;
+            self.nest()?; // the chain's tree grows one level
             let rhs = self.expr(bp + 1)?; // left associative
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn unary(&mut self) -> PResult<Expr> {
-        match self.peek() {
-            Some(TokenKind::Minus) => {
-                self.pos += 1;
-                Ok(Expr::Unary(UnOp::Neg, Box::new(self.unary()?)))
-            }
-            Some(TokenKind::Bang) => {
-                self.pos += 1;
-                Ok(Expr::Unary(UnOp::Not, Box::new(self.unary()?)))
-            }
-            _ => self.primary(),
-        }
+        let op = match self.peek() {
+            Some(TokenKind::Minus) => UnOp::Neg,
+            Some(TokenKind::Bang) => UnOp::Not,
+            _ => return self.primary(),
+        };
+        self.pos += 1;
+        self.nest()?;
+        let inner = self.unary()?;
+        self.depth -= 1;
+        Ok(Expr::Unary(op, Box::new(inner)))
     }
 
     fn primary(&mut self) -> PResult<Expr> {
-        match self.peek().cloned() {
-            Some(TokenKind::Int(v)) => {
+        if let Some(name) = self.take_ident() {
+            return if matches!(self.peek(), Some(TokenKind::LBracket)) {
+                self.pos += 1;
+                let idx = self.expr(0)?;
+                self.eat(&TokenKind::RBracket)?;
+                Ok(Expr::Index(name, Box::new(idx)))
+            } else {
+                Ok(Expr::Var(name))
+            };
+        }
+        match self.peek() {
+            Some(&TokenKind::Int(v)) => {
                 self.pos += 1;
                 Ok(Expr::Int(v))
-            }
-            Some(TokenKind::Ident(name)) => {
-                self.pos += 1;
-                if matches!(self.peek(), Some(TokenKind::LBracket)) {
-                    self.pos += 1;
-                    let idx = self.expr(0)?;
-                    self.eat(&TokenKind::RBracket)?;
-                    Ok(Expr::Index(name, Box::new(idx)))
-                } else {
-                    Ok(Expr::Var(name))
-                }
             }
             Some(TokenKind::LParen) => {
                 self.pos += 1;
@@ -363,7 +399,11 @@ pub fn parse_program(src: &str) -> Result<Program, ParseProgramError> {
         line: e.line,
         message: e.message,
     })?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     p.program()
 }
 
@@ -449,6 +489,34 @@ mod tests {
     fn rejects_missing_entry() {
         let e = parse_program("int x;").unwrap_err();
         assert!(e.message.contains("entry"), "{e}");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |open: &str, close: &str, n: usize| {
+            format!("void f() {{ x = {}1{}; }}", open.repeat(n), close.repeat(n))
+        };
+        for src in [
+            nested("(", ")", 100_000),
+            nested("-", "", 100_000),
+            nested("", "+1", 100_000),
+            format!("void f() {{ {} }}", "if (x) ".repeat(100_000) + "x = 1;"),
+            format!(
+                "void f() {{ {}{} }}",
+                "{".repeat(100_000),
+                "}".repeat(100_000)
+            ),
+        ] {
+            let e = parse_program(&src).unwrap_err();
+            assert!(e.message.contains("nesting deeper than"), "{e}");
+        }
+        for src in [
+            nested("(", ")", 100),
+            nested("-", "", 100),
+            nested("", "+1", 100),
+        ] {
+            parse_program(&src).expect("moderate nesting parses");
+        }
     }
 
     #[test]

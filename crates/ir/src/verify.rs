@@ -1,5 +1,6 @@
 //! Structural verification of functions.
 
+use crate::bitset::DenseBitSet;
 use crate::block::{BlockId, InstId};
 use crate::function::Function;
 use crate::op::check_operand_classes;
@@ -120,25 +121,28 @@ impl Function {
             return Err(VerifyFunctionError::Empty);
         }
 
-        let mut labels = HashSet::new();
-        let mut ids = HashSet::new();
         let num_blocks = self.num_blocks();
+        let mut labels = HashSet::with_capacity(num_blocks);
         let num_syms = self.symbols().count();
         let bound = self.inst_id_bound();
+        let mut ids = DenseBitSet::with_capacity(bound);
 
         for (bid, block) in self.blocks() {
-            if !labels.insert(block.label().to_owned()) {
+            if !labels.insert(block.label()) {
                 return Err(VerifyFunctionError::DuplicateLabel {
                     label: block.label().to_owned(),
                 });
             }
             let len = block.len();
             for (pos, inst) in block.insts().enumerate() {
-                if !ids.insert(inst.id) {
-                    return Err(VerifyFunctionError::DuplicateInstId { id: inst.id });
-                }
+                // Bound first, so the id set never grows past it. The
+                // order reports the same error: an id out of bounds fails
+                // at its first occurrence, before it could repeat.
                 if inst.id.index() >= bound {
                     return Err(VerifyFunctionError::InstIdOutOfBounds { id: inst.id });
+                }
+                if !ids.insert(inst.id.index()) {
+                    return Err(VerifyFunctionError::DuplicateInstId { id: inst.id });
                 }
                 if inst.op.is_branch() && pos + 1 != len {
                     return Err(VerifyFunctionError::BranchNotLast {

@@ -184,7 +184,6 @@ pub fn minmax_workload(size: usize) -> Workload {
             base: minmax::ARRAY_BASE,
             len: size,
         }],
-        text: String::new(),
     };
     Workload {
         name: "MINMAX",

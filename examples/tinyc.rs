@@ -34,7 +34,7 @@ void divisors() {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = compile_program(SOURCE)?;
-    println!("--- generated IR (XL style) ---\n{}", program.text);
+    println!("--- generated IR (XL style) ---\n{}", program.function);
 
     let data: Vec<i64> = (1..=32).collect();
     let memory = program.initial_memory(&[("a", &data)])?;

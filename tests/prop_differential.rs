@@ -63,7 +63,7 @@ fn scheduling_preserves_observable_behaviour() {
         for (label, sched, machine) in configs() {
             let mut f = compiled.function.clone();
             compile(&mut f, &machine, &sched)
-                .unwrap_or_else(|e| panic!("seed {seed}/{label}: {e}\n{}", compiled.text));
+                .unwrap_or_else(|e| panic!("seed {seed}/{label}: {e}\n{}", compiled.function));
             let got = execute(&f, &memory, &config)
                 .unwrap_or_else(|e| panic!("seed {seed}/{label}: {e}\n{f}"));
             assert!(
