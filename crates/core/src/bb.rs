@@ -120,7 +120,6 @@ pub fn schedule_block(f: &mut Function, machine: &MachineDescription, block: Blo
     if block_ref.insts().map(|i| i.id).eq(order.iter().copied()) {
         return false;
     }
-    // A pure index permutation in the arena-backed block list.
     f.block_mut(block).set_order(&order);
     true
 }

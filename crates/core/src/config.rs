@@ -62,6 +62,14 @@ impl TestHooks {
     }
 }
 
+/// Loops of at most this many blocks are "small": unrolled once before
+/// the first global pass and rotated after it (§6).
+pub(crate) const SMALL_LOOP_BLOCKS: usize = 4;
+
+/// Only regions of height at most this are scheduled (§6 schedules "two
+/// inner levels": heights 0 and 1).
+pub(crate) const MAX_REGION_HEIGHT: usize = 1;
+
 /// How far instructions may move (§5.1's "levels of scheduling").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedLevel {
@@ -89,26 +97,17 @@ pub struct SchedConfig {
     /// Run register-web renaming before scheduling (§4.2's SSA-like
     /// renaming; required for Figure 6's `cr6`→`cr5` motion).
     pub rename: bool,
-    /// Unroll inner loops of at most [`SchedConfig::small_loop_blocks`]
-    /// blocks once before scheduling (§6).
+    /// Unroll inner loops of at most four blocks once before scheduling
+    /// (§6).
     pub unroll: bool,
-    /// How many doubling rounds of unrolling to run (the paper's §6 uses
-    /// one; each extra round doubles again any loop still under the
-    /// [`SchedConfig::small_loop_blocks`] limit).
-    pub unroll_times: usize,
-    /// Rotate small inner loops between the two global passes (§6's
-    /// partial software pipelining).
+    /// Rotate inner loops of at most four blocks between the two global
+    /// passes (§6's partial software pipelining).
     pub rotate: bool,
-    /// Loops up to this many blocks are "small" for unroll/rotate (§6: 4).
-    pub small_loop_blocks: usize,
     /// Regions larger than this many blocks are not scheduled (§6: 64).
     pub max_region_blocks: usize,
     /// Regions larger than this many instructions are not scheduled
     /// (§6: 256).
     pub max_region_insts: usize,
-    /// Only regions of height at most this are scheduled (§6 schedules
-    /// "two inner levels": heights 0 and 1).
-    pub max_region_height: usize,
     /// Whether loads may be moved speculatively (they cannot fault in the
     /// machine model, so the default is true).
     pub speculative_loads: bool,
@@ -184,12 +183,9 @@ impl SchedConfig {
             level: SchedLevel::Speculative,
             rename: true,
             unroll: true,
-            unroll_times: 1,
             rotate: true,
-            small_loop_blocks: 4,
             max_region_blocks: 64,
             max_region_insts: 256,
-            max_region_height: 1,
             speculative_loads: true,
             speculative_renaming: true,
             final_bb_pass: true,

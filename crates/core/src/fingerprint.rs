@@ -15,7 +15,7 @@
 //! request that does not use them fingerprints exactly as it did before
 //! the option existed and deployed caches stay warm across upgrades.
 
-use crate::{SchedConfig, SchedLevel};
+use crate::config::{SchedConfig, SchedLevel, MAX_REGION_HEIGHT, SMALL_LOOP_BLOCKS};
 use gis_ir::hash::Fnv64;
 use gis_ir::OpClass;
 use gis_machine::MachineDescription;
@@ -72,7 +72,10 @@ pub fn write_machine_fingerprint(h: &mut Fnv64, machine: &MachineDescription) {
 /// part of the configuration at all. A branch profile, if
 /// present, is hashed entry by entry (probed over the function's
 /// instruction-id range — profiles key on [`gis_ir::InstId`], so their
-/// content is per-function anyway).
+/// content is per-function anyway). The §6 constants that were options
+/// when `config/v1` was fixed (one unroll round, four-block small loops,
+/// region height one) are hashed in their old positions, so v1 keys
+/// stay byte-identical.
 pub fn write_config_fingerprint(h: &mut Fnv64, config: &SchedConfig, inst_bound: usize) {
     h.write(b"config/v1\0");
     h.write_u8(match config.level {
@@ -82,12 +85,12 @@ pub fn write_config_fingerprint(h: &mut Fnv64, config: &SchedConfig, inst_bound:
     });
     h.write_u8(u8::from(config.rename));
     h.write_u8(u8::from(config.unroll));
-    h.write_u64(config.unroll_times as u64);
+    h.write_u64(1);
     h.write_u8(u8::from(config.rotate));
-    h.write_u64(config.small_loop_blocks as u64);
+    h.write_u64(SMALL_LOOP_BLOCKS as u64);
     h.write_u64(config.max_region_blocks as u64);
     h.write_u64(config.max_region_insts as u64);
-    h.write_u64(config.max_region_height as u64);
+    h.write_u64(MAX_REGION_HEIGHT as u64);
     h.write_u8(u8::from(config.speculative_loads));
     h.write_u8(u8::from(config.speculative_renaming));
     h.write_u8(u8::from(config.final_bb_pass));

@@ -535,9 +535,7 @@ impl<O: SchedObserver> PassHooks<PriorityKey> for BlockPass<'_, '_, O> {
                 });
             }
             // Physical upward motion into A (kept before A's branch;
-            // final order applied at end of pass). Under the arena
-            // representation this relinks one index: the payload never
-            // moves.
+            // final order applied at end of pass).
             let block_a = f.block(a);
             let at = block_a.len() - usize::from(block_a.last().is_some_and(|i| i.op.is_branch()));
             f.relink_inst(cand.id, cand.home, a, at);

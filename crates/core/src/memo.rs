@@ -43,7 +43,7 @@ use crate::config::{SchedConfig, SchedLevel, TestHooks};
 use crate::fingerprint::{write_config_fingerprint, write_machine_fingerprint};
 use crate::global::{size_gate, subtree_blocks};
 use crate::lru::Lru;
-use crate::outcome::{class_slot, RegionOutcome};
+use crate::outcome::RegionOutcome;
 use crate::parallel::GlobalPass;
 use crate::stats::SchedStats;
 use gis_cfg::{RegionId, RegionKind, RegionTree};
@@ -78,6 +78,21 @@ pub struct RegionMemoCounters {
     pub entries: u64,
     /// Retention bound.
     pub capacity: u64,
+}
+
+impl RegionMemoCounters {
+    /// The counters as `(name, value)` pairs under the `cache.region.`
+    /// prefix, the names `gisc --metrics`, the HTML report and the
+    /// daemon's stats share.
+    pub fn metrics(&self) -> [(&'static str, u64); 5] {
+        [
+            ("cache.region.hit", self.hits),
+            ("cache.region.miss", self.misses),
+            ("cache.region.splice", self.splices),
+            ("cache.region.entries", self.entries),
+            ("cache.region.capacity", self.capacity),
+        ]
+    }
 }
 
 /// Reads the process-wide region memo counters. These surface in the
@@ -170,7 +185,7 @@ fn memo_key(pass: &GlobalPass, f: &Function, rid: RegionId, tracing: bool) -> Op
     for &b in &exits {
         h.write_u32(b.index() as u32);
         for &r in pass.live.live_in(b) {
-            h.write_u8(class_slot(r.class()) as u8);
+            h.write_u8(r.class().slot() as u8);
             h.write_u32(r.index());
         }
         h.write_u8(0xff);

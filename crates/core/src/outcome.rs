@@ -27,17 +27,6 @@ use gis_cfg::RegionId;
 use gis_ir::{BlockId, Function, Inst, InstId, Op, Reg, RegClass};
 use gis_trace::{NopObserver, Recorder, SchedObserver, TraceEvent};
 
-const CLASSES: [RegClass; 3] = [RegClass::Gpr, RegClass::Fpr, RegClass::Cr];
-
-/// The position of `class` in [`Function::reg_counters`].
-pub(crate) fn class_slot(class: RegClass) -> usize {
-    match class {
-        RegClass::Gpr => 0,
-        RegClass::Fpr => 1,
-        RegClass::Cr => 2,
-    }
-}
-
 /// What scheduling one region did (see the module docs).
 pub(crate) struct RegionOutcome {
     /// Final content of the region's direct blocks; empty when the
@@ -202,8 +191,8 @@ impl Renumber {
     /// Draws the outcome's counts from `f`'s allocators.
     fn draw(out: &RegionOutcome, f: &mut Function) -> Self {
         let reg_to = f.reg_counters();
-        for class in CLASSES {
-            for _ in 0..out.regs[class_slot(class)] {
+        for class in RegClass::ALL {
+            for _ in 0..out.regs[class.slot()] {
                 f.fresh_reg(class);
             }
         }
@@ -226,7 +215,7 @@ impl Renumber {
     }
 
     fn reg(&self, r: Reg) -> Reg {
-        let s = class_slot(r.class());
+        let s = r.class().slot();
         let k = r.index().wrapping_sub(self.reg_from[s]);
         if k < self.regs[s] {
             Reg::new(r.class(), self.reg_to[s] + k)
@@ -256,8 +245,8 @@ impl Renumber {
 
     /// Rewrites the spelling of a register the recorded run drew.
     fn respell(&self, spelling: &mut String) {
-        for class in CLASSES {
-            let s = class_slot(class);
+        for class in RegClass::ALL {
+            let s = class.slot();
             for k in 0..self.regs[s] {
                 if *spelling == Reg::new(class, self.reg_from[s] + k).to_string() {
                     *spelling = Reg::new(class, self.reg_to[s] + k).to_string();
@@ -334,10 +323,10 @@ mod tests {
                 }
             }
         }
-        let cr = f.reg_counters()[class_slot(RegClass::Cr)];
+        let cr = f.reg_counters()[RegClass::Cr.slot()];
         let (drawn, respelled) = (Reg::cr(cr - 1).to_string(), Reg::cr(cr).to_string());
         assert_eq!(renamed, vec![respelled.clone()], "the rename is respelled");
-        assert_eq!(g.reg_counters()[class_slot(RegClass::Cr)], cr + 1);
+        assert_eq!(g.reg_counters()[RegClass::Cr.slot()], cr + 1);
         assert_eq!(g.to_string(), f.to_string().replace(&drawn, &respelled));
     }
 }

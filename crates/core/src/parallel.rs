@@ -456,7 +456,7 @@ fn gather(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::config::SchedLevel;
+    use crate::config::{SchedLevel, MAX_REGION_HEIGHT};
     use gis_trace::{Recorder, TraceEvent};
 
     pub(crate) fn analyses(text: &str) -> (Function, Cfg, RegionTree) {
@@ -475,7 +475,7 @@ pub(crate) mod tests {
         l2:\n AI r2=r2,2\n C cr1=r2,r9\n BT l2,cr1,0x1/lt\n\
         out:\n PRINT r1\n PRINT r2\n RET\n";
 
-    /// Runs one global pass (at the configured height limit) traced.
+    /// Runs one global pass (at the §6 height limit) traced.
     fn traced_pass(
         f0: &Function,
         cfg: &Cfg,
@@ -486,10 +486,17 @@ pub(crate) mod tests {
         let mut f = f0.clone();
         let mut st = SchedStats::default();
         let mut rec = Recorder::new();
-        let max_h = config.max_region_height;
         let hooks = TestHooks::default();
         global_pass(
-            &mut f, &machine, cfg, tree, config, &hooks, max_h, &mut st, &mut rec,
+            &mut f,
+            &machine,
+            cfg,
+            tree,
+            config,
+            &hooks,
+            MAX_REGION_HEIGHT,
+            &mut st,
+            &mut rec,
         );
         (f, st, rec.into_events())
     }

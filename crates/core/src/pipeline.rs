@@ -10,7 +10,7 @@
 //! 6. the basic block scheduler runs over every block.
 
 use crate::bb::schedule_block_observed;
-use crate::config::{SchedConfig, SchedLevel, TestHooks};
+use crate::config::{SchedConfig, SchedLevel, TestHooks, MAX_REGION_HEIGHT, SMALL_LOOP_BLOCKS};
 use crate::parallel::global_pass;
 use crate::rotate::rotate_loop_observed;
 use crate::stats::SchedStats;
@@ -205,29 +205,19 @@ pub fn compile_with_hooks<O: SchedObserver>(
         pass_checkpoint(hooks, Pass::Rename, snap.as_ref(), f)?;
     }
 
-    // 2. Unroll small inner loops (once per §6; extra rounds double
-    //    again while loops stay under the size limit).
+    // 2. Unroll small inner loops (once, per §6).
     if config.unroll {
         let snap = snapshot(f);
         let t0 = pass_begin(obs, Pass::Unroll);
-        for _ in 0..config.unroll_times {
-            let mut done: HashSet<String> = HashSet::new();
-            let mut any = false;
-            loop {
-                let an = analyze(f);
-                let Some((label, lo, hi)) =
-                    small_inner_loops(f, &an, config.small_loop_blocks, &done)
-                else {
-                    break;
-                };
-                done.insert(label);
-                if unroll_loop_observed(f, lo, hi, obs) {
-                    stats.loops_unrolled += 1;
-                    any = true;
-                }
-            }
-            if !any {
+        let mut done: HashSet<String> = HashSet::new();
+        loop {
+            let an = analyze(f);
+            let Some((label, lo, hi)) = small_inner_loops(f, &an, SMALL_LOOP_BLOCKS, &done) else {
                 break;
+            };
+            done.insert(label);
+            if unroll_loop_observed(f, lo, hi, obs) {
+                stats.loops_unrolled += 1;
             }
         }
         pass_end(obs, Pass::Unroll, t0, &mut stats);
@@ -255,8 +245,7 @@ pub fn compile_with_hooks<O: SchedObserver>(
             let mut done: HashSet<String> = HashSet::new();
             loop {
                 let an = analyze(f);
-                let Some((label, lo, hi)) =
-                    small_inner_loops(f, &an, config.small_loop_blocks, &done)
+                let Some((label, lo, hi)) = small_inner_loops(f, &an, SMALL_LOOP_BLOCKS, &done)
                 else {
                     break;
                 };
@@ -296,7 +285,7 @@ pub fn compile_with_hooks<O: SchedObserver>(
             &an.tree,
             config,
             hooks,
-            config.max_region_height,
+            MAX_REGION_HEIGHT,
             &mut stats,
             obs,
         );

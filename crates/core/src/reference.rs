@@ -159,7 +159,6 @@ pub fn schedule_block_reference(
     if old == order {
         return false;
     }
-    // A pure index permutation in the arena-backed block list.
     f.block_mut(block).set_order(&order);
     true
 }

@@ -89,6 +89,24 @@ impl SchedStats {
         self.scratch_allocs += other.scratch_allocs;
         self.scratch_reuses += other.scratch_reuses;
     }
+
+    /// The flat performance counters as `(name, value)` pairs, the names
+    /// `gisc --metrics`, the HTML report and the daemon's metrics share.
+    /// The `perf.` prefix keeps them grouped (and apart from the
+    /// event-derived counters) in a sorted metrics listing.
+    pub fn perf_counters(&self) -> [(&'static str, u64); 6] {
+        [
+            ("perf.dep-edges", self.dep_edges as u64),
+            ("perf.dep-edges-reduced", self.dep_edges_reduced as u64),
+            ("perf.liveness-full", self.liveness_full as u64),
+            (
+                "perf.liveness-incremental",
+                self.liveness_incremental as u64,
+            ),
+            ("perf.scratch-allocs", self.scratch_allocs as u64),
+            ("perf.scratch-reuses", self.scratch_reuses as u64),
+        ]
+    }
 }
 
 impl fmt::Display for SchedStats {

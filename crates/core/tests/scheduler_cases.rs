@@ -103,8 +103,9 @@ X:
 
 #[test]
 fn region_height_limit_skips_outer_regions() {
-    // Two nested loops; with max_region_height = 0 only the inner loop
-    // region and other height-0 regions are scheduled.
+    // Two nested loops: the inner loop (height 0) and the outer loop
+    // (height 1) are scheduled, the routine body around them (height 2,
+    // the only region holding A and E) never is (§6: "two inner levels").
     let text = "\
 func n
 A:
@@ -122,21 +123,24 @@ D:
 E:
     (I8) RET
 ";
-    let mut config = SchedConfig::paper_example(SchedLevel::Speculative);
-    config.max_region_height = 0;
-    let (_, _, stats) = schedule(text, &config);
-    // Only height-0 regions scheduled; pass 2 skips the outer loop and the
-    // body (heights 1 and 2).
-    assert!(stats.regions_scheduled >= 1);
-
-    let mut config1 = SchedConfig::paper_example(SchedLevel::Speculative);
-    config1.max_region_height = 2;
-    let (_, _, stats1) = schedule(text, &config1);
+    let (_, _, rec) = traced_checked(text, &SchedConfig::paper_example(SchedLevel::Speculative));
+    let scheduled: Vec<&[String]> = rec
+        .events()
+        .filter_map(|e| match e {
+            TraceEvent::RegionBegin { blocks, .. } => Some(blocks.as_slice()),
+            _ => None,
+        })
+        .collect();
+    assert!(scheduled.contains(&&["C".to_owned()][..]), "inner loop");
     assert!(
-        stats1.regions_scheduled > stats.regions_scheduled,
-        "raising the height limit schedules more regions: {} vs {}",
-        stats1.regions_scheduled,
-        stats.regions_scheduled
+        scheduled
+            .iter()
+            .any(|b| b.len() == 3 && b.contains(&"B".to_owned())),
+        "outer loop: {scheduled:?}"
+    );
+    assert!(
+        !scheduled.iter().any(|b| b.contains(&"A".to_owned())),
+        "the body is never scheduled: {scheduled:?}"
     );
 }
 

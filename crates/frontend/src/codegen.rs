@@ -40,9 +40,7 @@
 use crate::ast::{BinOp, Expr, Global, Program, Stmt, UnOp};
 use crate::parser::parse_program;
 use crate::FrontendError;
-use gis_ir::{
-    BlockId, CondBit, Function, FxBinOp, Inst, InstIdx, MemRef, Op, Reg, RegClass, SymId,
-};
+use gis_ir::{BlockId, CondBit, Function, FxBinOp, Inst, MemRef, Op, Reg, RegClass, SymId};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -130,8 +128,9 @@ struct Gen<'a> {
     arrays: HashMap<&'a str, ArrayInfo>,
     /// Each label's block, by creation number; `None` until placed.
     placed: Vec<Option<BlockId>>,
-    /// Branches whose target still holds a label's creation number.
-    branches: Vec<InstIdx>,
+    /// Blocks ended by a branch whose target still holds a label's
+    /// creation number.
+    branches: Vec<BlockId>,
 }
 
 type GResult<T> = Result<T, FrontendError>;
@@ -149,9 +148,9 @@ impl<'a> Gen<'a> {
         self.f.fresh_reg(RegClass::Cr)
     }
 
-    fn emit(&mut self, op: Op) -> InstIdx {
+    fn emit(&mut self, op: Op) {
         let id = self.f.fresh_inst_id();
-        self.f.block_mut(self.cur).push(Inst::new(id, op))
+        self.f.block_mut(self.cur).push(Inst::new(id, op));
     }
 
     fn label(&mut self, tag: &'static str) -> Label {
@@ -169,25 +168,28 @@ impl<'a> Gen<'a> {
     }
 
     /// Emits the branch `op` builds and opens a fresh fall-through block
-    /// (a branch ends its block). The branch targets `target`'s creation
-    /// number until [`Gen::resolve_branches`] points it at the label's
-    /// block.
+    /// (a branch ends its block), so the branch stays the last
+    /// instruction of the block it is emitted into. The branch targets
+    /// `target`'s creation number until [`Gen::resolve_branches`] points
+    /// it at the label's block.
     fn branch(&mut self, target: Label, op: impl FnOnce(BlockId) -> Op) {
-        let ix = self.emit(op(BlockId::new(target.n)));
-        self.branches.push(ix);
+        self.emit(op(BlockId::new(target.n)));
+        self.branches.push(self.cur);
         let ft = self.label("ft");
         self.place(ft);
     }
 
     /// Points every branch at its label's block, once all are placed.
     fn resolve_branches(&mut self) -> GResult<()> {
-        for &ix in &self.branches {
-            let op = &mut self.f.inst_mut(ix).op;
+        for &b in &self.branches {
+            let mut block = self.f.block_mut(b);
+            let last = block.len() - 1;
+            let op = &mut block.inst_mut(last).op;
             let n = op.branch_target().map_or(usize::MAX, BlockId::index);
-            let Some(block) = self.placed.get(n).copied().flatten() else {
+            let Some(target) = self.placed.get(n).copied().flatten() else {
                 return err("internal: a branch targets a label that was never placed");
             };
-            op.map_targets(|_| block);
+            op.map_targets(|_| target);
         }
         Ok(())
     }

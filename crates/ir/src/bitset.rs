@@ -4,17 +4,16 @@
 //! questions about two dense key spaces: symbolic registers
 //! ([`Reg`] indices are allocated contiguously per class by
 //! [`FunctionBuilder`](crate::FunctionBuilder)) and basic blocks
-//! ([`BlockId`]s are dense by construction). `HashSet` answers those
-//! questions in tens of nanoseconds with allocation churn;
+//! ([`BlockId`](crate::BlockId)s are dense by construction). `HashSet`
+//! answers those questions in tens of nanoseconds with allocation churn;
 //! a word-packed bit set answers them in one shift and mask.
 //!
 //! [`DenseBitSet`] is the raw `u64`-word set over `usize` keys;
-//! [`RegSet`] and [`BlockSet`] are thin typed wrappers. All three
-//! iterate in ascending key order ([`RegSet`] in `(class, index)`
-//! order, matching [`Reg`]'s `Ord`), so every consumer that prints or
-//! compares set contents is deterministic without sorting.
+//! [`RegSet`] is a thin typed wrapper. Both iterate in ascending key
+//! order ([`RegSet`] in `(class, index)` order, matching [`Reg`]'s
+//! `Ord`), so every consumer that prints or compares set contents is
+//! deterministic without sorting.
 
-use crate::block::BlockId;
 use crate::reg::{Reg, RegClass};
 use std::fmt;
 
@@ -185,16 +184,6 @@ pub struct RegSet {
     classes: [DenseBitSet; 3],
 }
 
-fn class_slot(class: RegClass) -> usize {
-    match class {
-        RegClass::Gpr => 0,
-        RegClass::Fpr => 1,
-        RegClass::Cr => 2,
-    }
-}
-
-const CLASS_ORDER: [RegClass; 3] = [RegClass::Gpr, RegClass::Fpr, RegClass::Cr];
-
 impl RegSet {
     /// Creates an empty set.
     pub fn new() -> Self {
@@ -203,17 +192,17 @@ impl RegSet {
 
     /// Inserts `r`. Returns `true` if it was not already present.
     pub fn insert(&mut self, r: Reg) -> bool {
-        self.classes[class_slot(r.class())].insert(r.index() as usize)
+        self.classes[r.class().slot()].insert(r.index() as usize)
     }
 
     /// Removes `r`. Returns `true` if it was present.
     pub fn remove(&mut self, r: Reg) -> bool {
-        self.classes[class_slot(r.class())].remove(r.index() as usize)
+        self.classes[r.class().slot()].remove(r.index() as usize)
     }
 
     /// Whether `r` is in the set.
     pub fn contains(&self, r: Reg) -> bool {
-        self.classes[class_slot(r.class())].contains(r.index() as usize)
+        self.classes[r.class().slot()].contains(r.index() as usize)
     }
 
     /// Removes every register, keeping the backing storage.
@@ -261,14 +250,11 @@ impl RegSet {
 
     /// Iterates the registers in `(class, index)` order.
     pub fn iter(&self) -> impl Iterator<Item = Reg> + '_ {
-        CLASS_ORDER
-            .iter()
-            .enumerate()
-            .flat_map(move |(slot, &class)| {
-                self.classes[slot]
-                    .iter()
-                    .map(move |i| Reg::new(class, i as u32))
-            })
+        RegClass::ALL.into_iter().flat_map(move |class| {
+            self.classes[class.slot()]
+                .iter()
+                .map(move |i| Reg::new(class, i as u32))
+        })
     }
 }
 
@@ -290,85 +276,6 @@ impl FromIterator<Reg> for RegSet {
         let mut s = RegSet::new();
         for r in iter {
             s.insert(r);
-        }
-        s
-    }
-}
-
-/// A set of [`BlockId`]s over the function's dense block numbering.
-///
-/// ```
-/// use gis_ir::BlockSet;
-/// # use gis_ir::{Function, FunctionBuilder};
-/// # let mut b = FunctionBuilder::new("f");
-/// # let entry = b.block("entry");
-/// # b.switch_to(entry);
-/// # b.ret();
-/// # let f: Function = b.finish().unwrap();
-/// let mut seen = BlockSet::with_capacity(f.num_blocks());
-/// let entry = f.blocks().next().unwrap().0;
-/// assert!(seen.insert(entry));
-/// assert!(!seen.insert(entry));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BlockSet {
-    bits: DenseBitSet,
-}
-
-impl BlockSet {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        BlockSet::default()
-    }
-
-    /// Creates an empty set with room for `num_blocks` blocks.
-    pub fn with_capacity(num_blocks: usize) -> Self {
-        BlockSet {
-            bits: DenseBitSet::with_capacity(num_blocks),
-        }
-    }
-
-    /// Inserts `b`. Returns `true` if it was not already present.
-    pub fn insert(&mut self, b: BlockId) -> bool {
-        self.bits.insert(b.index())
-    }
-
-    /// Removes `b`. Returns `true` if it was present.
-    pub fn remove(&mut self, b: BlockId) -> bool {
-        self.bits.remove(b.index())
-    }
-
-    /// Whether `b` is in the set.
-    pub fn contains(&self, b: BlockId) -> bool {
-        self.bits.contains(b.index())
-    }
-
-    /// Removes every block, keeping the backing storage.
-    pub fn clear(&mut self) {
-        self.bits.clear();
-    }
-
-    /// Whether the set holds no blocks.
-    pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
-    }
-
-    /// Number of blocks in the set.
-    pub fn len(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// Iterates the blocks in ascending id order.
-    pub fn iter(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.bits.iter().map(|i| BlockId::new(i as u32))
-    }
-}
-
-impl FromIterator<BlockId> for BlockSet {
-    fn from_iter<T: IntoIterator<Item = BlockId>>(iter: T) -> Self {
-        let mut s = BlockSet::new();
-        for b in iter {
-            s.insert(b);
         }
         s
     }

@@ -1,13 +1,11 @@
 //! Basic blocks and instructions.
 //!
-//! Since the arena refactor a block stores no instruction payloads: it is
-//! a label plus an ordered list of [`InstIdx`] arena indices. The public
+//! A block is a label plus the ordered instructions it owns. The public
 //! way to read a block is [`Function::block`](crate::Function::block)
 //! (returning a [`BlockRef`](crate::BlockRef) view) and the public way to
 //! mutate one is [`Function::block_mut`](crate::Function::block_mut)
 //! (returning a [`BlockMut`](crate::BlockMut)).
 
-use crate::arena::InstIdx;
 use crate::op::Op;
 use std::fmt;
 
@@ -42,7 +40,8 @@ impl fmt::Display for BlockId {
 /// global scheduler moves an instruction between blocks its id does not
 /// change, which is how tests pin down motions like "I18 moved into BL1".
 /// Ids are dense (suitable for dense side tables) but *positional lookup*
-/// by id costs a scan; the arena index ([`InstIdx`]) is the O(1) handle.
+/// by id costs a scan of the block; `(BlockId, position)` is the O(1)
+/// handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InstId(u32);
 
@@ -80,20 +79,18 @@ impl Inst {
     }
 }
 
-/// Block storage: a label and the ordered arena indices of the block's
-/// instructions. Payloads live in the function's arena; moving an
-/// instruction between blocks moves one `InstIdx`, never an [`Op`].
+/// Block storage: a label and the block's instructions in order.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockData {
     pub(crate) label: String,
-    pub(crate) list: Vec<InstIdx>,
+    pub(crate) insts: Vec<Inst>,
 }
 
 impl BlockData {
     pub(crate) fn new(label: impl Into<String>) -> Self {
         BlockData {
             label: label.into(),
-            list: Vec::new(),
+            insts: Vec::new(),
         }
     }
 }

@@ -166,9 +166,8 @@ const REGION_VERSION: u8 = 1;
 /// agrees, which is exactly the contract the scheduler's splice machinery
 /// needs (it re-uses the recorded ids verbatim).
 ///
-/// Nothing here depends on arena slot order — only on the logical
-/// layout-ordered content — so compacting, snapshotting or round-tripping
-/// the function leaves the bytes unchanged.
+/// The bytes depend only on the logical layout-ordered content, so
+/// snapshotting or round-tripping the function leaves them unchanged.
 pub fn canon_region(f: &Function, blocks: &[BlockId]) -> Vec<u8> {
     let mut sorted: Vec<BlockId> = blocks.to_vec();
     sorted.sort_unstable();
@@ -195,11 +194,6 @@ pub fn canon_region(f: &Function, blocks: &[BlockId]) -> Vec<u8> {
     out
 }
 
-/// FNV-64 of [`canon_region`]: the content address of one region subtree.
-pub fn hash_region(f: &Function, blocks: &[BlockId]) -> u64 {
-    crate::hash::fnv64(&canon_region(f, blocks))
-}
-
 // --------------------------------------------------------------- encode
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -216,11 +210,7 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 }
 
 fn put_reg(out: &mut Vec<u8>, r: Reg) {
-    out.push(match r.class() {
-        RegClass::Gpr => 0,
-        RegClass::Fpr => 1,
-        RegClass::Cr => 2,
-    });
+    out.push(r.class().slot() as u8);
     put_u32(out, r.index());
 }
 
@@ -424,11 +414,9 @@ impl<'a> Cursor<'a> {
     }
 
     fn reg(&mut self) -> Result<Reg, CanonError> {
-        let class = match self.u8()? {
-            0 => RegClass::Gpr,
-            1 => RegClass::Fpr,
-            2 => RegClass::Cr,
-            other => return Err(self.fail(&format!("bad register class tag {other}"))),
+        let tag = self.u8()?;
+        let Some(&class) = RegClass::ALL.get(tag as usize) else {
+            return Err(self.fail(&format!("bad register class tag {tag}")));
         };
         Ok(Reg::new(class, self.u32()?))
     }
@@ -730,7 +718,6 @@ mod tests {
             0x763e_5f3c_eb9d_60f8,
             "region encoding drifted"
         );
-        assert_eq!(hash_region(&f, &all), fnv64(&bytes));
     }
 
     /// The block list is a *set*: order and duplicates in the caller's
@@ -744,22 +731,20 @@ mod tests {
         shuffled.reverse();
         shuffled.push(all[0]);
         assert_eq!(canon_region(&f, &all), canon_region(&f, &shuffled));
-        assert_ne!(hash_region(&f, &all[..2]), hash_region(&f, &all));
-        assert_ne!(hash_region(&f, &all[..1]), hash_region(&f, &all[1..2]));
+        assert_ne!(canon_region(&f, &all[..2]), canon_region(&f, &all));
+        assert_ne!(canon_region(&f, &all[..1]), canon_region(&f, &all[1..2]));
     }
 
-    /// The hash addresses logical content, not arena storage: compacting
-    /// the arena via a canonical round-trip, or relinking an instruction
-    /// away and back (which permutes the index lists), leaves it fixed.
+    /// The bytes address logical content: a canonical round-trip, or
+    /// relinking an instruction away and back, leaves them fixed.
     #[test]
-    fn region_hash_survives_arena_relayout() {
+    fn region_bytes_survive_round_trip_and_relink() {
         let f = kitchen_sink();
         let all: Vec<BlockId> = f.blocks().map(|(b, _)| b).collect();
-        let before = hash_region(&f, &all);
+        let before = canon_region(&f, &all);
 
-        // Fresh arena in layout order.
         let g = from_canonical_bytes(&to_canonical_bytes(&f)).expect("decodes");
-        assert_eq!(hash_region(&g, &all), before, "round-trip moved the hash");
+        assert_eq!(canon_region(&g, &all), before, "round-trip moved the bytes");
 
         // Relink an instruction out of its block and back.
         let mut h = g;
@@ -767,9 +752,9 @@ mod tests {
         let done = all[2];
         let id = h.block(entry).inst_at(1).id;
         h.relink_inst(id, entry, done, 0);
-        assert_ne!(hash_region(&h, &all), before, "motion must be visible");
+        assert_ne!(canon_region(&h, &all), before, "motion must be visible");
         h.relink_inst(id, done, entry, 1);
-        assert_eq!(hash_region(&h, &all), before, "restore must be invisible");
+        assert_eq!(canon_region(&h, &all), before, "restore must be invisible");
     }
 
     #[test]

@@ -44,7 +44,6 @@
 
 #![warn(missing_docs)]
 
-mod arena;
 mod bitset;
 mod block;
 mod builder;
@@ -56,16 +55,13 @@ mod parse;
 mod print;
 mod reg;
 mod verify;
-mod view;
 
-pub use arena::InstIdx;
-pub use bitset::{BlockSet, DenseBitSet, RegSet};
+pub use bitset::{DenseBitSet, RegSet};
 pub use block::{BlockId, Inst, InstId};
 pub use builder::FunctionBuilder;
-pub use canon::{canon_region, from_canonical_bytes, hash_region, to_canonical_bytes, CanonError};
-pub use function::{BlockMut, BlockRef, Function, Insts, SymId};
+pub use canon::{canon_region, from_canonical_bytes, to_canonical_bytes, CanonError};
+pub use function::{BlockMut, BlockRef, Function, SymId};
 pub use op::{CondBit, FpBinOp, FxBinOp, MemRef, Op, OpClass};
-pub use parse::{parse_function, ParseFunctionError};
+pub use parse::{parse_function, ParseFunctionError, MAX_INST_ID};
 pub use reg::{Reg, RegClass};
 pub use verify::VerifyFunctionError;
-pub use view::RegionView;

@@ -40,6 +40,15 @@ impl From<VerifyFunctionError> for ParseFunctionError {
     }
 }
 
+/// The bound on explicit instruction ids: [`parse_function`] rejects an
+/// `(In)` annotation with `n >= MAX_INST_ID`.
+///
+/// An explicit id sets [`Function::inst_id_bound`], which sizes the
+/// verifier's and the scheduler's per-instruction tables, so one large id
+/// in outside text would cost memory in proportion to its value. The
+/// ids of a compiled `many-loops-l` (about 18,700) stay far below it.
+pub const MAX_INST_ID: u32 = 1 << 20;
+
 fn err(line: usize, message: impl Into<String>) -> ParseFunctionError {
     ParseFunctionError {
         line,
@@ -54,8 +63,9 @@ fn err(line: usize, message: impl Into<String>) -> ParseFunctionError {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseFunctionError`] carrying the offending line, or a
-/// line-0 error when the parsed function fails [`Function::verify`].
+/// Returns a [`ParseFunctionError`] carrying the offending line (among
+/// others for an explicit id at or above [`MAX_INST_ID`]), or a line-0
+/// error when the parsed function fails [`Function::verify`].
 ///
 /// # Example
 ///
@@ -142,6 +152,12 @@ fn parse_id_prefix<'a>(
             .strip_prefix('I')
             .and_then(|d| d.trim().parse().ok())
             .ok_or_else(|| err(lno, format!("bad instruction id {tag:?}")))?;
+        if n >= MAX_INST_ID {
+            return Err(err(
+                lno,
+                format!("instruction id {tag} is not below {MAX_INST_ID}"),
+            ));
+        }
         *next_id = (*next_id).max(n + 1);
         Ok((InstId::new(n), rest[close + 1..].trim_start()))
     } else {
@@ -507,6 +523,18 @@ CL.end:
             }
             other => panic!("expected call, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn explicit_ids_are_bounded() {
+        let text = |id: u32| format!("func t\ne:\n (I{id}) RET\n");
+        for id in [u32::MAX, MAX_INST_ID] {
+            let e = parse_function(&text(id)).unwrap_err();
+            assert_eq!(e.line, 3, "{e}");
+            assert!(e.message.contains("not below"), "{e}");
+        }
+        let f = parse_function(&text(MAX_INST_ID - 1)).expect("parses");
+        assert_eq!(f.inst_id_bound(), MAX_INST_ID as usize);
     }
 
     #[test]

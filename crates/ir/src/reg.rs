@@ -20,6 +20,15 @@ pub enum RegClass {
 }
 
 impl RegClass {
+    /// Every class, in [`RegClass::slot`] order.
+    pub const ALL: [RegClass; 3] = [RegClass::Gpr, RegClass::Fpr, RegClass::Cr];
+
+    /// The class's position in [`RegClass::ALL`]: `Gpr` 0, `Fpr` 1,
+    /// `Cr` 2. Per-class tables and the canonical encoding index by it.
+    pub fn slot(self) -> usize {
+        self as usize
+    }
+
     /// One-letter-ish prefix used by [`Reg`]'s `Display`.
     pub fn prefix(self) -> &'static str {
         match self {

@@ -15,7 +15,7 @@
 //! separation — the practical effect of the paper's "no need to compute
 //! the edge from a to c" transitive-closure observation.
 
-use gis_ir::{BlockId, Function, InstId, MemRef, Op, Reg, RegClass};
+use gis_ir::{BlockId, Function, InstId, MemRef, Op, Reg};
 use gis_machine::MachineDescription;
 use std::fmt;
 
@@ -284,14 +284,6 @@ impl<'f> Scope<'f> {
     }
 }
 
-fn class_slot(r: Reg) -> usize {
-    match r.class() {
-        RegClass::Gpr => 0,
-        RegClass::Fpr => 1,
-        RegClass::Cr => 2,
-    }
-}
-
 /// Per-register sweep state: the scope positions of earlier defs and
 /// uses, *version-stamped* — an entry belongs to the current build
 /// only when its stamp matches the build's version, so successive
@@ -472,11 +464,11 @@ impl DataDeps {
                 let jstamp = j as u32 + 1;
                 cand.clear();
                 for &r in scope.uses(j) {
-                    let e = regs[class_slot(r)].get(ver, r);
+                    let e = regs[r.class().slot()].get(ver, r);
                     gather_list(&e.defs, &mut seen, jstamp, &mut cand);
                 }
                 for &r in scope.defs(j) {
-                    let e = regs[class_slot(r)].get(ver, r);
+                    let e = regs[r.class().slot()].get(ver, r);
                     gather_list(&e.defs, &mut seen, jstamp, &mut cand);
                     gather_list(&e.uses, &mut seen, jstamp, &mut cand);
                 }
@@ -504,10 +496,10 @@ impl DataDeps {
 
                 // Register this instruction in the sweep tables.
                 for &r in scope.uses(j) {
-                    regs[class_slot(r)].fresh(ver, r).uses.push(j as u32);
+                    regs[r.class().slot()].fresh(ver, r).uses.push(j as u32);
                 }
                 for &r in scope.defs(j) {
-                    regs[class_slot(r)].fresh(ver, r).defs.push(j as u32);
+                    regs[r.class().slot()].fresh(ver, r).defs.push(j as u32);
                 }
                 if op.touches_memory() {
                     mem_touch.push(j as u32);

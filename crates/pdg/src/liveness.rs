@@ -61,7 +61,6 @@
 //! every query a region can ask with the reference solve directly, over
 //! 200 generated functions.
 
-use crate::numbering::class_slot;
 use gis_cfg::{Cfg, NodeId};
 use gis_ir::{BlockId, BlockRef, Function, Reg, RegClass, RegSet};
 
@@ -78,8 +77,6 @@ pub struct Liveness {
 
 /// No block: the initial value of the per-block and per-register marks.
 const NONE: u32 = u32::MAX;
-
-const CLASSES: [RegClass; 3] = [RegClass::Gpr, RegClass::Fpr, RegClass::Cr];
 
 /// Groups `items` by `key(item) < keys`, keeping their order within a
 /// key: group `k` of the result is `items[start[k]..start[k + 1]]`.
@@ -138,7 +135,7 @@ impl Liveness {
                 let split = ops.len();
                 inst.op.defs_into(&mut ops);
                 for (k, &r) in ops.iter().enumerate() {
-                    let slots = &mut marks[class_slot(r.class())];
+                    let slots = &mut marks[r.class().slot()];
                     let i = r.index() as usize;
                     if i >= slots.len() {
                         slots.resize(i + 1, (NONE, NONE));
@@ -159,7 +156,7 @@ impl Liveness {
         // Dense register numbers, class by class.
         let lens = marks.each_ref().map(Vec::len);
         let base = [0, lens[0], lens[0] + lens[1]];
-        let dense = |r: &(Reg, u32)| base[class_slot(r.0.class())] + r.0.index() as usize;
+        let dense = |r: &(Reg, u32)| base[r.0.class().slot()] + r.0.index() as usize;
         let total = base[2] + lens[2];
         let (read_start, reads) = group(total, &reads, dense);
         let (write_start, writes) = group(total, &writes, dense);
@@ -169,7 +166,7 @@ impl Liveness {
         let mut written_at = vec![NONE; n];
         let mut stack: Vec<u32> = Vec::new();
         let mut found: Vec<(u32, Reg)> = Vec::new();
-        for (slot, &class) in CLASSES.iter().enumerate() {
+        for (slot, class) in RegClass::ALL.into_iter().enumerate() {
             for index in 0..lens[slot] {
                 let d = base[slot] + index;
                 let (from, to) = (read_start[d] as usize, read_start[d + 1] as usize);

@@ -1,18 +1,7 @@
-//! The version-stamped register table of web renaming, and the class
-//! order register tables share.
+//! The version-stamped register table of web renaming.
 
-use gis_ir::{Reg, RegClass};
+use gis_ir::Reg;
 use std::cell::Cell;
-
-/// A register class's slot in per-class tables, in `(class, index)`
-/// order.
-pub(crate) fn class_slot(class: RegClass) -> usize {
-    match class {
-        RegClass::Gpr => 0,
-        RegClass::Fpr => 1,
-        RegClass::Cr => 2,
-    }
-}
 
 /// Register → `u32`, *version-stamped* like the sweep tables of
 /// `DataDeps::build`: an entry belongs to the current scope only when
@@ -64,14 +53,14 @@ impl Numbering {
     }
 
     pub(crate) fn get(&self, r: Reg) -> Option<usize> {
-        match self.slots[class_slot(r.class())].get(r.index() as usize) {
+        match self.slots[r.class().slot()].get(r.index() as usize) {
             Some(&(stamp, value)) if stamp == self.ver => Some(value as usize),
             _ => None,
         }
     }
 
     pub(crate) fn set(&mut self, r: Reg, value: usize) {
-        let slots = &mut self.slots[class_slot(r.class())];
+        let slots = &mut self.slots[r.class().slot()];
         let i = r.index() as usize;
         if i >= slots.len() {
             slots.resize(i + 1, (0, 0));

@@ -29,25 +29,3 @@ pub use protocol::{
     FuncSpec, Lang, Request, Response, ScheduleRequest,
 };
 pub use server::{install_signal_handlers, signal_pending, start, Listen, ServeConfig, Server};
-
-use gis_core::SchedStats;
-
-/// The scheduler's performance counters as metric name/value pairs —
-/// the same names `gisc --metrics` prints for one-shot compiles, so
-/// daemon metrics and CLI metrics line up. `perf.liveness-full` counts
-/// whole-function liveness solves (one per global pass);
-/// `perf.liveness-incremental` counts §5.3 live-on-exit queries answered
-/// by walking the region's own code.
-pub fn perf_counters(stats: &SchedStats) -> [(&'static str, u64); 6] {
-    [
-        ("perf.dep-edges", stats.dep_edges as u64),
-        ("perf.dep-edges-reduced", stats.dep_edges_reduced as u64),
-        ("perf.liveness-full", stats.liveness_full as u64),
-        (
-            "perf.liveness-incremental",
-            stats.liveness_incremental as u64,
-        ),
-        ("perf.scratch-allocs", stats.scratch_allocs as u64),
-        ("perf.scratch-reuses", stats.scratch_reuses as u64),
-    ]
-}

@@ -172,26 +172,11 @@ impl Server {
         for (name, value) in self.shared.cache.counters() {
             metrics.record(name, value);
         }
-        for (name, value) in region_memo_metrics() {
+        for (name, value) in gis_core::region_memo_counters().metrics() {
             metrics.record(name, value);
         }
         metrics
     }
-}
-
-/// The in-process region memo's counters under the `cache.region.`
-/// prefix, next to the whole-function `cache.*` counters. The memo is
-/// process-wide (it serves every worker thread), so these describe the
-/// daemon's lifetime, not one batch.
-fn region_memo_metrics() -> Vec<(&'static str, u64)> {
-    let c = gis_core::region_memo_counters();
-    vec![
-        ("cache.region.hit", c.hits),
-        ("cache.region.miss", c.misses),
-        ("cache.region.splice", c.splices),
-        ("cache.region.entries", c.entries),
-        ("cache.region.capacity", c.capacity),
-    ]
 }
 
 enum Acceptor {
@@ -488,7 +473,7 @@ fn current_counters(shared: &Shared) -> Vec<(String, u64)> {
     for (name, value) in shared.cache.counters() {
         out.push((name.to_owned(), value));
     }
-    for (name, value) in region_memo_metrics() {
+    for (name, value) in gis_core::region_memo_counters().metrics() {
         out.push((name.to_owned(), value));
     }
     out.sort();
@@ -682,7 +667,7 @@ fn schedule_one(
             });
             shared.cache.insert(key, entry);
             if let Ok(mut m) = shared.metrics.lock() {
-                for (counter, value) in crate::perf_counters(&stats) {
+                for (counter, value) in stats.perf_counters() {
                     m.record(counter, value);
                 }
             }

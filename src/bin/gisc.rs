@@ -285,46 +285,6 @@ fn parse_args() -> Options {
     opts
 }
 
-/// The scheduler's flat perf counters as `(name, value)` pairs for the
-/// metrics registry — surfaced by `--metrics` and the HTML report's
-/// metrics section. The `perf.` prefix keeps them grouped (and apart from
-/// the event-derived counters) in the sorted registry listing.
-/// `perf.liveness-full` counts whole-function liveness solves (one per
-/// global pass); `perf.liveness-incremental` counts §5.3 live-on-exit
-/// queries answered by walking the region's own code.
-fn perf_counters(stats: &SchedStats) -> [(&'static str, u64); 6] {
-    [
-        ("perf.dep-edges", stats.dep_edges as u64),
-        ("perf.dep-edges-reduced", stats.dep_edges_reduced as u64),
-        ("perf.liveness-full", stats.liveness_full as u64),
-        (
-            "perf.liveness-incremental",
-            stats.liveness_incremental as u64,
-        ),
-        ("perf.scratch-allocs", stats.scratch_allocs as u64),
-        ("perf.scratch-reuses", stats.scratch_reuses as u64),
-    ]
-}
-
-/// The region schedule memo's process-wide counters as `(name, value)`
-/// pairs — the same `cache.region.*` names gis-serve reports, so the
-/// CLI's `--metrics` output and the HTML report's metrics section read
-/// the same as the daemon's stats response. Note that traced compiles
-/// bypass the memo (splicing would skip the events a trace consumer
-/// needs), so a single traced `gisc` run reports hit/miss/splice as
-/// zero; the counters are live in the daemon, whose compiles are
-/// untraced.
-fn memo_counters() -> [(&'static str, u64); 5] {
-    let c = gis_core::region_memo_counters();
-    [
-        ("cache.region.hit", c.hits),
-        ("cache.region.miss", c.misses),
-        ("cache.region.splice", c.splices),
-        ("cache.region.entries", c.entries),
-        ("cache.region.capacity", c.capacity),
-    ]
-}
-
 fn read_input(file: &str) -> Result<String, String> {
     if file == "-" {
         let mut s = String::new();
@@ -872,10 +832,13 @@ fn drive(opts: &Options) -> Result<(), String> {
     if opts.trace || opts.metrics {
         let mut metrics = Metrics::from_events(recorder.events());
         if opts.metrics {
-            for (name, value) in perf_counters(&stats) {
+            for (name, value) in stats.perf_counters() {
                 metrics.record(name, value);
             }
-            for (name, value) in memo_counters() {
+            // Traced compiles bypass the region memo (splicing would skip
+            // the events a trace consumer needs), so one `gisc` run
+            // reports its hit/miss/splice counters as zero.
+            for (name, value) in gis_core::region_memo_counters().metrics() {
                 metrics.record(name, value);
             }
         }
@@ -975,8 +938,8 @@ fn write_report(
     memory: &[(i64, i64)],
 ) -> Result<(), String> {
     let events: Vec<TraceEvent> = recorder.events().cloned().collect();
-    let mut perf: Vec<(&'static str, u64)> = perf_counters(stats).to_vec();
-    perf.extend(memo_counters());
+    let mut perf: Vec<(&'static str, u64)> = stats.perf_counters().to_vec();
+    perf.extend(gis_core::region_memo_counters().metrics());
     let timing = execute(original, memory, &ExecConfig::default())
         .ok()
         .zip(execute(function, memory, &ExecConfig::default()).ok())
