@@ -7,9 +7,9 @@
 //! compilation across `jobs` widths — measured on the scaled
 //! [`synth::MANY_LOOPS_PRESETS`] workloads.
 //!
-//! Hand-rolled harness (`harness = false`, like `scheduler.rs`): the
-//! sandbox builds offline, so criterion is unavailable. Each row reports
-//! the median of several timed runs.
+//! Hand-rolled harness (`harness = false`, like `serve.rs`): the
+//! workspace takes no external crates, so there is no criterion. Each
+//! row reports the median of several timed runs.
 //!
 //! Besides the human-readable listing, the run writes `BENCH_sched.json`
 //! (at the repository root by default) so the numbers are tracked in the
@@ -41,7 +41,7 @@
 //! instead of re-scheduling), after asserting bit-identical schedules
 //! across memo {off, on-cold, on-warm} × jobs {1, 2, 4, 8}. The
 //! `e2e-steal` group compiles the skewed preset (one loop ~10× the
-//! rest, placed last) under the size-aware work-stealing plan at jobs
+//! rest, placed last) under the heaviest-first unit plan at jobs
 //! {1, 2, 4, 8} — on a single-CPU host all widths collapse to one
 //! inline worker, so the timings against `jobs 1` are only meaningful
 //! on a multi-core machine; the hash-equality gate is meaningful
@@ -499,7 +499,7 @@ fn bench_memo(
     hashes_ok
 }
 
-/// Measures the size-aware work-stealing plan on the skewed preset (one
+/// Measures the heaviest-first unit plan on the skewed preset (one
 /// loop ~10× the rest, deliberately placed last so in-order claiming
 /// would start it last) at every width. Every schedule must hash
 /// identically — claiming order can shift wall time, never output. On a

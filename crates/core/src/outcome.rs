@@ -18,8 +18,9 @@
 //! from that function's allocators; relinks, reorders, inserts and
 //! removes instructions; renumbers the drawn registers and ids in
 //! operations, origins and event spellings; and reports the statistics
-//! and events. A region memo hit, a parallel task's dependency splice and
-//! the `--jobs` merge all apply outcomes this way, in region order.
+//! and events. Two callers apply outcomes this way, both in region
+//! order: a region memo hit, and the `--jobs` merge, which replays the
+//! outcomes its tasks recorded on their snapshots onto the master.
 
 use crate::parallel::GlobalPass;
 use crate::stats::SchedStats;

@@ -11,34 +11,28 @@
 //!
 //! # Work distribution
 //!
-//! The pass is first partitioned into *units*: maximal region subtrees
-//! whose roots pass the §6 size limits (regions over the limits own
-//! nothing; they only emit a skip record). Units are *split* into a task
-//! DAG: any child subtree whose instruction weight reaches a size-aware
-//! threshold (the pass's total weight spread over twice the worker
-//! count, floored) becomes its own task, and the task keeping the parent
-//! region depends on it — the parent's analyses read the child's final
-//! content, exactly as the sequential innermost-first order guarantees.
-//! Ready tasks are claimed heaviest-first (longest-processing-time
-//! order: workers steal from the heavy end of the queue), so a dominant
-//! loop starts first instead of last and the small siblings pack around
-//! it.
+//! The pass is partitioned into *units*: maximal region subtrees whose
+//! roots pass the §6 size limits (regions over the limits own nothing;
+//! they only emit a skip record). Each unit is one task, holding the
+//! unit's regions in schedule order, so a task never waits for another.
+//! The tasks are sorted heaviest first once (longest-processing-time
+//! order), and the workers claim them in that order through one shared
+//! index, so a dominant loop starts first instead of last and the small
+//! units pack around it.
 //!
 //! # How determinism is kept
 //!
 //! Each task runs against a private copy-on-write [`Function::snapshot`]
 //! of the pre-pass function — reference-count bumps, not a deep copy —
-//! and yields one [`RegionOutcome`] per own region. A task with
-//! dependencies first applies every outcome of its dependency subtrees
-//! to its snapshot; apply draws their registers and instruction ids
-//! from the snapshot's own allocators, so renames and copies from
-//! sibling chains, which drew identical numbers, stay distinct. The
-//! claim order never reaches the output: the merge applies every outcome
-//! to the master function in the fixed sequential region order
-//! ([`RegionTree::schedule_order`]), drawing each region's counts from
-//! the master's allocators exactly when the sequential pass would have,
-//! and runs the regions no task owns (the skipped ones) on the master at
-//! their turn.
+//! and yields one [`RegionOutcome`] per region. Within a task the
+//! regions run innermost first, as in the sequential pass, so a parent's
+//! analyses read its children's final content. The claim order never
+//! reaches the output: the merge applies every outcome to the master
+//! function in the fixed sequential region order
+//! ([`RegionTree::schedule_order`]), drawing each region's registers and
+//! instruction ids from the master's allocators exactly when the
+//! sequential pass would have, and runs the regions no task owns (the
+//! skipped ones) on the master at their turn.
 //!
 //! Every task reads the same pass-level liveness: one whole-function
 //! solve on the pre-pass function, whose live-ins answer a region's
@@ -55,12 +49,13 @@ use crate::memo::{memo_eligible, region_outcome};
 use crate::outcome::RegionOutcome;
 use crate::stats::SchedStats;
 use gis_cfg::{Cfg, RegionId, RegionTree};
-use gis_ir::{BlockId, Function};
+use gis_ir::Function;
 use gis_machine::MachineDescription;
 use gis_pdg::Liveness;
 use gis_trace::{NopObserver, SchedObserver};
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Resolves the configured job count: `0` means one worker per available
 /// CPU (falling back to 1 when the count is unknown).
@@ -108,32 +103,19 @@ impl GlobalPass<'_> {
     }
 }
 
-/// One work item of the task DAG: a connected slice of a unit's region
-/// subtree.
+/// One work item: a unit's regions, in schedule order.
 struct Task {
-    /// The task's own regions, in sequential (schedule-order) order.
     regions: Vec<RegionId>,
-    /// Tasks whose final content this task's analyses read: the split-off
-    /// child subtrees. Always lower indices (children are built first).
-    deps: Vec<usize>,
-    /// Pre-pass instruction count of the own regions' direct blocks and
-    /// every dependency's — the claim priority (heaviest ready first).
+    /// Pre-pass instruction count of the regions' direct blocks — the
+    /// claim priority (heaviest first).
     weight: usize,
 }
 
-/// Subtrees below this many instructions are never split off — the
-/// snapshot and splice overhead would outweigh scheduling them inline.
-const SPLIT_MIN_INSTS: usize = 48;
-
-fn insts_of<'b>(f: &Function, blocks: impl IntoIterator<Item = &'b BlockId>) -> usize {
-    blocks.into_iter().map(|&b| f.block(b).len()).sum()
-}
-
 /// Runs one global scheduling pass over every region of height at most
-/// `max_height`, using `config.jobs` workers. With one job (or one work
-/// item) this is exactly the sequential region loop; with more, tasks
-/// are scheduled concurrently and merged deterministically — the output
-/// is bit-identical either way.
+/// `max_height`, using `config.jobs` workers. With one job (or one task)
+/// this is exactly the sequential region loop; with more, tasks are
+/// scheduled concurrently and merged deterministically — the output is
+/// bit-identical either way.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn global_pass<O: SchedObserver>(
     f: &mut Function,
@@ -166,7 +148,7 @@ pub(crate) fn global_pass<O: SchedObserver>(
     };
     let jobs = effective_jobs(config.jobs);
     let tasks = if jobs > 1 && order.len() > 1 {
-        plan_tasks(f, tree, config, jobs, &order)
+        plan_tasks(f, tree, config, &order)
     } else {
         Vec::new()
     };
@@ -176,13 +158,8 @@ pub(crate) fn global_pass<O: SchedObserver>(
         }
         return;
     }
-    let done = run_tasks(&pass, f, &tasks, jobs, obs.enabled());
+    let mut outcomes = run_tasks(&pass, f, &tasks, jobs, obs.enabled());
     // The deterministic merge: every outcome, in sequential region order.
-    let mut outcomes: HashMap<RegionId, Arc<RegionOutcome>> = tasks
-        .iter()
-        .zip(done)
-        .flat_map(|(task, outs)| task.regions.iter().copied().zip(outs))
-        .collect();
     for &rid in &order {
         match outcomes.remove(&rid) {
             Some(out) => out.apply(f, rid, stats, obs),
@@ -191,113 +168,34 @@ pub(crate) fn global_pass<O: SchedObserver>(
     }
 }
 
-/// The task queue the pool's workers share.
-struct Queue {
-    ready: Vec<usize>,
-    indegree: Vec<usize>,
-    /// Tasks not yet completed; zero ends the pool.
-    remaining: usize,
-}
-
-/// Ends the pool when a worker's task panics (an armed check firing, for
-/// one). The worker never completes its task, so without this the others
-/// would wait for it on the ready condvar forever and the scope would
-/// never join to re-raise the panic.
-struct EndOnPanic<'q> {
-    queue: &'q Mutex<Queue>,
-    ready_cv: &'q Condvar,
-}
-
-impl Drop for EndOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            q.remaining = 0;
-            drop(q);
-            self.ready_cv.notify_all();
-        }
-    }
-}
-
-/// Fans the tasks out over the pool and returns each task's outcomes,
-/// parallel to its regions. Ready tasks are claimed from a shared queue,
-/// heaviest first, but every task runs against its own snapshot of
-/// `master` plus its dependencies' outcomes, so the claim order cannot
-/// influence any result. A panicking task ends the pool, and the panic
-/// propagates to the caller.
+/// Fans the tasks out over the pool and returns every region's outcome.
+/// Workers claim tasks through one shared index, in plan order, and each
+/// task runs against its own snapshot of `master`, so the claim order
+/// cannot influence any result. A panicking task fails the pass: the
+/// other workers drain the list, and the scope re-raises the panic.
 fn run_tasks(
     pass: &GlobalPass,
     master: &Function,
     tasks: &[Task],
     jobs: usize,
     tracing: bool,
-) -> Vec<Vec<Arc<RegionOutcome>>> {
-    let n = tasks.len();
-    let results: Vec<OnceLock<Vec<Arc<RegionOutcome>>>> =
-        tasks.iter().map(|_| OnceLock::new()).collect();
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, t) in tasks.iter().enumerate() {
-        for &d in &t.deps {
-            dependents[d].push(i);
-        }
-    }
-    let queue = Mutex::new(Queue {
-        ready: (0..n).filter(|&i| tasks[i].deps.is_empty()).collect(),
-        indegree: tasks.iter().map(|t| t.deps.len()).collect(),
-        remaining: n,
-    });
-    let ready_cv = Condvar::new();
+) -> HashMap<RegionId, Arc<RegionOutcome>> {
+    // Relaxed suffices: the index publishes no data. Each `fetch_add`
+    // hands out a distinct task, and outcomes come back through `join`.
+    let next = AtomicUsize::new(0);
     let work = || {
-        let _end_on_panic = EndOnPanic {
-            queue: &queue,
-            ready_cv: &ready_cv,
-        };
-        loop {
-            let t = {
-                let mut q = queue.lock().expect("no poisoned task queue");
-                loop {
-                    if q.remaining == 0 {
-                        return;
-                    }
-                    // Steal from the heavy end: heaviest ready task, ties to
-                    // the lowest index.
-                    let heaviest = q
-                        .ready
-                        .iter()
-                        .enumerate()
-                        .max_by_key(|&(_, &t)| (tasks[t].weight, std::cmp::Reverse(t)))
-                        .map(|(pos, _)| pos);
-                    if let Some(pos) = heaviest {
-                        break q.ready.swap_remove(pos);
-                    }
-                    q = ready_cv.wait(q).expect("no poisoned task queue");
-                }
-            };
+        let mut outs = Vec::new();
+        while let Some(task) = tasks.get(next.fetch_add(1, Ordering::Relaxed)) {
             let mut fu = master.snapshot();
-            apply_deps(&mut fu, tasks, &results, t);
-            let outs = tasks[t]
-                .regions
-                .iter()
-                .map(|&rid| {
-                    let mut dropped = SchedStats::default();
-                    region_outcome(pass, &mut fu, rid, tracing, &mut dropped, &mut NopObserver)
-                })
-                .collect();
-            results[t]
-                .set(outs)
-                .unwrap_or_else(|_| unreachable!("each task is claimed once"));
-            let mut q = queue.lock().expect("no poisoned task queue");
-            // Saturating: a panicking worker may have ended the pool already.
-            q.remaining = q.remaining.saturating_sub(1);
-            for &d in &dependents[t] {
-                q.indegree[d] -= 1;
-                if q.indegree[d] == 0 {
-                    q.ready.push(d);
-                }
+            for &rid in &task.regions {
+                // Statistics and events are the merge's to report.
+                let mut dropped = SchedStats::default();
+                let out =
+                    region_outcome(pass, &mut fu, rid, tracing, &mut dropped, &mut NopObserver);
+                outs.push((rid, out));
             }
-            drop(q);
-            ready_cv.notify_all();
         }
+        outs
     };
     // More runnable threads than hardware can run is pure scheduler
     // overhead for CPU-bound work: cap the pool at the machine's
@@ -308,43 +206,17 @@ fn run_tasks(
     // returns freed memory to the kernel far more eagerly than the main
     // thread's heap and turns the pass's allocation traffic into syscall
     // churn.
-    let workers = jobs.min(n).min(effective_jobs(0));
+    let workers = jobs.min(tasks.len()).min(effective_jobs(0));
     if workers <= 1 {
-        work();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(work);
-            }
-        });
+        return work().into_iter().collect();
     }
-    results
-        .into_iter()
-        .map(|r| {
-            r.into_inner()
-                .expect("every task was claimed and completed")
-        })
-        .collect()
-}
-
-/// Applies every outcome of task `t`'s dependency subtrees to `f`, a
-/// snapshot of the pre-pass function. Statistics and events are the
-/// merge's to report, so they are dropped here.
-fn apply_deps(
-    f: &mut Function,
-    tasks: &[Task],
-    results: &[OnceLock<Vec<Arc<RegionOutcome>>>],
-    t: usize,
-) {
-    for &d in &tasks[t].deps {
-        apply_deps(f, tasks, results, d);
-        let outs = results[d]
-            .get()
-            .expect("dependencies complete before a task becomes ready");
-        for (&rid, out) in tasks[d].regions.iter().zip(outs) {
-            out.apply(f, rid, &mut SchedStats::default(), &mut NopObserver);
-        }
-    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
 }
 
 /// The roots of the pass's independent units: the regions passing the
@@ -372,91 +244,47 @@ fn unit_roots(
         .collect()
 }
 
-/// The task DAG. Child subtrees at or above the size-aware threshold
-/// become their own tasks (recursively), with the enclosing task
-/// depending on them; everything else stays inline.
+/// One task per unit, heaviest first; ties keep the units' schedule
+/// order. A region joins the unit of its nearest root at or above it;
+/// every ancestor of a region failing the gates fails them too, so a
+/// skipped region finds none.
 fn plan_tasks(
     f: &Function,
     tree: &RegionTree,
     config: &SchedConfig,
-    jobs: usize,
     order: &[RegionId],
 ) -> Vec<Task> {
     let roots = unit_roots(f, tree, config, order);
-    let position: HashMap<RegionId, usize> =
-        order.iter().enumerate().map(|(i, &r)| (r, i)).collect();
-    let total: usize = roots
+    let unit: HashMap<RegionId, usize> = roots.iter().enumerate().map(|(i, &r)| (r, i)).collect();
+    let mut tasks: Vec<Task> = roots
         .iter()
-        .map(|&r| insts_of(f, &subtree_blocks(tree, r)))
-        .sum();
-    // Aim for a few tasks per worker so the heaviest-first claim can
-    // pack them, without splintering small subtrees.
-    let threshold = std::cmp::max(SPLIT_MIN_INSTS, total / (jobs * 2));
-    let mut tasks = Vec::new();
-    for root in roots {
-        build_task(f, tree, &position, threshold, root, &mut tasks);
+        .map(|_| Task {
+            regions: Vec::new(),
+            weight: 0,
+        })
+        .collect();
+    for &rid in order {
+        let root =
+            std::iter::successors(Some(rid), |&r| tree.region(r).parent).find_map(|r| unit.get(&r));
+        if let Some(&i) = root {
+            tasks[i].regions.push(rid);
+            tasks[i].weight += tree
+                .region(rid)
+                .blocks
+                .iter()
+                .map(|&b| f.block(b).len())
+                .sum::<usize>();
+        }
     }
+    tasks.sort_by_key(|t| std::cmp::Reverse(t.weight));
     tasks
-}
-
-/// Builds the task for `rid`'s subtree (minus any split-off children),
-/// appending it — after its dependencies — to `tasks`, and returns its
-/// index.
-fn build_task(
-    f: &Function,
-    tree: &RegionTree,
-    position: &HashMap<RegionId, usize>,
-    threshold: usize,
-    rid: RegionId,
-    tasks: &mut Vec<Task>,
-) -> usize {
-    let mut own = Vec::new();
-    let mut deps = Vec::new();
-    gather(
-        f, tree, position, threshold, rid, true, &mut own, &mut deps, tasks,
-    );
-    own.sort_by_key(|r| position[r]);
-    let weight = own
-        .iter()
-        .map(|&r| insts_of(f, &tree.region(r).blocks))
-        .chain(deps.iter().map(|&d| tasks[d].weight))
-        .sum();
-    tasks.push(Task {
-        regions: own,
-        deps,
-        weight,
-    });
-    tasks.len() - 1
-}
-
-/// Walks `rid`'s subtree for [`build_task`]: heavy child subtrees become
-/// dependencies, the rest joins the current task's own regions.
-#[allow(clippy::too_many_arguments)]
-fn gather(
-    f: &Function,
-    tree: &RegionTree,
-    position: &HashMap<RegionId, usize>,
-    threshold: usize,
-    rid: RegionId,
-    is_root: bool,
-    own: &mut Vec<RegionId>,
-    deps: &mut Vec<usize>,
-    tasks: &mut Vec<Task>,
-) {
-    if !is_root && insts_of(f, &subtree_blocks(tree, rid)) >= threshold {
-        deps.push(build_task(f, tree, position, threshold, rid, tasks));
-        return;
-    }
-    own.push(rid);
-    for &c in &tree.region(rid).children {
-        gather(f, tree, position, threshold, c, false, own, deps, tasks);
-    }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::config::{SchedLevel, MAX_REGION_HEIGHT};
+    use gis_ir::BlockId;
     use gis_trace::{Recorder, TraceEvent};
 
     pub(crate) fn analyses(text: &str) -> (Function, Cfg, RegionTree) {
@@ -540,47 +368,60 @@ pub(crate) mod tests {
         assert!(a.iter().all(|x| !b.contains(x)), "units are disjoint");
     }
 
-    /// A threshold of one instruction splits every loop of TWO_LOOPS off
-    /// the body task, which then depends on both.
-    #[test]
-    fn plan_splits_heavy_children_into_dependencies() {
-        let (f, _, tree) = analyses(TWO_LOOPS);
-        let order: Vec<RegionId> = tree.schedule_order();
-        let mut tasks = Vec::new();
-        let position: HashMap<RegionId, usize> =
-            order.iter().enumerate().map(|(i, &r)| (r, i)).collect();
-        build_task(&f, &tree, &position, 1, tree.root(), &mut tasks);
-        assert_eq!(tasks.len(), 3, "two loop tasks plus the body task");
-        let body = tasks.last().expect("body task is built last");
-        assert_eq!(body.deps.len(), 2, "the body depends on both loops");
-        assert_eq!(body.regions, vec![tree.root()]);
-        assert_eq!(body.weight, f.num_insts(), "the body weighs the unit");
-        for &d in &body.deps {
-            assert_eq!(tasks[d].regions.len(), 1);
-            assert!(tasks[d].deps.is_empty());
-            assert!(tasks[d].weight <= body.weight, "parent covers more");
-        }
-        // Own regions' direct blocks partition the unit's blocks.
-        let mut all: Vec<BlockId> = tasks
-            .iter()
-            .flat_map(|t| &t.regions)
-            .flat_map(|&r| tree.region(r).blocks.iter().copied())
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), f.num_blocks());
-    }
-
-    /// An over-threshold plan keeps the unit whole: one task, no deps.
+    /// A function whose body passes the gates is one unit: one task
+    /// holding every region, which the pass runs in place.
     #[test]
     fn plan_keeps_small_units_whole() {
         let (f, _, tree) = analyses(TWO_LOOPS);
         let config = SchedConfig::speculative();
         let order: Vec<RegionId> = tree.schedule_order();
-        let tasks = plan_tasks(&f, &tree, &config, 4, &order);
-        assert_eq!(tasks.len(), 1, "{SPLIT_MIN_INSTS}-inst floor holds");
-        assert!(tasks[0].deps.is_empty());
-        assert_eq!(tasks[0].regions.len(), 3);
+        let tasks = plan_tasks(&f, &tree, &config, &order);
+        assert_eq!(tasks.len(), 1, "the body owns both loops");
+        assert_eq!(tasks[0].regions, order, "every region, in schedule order");
+        assert_eq!(tasks[0].weight, f.num_insts());
+    }
+
+    /// The skewed preset's body fails the gates, so every loop is a unit
+    /// of its own, and the heavy loop (placed last) is claimed first.
+    #[test]
+    fn plan_runs_each_loop_as_a_task_heaviest_first() {
+        let name = gis_workloads::synth::MANY_LOOPS_SKEWED_PRESET.0;
+        let w = gis_workloads::synth::many_loops_skewed_preset(name).expect("preset");
+        let (f, _, tree) = analyses(&w.program.function.to_string());
+        let order: Vec<RegionId> = tree.schedule_order();
+        let tasks = plan_tasks(&f, &tree, &SchedConfig::speculative(), &order);
+        let loops: Vec<RegionId> = order
+            .iter()
+            .copied()
+            .filter(|&r| tree.region(r).parent == Some(tree.root()))
+            .collect();
+        assert_eq!(tasks.len(), loops.len(), "one task per loop");
+        let position: HashMap<RegionId, usize> =
+            order.iter().enumerate().map(|(i, &r)| (r, i)).collect();
+        let mut seen = std::collections::HashSet::new();
+        for t in &tasks {
+            assert!(
+                t.regions.iter().all(|r| seen.insert(*r)),
+                "tasks share a region"
+            );
+            assert!(
+                t.regions
+                    .windows(2)
+                    .all(|w| position[&w[0]] < position[&w[1]]),
+                "regions in schedule order"
+            );
+        }
+        assert!(!seen.contains(&tree.root()), "the gated body owns nothing");
+        assert!(tasks.windows(2).all(|w| w[0].weight >= w[1].weight));
+        let last = *loops
+            .iter()
+            .max_by_key(|&&r| tree.region(r).blocks[0])
+            .expect("loops");
+        assert!(
+            tasks[0].regions.contains(&last),
+            "the heavy loop comes first"
+        );
+        assert!(tasks[0].weight > 5 * tasks[1].weight, "and it is heavy");
     }
 
     #[test]
@@ -617,16 +458,16 @@ pub(crate) mod tests {
         f
     }
 
-    /// The split task DAG (a dependent body task over per-loop tasks)
-    /// must reproduce the sequential pass — text, statistics, allocators,
-    /// origins and the renumbered trace — on workloads big enough to
-    /// actually split: many-loops, and unrolled dispatch-diamonds under
-    /// duplication, whose loop tasks mint copies the body task's
-    /// snapshot must apply before scheduling.
+    /// The pool must reproduce the sequential pass — text, statistics,
+    /// allocators, origins and the renumbered trace — at the default
+    /// gates, on functions whose bodies fail them: many-loops, and
+    /// unrolled dispatch-diamonds under duplication, whose loop tasks
+    /// mint copies on the workers. The memo is off, so every task
+    /// schedules its regions instead of applying earlier outcomes.
     #[test]
     fn stealing_plan_matches_sequential_pass() {
-        let many_loops = gis_workloads::synth::many_loops_scaled(3, 11, 11);
-        let diamonds = gis_workloads::synth::dispatch_diamonds(3, 23);
+        let many_loops = gis_workloads::synth::many_loops_scaled(6, 11, 11);
+        let diamonds = gis_workloads::synth::dispatch_diamonds(12, 23);
         let inputs = [
             (many_loops.program.function, false),
             (unrolled(diamonds.program.function), true),
@@ -636,12 +477,9 @@ pub(crate) mod tests {
             let dom = gis_cfg::DomTree::dominators(&cfg);
             let loops = gis_cfg::LoopForest::new(&cfg, &dom);
             let tree = RegionTree::new(&cfg, &loops);
-            // Let the routine body own the whole function as one unit, so
-            // the plan has a heavy subtree to split.
             let seq_config = SchedConfig {
-                max_region_blocks: 512,
-                max_region_insts: 4096,
                 duplication,
+                region_memo: false,
                 jobs: 1,
                 ..SchedConfig::speculative()
             };
@@ -650,14 +488,10 @@ pub(crate) mod tests {
                 ..seq_config.clone()
             };
 
-            // Sanity: this input really exercises the split path.
+            // Sanity: this input really runs tasks on the pool.
             let order: Vec<RegionId> = tree.schedule_order();
-            let tasks = plan_tasks(&f0, &tree, &steal_config, 4, &order);
-            assert!(tasks.len() > 1, "the plan splits this workload");
-            assert!(
-                tasks.iter().any(|t| !t.deps.is_empty()),
-                "the body task depends on split-off loops"
-            );
+            let tasks = plan_tasks(&f0, &tree, &steal_config, &order);
+            assert!(tasks.len() >= 2, "the plan has independent units");
 
             let (seq, st_seq, ev_seq) = traced_pass(&f0, &cfg, &tree, &seq_config);
             let (steal, st_steal, ev_steal) = traced_pass(&f0, &cfg, &tree, &steal_config);

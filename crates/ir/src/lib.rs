@@ -62,6 +62,6 @@ pub use builder::FunctionBuilder;
 pub use canon::{canon_region, from_canonical_bytes, to_canonical_bytes, CanonError};
 pub use function::{BlockMut, BlockRef, Function, SymId};
 pub use op::{CondBit, FpBinOp, FxBinOp, MemRef, Op, OpClass};
-pub use parse::{parse_function, ParseFunctionError, MAX_INST_ID};
+pub use parse::{parse_function, ParseFunctionError, MAX_INST_ID, MAX_REG_INDEX};
 pub use reg::{Reg, RegClass};
 pub use verify::VerifyFunctionError;

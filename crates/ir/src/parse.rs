@@ -49,6 +49,15 @@ impl From<VerifyFunctionError> for ParseFunctionError {
 /// ids of a compiled `many-loops-l` (about 18,700) stay far below it.
 pub const MAX_INST_ID: u32 = 1 << 20;
 
+/// The bound on register indices: [`parse_function`] rejects an `r`, `f`
+/// or `cr` register whose index is at or above `MAX_REG_INDEX`.
+///
+/// Per-register tables (the allocators, renaming, liveness) are sized by
+/// the largest index, so one large index in outside text would cost
+/// memory in proportion to its value. The largest index of a scheduled
+/// `many-loops-l` (about 25,800 after renaming) stays far below it.
+pub const MAX_REG_INDEX: u32 = 1 << 17;
+
 fn err(line: usize, message: impl Into<String>) -> ParseFunctionError {
     ParseFunctionError {
         line,
@@ -64,7 +73,8 @@ fn err(line: usize, message: impl Into<String>) -> ParseFunctionError {
 /// # Errors
 ///
 /// Returns a [`ParseFunctionError`] carrying the offending line (among
-/// others for an explicit id at or above [`MAX_INST_ID`]), or a line-0
+/// others for an explicit id at or above [`MAX_INST_ID`] or a register
+/// index at or above [`MAX_REG_INDEX`]), or a line-0
 /// error when the parsed function fails [`Function::verify`].
 ///
 /// # Example
@@ -181,6 +191,12 @@ fn parse_reg(s: &str, lno: usize) -> Result<Reg, ParseFunctionError> {
     let n: u32 = digits
         .parse()
         .map_err(|_| err(lno, format!("bad register index in {s:?}")))?;
+    if n >= MAX_REG_INDEX {
+        return Err(err(
+            lno,
+            format!("register index in {s:?} is not below {MAX_REG_INDEX}"),
+        ));
+    }
     Ok(ctor(n))
 }
 
@@ -535,6 +551,18 @@ CL.end:
         }
         let f = parse_function(&text(MAX_INST_ID - 1)).expect("parses");
         assert_eq!(f.inst_id_bound(), MAX_INST_ID as usize);
+    }
+
+    #[test]
+    fn register_indices_are_bounded() {
+        let text = |inst: &str| format!("func t\ne:\n {inst}\n RET\n");
+        for inst in ["LI r4294967295=1", "FA f131072=f1,f2", "C cr131072=r1,r2"] {
+            let e = parse_function(&text(inst)).unwrap_err();
+            assert_eq!(e.line, 3, "{e}");
+            assert!(e.message.contains("not below"), "{e}");
+        }
+        let f = parse_function(&text("LI r131071=1")).expect("parses");
+        assert_eq!(f.reg_counters()[0], MAX_REG_INDEX);
     }
 
     #[test]

@@ -214,6 +214,31 @@ fn malformed_lines_get_error_responses_and_the_connection_survives() {
 }
 
 #[test]
+fn out_of_range_register_indices_are_answered_with_an_error() {
+    let (server, listen) = start_unix("regbound", |_| {});
+    let mut client = Client::connect(&listen).expect("connects");
+    let batch = client
+        .schedule_batch(
+            Lang::Asm,
+            "rs6k",
+            vec![],
+            &[FuncSpec {
+                name: Some("huge".to_owned()),
+                text: "func t\ne:\n    LI r4294967295=1\n    RET\n".to_owned(),
+            }],
+        )
+        .expect("batch completes");
+    assert_eq!(batch.summary.errors, 1);
+    let FuncOutcome::Error { message } = &batch.funcs[0].outcome else {
+        panic!("expected an error: {:?}", batch.funcs[0].outcome);
+    };
+    assert!(message.contains("line 3"), "{message}");
+    client.ping().expect("the daemon still answers");
+    client.shutdown_server().expect("shutdown");
+    server.join();
+}
+
+#[test]
 fn oversized_requests_are_discarded_not_fatal() {
     let (server, listen) = start_unix("oversized", |c| c.max_line_bytes = 1024);
     let mut client = Client::connect(&listen).expect("connects");

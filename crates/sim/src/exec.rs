@@ -34,9 +34,15 @@ pub enum OutputEvent {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
     /// The step limit was exhausted (see [`ExecConfig::max_steps`]).
-    StepLimit { steps: u64 },
+    StepLimit {
+        /// Steps executed when the limit was hit.
+        steps: u64,
+    },
     /// A memory access used an address that is not 4-byte aligned.
-    Unaligned { addr: i64 },
+    Unaligned {
+        /// The misaligned address.
+        addr: i64,
+    },
 }
 
 impl fmt::Display for ExecError {
