@@ -5,7 +5,9 @@
 //! languages (the protocol is plain JSON lines, so a shell script with
 //! `nc` works too).
 
-use crate::protocol::{parse_response, BatchSummary, FuncOutcome, FuncSpec, Lang, Response};
+use crate::protocol::{
+    parse_response, schedule_request_line, BatchSummary, FuncOutcome, FuncSpec, Lang, Response,
+};
 use crate::server::Listen;
 use gis_trace::Json;
 use std::io::{self, BufRead, BufReader, Write};
@@ -66,8 +68,14 @@ pub struct BatchResult {
 pub struct Client {
     writer: Conn,
     reader: BufReader<Conn>,
+    /// The last response line read, kept for its capacity.
+    line: String,
     next_id: i64,
 }
+
+/// Read buffer size: a mid-size schedule line and the `batch-end` line
+/// the daemon writes with it arrive in one read.
+const READ_BUFFER_BYTES: usize = 64 << 10;
 
 fn protocol_err(message: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
@@ -94,27 +102,34 @@ impl Client {
         };
         Ok(Client {
             writer,
-            reader: BufReader::new(reader),
+            reader: BufReader::with_capacity(READ_BUFFER_BYTES, reader),
+            line: String::new(),
             next_id: 1,
         })
     }
 
-    fn send_line(&mut self, line: &str) -> io::Result<()> {
+    /// Sends `line` and its `\n` in one write.
+    fn send_line(&mut self, mut line: String) -> io::Result<()> {
+        line.push('\n');
         self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
         self.writer.flush()
     }
 
-    fn read_response(&mut self) -> io::Result<Response> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
+    /// Reads the next response line into `self.line`, without its `\n`.
+    fn read_line(&mut self) -> io::Result<&str> {
+        self.line.clear();
+        let n = self.reader.read_line(&mut self.line)?;
         if n == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
             ));
         }
-        parse_response(line.trim_end()).map_err(protocol_err)
+        Ok(self.line.trim_end())
+    }
+
+    fn read_response(&mut self) -> io::Result<Response> {
+        parse_response(self.read_line()?).map_err(protocol_err)
     }
 
     fn fresh_id(&mut self) -> i64 {
@@ -130,7 +145,7 @@ impl Client {
     /// I/O failure, or an unexpected response kind.
     pub fn ping(&mut self) -> io::Result<()> {
         let id = self.fresh_id();
-        self.send_line(&format!("{{\"req\":\"ping\",\"id\":{id}}}"))?;
+        self.send_line(format!("{{\"req\":\"ping\",\"id\":{id}}}"))?;
         match self.read_response()? {
             Response::Pong { .. } => Ok(()),
             other => Err(protocol_err(format!("expected pong, got {other:?}"))),
@@ -144,7 +159,7 @@ impl Client {
     /// I/O failure, or an unexpected response kind.
     pub fn stats(&mut self) -> io::Result<Vec<(String, u64)>> {
         let id = self.fresh_id();
-        self.send_line(&format!("{{\"req\":\"stats\",\"id\":{id}}}"))?;
+        self.send_line(format!("{{\"req\":\"stats\",\"id\":{id}}}"))?;
         match self.read_response()? {
             Response::Stats { counters, .. } => Ok(counters),
             Response::Error { message } => Err(protocol_err(message)),
@@ -159,7 +174,7 @@ impl Client {
     /// I/O failure, or an unexpected response kind.
     pub fn shutdown_server(&mut self) -> io::Result<()> {
         let id = self.fresh_id();
-        self.send_line(&format!("{{\"req\":\"shutdown\",\"id\":{id}}}"))?;
+        self.send_line(format!("{{\"req\":\"shutdown\",\"id\":{id}}}"))?;
         match self.read_response()? {
             Response::ShutdownAck { .. } => Ok(()),
             other => Err(protocol_err(format!("expected shutdown, got {other:?}"))),
@@ -182,32 +197,7 @@ impl Client {
         funcs: &[FuncSpec],
     ) -> io::Result<BatchResult> {
         let id = self.fresh_id();
-        let func_values: Vec<Json> = funcs
-            .iter()
-            .map(|f| {
-                let mut members = Vec::new();
-                if let Some(name) = &f.name {
-                    members.push(("name".to_owned(), Json::Str(name.clone())));
-                }
-                members.push(("text".to_owned(), Json::Str(f.text.clone())));
-                Json::Obj(members)
-            })
-            .collect();
-        let request = Json::Obj(vec![
-            ("req".to_owned(), Json::Str("schedule".to_owned())),
-            ("id".to_owned(), Json::Int(id)),
-            (
-                "lang".to_owned(),
-                Json::Str(match lang {
-                    Lang::TinyC => "tinyc".to_owned(),
-                    Lang::Asm => "asm".to_owned(),
-                }),
-            ),
-            ("machine".to_owned(), Json::Str(machine.to_owned())),
-            ("config".to_owned(), Json::Obj(config)),
-            ("funcs".to_owned(), Json::Arr(func_values)),
-        ]);
-        self.send_line(&request.to_string())?;
+        self.send_line(schedule_request_line(id, lang, machine, &config, funcs))?;
 
         let mut results = Vec::with_capacity(funcs.len());
         loop {
@@ -245,15 +235,7 @@ impl Client {
     ///
     /// I/O failure.
     pub fn round_trip_raw(&mut self, line: &str) -> io::Result<String> {
-        self.send_line(line)?;
-        let mut response = String::new();
-        let n = self.reader.read_line(&mut response)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
-        }
-        Ok(response.trim_end().to_owned())
+        self.send_line(line.to_owned())?;
+        self.read_line().map(str::to_owned)
     }
 }

@@ -14,7 +14,8 @@
 
 use gis_core::SchedConfig;
 use gis_machine::MachineDescription;
-use gis_trace::Json;
+use gis_trace::{Json, ObjectWriter};
+use std::fmt::Write as _;
 
 /// The source language of a submitted function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,9 +155,10 @@ fn as_bool(v: &Json) -> Option<bool> {
 }
 
 /// Parses one request line. The error string is ready to ship back in an
-/// `error` response.
+/// `error` response. Function texts are moved out of the parsed line,
+/// not copied.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let v = Json::parse(line).map_err(|e| format!("malformed JSON: {e}"))?;
+    let mut v = Json::parse(line).map_err(|e| format!("malformed JSON: {e}"))?;
     if !matches!(v, Json::Obj(_)) {
         return Err("request must be a JSON object".to_owned());
     }
@@ -198,17 +200,15 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                     .and_then(|n| usize::try_from(n).ok());
                 config.duplication = c.get("duplication").and_then(as_bool);
             }
-            let funcs = match v.get("funcs") {
+            let funcs = match v.take("funcs") {
                 Some(Json::Arr(items)) if !items.is_empty() => items
-                    .iter()
-                    .map(|f| {
-                        let text = f
-                            .get("text")
-                            .and_then(as_str)
-                            .ok_or("every func needs a \"text\" member")?;
+                    .into_iter()
+                    .map(|mut f| {
+                        let text =
+                            take_str(&mut f, "text").ok_or("every func needs a \"text\" member")?;
                         Ok(FuncSpec {
-                            name: f.get("name").and_then(as_str).map(str::to_owned),
-                            text: text.to_owned(),
+                            name: take_str(&mut f, "name"),
+                            text,
                         })
                     })
                     .collect::<Result<Vec<_>, String>>()?,
@@ -229,6 +229,59 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
+/// Moves string member `key` out of object `v`; `None` when `v` is not
+/// an object or the member is missing or not a string.
+fn take_str(v: &mut Json, key: &str) -> Option<String> {
+    match v.take(key) {
+        Some(Json::Str(s)) => Some(s),
+        _ => None,
+    }
+}
+
+/// The `schedule` request line [`crate::Client::schedule_batch`] sends,
+/// written straight from the borrowed function texts.
+pub fn schedule_request_line(
+    id: i64,
+    lang: Lang,
+    machine: &str,
+    config: &[(String, Json)],
+    funcs: &[FuncSpec],
+) -> String {
+    let text_len: usize = funcs.iter().map(|f| f.text.len()).sum();
+    let mut out = String::with_capacity(line_capacity(text_len));
+    let mut line = ObjectWriter::new(&mut out);
+    line.str("req", "schedule").int("id", id);
+    line.str(
+        "lang",
+        match lang {
+            Lang::TinyC => "tinyc",
+            Lang::Asm => "asm",
+        },
+    );
+    line.str("machine", machine);
+    let mut members = ObjectWriter::new(line.key("config"));
+    for (key, value) in config {
+        members.value(key, value);
+    }
+    members.end();
+    let array = line.key("funcs");
+    array.push('[');
+    for (i, f) in funcs.iter().enumerate() {
+        if i > 0 {
+            array.push(',');
+        }
+        let mut func = ObjectWriter::new(array);
+        if let Some(name) = &f.name {
+            func.str("name", name);
+        }
+        func.str("text", &f.text);
+        func.end();
+    }
+    array.push(']');
+    line.end();
+    out
+}
+
 /// Resolves a machine preset name the same way the `gisc` CLI does —
 /// both route through [`MachineDescription::by_name`], so every surface
 /// accepts the same presets.
@@ -247,41 +300,63 @@ pub fn resolve_machine(name: &str) -> Result<MachineDescription, String> {
 // Response lines (server → client)
 // ---------------------------------------------------------------------
 
-fn obj(resp: &str, rest: Vec<(&str, Json)>) -> String {
-    let mut members = vec![("resp".to_owned(), Json::Str(resp.to_owned()))];
-    members.extend(rest.into_iter().map(|(k, v)| (k.to_owned(), v)));
-    Json::Obj(members).to_string()
+/// Bytes to reserve for a line carrying `text_len` bytes of strings:
+/// room for their escapes (a `\n` per short line), the other members and
+/// the `\n` that ends the line on the wire.
+fn line_capacity(text_len: usize) -> usize {
+    text_len + text_len / 8 + 192
+}
+
+/// Appends a `resp` line with the members `rest` adds (no `\n`).
+fn push_response(out: &mut String, resp: &str, rest: impl FnOnce(&mut ObjectWriter)) {
+    let mut obj = ObjectWriter::new(out);
+    obj.str("resp", resp);
+    rest(&mut obj);
+    obj.end();
+}
+
+/// A `resp` line with the members `rest` adds.
+fn response_line(resp: &str, rest: impl FnOnce(&mut ObjectWriter)) -> String {
+    let mut out = String::new();
+    push_response(&mut out, resp, rest);
+    out
 }
 
 /// `pong` line.
 pub fn pong_line(id: i64) -> String {
-    obj("pong", vec![("id", Json::Int(id))])
+    response_line("pong", |o| {
+        o.int("id", id);
+    })
 }
 
 /// `shutdown` acknowledgement line.
 pub fn shutdown_line(id: i64) -> String {
-    obj("shutdown", vec![("id", Json::Int(id))])
+    response_line("shutdown", |o| {
+        o.int("id", id);
+    })
 }
 
 /// `stats` line carrying the daemon counters.
 pub fn stats_line(id: i64, counters: &[(String, u64)]) -> String {
-    let members = counters
-        .iter()
-        .map(|(k, v)| (k.clone(), Json::Int(*v as i64)))
-        .collect();
-    obj(
-        "stats",
-        vec![("id", Json::Int(id)), ("counters", Json::Obj(members))],
-    )
+    response_line("stats", |o| {
+        o.int("id", id);
+        let mut members = ObjectWriter::new(o.key("counters"));
+        for (k, v) in counters {
+            members.int(k, *v as i64);
+        }
+        members.end();
+    })
 }
 
 /// Protocol `error` line (connection stays open).
 pub fn error_line(message: &str) -> String {
-    obj("error", vec![("error", Json::Str(message.to_owned()))])
+    response_line("error", |o| {
+        o.str("error", message);
+    })
 }
 
 /// The per-function outcome carried by one `schedule` response line.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FuncOutcome {
     /// Scheduled (possibly from cache).
     Ok {
@@ -307,39 +382,56 @@ pub enum FuncOutcome {
     Timeout,
 }
 
-/// One `schedule` response line for function `index` of batch `id`.
+/// One `schedule` response line for function `index` of batch `id`. The
+/// schedule text is escaped straight into the line, never copied first.
 pub fn schedule_line(id: i64, index: usize, name: &str, outcome: &FuncOutcome) -> String {
-    let mut rest = vec![
-        ("id", Json::Int(id)),
-        ("index", Json::Int(index as i64)),
-        ("name", Json::Str(name.to_owned())),
-    ];
-    match outcome {
-        FuncOutcome::Ok {
-            cached,
-            hash,
-            nanos,
-            moved_useful,
-            moved_speculative,
-            schedule,
-        } => {
-            rest.push(("status", Json::Str("ok".to_owned())));
-            rest.push(("cached", Json::Bool(*cached)));
-            rest.push(("hash", Json::Str(format!("{hash:016x}"))));
-            rest.push(("nanos", Json::Int(*nanos as i64)));
-            rest.push(("moved_useful", Json::Int(*moved_useful as i64)));
-            rest.push(("moved_speculative", Json::Int(*moved_speculative as i64)));
-            rest.push(("schedule", Json::Str(schedule.clone())));
+    let mut out = String::new();
+    push_schedule_line(&mut out, id, index, name, outcome);
+    out
+}
+
+/// Appends [`schedule_line`]'s line to `out` (no `\n`), reserving room
+/// for it first.
+pub(crate) fn push_schedule_line(
+    out: &mut String,
+    id: i64,
+    index: usize,
+    name: &str,
+    outcome: &FuncOutcome,
+) {
+    let text_len = name.len()
+        + match outcome {
+            FuncOutcome::Ok { schedule, .. } => schedule.len(),
+            FuncOutcome::Error { message } => message.len(),
+            FuncOutcome::Timeout => 0,
+        };
+    out.reserve(line_capacity(text_len));
+    push_response(out, "schedule", |o| {
+        o.int("id", id).int("index", index as i64).str("name", name);
+        match outcome {
+            FuncOutcome::Ok {
+                cached,
+                hash,
+                nanos,
+                moved_useful,
+                moved_speculative,
+                schedule,
+            } => {
+                o.str("status", "ok").bool("cached", *cached);
+                let _ = write!(o.key("hash"), "\"{hash:016x}\"");
+                o.int("nanos", *nanos as i64)
+                    .int("moved_useful", *moved_useful as i64)
+                    .int("moved_speculative", *moved_speculative as i64)
+                    .str("schedule", schedule);
+            }
+            FuncOutcome::Error { message } => {
+                o.str("status", "error").str("error", message);
+            }
+            FuncOutcome::Timeout => {
+                o.str("status", "timeout");
+            }
         }
-        FuncOutcome::Error { message } => {
-            rest.push(("status", Json::Str("error".to_owned())));
-            rest.push(("error", Json::Str(message.clone())));
-        }
-        FuncOutcome::Timeout => {
-            rest.push(("status", Json::Str("timeout".to_owned())));
-        }
-    }
-    obj("schedule", rest)
+    });
 }
 
 /// The `batch-end` summary line closing batch `id`.
@@ -361,18 +453,15 @@ pub struct BatchSummary {
 
 /// Serializes the `batch-end` line.
 pub fn batch_end_line(id: i64, summary: &BatchSummary) -> String {
-    obj(
-        "batch-end",
-        vec![
-            ("id", Json::Int(id)),
-            ("count", Json::Int(summary.count as i64)),
-            ("ok", Json::Int(summary.ok as i64)),
-            ("errors", Json::Int(summary.errors as i64)),
-            ("cache_hits", Json::Int(summary.cache_hits as i64)),
-            ("cache_misses", Json::Int(summary.cache_misses as i64)),
-            ("nanos", Json::Int(summary.nanos as i64)),
-        ],
-    )
+    response_line("batch-end", |o| {
+        o.int("id", id)
+            .int("count", summary.count as i64)
+            .int("ok", summary.ok as i64)
+            .int("errors", summary.errors as i64)
+            .int("cache_hits", summary.cache_hits as i64)
+            .int("cache_misses", summary.cache_misses as i64)
+            .int("nanos", summary.nanos as i64);
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -380,7 +469,7 @@ pub fn batch_end_line(id: i64, summary: &BatchSummary) -> String {
 // ---------------------------------------------------------------------
 
 /// A parsed response line.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
     /// Reply to `ping`.
     Pong {
@@ -424,9 +513,10 @@ pub enum Response {
     },
 }
 
-/// Parses one response line (the inverse of the serializers above).
+/// Parses one response line (the inverse of the serializers above). A
+/// schedule's text is moved out of the parsed line, not copied.
 pub fn parse_response(line: &str) -> Result<Response, String> {
-    let v = Json::parse(line).map_err(|e| format!("malformed response JSON: {e}"))?;
+    let mut v = Json::parse(line).map_err(|e| format!("malformed response JSON: {e}"))?;
     let resp = v
         .get("resp")
         .and_then(as_str)
@@ -442,21 +532,17 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
         "pong" => Ok(Response::Pong { id }),
         "shutdown" => Ok(Response::ShutdownAck { id }),
         "error" => Ok(Response::Error {
-            message: v
-                .get("error")
-                .and_then(as_str)
-                .unwrap_or("unknown error")
-                .to_owned(),
+            message: take_str(&mut v, "error").unwrap_or_else(|| "unknown error".to_owned()),
         }),
         "stats" => {
-            let counters = match v.get("counters") {
+            let counters = match v.take("counters") {
                 Some(Json::Obj(members)) => members
-                    .iter()
+                    .into_iter()
                     .map(|(k, val)| {
-                        let n = as_i64(val)
+                        let n = as_i64(&val)
                             .and_then(|n| u64::try_from(n).ok())
                             .ok_or_else(|| format!("counter '{k}' is not a number"))?;
-                        Ok((k.clone(), n))
+                        Ok((k, n))
                     })
                     .collect::<Result<Vec<_>, String>>()?,
                 _ => return Err("stats response has no \"counters\" object".to_owned()),
@@ -475,7 +561,6 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
             },
         }),
         "schedule" => {
-            let name = v.get("name").and_then(as_str).unwrap_or("").to_owned();
             let index = usize::try_from(v.get("index").and_then(as_i64).unwrap_or(0))
                 .map_err(|_| "bad index".to_owned())?;
             let outcome = match v.get("status").and_then(as_str) {
@@ -489,18 +574,12 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
                     nanos: u("nanos"),
                     moved_useful: u("moved_useful"),
                     moved_speculative: u("moved_speculative"),
-                    schedule: v
-                        .get("schedule")
-                        .and_then(as_str)
-                        .ok_or("schedule response has no \"schedule\" text")?
-                        .to_owned(),
+                    schedule: take_str(&mut v, "schedule")
+                        .ok_or("schedule response has no \"schedule\" text")?,
                 },
                 Some("error") => FuncOutcome::Error {
-                    message: v
-                        .get("error")
-                        .and_then(as_str)
-                        .unwrap_or("unknown error")
-                        .to_owned(),
+                    message: take_str(&mut v, "error")
+                        .unwrap_or_else(|| "unknown error".to_owned()),
                 },
                 Some("timeout") => FuncOutcome::Timeout,
                 _ => return Err("schedule response has no valid \"status\"".to_owned()),
@@ -508,7 +587,7 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
             Ok(Response::Schedule {
                 id,
                 index,
-                name,
+                name: take_str(&mut v, "name").unwrap_or_default(),
                 outcome,
             })
         }

@@ -16,7 +16,7 @@
 
 use crate::cache::{cache_key, CachedSchedule, ScheduleCache};
 use crate::protocol::{
-    batch_end_line, error_line, parse_request, pong_line, resolve_machine, schedule_line,
+    batch_end_line, error_line, parse_request, pong_line, push_schedule_line, resolve_machine,
     shutdown_line, stats_line, BatchSummary, FuncOutcome, Lang, Request, ScheduleRequest,
 };
 use gis_core::{compile, effective_jobs, SchedConfig};
@@ -316,9 +316,11 @@ impl Conn for UnixStream {
     }
 }
 
+#[derive(Debug, PartialEq, Eq)]
 enum ReadLine {
     Line(String),
     Oversized,
+    NotUtf8,
     Closed,
 }
 
@@ -327,47 +329,53 @@ enum ReadLine {
 struct LineReader {
     /// Bytes received but not yet consumed by a returned line.
     pending: Vec<u8>,
+    /// Leading bytes of `pending` already searched for a `\n`, so each
+    /// byte is scanned once however many reads a long line takes.
+    scanned: usize,
+    /// Longest line returned; longer ones are discarded.
+    max_line_bytes: usize,
 }
 
 impl LineReader {
-    fn new() -> Self {
+    fn new(max_line_bytes: usize) -> Self {
         LineReader {
             pending: Vec::new(),
+            scanned: 0,
+            max_line_bytes,
         }
     }
 
     /// Reads one line. Oversized lines are consumed to their terminating
     /// newline and reported, leaving the stream positioned at the next
     /// request. Returns [`ReadLine::Closed`] on EOF, on a mid-line
-    /// disconnect, or when shutdown is requested while the connection is
+    /// disconnect, or when `shutting_down` holds while the connection is
     /// idle.
-    fn read_line(&mut self, stream: &mut dyn Conn, shared: &Shared) -> ReadLine {
+    fn read_line(&mut self, stream: &mut dyn Read, shutting_down: impl Fn() -> bool) -> ReadLine {
         let mut discarding = false;
         let mut chunk = [0u8; 8192];
         loop {
-            if let Some(pos) = self.pending.iter().position(|&b| b == b'\n') {
-                let mut line = self.pending.split_off(pos + 1);
-                std::mem::swap(&mut line, &mut self.pending);
+            let unscanned = &self.pending[self.scanned..];
+            if let Some(at) = unscanned.iter().position(|&b| b == b'\n') {
+                let rest = self.pending.split_off(self.scanned + at + 1);
+                let mut line = std::mem::replace(&mut self.pending, rest);
+                self.scanned = 0;
                 line.pop(); // trailing '\n'
-                if line.len() > shared.max_line_bytes {
+                if line.len() > self.max_line_bytes {
                     return ReadLine::Oversized;
                 }
-                return match String::from_utf8(line) {
-                    Ok(s) => ReadLine::Line(s),
-                    // Hand non-UTF-8 downstream as an empty line so the
-                    // client gets a parse-error response, not a hangup.
-                    Err(_) => ReadLine::Line(String::new()),
-                };
+                return String::from_utf8(line).map_or(ReadLine::NotUtf8, ReadLine::Line);
             }
-            if self.pending.len() > shared.max_line_bytes {
+            self.scanned = self.pending.len();
+            if self.pending.len() > self.max_line_bytes {
                 discarding = true;
                 self.pending.clear();
+                self.scanned = 0;
             }
             match stream.read(&mut chunk) {
                 Ok(0) => return ReadLine::Closed,
                 Ok(n) => {
                     if discarding {
-                        // Keep only a possible newline position.
+                        // Keep only what follows the line's newline.
                         if let Some(pos) = chunk[..n].iter().position(|&b| b == b'\n') {
                             self.pending.extend_from_slice(&chunk[pos + 1..n]);
                             return ReadLine::Oversized;
@@ -383,7 +391,7 @@ impl LineReader {
                     // Idle poll: close only when quiescent — pending bytes
                     // mean the client is mid-send, so give it until the
                     // next poll even during shutdown.
-                    if shared.shutting_down() && self.pending.is_empty() && !discarding {
+                    if shutting_down() && self.pending.is_empty() && !discarding {
                         return ReadLine::Closed;
                     }
                 }
@@ -400,58 +408,74 @@ fn handle_connection(mut stream: Box<dyn Conn>, shared: &Arc<Shared>) {
     {
         return;
     }
-    let mut reader = LineReader::new();
+    let mut reader = LineReader::new(shared.max_line_bytes);
+    let mut out = Outbox::default();
     loop {
-        let line = match reader.read_line(stream.as_mut(), shared) {
+        let request = match reader.read_line(stream.as_mut(), || shared.shutting_down()) {
             ReadLine::Closed => return,
-            ReadLine::Oversized => {
-                let msg = format!(
-                    "request line exceeds {} bytes and was discarded",
-                    shared.max_line_bytes
-                );
-                if write_line(stream.as_mut(), &error_line(&msg)).is_err() {
-                    return;
-                }
-                continue;
-            }
-            ReadLine::Line(line) => line,
+            ReadLine::Oversized => Err(format!(
+                "request line exceeds {} bytes and was discarded",
+                shared.max_line_bytes
+            )),
+            ReadLine::NotUtf8 => Err("request line is not UTF-8".to_owned()),
+            ReadLine::Line(line) if line.trim().is_empty() => continue,
+            ReadLine::Line(line) => parse_request(&line),
         };
-        if line.trim().is_empty() {
-            continue;
+        if request.is_ok() {
+            record(shared, "serve.requests", 1);
         }
-        let request = match parse_request(&line) {
-            Ok(r) => r,
-            Err(message) => {
-                if write_line(stream.as_mut(), &error_line(&message)).is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
-        record(shared, "serve.requests", 1);
-        let result = match request {
-            Request::Ping { id } => write_line(stream.as_mut(), &pong_line(id)),
-            Request::Stats { id } => {
-                let counters = current_counters(shared);
-                write_line(stream.as_mut(), &stats_line(id, &counters))
-            }
-            Request::Shutdown { id } => {
+        match request {
+            Err(message) => out.push(&error_line(&message)),
+            Ok(Request::Ping { id }) => out.push(&pong_line(id)),
+            Ok(Request::Stats { id }) => out.push(&stats_line(id, &current_counters(shared))),
+            Ok(Request::Shutdown { id }) => {
                 shared.shutdown.store(true, Ordering::SeqCst);
-                let _ = write_line(stream.as_mut(), &shutdown_line(id));
+                out.push(&shutdown_line(id));
+                let _ = out.flush(stream.as_mut());
                 return;
             }
-            Request::Schedule(req) => handle_schedule(stream.as_mut(), shared, req),
-        };
-        if result.is_err() {
-            return; // client went away mid-stream; the daemon lives on
+            Ok(Request::Schedule(req)) => {
+                if handle_schedule(stream.as_mut(), &mut out, shared, req).is_err() {
+                    return; // client went away mid-stream; the daemon lives on
+                }
+            }
+        }
+        if out.flush(stream.as_mut()).is_err() {
+            return;
         }
     }
 }
 
-fn write_line(stream: &mut dyn Conn, line: &str) -> io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
+/// Response lines not yet written: each `flush` sends everything
+/// buffered, `\n`s included, in one `write_all`. The buffer lives as
+/// long as the connection, so a warm connection allocates no line.
+#[derive(Default)]
+struct Outbox {
+    buf: String,
+}
+
+impl Outbox {
+    fn push(&mut self, line: &str) {
+        self.buf.push_str(line);
+        self.buf.push('\n');
+    }
+
+    /// Queues a `schedule` line, serialized straight into the buffer.
+    fn push_schedule(&mut self, id: i64, index: usize, name: &str, outcome: &FuncOutcome) {
+        push_schedule_line(&mut self.buf, id, index, name, outcome);
+        self.buf.push('\n');
+    }
+
+    fn flush(&mut self, stream: &mut dyn Conn) -> io::Result<()> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        let sent = stream
+            .write_all(self.buf.as_bytes())
+            .and_then(|()| stream.flush());
+        self.buf.clear();
+        sent
+    }
 }
 
 fn record(shared: &Shared, name: &str, by: u64) {
@@ -480,21 +504,26 @@ fn current_counters(shared: &Shared) -> Vec<(String, u64)> {
     out
 }
 
+/// Answers one batch into `out`. Result lines stream: whatever is ready
+/// is flushed before each wait for the next result, and the last result
+/// line goes out with `batch-end` in the caller's flush.
 fn handle_schedule(
     stream: &mut dyn Conn,
+    out: &mut Outbox,
     shared: &Arc<Shared>,
     req: ScheduleRequest,
 ) -> io::Result<()> {
-    let machine = match resolve_machine(&req.machine) {
-        Ok(m) => Arc::new(m),
-        Err(message) => return write_line(stream, &error_line(&message)),
-    };
-    let config = match req.config.resolve() {
-        Ok(c) => Arc::new(c),
-        Err(message) => return write_line(stream, &error_line(&message)),
-    };
-    let Some(pool) = shared.pool_tx.lock().expect("pool lock").clone() else {
-        return write_line(stream, &error_line("daemon is shutting down"));
+    let resolved = resolve_machine(&req.machine).and_then(|machine| {
+        let config = req.config.resolve()?;
+        let pool = shared.pool_tx.lock().expect("pool lock").clone();
+        Ok((machine, config, pool.ok_or("daemon is shutting down")?))
+    });
+    let (machine, config, pool) = match resolved {
+        Ok((machine, config, pool)) => (Arc::new(machine), Arc::new(config), pool),
+        Err(message) => {
+            out.push(&error_line(&message));
+            return Ok(());
+        }
     };
 
     let started = Instant::now();
@@ -534,23 +563,8 @@ fn handle_schedule(
         ..BatchSummary::default()
     };
 
-    let emit_ready = |results: &mut Vec<Option<(String, FuncOutcome)>>,
-                      next_emit: &mut usize,
-                      summary: &mut BatchSummary,
-                      stream: &mut dyn Conn|
-     -> io::Result<()> {
-        while *next_emit < count {
-            let Some((name, outcome)) = results[*next_emit].take() else {
-                break;
-            };
-            tally(summary, &outcome);
-            write_line(stream, &schedule_line(req.id, *next_emit, &name, &outcome))?;
-            *next_emit += 1;
-        }
-        Ok(())
-    };
-
     while received < count {
+        out.flush(stream)?;
         let next = match deadline {
             Some(d) => {
                 let now = Instant::now();
@@ -567,7 +581,13 @@ fn handle_schedule(
             Ok((index, name, outcome)) => {
                 results[index] = Some((name, outcome));
                 received += 1;
-                emit_ready(&mut results, &mut next_emit, &mut summary, stream)?;
+                // Queue every line now ready, in input order.
+                while let Some(Some((name, outcome))) = results.get_mut(next_emit).map(Option::take)
+                {
+                    tally(&mut summary, &outcome);
+                    out.push_schedule(req.id, next_emit, &name, &outcome);
+                    next_emit += 1;
+                }
             }
             Err(_) => break, // deadline hit, or pool retired under shutdown
         }
@@ -580,13 +600,14 @@ fn handle_schedule(
             .take()
             .unwrap_or_else(|| (fallback_names[index].clone(), FuncOutcome::Timeout));
         tally(&mut summary, &outcome);
-        write_line(stream, &schedule_line(req.id, index, &name, &outcome))?;
+        out.push_schedule(req.id, index, &name, &outcome);
     }
 
     summary.nanos = started.elapsed().as_nanos() as u64;
     record(shared, "serve.functions", count as u64);
     record(shared, "serve.batches", 1);
-    write_line(stream, &batch_end_line(req.id, &summary))
+    out.push(&batch_end_line(req.id, &summary));
+    Ok(())
 }
 
 fn tally(summary: &mut BatchSummary, outcome: &FuncOutcome) {
@@ -760,5 +781,73 @@ mod tests {
         assert!(Listen::parse("tcp:localhost").is_err());
         assert!(Listen::parse("/tmp/x.sock").is_err());
         assert!(Listen::parse("udp:1.2.3.4:5").is_err());
+    }
+
+    /// Hands out `input` at most `chunk` bytes per read.
+    struct Chunked<'a> {
+        input: &'a [u8],
+        chunk: usize,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.chunk.min(buf.len()).min(self.input.len());
+            buf[..n].copy_from_slice(&self.input[..n]);
+            self.input = &self.input[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn lines_read_alike_in_any_chunking() {
+        const MAX: usize = 64 << 10;
+        let ping = |id: u32| format!("{{\"req\":\"ping\",\"id\":{id}}}");
+        let longest = format!("{}{}", ping(3), " ".repeat(MAX - ping(3).len()));
+        let mut input = Vec::new();
+        for line in [ping(1), "x".repeat(3 * MAX), ping(2), "y".repeat(MAX + 1)] {
+            input.extend_from_slice(line.as_bytes());
+            input.push(b'\n');
+        }
+        input.extend_from_slice(longest.as_bytes());
+        input.extend_from_slice(b"\n\n\xff\xfe\n");
+        input.extend_from_slice(ping(4).as_bytes()); // no newline: cut off
+        let after_discard = ping(1).len() + 3 * MAX + 2;
+        let want = vec![
+            ReadLine::Line(ping(1)),
+            ReadLine::Oversized,
+            ReadLine::Line(ping(2)),
+            ReadLine::Oversized,
+            ReadLine::Line(longest),
+            ReadLine::Line(String::new()),
+            ReadLine::NotUtf8,
+            ReadLine::Closed,
+        ];
+        for chunk in [1, 8 << 10, 100_000] {
+            let mut stream = Chunked {
+                input: &input,
+                chunk,
+            };
+            let mut reader = LineReader::new(MAX);
+            let mut got = Vec::new();
+            loop {
+                let line = reader.read_line(&mut stream, || false);
+                if line == ReadLine::Oversized && got.len() == 1 {
+                    // Only bytes past the discarded line's newline stay.
+                    assert!(input[after_discard..].starts_with(&reader.pending));
+                }
+                let closed = line == ReadLine::Closed;
+                got.push(line);
+                if closed {
+                    break;
+                }
+            }
+            // (The lines are too long to print whole.)
+            let differ = got.iter().zip(&want).position(|(g, w)| g != w);
+            assert!(
+                got == want,
+                "{chunk}-byte reads: {} results, first wrong at {differ:?}",
+                got.len()
+            );
+        }
     }
 }

@@ -192,6 +192,20 @@ fn malformed_lines_get_error_responses_and_the_connection_survives() {
         );
     }
 
+    // A line that is not UTF-8 is answered too, not skipped.
+    let Listen::Unix(path) = &listen else {
+        unreachable!()
+    };
+    let mut raw = std::os::unix::net::UnixStream::connect(path).expect("connects");
+    raw.write_all(b"\xff\xfe\n{\"req\":\"ping\",\"id\":5}\n")
+        .expect("send");
+    let mut replies = BufReader::new(&raw);
+    for want in ["{\"resp\":\"error\"", "{\"resp\":\"pong\""] {
+        let mut reply = String::new();
+        replies.read_line(&mut reply).expect("a reply");
+        assert!(reply.starts_with(want), "{reply}");
+    }
+
     // Front-end failures are per-function, not protocol errors.
     let batch = client
         .schedule_batch(
@@ -253,6 +267,35 @@ fn oversized_requests_are_discarded_not_fatal() {
     client
         .ping()
         .expect("connection survives an oversized line");
+    client.shutdown_server().expect("shutdown");
+    server.join();
+}
+
+#[test]
+fn deeply_nested_lines_are_errors_not_crashes() {
+    let (server, listen) = start_unix("nested", |_| {});
+    let mut client = Client::connect(&listen).expect("connects");
+
+    // 20 KB of `[` once overflowed the connection thread's stack and
+    // aborted the whole daemon.
+    for deep in ["[".repeat(20_000), "{\"a\":".repeat(5_000)] {
+        let response = client.round_trip_raw(&deep).expect("server answers");
+        assert!(
+            response.starts_with("{\"resp\":\"error\"") && response.contains("nested too deep"),
+            "{response}"
+        );
+    }
+
+    client.ping().expect("the same connection still answers");
+    let batch = client
+        .schedule_batch(
+            Lang::TinyC,
+            "rs6k",
+            vec![],
+            &tinyc_specs(&loadgen::corpus(1, 1, 2, 1, 5)),
+        )
+        .expect("and still schedules");
+    assert_eq!(batch.summary.ok, 1);
     client.shutdown_server().expect("shutdown");
     server.join();
 }

@@ -6,9 +6,15 @@
 //! round-trip exactly through [`Json::Int`]; floats are printed with
 //! `{:?}` (shortest representation that reparses to the same bits), so
 //! probability payloads round-trip bit-exactly too.
+//!
+//! Strings are copied a run at a time: the writer and the parser look
+//! for the next byte that needs an escape and copy everything before it
+//! whole, so a long payload (a schedule, a source file) costs about a
+//! `memcpy`. The parser reads at most [`Json::MAX_DEPTH`] nested arrays and
+//! objects, so a hostile line cannot overflow the stack.
 
 use crate::event::{MotionKind, Pass, RejectReason, TieBreak, TraceEvent};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,10 +36,27 @@ pub enum Json {
 }
 
 impl Json {
+    /// The deepest nesting of arrays and objects [`Json::parse`] accepts;
+    /// one level more is an error. The daemon protocol nests three deep
+    /// and trace events two.
+    pub const MAX_DEPTH: usize = 128;
+
     /// Member lookup on objects.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Moves the value of member `key` (the one [`Json::get`] finds) out
+    /// of an object, leaving `null` in its place.
+    pub fn take(&mut self, key: &str) -> Option<Json> {
+        match self {
+            Json::Obj(members) => members
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| std::mem::replace(v, Json::Null)),
             _ => None,
         }
     }
@@ -60,53 +83,54 @@ impl Json {
         }
     }
 
-    fn write(&self, out: &mut String) {
+    fn write<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => out.push_str(&i.to_string()),
-            Json::Float(x) => {
-                if x.is_finite() {
-                    let s = format!("{x:?}");
-                    out.push_str(&s);
-                    // `{:?}` prints integral floats as e.g. "1.0" — keep
-                    // the dot so the reparse stays a Float.
-                } else {
-                    out.push_str("null"); // JSON has no NaN/inf
-                }
-            }
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            Json::Int(i) => write!(out, "{i}"),
+            // `{:?}` prints integral floats as e.g. "1.0" — keeping the
+            // dot, so the reparse stays a Float.
+            Json::Float(x) if x.is_finite() => write!(out, "{x:?}"),
+            Json::Float(_) => out.write_str("null"), // JSON has no NaN/inf
             Json::Str(s) => write_json_string(s, out),
             Json::Arr(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    item.write(out);
+                    item.write(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Obj(members) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in members.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    write_json_string(k, out);
-                    out.push(':');
-                    v.write(out);
+                    write_json_string(k, out)?;
+                    out.write_char(':')?;
+                    v.write(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
 
     /// Parses one JSON value from `text` (which must contain nothing
     /// else but whitespace).
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON, a number out of range, or arrays and objects
+    /// nested deeper than [`Json::MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -121,28 +145,134 @@ impl Json {
 impl fmt::Display for Json {
     /// Compact serialization (no whitespace).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
+        self.write(f)
     }
 }
 
-fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// `0x01` in every byte of a word.
+const ONES: u64 = u64::from_le_bytes([1; 8]);
+
+/// The high bit of every byte of `x` below `n` (for `n <= 0x80`). Bytes
+/// above a flagged one may be flagged falsely, but the lowest flag is
+/// exact, and that is the only one [`find`] reads.
+fn bytes_below(x: u64, n: u8) -> u64 {
+    x.wrapping_sub(ONES * u64::from(n)) & !x & (ONES << 7)
+}
+
+/// The high bit of every byte of `x` equal to `b` (lowest flag exact).
+fn bytes_equal(x: u64, b: u8) -> u64 {
+    bytes_below(x ^ (ONES * u64::from(b)), 1)
+}
+
+/// Flags a quote or a backslash: where a string's run ends when parsing.
+fn quote_or_backslash(x: u64) -> u64 {
+    bytes_equal(x, b'"') | bytes_equal(x, b'\\')
+}
+
+/// Flags a byte that must be escaped inside a JSON string: where a run
+/// ends when writing.
+fn needs_escape(x: u64) -> u64 {
+    quote_or_backslash(x) | bytes_below(x, 0x20)
+}
+
+/// The index of the first byte of `bytes` that `flags` marks, tested
+/// eight bytes at a time.
+fn find(bytes: &[u8], flags: impl Fn(u64) -> u64) -> Option<usize> {
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let hits = flags(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        if hits != 0 {
+            return Some(at + hits.trailing_zeros() as usize / 8);
         }
+        at += 8;
     }
-    out.push('"');
+    let mut tail = [0xff; 8]; // 0xff is flagged by neither test
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    let hits = flags(u64::from_le_bytes(tail));
+    (hits != 0).then(|| at + hits.trailing_zeros() as usize / 8)
+}
+
+/// Writes `s` as a quoted JSON string: every run of bytes that need no
+/// escape in one `write_str`.
+fn write_json_string<W: fmt::Write>(s: &str, out: &mut W) -> fmt::Result {
+    out.write_char('"')?;
+    let bytes = s.as_bytes();
+    let mut start = 0;
+    while let Some(len) = find(&bytes[start..], needs_escape) {
+        let at = start + len;
+        // Escapable bytes are ASCII, so `at` is a char boundary.
+        out.write_str(&s[start..at])?;
+        match bytes[at] {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            b => write!(out, "\\u{:04x}", b)?,
+        }
+        start = at + 1;
+    }
+    out.write_str(&s[start..])?;
+    out.write_char('"')
+}
+
+/// Writes one JSON object member by member straight into a `String`, so
+/// a value the caller holds (a schedule's text, a program) is escaped in
+/// place rather than copied into a [`Json`] tree first. The bytes are
+/// those of the equivalent [`Json::Obj`]. (Writing to a `String` cannot
+/// fail, so the writers' `fmt::Result`s are dropped.)
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> ObjectWriter<'a> {
+    /// Opens an object at the end of `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        out.push('{');
+        ObjectWriter { out, empty: true }
+    }
+
+    /// Starts member `key` and returns the buffer its value goes into.
+    pub fn key(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        let _ = write_json_string(key, self.out);
+        self.out.push(':');
+        self.out
+    }
+
+    /// A string member.
+    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        let _ = write_json_string(value, self.key(key));
+        self
+    }
+
+    /// An integer member.
+    pub fn int(&mut self, key: &str, value: i64) -> &mut Self {
+        let _ = write!(self.key(key), "{value}");
+        self
+    }
+
+    /// A boolean member.
+    pub fn bool(&mut self, key: &str, value: bool) -> &mut Self {
+        self.key(key).push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    /// A member holding any [`Json`] value.
+    pub fn value(&mut self, key: &str, value: &Json) -> &mut Self {
+        let _ = value.write(self.key(key));
+        self
+    }
+
+    /// Closes the object.
+    pub fn end(self) {
+        self.out.push('}');
+    }
 }
 
 /// A malformed JSON document (or a well-formed one that is not a trace
@@ -164,8 +294,11 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -214,8 +347,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == Json::MAX_DEPTH {
+                    return Err(self.err("arrays and objects nested too deep"));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
@@ -272,58 +416,51 @@ impl Parser<'_> {
         }
     }
 
+    /// A string: each run up to the next quote or backslash is copied
+    /// whole. The input is a `&str` and both delimiters are ASCII, so
+    /// every run is valid UTF-8 on a char boundary.
     fn string(&mut self) -> Result<String, JsonError> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            let Some(b) = self.peek() else {
+            let start = self.pos;
+            let Some(len) = find(&self.bytes[start..], quote_or_backslash) else {
+                self.pos = self.bytes.len();
                 return Err(self.err("unterminated string"));
             };
+            self.pos = start + len + 1;
+            out.push_str(&self.text[start..start + len]);
+            if self.bytes[start + len] == b'"' {
+                return Ok(out);
+            }
+            let Some(e) = self.peek() else {
+                return Err(self.err("unterminated escape"));
+            };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(e) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs never appear in our output;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Re-decode UTF-8 starting at the byte we consumed.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = start + len;
-                    let s = self
+            match e {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hex = self
                         .bytes
-                        .get(start..end)
-                        .and_then(|chunk| std::str::from_utf8(chunk).ok())
-                        .ok_or_else(|| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos = end;
+                        .get(self.pos..self.pos + 4)
+                        .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                        .and_then(|_| {
+                            u32::from_str_radix(&self.text[self.pos..self.pos + 4], 16).ok()
+                        })
+                        .ok_or_else(|| self.err("bad \\u escape"))?;
+                    self.pos += 4;
+                    // Surrogate pairs never appear in our output;
+                    // map lone surrogates to the replacement char.
+                    out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
                 }
+                _ => return Err(self.err("unknown escape")),
             }
         }
     }
@@ -344,25 +481,19 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = &self.text[start..self.pos];
         if is_float {
+            // A float too large for `f64` would print back as `null`.
             text.parse::<f64>()
+                .ok()
+                .filter(|x| x.is_finite())
                 .map(Json::Float)
-                .map_err(|_| self.err("bad number"))
+                .ok_or_else(|| self.err("bad number"))
         } else {
             text.parse::<i64>()
                 .map(Json::Int)
                 .map_err(|_| self.err("bad number"))
         }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
     }
 }
 
@@ -731,6 +862,7 @@ impl TraceEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::thread;
 
     #[test]
     fn values_round_trip() {
@@ -762,5 +894,79 @@ mod tests {
         assert!(Json::parse("[1,2,]").is_err()); // no trailing commas
         assert!(Json::parse("\"open").is_err());
         assert!(Json::parse("1 2").is_err());
+        assert!(Json::parse("\"\\u+abc\"").is_err()); // four hex digits
+        assert!(Json::parse("\"\\u12\"").is_err());
+        // `inf` would print back as `null`.
+        assert!(Json::parse("4e5678").is_err());
+        assert_eq!(Json::parse("4e56").expect("finite"), Json::Float(4e56));
+    }
+
+    #[test]
+    fn strings_copy_in_runs_and_escape_like_one_char_at_a_time() {
+        let all: String = (0..0x250u32)
+            .filter_map(char::from_u32)
+            .chain("é€𝄞\u{7f}\u{2028}".chars())
+            .collect();
+        let text = Json::Str(all.clone()).to_string();
+        // The per-character rules: the five short escapes, `\u00xx` for
+        // the other control characters, everything else verbatim.
+        let mut want = String::from('"');
+        for c in all.chars() {
+            match c {
+                '"' => want.push_str("\\\""),
+                '\\' => want.push_str("\\\\"),
+                '\n' => want.push_str("\\n"),
+                '\r' => want.push_str("\\r"),
+                '\t' => want.push_str("\\t"),
+                c if (c as u32) < 0x20 => want.push_str(&format!("\\u{:04x}", c as u32)),
+                c => want.push(c),
+            }
+        }
+        want.push('"');
+        assert_eq!(text, want);
+        assert_eq!(Json::parse(&text).expect("parses"), Json::Str(all));
+        assert_eq!(
+            Json::parse(r#""a\/b\bc\fd\u00e9\ud800""#).expect("parses"),
+            Json::Str("a/b\u{8}c\u{c}dé\u{fffd}".into())
+        );
+    }
+
+    #[test]
+    fn the_object_writer_writes_what_the_tree_would() {
+        let tree = Json::Obj(vec![
+            ("s".into(), Json::Str("a\"b\n".into())),
+            ("i".into(), Json::Int(-7)),
+            ("b".into(), Json::Bool(false)),
+            ("v".into(), Json::Arr(vec![Json::Float(0.5), Json::Null])),
+        ]);
+        let mut out = String::new();
+        let mut w = ObjectWriter::new(&mut out);
+        w.str("s", "a\"b\n").int("i", -7).bool("b", false);
+        w.value("v", &Json::Arr(vec![Json::Float(0.5), Json::Null]));
+        w.end();
+        assert_eq!(out, tree.to_string());
+        let mut empty = String::new();
+        ObjectWriter::new(&mut empty).end();
+        assert_eq!(empty, "{}");
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(Json::MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(Json::MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert_eq!(err.offset, Json::MAX_DEPTH);
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(Json::MAX_DEPTH + 1),
+            "}".repeat(Json::MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+        // Far past the cap the parser stops at the cap, on a small stack.
+        let deep = thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| Json::parse(&"[".repeat(100_000)).is_err())
+            .expect("spawns");
+        assert!(deep.join().expect("no stack overflow"));
     }
 }

@@ -34,7 +34,7 @@ mod query;
 mod sink;
 
 pub use event::{MotionKind, NopObserver, Pass, RejectReason, SchedObserver, TieBreak, TraceEvent};
-pub use json::{Json, JsonError};
+pub use json::{Json, JsonError, ObjectWriter};
 pub use metrics::Metrics;
 pub use query::{Duplication, Motion, RegionScope, Rejection, Rename, SkippedRegion, TraceQuery};
 pub use sink::{render_report, JsonLines, Recorder};
