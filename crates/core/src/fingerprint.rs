@@ -20,25 +20,10 @@ use gis_ir::hash::Fnv64;
 use gis_ir::OpClass;
 use gis_machine::MachineDescription;
 
-/// Every [`OpClass`], in a fixed order, for machine fingerprinting.
-pub const ALL_CLASSES: [OpClass; 12] = [
-    OpClass::Fx,
-    OpClass::FxMul,
-    OpClass::FxDiv,
-    OpClass::Load,
-    OpClass::Store,
-    OpClass::FxCompare,
-    OpClass::Fp,
-    OpClass::FpMul,
-    OpClass::FpDiv,
-    OpClass::FpCompare,
-    OpClass::Branch,
-    OpClass::Call,
-];
-
 /// Feeds every schedule-relevant property of the machine description into
-/// the hasher: name, dispatch width, per-class unit assignment, unit
-/// counts, execution times, and the full producer→consumer delay matrix.
+/// the hasher: name, dispatch width, unit counts, and per class (in
+/// [`OpClass::ALL`] order) the unit assignment, execution time and the
+/// full producer→consumer delay matrix.
 /// Two presets that schedule identically but are *named* differently
 /// still fingerprint apart — names are part of the operator contract.
 pub fn write_machine_fingerprint(h: &mut Fnv64, machine: &MachineDescription) {
@@ -52,12 +37,12 @@ pub fn write_machine_fingerprint(h: &mut Fnv64, machine: &MachineDescription) {
         h.write(machine.unit_name(kind).as_bytes());
         h.write_u8(0);
     }
-    for class in ALL_CLASSES {
+    for class in OpClass::ALL {
         h.write_u32(machine.unit_of(class).index() as u32);
         h.write_u32(machine.exec_time(class));
     }
-    for producer in ALL_CLASSES {
-        for consumer in ALL_CLASSES {
+    for producer in OpClass::ALL {
+        for consumer in OpClass::ALL {
             h.write_u32(machine.delay(producer, consumer));
         }
     }

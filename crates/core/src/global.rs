@@ -47,7 +47,7 @@
 
 use crate::config::{Fault, SchedConfig, SchedLevel};
 use crate::dcp::Heuristics;
-use crate::list::{Commit, ListScheduler, PassHooks, Pick, Pred, UnitPool};
+use crate::list::{Commit, ListScheduler, PassHooks, Pick, Pred};
 use crate::parallel::GlobalPass;
 use crate::stats::SchedStats;
 use gis_cfg::{NodeId, RegionGraph, RegionNode, RegionTree};
@@ -57,11 +57,9 @@ use gis_pdg::{Cspdg, DataDeps, Liveness};
 use gis_trace::{MotionKind, RejectReason, SchedObserver, TieBreak, TraceEvent};
 use std::collections::HashMap;
 
-/// Sentinel for "not placed in this block pass" in the dense
+/// Sentinel for "not placed in this block pass" in the
 /// [`Scratch::place_time`] table.
 const UNPLACED: u64 = u64::MAX;
-/// Sentinel for "no node" in the dense instruction→node table.
-const NO_NODE: u32 = u32::MAX;
 
 impl GlobalPass<'_> {
     /// Schedules region `rid` of `f`, reporting every decision — candidate
@@ -132,27 +130,30 @@ impl GlobalPass<'_> {
         deps.reduce();
         stats.dep_edges_reduced += deps.num_edges();
 
-        let bound = f.inst_id_bound();
-        stats.scratch_allocs += 1;
+        // Every per-region table is indexed by scope position, so its
+        // size is the scope's, whatever the function's id range.
+        let n = deps.scope_order().len();
+        let mut inst_node = vec![0; n];
+        for &b in &scope_blocks {
+            for inst in f.block(b).insts() {
+                inst_node[deps.position(inst.id).expect("scope instruction")] =
+                    node_of[&b].index() as u32;
+            }
+        }
         let mut pass = RegionPass {
             global: self,
             deps: &deps,
             reach: &reach,
             heur: Heuristics::new(&deps),
-            placed: DenseBitSet::with_capacity(bound),
-            inst_node: vec![NO_NODE; bound],
+            placed: DenseBitSet::with_capacity(n),
+            inst_node,
             scope: scope_blocks,
             reference: None,
-            scratch: Scratch::new(machine, bound),
+            scratch: Scratch::new(machine, n),
             stats,
             obs,
         };
         pass.check_boundary(f, || "at the region's start".to_owned());
-        for &b in &pass.scope {
-            for inst in f.block(b).insts() {
-                pass.inst_node[inst.id.index()] = node_of[&b].index() as u32;
-            }
-        }
 
         for &node in g.topo_order() {
             if let RegionNode::Block(a) = g.node(node) {
@@ -250,10 +251,11 @@ struct RegionPass<'a, O: SchedObserver> {
     /// `D`/`CP` by scope position, computed per home block as each
     /// block pass collects its candidates.
     heur: Heuristics,
-    /// Instructions placed by this region pass (any block), by id.
+    /// Instructions placed by this region pass (any block), by scope
+    /// position.
     placed: DenseBitSet,
-    /// Current region-graph node index of every scope instruction
-    /// (dense by inst id; [`NO_NODE`] outside the scope).
+    /// Current region-graph node index of every scope instruction, by
+    /// scope position.
     inst_node: Vec<u32>,
     /// The region's subtree's blocks, ascending.
     scope: Vec<BlockId>,
@@ -266,11 +268,11 @@ struct RegionPass<'a, O: SchedObserver> {
     obs: &'a mut O,
 }
 
-/// Per-region scratch buffers for [`RegionPass::schedule_block`]'s inner
-/// loops: allocated once per region, reset (capacity kept) per block, so
-/// the cycle-by-cycle scheduling loop itself performs no heap
-/// allocation. The `scratch_allocs` / `scratch_reuses` stats count
-/// bundle creations vs block passes that reused one.
+/// The buffers [`RegionPass::schedule_block`] reuses from one block pass
+/// to the next: sized by the region's scope when the region starts, and
+/// reset per block through the candidate list, never swept, so the
+/// cycle-by-cycle loop allocates nothing. The list scheduler's slot map
+/// answers candidate-set membership.
 struct Scratch {
     /// The block pass's candidates; candidate `i` is list slot `i`.
     cands: Vec<Candidate>,
@@ -278,30 +280,24 @@ struct Scratch {
     /// pool.
     list: ListScheduler<PriorityKey>,
     new_order: Vec<InstId>,
-    /// Issue cycle per candidate id ([`UNPLACED`] when not placed);
-    /// reset via the candidate list, not a full sweep.
+    /// Issue cycle by scope position ([`UNPLACED`] when not placed in
+    /// this block pass).
     place_time: Vec<u64>,
-    /// Candidate-set membership by inst id.
-    in_s: DenseBitSet,
-    /// §5.3-rejected candidates by inst id.
+    /// §5.3-rejected candidates by scope position.
     rejected: DenseBitSet,
-    /// Final position per placed inst id, for the block reorder.
+    /// Final position in the block by scope position, for the reorder.
     rank: Vec<u32>,
-    /// Ever used by a block pass already (drives `scratch_reuses`).
-    used: bool,
 }
 
 impl Scratch {
-    fn new(machine: &MachineDescription, inst_bound: usize) -> Self {
+    fn new(machine: &MachineDescription, scope_len: usize) -> Self {
         Scratch {
             cands: Vec::new(),
             list: ListScheduler::new(machine),
             new_order: Vec::new(),
-            place_time: vec![UNPLACED; inst_bound],
-            in_s: DenseBitSet::with_capacity(inst_bound),
-            rejected: DenseBitSet::with_capacity(inst_bound),
-            rank: vec![0; inst_bound],
-            used: false,
+            place_time: vec![UNPLACED; scope_len],
+            rejected: DenseBitSet::with_capacity(scope_len),
+            rank: vec![0; scope_len],
         }
     }
 
@@ -309,11 +305,10 @@ impl Scratch {
     /// list scheduler is reset by its own `begin`).
     fn reset(&mut self) {
         for &c in &self.cands {
-            self.place_time[c.id.index()] = UNPLACED;
+            self.place_time[c.pos] = UNPLACED;
         }
         self.cands.clear();
         self.new_order.clear();
-        self.in_s.clear();
         self.rejected.clear();
     }
 }
@@ -321,6 +316,8 @@ impl Scratch {
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     id: InstId,
+    /// `id`'s dependence scope position.
+    pos: usize,
     home: BlockId,
     useful: bool,
     /// Execution probability given the target block executes (1.0 for
@@ -403,14 +400,14 @@ impl<O: SchedObserver> PassHooks<PriorityKey> for BlockPass<'_, '_, O> {
         Some(slot) != self.a_branch || self.a_remaining <= 1
     }
 
-    fn check(&self, t: u64, units: &UnitPool, pick: Option<&Pick<PriorityKey>>) {
+    fn check(&self, t: u64, list: &ListScheduler<PriorityKey>, pick: Option<&Pick<PriorityKey>>) {
         if !self.pass.global.hooks.armed() {
             return;
         }
         let a_branch = self.a_branch.map(|s| self.pass.scratch.cands[s].id);
         let (best, second) =
             self.pass
-                .rescan_pick(self.f, self.node_a, a_branch, self.a_remaining, t, units);
+                .rescan_pick(self.f, list, self.node_a, a_branch, self.a_remaining, t);
         let got = pick.map(|p| ((p.id, p.key), p.second));
         let want = best.map(|b| (b, second));
         assert_eq!(
@@ -434,7 +431,7 @@ impl<O: SchedObserver> PassHooks<PriorityKey> for BlockPass<'_, '_, O> {
         // clobber anything no matter what is live on exit.
         let may_fold = pass.global.config.duplication && cand.home != a;
         if may_fold && pass.try_fold_duplicate(f, a, &cand) {
-            return Commit::Fold(pass.scratch.place_time[cand.id.index()]);
+            return Commit::Fold(pass.scratch.place_time[cand.pos]);
         }
 
         // §5.3: speculative motion may not clobber a register live on
@@ -445,7 +442,7 @@ impl<O: SchedObserver> PassHooks<PriorityKey> for BlockPass<'_, '_, O> {
         // instruction still needs is held back by the dependence test
         // instead.
         if cand.home != a && !cand.useful && !cand.dup && !pass.speculation_allowed(f, a, &cand) {
-            pass.scratch.rejected.insert(cand.id.index());
+            pass.scratch.rejected.insert(cand.pos);
             if enabled {
                 pass.obs.event(TraceEvent::Rejected {
                     inst: cand.id.index() as u32,
@@ -458,8 +455,8 @@ impl<O: SchedObserver> PassHooks<PriorityKey> for BlockPass<'_, '_, O> {
         }
 
         // Issue (the list scheduler takes the unit).
-        pass.scratch.place_time[cand.id.index()] = t;
-        pass.placed.insert(cand.id.index());
+        pass.scratch.place_time[cand.pos] = t;
+        pass.placed.insert(cand.pos);
         pass.scratch.new_order.push(cand.id);
 
         if cand.home == a {
@@ -488,7 +485,7 @@ impl<O: SchedObserver> PassHooks<PriorityKey> for BlockPass<'_, '_, O> {
             let block_a = f.block(a);
             let at = block_a.len() - usize::from(block_a.last().is_some_and(|i| i.op.is_branch()));
             f.relink_inst(cand.id, cand.home, a, at);
-            pass.inst_node[cand.id.index()] = node_a.index() as u32;
+            pass.inst_node[cand.pos] = node_a.index() as u32;
             let sibs: &[BlockId] = self
                 .dup_joins
                 .iter()
@@ -539,7 +536,7 @@ impl<O: SchedObserver> PassHooks<PriorityKey> for BlockPass<'_, '_, O> {
             let block_a = f.block(a);
             let at = block_a.len() - usize::from(block_a.last().is_some_and(|i| i.op.is_branch()));
             f.relink_inst(cand.id, cand.home, a, at);
-            pass.inst_node[cand.id.index()] = node_a.index() as u32;
+            pass.inst_node[cand.pos] = node_a.index() as u32;
             if cand.useful {
                 pass.stats.moved_useful += 1;
             } else {
@@ -767,10 +764,6 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         }
 
         // ---- Candidate instructions. ----------------------------------
-        if self.scratch.used {
-            self.stats.scratch_reuses += 1;
-        }
-        self.scratch.used = true;
         self.scratch.reset();
         let deps = self.deps;
         let mut list = std::mem::take(&mut self.scratch.list);
@@ -783,6 +776,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                 &mut list,
                 Candidate {
                     id: inst.id,
+                    pos: self.pos(inst.id),
                     home: a,
                     useful: true,
                     prob: 1.0,
@@ -806,6 +800,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                         &mut list,
                         Candidate {
                             id: inst.id,
+                            pos: self.pos(inst.id),
                             home: b,
                             useful: true,
                             prob: 1.0,
@@ -848,11 +843,11 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         let (placed, reach_a, inst_node) =
             (&self.placed, &self.reach[node_a.index()], &self.inst_node);
         list.link(deps, |from, in_set| {
-            if placed.contains(from.index()) {
+            if placed.contains(from) {
                 Pred::Satisfied
             } else if in_set {
                 Pred::Waiting
-            } else if reach_a.contains(inst_node[from.index()] as usize) {
+            } else if reach_a.contains(inst_node[from] as usize) {
                 Pred::Blocks
             } else {
                 Pred::Satisfied
@@ -883,17 +878,23 @@ impl<O: SchedObserver> RegionPass<'_, O> {
             self.scratch.new_order.len(),
             "every instruction of A was scheduled"
         );
-        for (i, id) in self.scratch.new_order.iter().enumerate() {
-            self.scratch.rank[id.index()] = i as u32;
+        for (i, &id) in self.scratch.new_order.iter().enumerate() {
+            self.scratch.rank[deps.position(id).expect("candidate in scope")] = i as u32;
         }
         let rank = &self.scratch.rank;
-        f.block_mut(a).sort_by_key(|inst| rank[inst.id.index()]);
+        f.block_mut(a)
+            .sort_by_key(|inst| rank[deps.position(inst.id).expect("placed in A")]);
+    }
+
+    /// The dependence scope position of scope instruction `id`.
+    fn pos(&self, id: InstId) -> usize {
+        self.deps.position(id).expect("scope instruction")
     }
 
     /// Adds a candidate to the block pass: its `D`/`CP` (computed for
     /// its home block when the block's first candidate arrives — each
-    /// block's candidates are collected together), its membership, and
-    /// its list slot. Returns the slot.
+    /// block's candidates are collected together) and its list slot.
+    /// Returns the slot.
     fn add_candidate(
         &mut self,
         f: &Function,
@@ -911,7 +912,6 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                 .compute_block(f, self.global.machine, self.deps, c.home);
         }
         self.scratch.cands.push(c);
-        self.scratch.in_s.insert(c.id.index());
         list.push(
             self.deps,
             c.id,
@@ -944,6 +944,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                 Offer::Candidates { prob, dup } if movable => {
                     let c = Candidate {
                         id: inst.id,
+                        pos: self.pos(inst.id),
                         home: b,
                         useful: false,
                         prob,
@@ -976,13 +977,12 @@ impl<O: SchedObserver> RegionPass<'_, O> {
 
     /// `c`'s §5.2 priority key, from the `D`/`CP` of its home block.
     fn key(&self, c: &Candidate) -> PriorityKey {
-        let p = self.deps.position(c.id).expect("candidate in scope");
         (
             c.useful,
             (c.prob * 1000.0) as u32, // likelier gambles first
-            self.heur.d(p),
-            self.heur.cp(p),
-            std::cmp::Reverse(p),
+            self.heur.d(c.pos),
+            self.heur.cp(c.pos),
+            std::cmp::Reverse(c.pos),
         )
     }
 
@@ -993,30 +993,28 @@ impl<O: SchedObserver> RegionPass<'_, O> {
     fn rescan_pick(
         &self,
         f: &Function,
+        list: &ListScheduler<PriorityKey>,
         node_a: NodeId,
         a_branch: Option<InstId>,
         a_remaining: usize,
         t: u64,
-        units: &UnitPool,
     ) -> (Option<(InstId, PriorityKey)>, Option<PriorityKey>) {
         let mut best: Option<(InstId, PriorityKey)> = None;
         let mut second: Option<PriorityKey> = None;
         for c in &self.scratch.cands {
-            if self.scratch.place_time[c.id.index()] != UNPLACED
-                || self.scratch.rejected.contains(c.id.index())
-            {
+            if self.scratch.place_time[c.pos] != UNPLACED || self.scratch.rejected.contains(c.pos) {
                 continue;
             }
             if Some(c.id) == a_branch && a_remaining > 1 {
                 continue;
             }
-            if !self.ready(node_a, c.id, t) {
+            if !self.ready(list, node_a, c.id, t) {
                 continue;
             }
             let pos = f.block(c.home).position(c.id).expect("candidate exists");
             let op = &f.block(c.home).inst_at(pos).op;
             let kind = self.global.machine.unit_of(op.class());
-            if !units.free(kind.index(), t) {
+            if !list.units().free(kind.index(), t) {
                 continue;
             }
             let key = self.key(c);
@@ -1031,23 +1029,24 @@ impl<O: SchedObserver> RegionPass<'_, O> {
     }
 
     /// Whether all data dependences into `id` are fulfilled at cycle `t`.
-    fn ready(&self, node_a: NodeId, id: InstId, t: u64) -> bool {
+    fn ready(&self, list: &ListScheduler<PriorityKey>, node_a: NodeId, id: InstId, t: u64) -> bool {
         for e in self.deps.preds(id) {
-            let tp = self.scratch.place_time[e.from.index()];
+            let from = self.pos(e.from);
+            let tp = self.scratch.place_time[from];
             if tp != UNPLACED {
                 // Placed in this very block pass: timing applies.
                 if tp + e.sep() as u64 > t {
                     return false;
                 }
-            } else if self.placed.contains(e.from.index()) {
+            } else if self.placed.contains(from) {
                 // Placed in an earlier block of this region: the paper's
                 // per-block restart; interlocks cover residual delays.
-            } else if self.scratch.in_s.contains(e.from.index()) {
+            } else if list.holds(from) {
                 return false; // will be scheduled in this pass, wait for it
             } else {
                 // Outside the candidate set: blocked when it could still
                 // execute between A and the candidate's home block.
-                let pn = self.inst_node[e.from.index()];
+                let pn = self.inst_node[from];
                 if self.reach[node_a.index()].contains(pn as usize) {
                     return false;
                 }
@@ -1088,7 +1087,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
             return false; // diverged (e.g. a speculative rename): keep both
         }
         for e in self.deps.preds(cand.id) {
-            if self.scratch.place_time[e.from.index()] == UNPLACED {
+            if self.scratch.place_time[self.pos(e.from)] == UNPLACED {
                 continue; // upstream of a on every path: same value
             }
             match self.scratch.new_order.iter().position(|&x| x == e.from) {
@@ -1097,8 +1096,8 @@ impl<O: SchedObserver> RegionPass<'_, O> {
             }
         }
         f.block_mut(cand.home).remove(cand.id);
-        self.scratch.place_time[cand.id.index()] = self.scratch.place_time[j.index()];
-        self.placed.insert(cand.id.index());
+        self.scratch.place_time[cand.pos] = self.scratch.place_time[self.pos(j)];
+        self.placed.insert(cand.pos);
         self.stats.dup_copies_deduped += 1;
         self.check_boundary(f, || format!("after folding {} into {a}", cand.id));
         true

@@ -141,8 +141,8 @@ pub(crate) trait PassHooks<K> {
         true
     }
     /// Sees every pick, or its absence, before it is committed, with the
-    /// unit pool it was made against (the oracle hook).
-    fn check(&self, _t: u64, _units: &UnitPool, _pick: Option<&Pick<K>>) {}
+    /// scheduler it was made by (the oracle hook).
+    fn check(&self, _t: u64, _list: &ListScheduler<K>, _pick: Option<&Pick<K>>) {}
     /// Commits a pick made at cycle `t`.
     fn commit(&mut self, pick: &Pick<K>, t: u64) -> Commit;
     /// Whether the block pass is complete.
@@ -230,15 +230,28 @@ impl<K: Ord + Copy> ListScheduler<K> {
         (s != NO_SLOT).then_some(s as usize)
     }
 
+    /// Whether the instruction at dependence scope position `pos` is a
+    /// candidate of the current block pass.
+    pub(crate) fn holds(&self, pos: usize) -> bool {
+        self.slot_of.get(pos).is_some_and(|&s| s != NO_SLOT)
+    }
+
+    /// The functional units, as busy as the current cycle's picks left
+    /// them.
+    pub(crate) fn units(&self) -> &UnitPool {
+        &self.units
+    }
+
     /// Once every candidate is pushed: classifies each candidate's
-    /// predecessors with `classify(pred, in_set)` and seeds the ready
-    /// list with the candidates nothing waits on or blocks.
-    pub(crate) fn link(&mut self, deps: &DataDeps, mut classify: impl FnMut(InstId, bool) -> Pred) {
+    /// predecessors with `classify(pred's scope position, in_set)` and
+    /// seeds the ready list with the candidates nothing waits on or
+    /// blocks.
+    pub(crate) fn link(&mut self, deps: &DataDeps, mut classify: impl FnMut(usize, bool) -> Pred) {
         for s in 0..self.slots.len() {
             let (mut waiting, mut blocked) = (0u32, false);
             for e in deps.preds(self.slots[s].id) {
-                let in_set = self.slot_of(deps, e.from).is_some();
-                match classify(e.from, in_set) {
+                let from = deps.position(e.from).expect("edges stay inside the scope");
+                match classify(from, self.holds(from)) {
                     Pred::Satisfied => {}
                     Pred::Waiting => waiting += 1,
                     Pred::Blocks => blocked = true,
@@ -310,7 +323,7 @@ impl<K: Ord + Copy> ListScheduler<K> {
             let mut issued = 0u32;
             loop {
                 let pick = self.pick(t, |s| hooks.eligible(s));
-                hooks.check(t, &self.units, pick.as_ref());
+                hooks.check(t, self, pick.as_ref());
                 let Some(pick) = pick else { break };
                 match hooks.commit(&pick, t) {
                     Commit::Issue => {

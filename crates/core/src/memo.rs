@@ -18,19 +18,25 @@
 //! [fingerprints](crate::fingerprint) — plus one byte saying whether the
 //! outcome carries trace events, and stores the outcome.
 //!
-//! A hit [applies](RegionOutcome::apply) the stored outcome instead of
-//! re-running list scheduling. Apply draws the recorded registers and
-//! instruction ids from the current allocators, renumbers them wherever
-//! they appear, and names the applying region in replayed events (the
-//! key holds no region id), so a hit is bit-identical to the cold run by
-//! construction — and by the differential gate, which under the armed
-//! checks ([`TestHooks::armed`]) re-schedules on a snapshot and compares
-//! blocks, allocators, origins, statistics and events.
+//! Every region of a global pass goes through [`region_outcome`], the
+//! one path: a hit [applies](RegionOutcome::apply) the stored outcome
+//! instead of re-running list scheduling, and anything else schedules the
+//! region, records its outcome and reports it, memoizing it when there
+//! is a key. Apply installs the stored block copies, draws the recorded
+//! registers and instruction ids from the current allocators, renumbers
+//! them where they land on different numbers, and names the applying
+//! region in replayed events (the key holds no region id), so a hit is
+//! bit-identical to the cold run by construction — and by the
+//! differential gate, which under the armed checks
+//! ([`TestHooks::armed`]) re-schedules on a snapshot and compares blocks,
+//! allocators, origins, statistics and events.
 //!
-//! Memoization self-disables for what it cannot prove bit-identical:
-//! branch profiles (keyed per instruction id) and planted faults
-//! ([`TestHooks::fault`]), whose illegal motions break the
-//! region-boundary invariant the key rests on.
+//! Memoization self-disables (the key is `None`) for what it cannot
+//! prove bit-identical: branch profiles (keyed per instruction id) and
+//! planted faults ([`TestHooks::fault`]), whose illegal motions break
+//! the region-boundary invariant the key rests on; and for the
+//! `region_memo` switch, the basic-block-only level and regions over
+//! the §6 size limits.
 //!
 //! The memo is a process-wide bounded [`Lru`] (the store behind
 //! `gis-serve`'s schedule cache too) so warm hits carry across
@@ -48,7 +54,7 @@ use crate::parallel::GlobalPass;
 use crate::stats::SchedStats;
 use gis_cfg::{RegionId, RegionKind, RegionTree};
 use gis_ir::hash::Fnv64;
-use gis_ir::{BlockId, Function, InstId, Op};
+use gis_ir::{BlockId, Function};
 use gis_trace::{Recorder, SchedObserver};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -119,7 +125,7 @@ pub fn region_memo_clear() {
 
 /// Whether a compile under this configuration and these hooks can use
 /// the memo at all (see the module docs for why each exclusion exists).
-pub(crate) fn memo_eligible(config: &SchedConfig, hooks: &TestHooks) -> bool {
+fn memo_eligible(config: &SchedConfig, hooks: &TestHooks) -> bool {
     config.region_memo
         && config.level != SchedLevel::BasicBlockOnly
         && config.profile.is_none()
@@ -265,13 +271,9 @@ fn verify_hit(pass: &GlobalPass, f: &Function, rid: RegionId, out: &RegionOutcom
         applied.dup_origins().eq(real.dup_origins()),
         "region memo: duplication origins diverged"
     );
-    let content = |g: &Function, b: BlockId| -> Vec<(InstId, Op)> {
-        g.block(b).insts().map(|i| (i.id, i.op.clone())).collect()
-    };
     for &b in &pass.tree.region(rid).blocks {
-        assert_eq!(
-            content(&applied, b),
-            content(&real, b),
+        assert!(
+            applied.block(b).insts().eq(real.block(b).insts()),
             "region memo: block {} diverged from a re-schedule",
             real.block(b).label()
         );
@@ -283,6 +285,7 @@ mod tests {
     use super::*;
     use crate::parallel::tests::{analyses, TWO_DUP_LOOPS, TWO_LOOPS};
     use crate::{compile, compile_observed};
+    use gis_ir::InstId;
     use gis_machine::MachineDescription;
     use gis_pdg::Liveness;
     use gis_trace::{NopObserver, TraceEvent};

@@ -7,32 +7,36 @@
 //! direct blocks, and scheduling a region yields a self-contained
 //! [`RegionOutcome`]:
 //!
-//! * each direct block's final `(InstId, Op)` list;
+//! * an exact-capacity copy ([`BlockSnapshot`]) of each direct block's
+//!   instructions as the run left them;
 //! * how many registers (per class) and instruction ids the run drew,
 //!   relative to the allocator counters it started from;
 //! * the root original of every copy duplication minted;
 //! * the statistics delta and, when recorded traced, the trace events.
 //!
-//! [`RegionOutcome::apply`] replays it onto any function whose region
-//! holds the instructions the run started from. It draws the same counts
-//! from that function's allocators; relinks, reorders, inserts and
-//! removes instructions; renumbers the drawn registers and ids in
-//! operations, origins and event spellings; and reports the statistics
-//! and events. Two callers apply outcomes this way, both in region
-//! order: a region memo hit, and the `--jobs` merge, which replays the
-//! outcomes its tasks recorded on their snapshots onto the master.
+//! [`RegionOutcome::apply`] installs the copies over the direct blocks
+//! of a function whose region holds the content the run started from.
+//! That is exact: the run wrote nothing else, and the direct blocks'
+//! final content depends only on that starting content. Apply draws the
+//! same counts from the function's allocators and, only when the draws
+//! land on different numbers than the run's, renumbers the drawn
+//! registers and minted ids in the installed blocks, origins and event
+//! spellings. Two callers apply outcomes, both in region order: a region
+//! memo hit, whose key pins every scope block's id, label, successors,
+//! instruction ids and operations; and the `--jobs` merge, whose tasks
+//! recorded their outcomes on snapshots of the master's pre-pass content.
 
 use crate::parallel::GlobalPass;
 use crate::stats::SchedStats;
 use gis_cfg::RegionId;
-use gis_ir::{BlockId, Function, Inst, InstId, Op, Reg, RegClass};
+use gis_ir::{BlockId, BlockSnapshot, Function, Inst, InstId, Reg, RegClass};
 use gis_trace::{NopObserver, Recorder, SchedObserver, TraceEvent};
 
 /// What scheduling one region did (see the module docs).
 pub(crate) struct RegionOutcome {
-    /// Final content of the region's direct blocks; empty when the
-    /// region was skipped.
-    blocks: Vec<(BlockId, Vec<(InstId, Op)>)>,
+    /// The instructions of the region's direct blocks as the run left
+    /// them; empty when the region was skipped.
+    blocks: Vec<(BlockId, BlockSnapshot)>,
     /// Register counters when the run started, per class slot.
     reg_base: [u32; 3],
     /// Registers the run drew, per class slot.
@@ -70,9 +74,8 @@ impl RegionOutcome {
             )
         };
         let blocks = if scheduled {
-            let content = |b: BlockId| f.block(b).insts().map(|i| (i.id, i.op.clone())).collect();
             let direct = &pass.tree.region(rid).blocks;
-            direct.iter().map(|&b| (b, content(b))).collect()
+            direct.iter().map(|&b| (b, f.block_snapshot(b))).collect()
         } else {
             Vec::new()
         };
@@ -109,10 +112,10 @@ impl RegionOutcome {
         }
     }
 
-    /// Replays the outcome onto region `rid` of `f`, which must hold the
-    /// instructions the recorded run started from, and reports its
-    /// statistics and events. The cost grows with the region (at most the
-    /// §6 size limit), never with the function.
+    /// Installs the outcome over region `rid` of `f`, which must hold the
+    /// content the recorded run started from, and reports its statistics
+    /// and events. The cost grows with the region (at most the §6 size
+    /// limit), never with the function.
     pub(crate) fn apply<O: SchedObserver>(
         &self,
         f: &mut Function,
@@ -121,47 +124,10 @@ impl RegionOutcome {
         obs: &mut O,
     ) {
         let n = Renumber::draw(self, f);
-        // Where each instruction of the direct blocks sits now, sorted by
-        // id. Placing one takes its entry, so the entries left over were
-        // folded away by the dedup.
-        let mut at: Vec<(InstId, Option<BlockId>)> = Vec::new();
-        for &(b, _) in &self.blocks {
-            at.extend(f.block(b).insts().map(|i| (i.id, Some(b))));
-        }
-        at.sort_unstable();
-        for (b, insts) in &self.blocks {
-            for (id, op) in insts {
-                if n.minted(*id) {
-                    f.block_mut(*b).push(Inst::new(n.inst(*id), n.op(op)));
-                    continue;
-                }
-                let k = at
-                    .binary_search_by_key(id, |&(i, _)| i)
-                    .expect("the region holds the recorded instructions");
-                let from = at[k].1.take().expect("recorded once");
-                if from != *b {
-                    let end = f.block(*b).len();
-                    f.relink_inst(*id, from, *b, end);
-                }
-            }
-        }
-        for (id, b) in at {
-            if let Some(b) = b {
-                f.block_mut(b).remove(id);
-            }
-        }
-        for (b, insts) in &self.blocks {
-            let order = insts.iter().map(|&(id, _)| n.inst(id));
-            if !f.block(*b).insts().map(|i| i.id).eq(order.clone()) {
-                f.block_mut(*b).set_order(&order.collect::<Vec<_>>());
-            }
-            if n.renames() {
-                for (pos, (_, op)) in insts.iter().enumerate() {
-                    let op = n.op(op);
-                    if f.block(*b).inst_at(pos).op != op {
-                        f.block_mut(*b).inst_mut(pos).op = op;
-                    }
-                }
+        for (b, block) in &self.blocks {
+            f.install_block(*b, block);
+            if n.shifts() {
+                f.map_block_insts(*b, |inst| n.inst_in_place(inst));
             }
         }
         for (i, &root) in self.roots.iter().enumerate() {
@@ -211,8 +177,11 @@ impl Renumber {
         }
     }
 
-    fn renames(&self) -> bool {
-        self.regs != [0; 3]
+    /// Whether some register or id the run drew lands on a different
+    /// number here.
+    fn shifts(&self) -> bool {
+        (0..3).any(|s| self.regs[s] > 0 && self.reg_from[s] != self.reg_to[s])
+            || (self.insts > 0 && self.inst_from != self.inst_to)
     }
 
     fn reg(&self, r: Reg) -> Reg {
@@ -225,23 +194,20 @@ impl Renumber {
         }
     }
 
-    fn minted(&self, id: InstId) -> bool {
-        (id.index() as u32).wrapping_sub(self.inst_from) < self.insts
-    }
-
     fn inst(&self, id: InstId) -> InstId {
-        if self.minted(id) {
-            InstId::new(id.index() as u32 - self.inst_from + self.inst_to)
+        let k = (id.index() as u32).wrapping_sub(self.inst_from);
+        if k < self.insts {
+            InstId::new(self.inst_to + k)
         } else {
             id
         }
     }
 
-    fn op(&self, op: &Op) -> Op {
-        let mut op = op.clone();
-        op.map_defs(|r| self.reg(r));
-        op.map_uses(|r| self.reg(r));
-        op
+    /// Renumbers one installed instruction's id and registers.
+    fn inst_in_place(&self, inst: &mut Inst) {
+        inst.id = self.inst(inst.id);
+        inst.op.map_defs(|r| self.reg(r));
+        inst.op.map_uses(|r| self.reg(r));
     }
 
     /// Rewrites the spelling of a register the recorded run drew.
@@ -329,5 +295,117 @@ mod tests {
         assert_eq!(renamed, vec![respelled.clone()], "the rename is respelled");
         assert_eq!(g.reg_counters()[RegClass::Cr.slot()], cr + 1);
         assert_eq!(g.to_string(), f.to_string().replace(&drawn, &respelled));
+    }
+
+    /// The blocks an outcome installs are the blocks its run left,
+    /// renumbered by how far the target's allocators run ahead, and no
+    /// edit reaches a stored outcome: neither one to the recording
+    /// function's blocks nor one to a target's installed blocks. One
+    /// outcome renames (Figure 2, speculative), one mints duplication
+    /// copies.
+    #[test]
+    fn applied_blocks_are_the_recorded_ones_renumbered() {
+        let machine = MachineDescription::rs6k();
+        let dup = SchedConfig {
+            duplication: true,
+            ..SchedConfig::speculative()
+        };
+        let cases = [
+            (
+                gis_workloads::minmax::figure2_function(99),
+                SchedConfig::paper_example(SchedLevel::Speculative),
+            ),
+            (
+                gis_ir::parse_function(crate::parallel::tests::TWO_DUP_LOOPS).expect("parses"),
+                dup,
+            ),
+        ];
+        let (mut renaming, mut minting) = (0, 0);
+        for (f0, config) in cases {
+            let cfg = Cfg::new(&f0);
+            let tree = RegionTree::new(&cfg, &LoopForest::new(&cfg, &DomTree::dominators(&cfg)));
+            let pass = GlobalPass {
+                machine: &machine,
+                cfg: &cfg,
+                tree: &tree,
+                config: &config,
+                hooks: &TestHooks::default(),
+                live: Liveness::compute(&f0, &cfg),
+            };
+            let mut f = f0;
+            for rid in tree.schedule_order() {
+                let start = f.snapshot();
+                let mut recording = f.snapshot();
+                let out = RegionOutcome::record(&pass, &mut recording, rid, false);
+                f = recording.snapshot();
+                if out.regs == [0; 3] && out.roots.is_empty() {
+                    continue;
+                }
+                renaming += usize::from(out.regs != [0; 3]);
+                minting += usize::from(!out.roots.is_empty());
+                let direct = &tree.region(rid).blocks;
+                let recorded: Vec<(String, Vec<Inst>)> = direct
+                    .iter()
+                    .map(|&b| {
+                        let block = recording.block(b);
+                        (block.label().to_owned(), block.insts().cloned().collect())
+                    })
+                    .collect();
+                // Edit the recording function's region blocks (later
+                // regions schedule on `f`, an unedited copy).
+                for &b in direct {
+                    recording.block_mut(b).truncate(0);
+                }
+                for ahead in [1, 3] {
+                    // What the run drew lands `ahead` numbers higher.
+                    let shift = |inst: &Inst| {
+                        let mut inst = inst.clone();
+                        if inst.id.index() as u32 >= out.inst_base {
+                            inst.id = InstId::new(inst.id.index() as u32 + ahead);
+                        }
+                        let reg = |r: Reg| {
+                            if r.index() >= out.reg_base[r.class().slot()] {
+                                Reg::new(r.class(), r.index() + ahead)
+                            } else {
+                                r
+                            }
+                        };
+                        inst.op.map_defs(reg);
+                        inst.op.map_uses(reg);
+                        inst
+                    };
+                    let target = || {
+                        let mut g = start.snapshot();
+                        for _ in 0..ahead {
+                            for class in RegClass::ALL {
+                                g.fresh_reg(class);
+                            }
+                            g.fresh_inst_id();
+                        }
+                        g
+                    };
+                    let mut g = target();
+                    for _ in 0..2 {
+                        let (mut stats, mut obs) = (SchedStats::default(), NopObserver);
+                        out.apply(&mut g, rid, &mut stats, &mut obs);
+                        for (&b, (label, insts)) in direct.iter().zip(&recorded) {
+                            assert_eq!(g.block(b).label(), label);
+                            let want: Vec<Inst> = insts.iter().map(shift).collect();
+                            assert!(g.block(b).insts().eq(&want), "{label}, {ahead} ahead");
+                        }
+                        // Edit the installed blocks; the next apply goes
+                        // to a fresh target.
+                        for &b in direct {
+                            g.map_block_insts(b, |i| i.op.map_uses(|r| Reg::new(r.class(), 0)));
+                        }
+                        g = target();
+                    }
+                }
+            }
+        }
+        assert!(
+            renaming > 0 && minting > 0,
+            "{renaming} renaming, {minting} minting"
+        );
     }
 }

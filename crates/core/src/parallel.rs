@@ -9,6 +9,12 @@
 //! register and instruction numbering, duplication origins and the
 //! trace-event stream — bit-identical to the single-threaded pass.
 //!
+//! Every region runs through one path, the region memo's
+//! `region_outcome`, which schedules the region and records its
+//! [`RegionOutcome`] unless the memo holds one already: on the calling
+//! thread when there is one job or one task, and otherwise on a pool
+//! worker, whose outcome the merge installs on the master.
+//!
 //! # Work distribution
 //!
 //! The pass is partitioned into *units*: maximal region subtrees whose
@@ -29,10 +35,12 @@
 //! analyses read its children's final content. The claim order never
 //! reaches the output: the merge applies every outcome to the master
 //! function in the fixed sequential region order
-//! ([`RegionTree::schedule_order`]), drawing each region's registers and
-//! instruction ids from the master's allocators exactly when the
-//! sequential pass would have, and runs the regions no task owns (the
-//! skipped ones) on the master at their turn.
+//! ([`RegionTree::schedule_order`]), installing its block copies and
+//! drawing its registers and instruction ids from the master's
+//! allocators exactly when the sequential pass would have, and runs the
+//! regions no task owns (the skipped ones) on the master at their turn.
+//! Installing is exact because a region rewrites only its direct blocks,
+//! and a task's snapshot holds the master's pre-pass content of them.
 //!
 //! Every task reads the same pass-level liveness: one whole-function
 //! solve on the pre-pass function, whose live-ins answer a region's
@@ -45,7 +53,7 @@
 
 use crate::config::{SchedConfig, TestHooks};
 use crate::global::{size_gate, subtree_blocks};
-use crate::memo::{memo_eligible, region_outcome};
+use crate::memo::region_outcome;
 use crate::outcome::RegionOutcome;
 use crate::stats::SchedStats;
 use gis_cfg::{Cfg, RegionId, RegionTree};
@@ -82,25 +90,6 @@ pub(crate) struct GlobalPass<'a> {
     /// motions never change them (the region-boundary invariant in
     /// `gis_pdg`'s liveness module).
     pub(crate) live: Liveness,
-}
-
-impl GlobalPass<'_> {
-    /// Schedules region `rid` of `f` on the calling thread, through the
-    /// memo when the configuration allows. Nothing else reads an outcome
-    /// here, so none is recorded without the memo.
-    fn schedule_memoized<O: SchedObserver>(
-        &self,
-        f: &mut Function,
-        rid: RegionId,
-        stats: &mut SchedStats,
-        obs: &mut O,
-    ) {
-        if memo_eligible(self.config, self.hooks) {
-            region_outcome(self, f, rid, obs.enabled(), stats, obs);
-        } else {
-            self.schedule(f, rid, stats, obs);
-        }
-    }
 }
 
 /// One work item: a unit's regions, in schedule order.
@@ -152,18 +141,19 @@ pub(crate) fn global_pass<O: SchedObserver>(
     } else {
         Vec::new()
     };
-    if tasks.len() <= 1 {
-        for &rid in &order {
-            pass.schedule_memoized(f, rid, stats, obs);
-        }
-        return;
-    }
-    let mut outcomes = run_tasks(&pass, f, &tasks, jobs, obs.enabled());
-    // The deterministic merge: every outcome, in sequential region order.
+    let mut outcomes = if tasks.len() > 1 {
+        run_tasks(&pass, f, &tasks, jobs, obs.enabled())
+    } else {
+        HashMap::new()
+    };
+    // In sequential region order: the tasks' outcomes merge
+    // deterministically, and every other region runs here.
     for &rid in &order {
         match outcomes.remove(&rid) {
             Some(out) => out.apply(f, rid, stats, obs),
-            None => pass.schedule_memoized(f, rid, stats, obs),
+            None => {
+                region_outcome(&pass, f, rid, obs.enabled(), stats, obs);
+            }
         }
     }
 }

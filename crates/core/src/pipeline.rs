@@ -20,7 +20,6 @@ use gis_ir::{BlockId, Function, VerifyFunctionError};
 use gis_machine::MachineDescription;
 use gis_pdg::webs::rename_webs;
 use gis_trace::{NopObserver, Pass, SchedObserver, TraceEvent};
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 use std::time::Instant;
@@ -64,45 +63,43 @@ impl Error for CompileError {
     }
 }
 
-struct Analyses {
-    cfg: Cfg,
-    loops: LoopForest,
-    tree: RegionTree,
-}
-
-fn analyze(f: &Function) -> Analyses {
+fn analyze(f: &Function) -> (Cfg, RegionTree) {
     let cfg = Cfg::new(f);
     let dom = DomTree::dominators(&cfg);
-    let loops = LoopForest::new(&cfg, &dom);
-    let tree = RegionTree::new(&cfg, &loops);
-    Analyses { cfg, loops, tree }
+    let tree = RegionTree::new(&cfg, &LoopForest::new(&cfg, &dom));
+    (cfg, tree)
 }
 
-/// A small inner loop eligible for unroll/rotate: `(header label,
-/// lo, hi)`, layout-contiguous with the header first.
-fn small_inner_loops(
-    f: &Function,
-    an: &Analyses,
-    max_blocks: usize,
-    done: &HashSet<String>,
-) -> Option<(String, BlockId, BlockId)> {
-    for (_, l) in an.loops.loops() {
-        if !l.children.is_empty() || l.blocks.len() > max_blocks {
-            continue;
-        }
-        let lo = *l.blocks.first().expect("loops are nonempty");
-        let hi = *l.blocks.last().expect("loops are nonempty");
-        let contiguous = hi.index() - lo.index() + 1 == l.blocks.len();
-        if !contiguous || l.header != lo {
-            continue;
-        }
-        let label = f.block(lo).label().to_owned();
-        if done.contains(&label) {
-            continue;
-        }
-        return Some((label, lo, hi));
+/// Applies `transform` once to each small inner loop of `f` — at most
+/// [`SMALL_LOOP_BLOCKS`] blocks, layout-contiguous with the header first
+/// — found by one analysis, in ascending layout order, and returns how
+/// many it changed. A transform inserts blocks only right after its own
+/// loop, so each later loop's range shifts by the blocks inserted so
+/// far, and the loops a transform re-forms are never revisited.
+fn each_small_inner_loop(
+    f: &mut Function,
+    mut transform: impl FnMut(&mut Function, BlockId, BlockId) -> bool,
+) -> usize {
+    let cfg = Cfg::new(f);
+    let loops = LoopForest::new(&cfg, &DomTree::dominators(&cfg));
+    let mut ranges: Vec<(usize, usize)> = loops
+        .loops()
+        .filter_map(|(_, l)| {
+            let (lo, hi) = (l.blocks[0].index(), l.blocks[l.blocks.len() - 1].index());
+            let small = l.children.is_empty() && l.blocks.len() <= SMALL_LOOP_BLOCKS;
+            let contiguous = hi - lo + 1 == l.blocks.len() && l.header.index() == lo;
+            (small && contiguous).then_some((lo, hi))
+        })
+        .collect();
+    ranges.sort_unstable();
+    let (mut shift, mut changed) = (0, 0);
+    for (lo, hi) in ranges {
+        let before = f.num_blocks();
+        let at = |b: usize| BlockId::new((b + shift) as u32);
+        changed += usize::from(transform(f, at(lo), at(hi)));
+        shift += f.num_blocks() - before;
     }
-    None
+    changed
 }
 
 /// Runs the complete scheduling pipeline on `f` for `machine`, in place.
@@ -209,17 +206,8 @@ pub fn compile_with_hooks<O: SchedObserver>(
     if config.unroll {
         let snap = snapshot(f);
         let t0 = pass_begin(obs, Pass::Unroll);
-        let mut done: HashSet<String> = HashSet::new();
-        loop {
-            let an = analyze(f);
-            let Some((label, lo, hi)) = small_inner_loops(f, &an, SMALL_LOOP_BLOCKS, &done) else {
-                break;
-            };
-            done.insert(label);
-            if unroll_loop_observed(f, lo, hi, obs) {
-                stats.loops_unrolled += 1;
-            }
-        }
+        stats.loops_unrolled +=
+            each_small_inner_loop(f, |f, lo, hi| unroll_loop_observed(f, lo, hi, obs));
         pass_end(obs, Pass::Unroll, t0, &mut stats);
         pass_checkpoint(hooks, Pass::Unroll, snap.as_ref(), f)?;
     }
@@ -230,45 +218,18 @@ pub fn compile_with_hooks<O: SchedObserver>(
     if config.level != SchedLevel::BasicBlockOnly {
         let snap = snapshot(f);
         let t0 = pass_begin(obs, Pass::Global1);
-        let an = analyze(f);
-        global_pass(
-            f, machine, &an.cfg, &an.tree, config, hooks, 0, &mut stats, obs,
-        );
+        let (cfg, tree) = analyze(f);
+        global_pass(f, machine, &cfg, &tree, config, hooks, 0, &mut stats, obs);
         pass_end(obs, Pass::Global1, t0, &mut stats);
         pass_checkpoint(hooks, Pass::Global1, snap.as_ref(), f)?;
 
         // 4. Rotate small inner loops (once each: after rotation the loop
-        //    re-forms and must not be treated as a fresh candidate).
+        //    re-forms, and the re-formed loop is not a fresh candidate).
         if config.rotate {
             let snap = snapshot(f);
             let t0 = pass_begin(obs, Pass::Rotate);
-            let mut done: HashSet<String> = HashSet::new();
-            loop {
-                let an = analyze(f);
-                let Some((label, lo, hi)) = small_inner_loops(f, &an, SMALL_LOOP_BLOCKS, &done)
-                else {
-                    break;
-                };
-                done.insert(label);
-                if rotate_loop_observed(f, lo, hi, obs) {
-                    stats.loops_rotated += 1;
-                    // A rotated multi-block loop re-forms with its old
-                    // second block as the new header; mark that label so
-                    // the re-formed loop is not rotated again. (A rotated
-                    // single-block loop keeps its original header label,
-                    // which is already in `done`.) The label must be
-                    // derived from the loop structure, not from whatever
-                    // block happens to follow `lo` in the layout — that
-                    // block can be an unrelated loop's header.
-                    if lo < hi {
-                        done.insert(
-                            f.block(BlockId::new(lo.index() as u32 + 1))
-                                .label()
-                                .to_owned(),
-                        );
-                    }
-                }
-            }
+            stats.loops_rotated +=
+                each_small_inner_loop(f, |f, lo, hi| rotate_loop_observed(f, lo, hi, obs));
             pass_end(obs, Pass::Rotate, t0, &mut stats);
             pass_checkpoint(hooks, Pass::Rotate, snap.as_ref(), f)?;
         }
@@ -277,12 +238,12 @@ pub fn compile_with_hooks<O: SchedObserver>(
         //    (every region up to the height limit).
         let snap = snapshot(f);
         let t0 = pass_begin(obs, Pass::Global2);
-        let an = analyze(f);
+        let (cfg, tree) = analyze(f);
         global_pass(
             f,
             machine,
-            &an.cfg,
-            &an.tree,
+            &cfg,
+            &tree,
             config,
             hooks,
             MAX_REGION_HEIGHT,
@@ -431,6 +392,71 @@ mod tests {
         let after = execute(&f, &[], &ExecConfig::default()).expect("runs");
         assert!(before.equivalent(&after));
         assert_eq!(after.printed(), vec![28]);
+    }
+
+    /// One analysis per preparation pass: every small inner loop it
+    /// finds is transformed once, in layout order, whatever the blocks
+    /// the earlier transforms inserted. Loops of one to four blocks
+    /// (`a`–`d`), a five-block loop (`e`, too big), one whose last block
+    /// branches back into its middle (`w`: both transforms refuse it)
+    /// and two adjacent loops (`p`, `q`).
+    #[test]
+    fn each_small_inner_loop_is_transformed_once_in_layout_order() {
+        let text = "func prep\n\
+            init:\n LI r1=0\n LI r2=0\n LI r3=0\n LI r4=0\n LI r5=0\n LI r6=0\n\
+             LI r7=0\n LI r8=0\n LI r9=5\n LI r10=0\n LI r11=0\n LI r12=0\n LI r13=0\n\
+             LI r16=0\n LI r17=0\n LI r18=0\n LI r19=0\n LI r20=0\n\
+            a0:\n AI r1=r1,1\n C cr0=r1,r9\n BT a0,cr0,0x1/lt\n\
+            b0:\n AI r2=r2,1\n b1:\n A r3=r3,r2\n C cr1=r2,r9\n BT b0,cr1,0x1/lt\n\
+            c0:\n AI r4=r4,1\n c1:\n A r5=r5,r4\n c2:\n C cr2=r4,r9\n BT c0,cr2,0x1/lt\n\
+            d0:\n AI r6=r6,1\n d1:\n A r7=r7,r6\n d2:\n A r8=r8,r7\n\
+            d3:\n C cr3=r6,r9\n BT d0,cr3,0x1/lt\n\
+            e0:\n AI r10=r10,1\n e1:\n A r11=r11,r10\n e2:\n A r12=r12,r11\n\
+            e3:\n A r13=r13,r12\n e4:\n C cr4=r10,r9\n BT e0,cr4,0x1/lt\n\
+            w0:\n AI r16=r16,1\n C cr7=r16,r17\n BT w2,cr7,0x1/lt\n\
+            w1:\n AI r17=r17,3\n B w0\n\
+            w2:\n A r18=r18,r16\n C cr8=r16,r9\n BT w1,cr8,0x1/lt\n\
+            p0:\n AI r19=r19,1\n C cr9=r19,r9\n BT p0,cr9,0x1/lt\n\
+            q0:\n AI r20=r20,2\n C cr10=r20,r9\n BT q0,cr10,0x1/lt\n\
+            out:\n PRINT r1\n PRINT r3\n PRINT r5\n PRINT r8\n PRINT r13\n\
+             PRINT r18\n PRINT r19\n PRINT r20\n RET\n";
+        let f0 = gis_ir::parse_function(text).expect("parses");
+        let before = execute(&f0, &[], &ExecConfig::default()).expect("runs");
+        let machine = MachineDescription::rs6k();
+        let headers = |unroll: bool, rotate: bool| {
+            let config = SchedConfig {
+                unroll,
+                rotate,
+                ..SchedConfig::speculative()
+            };
+            let mut f = f0.clone();
+            let mut rec = gis_trace::Recorder::new();
+            compile_observed(&mut f, &machine, &config, &mut rec).expect("compiles");
+            let after = execute(&f, &[], &ExecConfig::default()).expect("runs");
+            assert!(
+                before.equivalent(&after),
+                "unroll {unroll}, rotate {rotate}"
+            );
+            let (mut unrolled, mut rotated) = (Vec::new(), Vec::new());
+            for e in rec.into_events() {
+                match e {
+                    TraceEvent::LoopUnrolled { header } => unrolled.push(header),
+                    TraceEvent::LoopRotated { header } => rotated.push(header),
+                    _ => {}
+                }
+            }
+            (unrolled, rotated)
+        };
+        let (unrolled, none) = headers(true, false);
+        assert_eq!(unrolled, ["a0", "b0", "c0", "d0", "p0", "q0"]);
+        assert!(none.is_empty());
+        let (none, rotated) = headers(false, true);
+        assert_eq!(rotated, ["a0", "b0", "c0", "d0", "p0", "q0"]);
+        assert!(none.is_empty());
+        // Unrolled, `c` and `d` outgrow the small-loop limit.
+        let (unrolled, rotated) = headers(true, true);
+        assert_eq!(unrolled, ["a0", "b0", "c0", "d0", "p0", "q0"]);
+        assert_eq!(rotated, ["a0", "b0", "p0", "q0"]);
     }
 
     #[test]

@@ -50,12 +50,6 @@ pub struct SchedStats {
     /// Whole-function liveness solves: one per global pass, shared by
     /// all of its regions.
     pub liveness_full: usize,
-    /// Per-region scratch buffer bundles allocated by the global
-    /// scheduler.
-    pub scratch_allocs: usize,
-    /// Block passes that reused a region's scratch buffers instead of
-    /// reallocating them.
-    pub scratch_reuses: usize,
     /// Monotonic wall time of each pipeline pass, in nanoseconds, indexed
     /// by [`gis_trace::Pass`] order (rename, unroll, global-1, rotate,
     /// global-2, final-bb). Zero for passes that did not run.
@@ -86,15 +80,13 @@ impl SchedStats {
         self.dep_edges_reduced += other.dep_edges_reduced;
         self.liveness_incremental += other.liveness_incremental;
         self.liveness_full += other.liveness_full;
-        self.scratch_allocs += other.scratch_allocs;
-        self.scratch_reuses += other.scratch_reuses;
     }
 
     /// The flat performance counters as `(name, value)` pairs, the names
     /// `gisc --metrics`, the HTML report and the daemon's metrics share.
     /// The `perf.` prefix keeps them grouped (and apart from the
     /// event-derived counters) in a sorted metrics listing.
-    pub fn perf_counters(&self) -> [(&'static str, u64); 6] {
+    pub fn perf_counters(&self) -> [(&'static str, u64); 4] {
         [
             ("perf.dep-edges", self.dep_edges as u64),
             ("perf.dep-edges-reduced", self.dep_edges_reduced as u64),
@@ -103,8 +95,6 @@ impl SchedStats {
                 "perf.liveness-incremental",
                 self.liveness_incremental as u64,
             ),
-            ("perf.scratch-allocs", self.scratch_allocs as u64),
-            ("perf.scratch-reuses", self.scratch_reuses as u64),
         ]
     }
 }

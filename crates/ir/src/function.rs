@@ -133,6 +133,13 @@ impl<'a> BlockRef<'a> {
     }
 }
 
+/// A copy of one block's instructions with no spare capacity, taken with
+/// [`Function::block_snapshot`] and copied back, into the same or another
+/// function, with [`Function::install_block`]. Nothing but installing
+/// reads it, and no edit to either block reaches it.
+#[derive(Debug, Clone)]
+pub struct BlockSnapshot(Box<[Inst]>);
+
 /// A mutating view of one basic block (see [`Function::block_mut`]).
 ///
 /// Every edit copies the block first when it is shared with a
@@ -602,6 +609,27 @@ impl Function {
         self.clone()
     }
 
+    /// Copies block `b`'s instructions into a [`BlockSnapshot`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is out of range.
+    pub fn block_snapshot(&self, b: BlockId) -> BlockSnapshot {
+        BlockSnapshot(self.blocks[b.index()].insts.as_slice().into())
+    }
+
+    /// Replaces block `b`'s instructions with a copy of `snap`'s; the
+    /// label stays.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is out of range.
+    pub fn install_block(&mut self, b: BlockId, snap: &BlockSnapshot) {
+        let insts = &mut Arc::make_mut(&mut self.blocks[b.index()]).insts;
+        insts.clear();
+        insts.extend_from_slice(&snap.0);
+    }
+
     /// Records that `copy` was minted by duplicating `origin`. Chains are
     /// flattened: if `origin` is itself a recorded copy, `copy` maps to
     /// `origin`'s root, so [`Function::dup_origin`] is always one hop.
@@ -650,6 +678,24 @@ mod tests {
         let id1 = f.fresh_inst_id();
         f.block_mut(b1).push(Inst::new(id1, Op::Ret));
         f
+    }
+
+    /// A snapshot installs the instructions it copied, and no edit on
+    /// either side reaches it.
+    #[test]
+    fn block_snapshots_are_never_edited() {
+        let mut f = crate::parse_function("func t\nA:\n LI r0=1\n LI r1=2\n RET\n").unwrap();
+        let a = f.entry();
+        f.block_mut(a).remove_at(1);
+        let snap = f.block_snapshot(a);
+        let want = f.to_string().replace("A:", "B:");
+        f.block_mut(a).remove_at(0);
+        let mut g = crate::parse_function("func t\nB:\n RET\n").unwrap();
+        for _ in 0..2 {
+            g.install_block(a, &snap);
+            assert_eq!(g.to_string(), want, "the label stays");
+            g.block_mut(a).remove_at(0);
+        }
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use bitset::{DenseBitSet, RegSet};
 pub use block::{BlockId, Inst, InstId};
 pub use builder::FunctionBuilder;
 pub use canon::{canon_region, from_canonical_bytes, to_canonical_bytes, CanonError};
-pub use function::{BlockMut, BlockRef, Function, SymId};
+pub use function::{BlockMut, BlockRef, BlockSnapshot, Function, SymId};
 pub use op::{CondBit, FpBinOp, FxBinOp, MemRef, Op, OpClass};
 pub use parse::{parse_function, ParseFunctionError, MAX_INST_ID, MAX_REG_INDEX};
 pub use reg::{Reg, RegClass};

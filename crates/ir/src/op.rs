@@ -228,6 +228,30 @@ pub enum OpClass {
     Call,
 }
 
+impl OpClass {
+    /// Every class, in [`OpClass::index`] order (declaration order).
+    pub const ALL: [OpClass; 12] = [
+        OpClass::Fx,
+        OpClass::FxMul,
+        OpClass::FxDiv,
+        OpClass::Load,
+        OpClass::Store,
+        OpClass::FxCompare,
+        OpClass::Fp,
+        OpClass::FpMul,
+        OpClass::FpDiv,
+        OpClass::FpCompare,
+        OpClass::Branch,
+        OpClass::Call,
+    ];
+
+    /// The class's position in [`OpClass::ALL`]. Per-class tables (the
+    /// machine description's, the fingerprints' class order) index by it.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+}
+
 impl fmt::Display for OpClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
@@ -701,6 +725,13 @@ mod tests {
 
     fn gpr(i: u32) -> Reg {
         Reg::gpr(i)
+    }
+
+    #[test]
+    fn op_class_index_is_its_position_in_all() {
+        for (i, class) in OpClass::ALL.into_iter().enumerate() {
+            assert_eq!(class.index(), i, "{class}");
+        }
     }
 
     #[test]

@@ -44,9 +44,11 @@ impl From<VerifyFunctionError> for ParseFunctionError {
 /// `(In)` annotation with `n >= MAX_INST_ID`.
 ///
 /// An explicit id sets [`Function::inst_id_bound`], which sizes the
-/// verifier's and the scheduler's per-instruction tables, so one large id
-/// in outside text would cost memory in proportion to its value. The
-/// ids of a compiled `many-loops-l` (about 18,700) stay far below it.
+/// verifier's per-instruction table, and the ids minted after it: a
+/// region mixing those with low ids spans a wide id range in its
+/// dependence graph's id→position map. So one large id in outside text
+/// would cost memory in proportion to its value. The ids of a compiled
+/// `many-loops-l` (about 18,700) stay far below it.
 pub const MAX_INST_ID: u32 = 1 << 20;
 
 /// The bound on register indices: [`parse_function`] rejects an `r`, `f`

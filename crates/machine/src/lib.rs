@@ -104,28 +104,6 @@ pub struct MachineDescription {
     dispatch_width: Option<u32>,
 }
 
-const ALL_CLASSES: [OpClass; 12] = [
-    OpClass::Fx,
-    OpClass::FxMul,
-    OpClass::FxDiv,
-    OpClass::Load,
-    OpClass::Store,
-    OpClass::FxCompare,
-    OpClass::Fp,
-    OpClass::FpMul,
-    OpClass::FpDiv,
-    OpClass::FpCompare,
-    OpClass::Branch,
-    OpClass::Call,
-];
-
-fn class_index(c: OpClass) -> usize {
-    ALL_CLASSES
-        .iter()
-        .position(|x| *x == c)
-        .expect("class covered")
-}
-
 impl MachineDescription {
     /// The machine's display name.
     pub fn name(&self) -> &str {
@@ -159,7 +137,7 @@ impl MachineDescription {
     /// Panics if the machine does not implement `class` (builders reject
     /// such machines up front, so this only fires on hand-rolled ones).
     pub fn unit_of(&self, class: OpClass) -> UnitKind {
-        self.classes[class_index(class)]
+        self.classes[class.index()]
             .unwrap_or_else(|| panic!("machine {:?} does not implement {class}", self.name))
             .unit
     }
@@ -170,7 +148,7 @@ impl MachineDescription {
     ///
     /// Panics if the machine does not implement `class`.
     pub fn exec_time(&self, class: OpClass) -> u32 {
-        self.classes[class_index(class)]
+        self.classes[class.index()]
             .unwrap_or_else(|| panic!("machine {:?} does not implement {class}", self.name))
             .exec_time
     }
@@ -253,7 +231,7 @@ impl MachineDescription {
     pub fn scalar_pipeline() -> Self {
         let mut b = MachineBuilder::new("scalar");
         let u = b.unit("pipe", 1);
-        for c in ALL_CLASSES {
+        for c in OpClass::ALL {
             let t = match c {
                 OpClass::FxMul => 5,
                 OpClass::FxDiv => 19,
@@ -327,7 +305,7 @@ impl MachineDescription {
         assert!(slots > 0, "a VLIW machine needs at least one slot");
         let mut b = MachineBuilder::new(format!("vliw{slots}"));
         let u = b.unit("slot", slots);
-        for c in ALL_CLASSES {
+        for c in OpClass::ALL {
             let t = match c {
                 OpClass::FxMul => 5,
                 OpClass::FxDiv => 19,
@@ -444,7 +422,7 @@ impl MachineBuilder {
             m: MachineDescription {
                 name: name.into(),
                 units: Vec::new(),
-                classes: vec![None; ALL_CLASSES.len()],
+                classes: vec![None; OpClass::ALL.len()],
                 delays: Vec::new(),
                 dispatch_width: None,
             },
@@ -463,7 +441,7 @@ impl MachineBuilder {
 
     /// Assigns `class` to `unit` with the given execution time.
     pub fn class(&mut self, class: OpClass, unit: UnitKind, exec_time: u32) -> &mut Self {
-        self.m.classes[class_index(class)] = Some(ClassInfo { unit, exec_time });
+        self.m.classes[class.index()] = Some(ClassInfo { unit, exec_time });
         self
     }
 
@@ -505,9 +483,9 @@ impl MachineBuilder {
         }
         for (i, info) in self.m.classes.iter().enumerate() {
             match info {
-                None => return Err(BuildMachineError::UnassignedClass(ALL_CLASSES[i])),
+                None => return Err(BuildMachineError::UnassignedClass(OpClass::ALL[i])),
                 Some(ci) if ci.exec_time == 0 => {
-                    return Err(BuildMachineError::ZeroExecTime(ALL_CLASSES[i]))
+                    return Err(BuildMachineError::ZeroExecTime(OpClass::ALL[i]))
                 }
                 _ => {}
             }
@@ -552,7 +530,7 @@ mod tests {
     fn delay_rules_combine_by_max() {
         let mut b = MachineBuilder::new("t");
         let u = b.unit("u", 1);
-        for c in super::ALL_CLASSES {
+        for c in OpClass::ALL {
             b.class(c, u, 1);
         }
         b.delay(ClassMatcher::Any, ClassMatcher::Any, 1);
@@ -576,7 +554,7 @@ mod tests {
 
         let mut b = MachineBuilder::new("t");
         let u = b.unit("u", 0);
-        for c in super::ALL_CLASSES {
+        for c in OpClass::ALL {
             b.class(c, u, 1);
         }
         assert!(matches!(
@@ -589,7 +567,7 @@ mod tests {
     fn explicit_dispatch_width_caps_total() {
         let mut b = MachineBuilder::new("t");
         let u = b.unit("u", 4);
-        for c in super::ALL_CLASSES {
+        for c in OpClass::ALL {
             b.class(c, u, 1);
         }
         b.dispatch_width(2);
@@ -600,7 +578,7 @@ mod tests {
     /// Every preset the matrix experiment sweeps, by name. Completeness
     /// (`finish` succeeded) is implied by construction — the builders
     /// reject unassigned classes — but we re-assert the class coverage
-    /// here so a future edit to `ALL_CLASSES` cannot silently leave a
+    /// here so a future edit to `OpClass::ALL` cannot silently leave a
     /// preset partial.
     fn matrix_presets() -> Vec<MachineDescription> {
         ["rs6k", "issue2", "issue4", "issue8", "vliw8", "scalar"]
@@ -612,7 +590,7 @@ mod tests {
     #[test]
     fn every_preset_implements_every_class() {
         for m in matrix_presets() {
-            for c in super::ALL_CLASSES {
+            for c in OpClass::ALL {
                 assert!(m.exec_time(c) >= 1, "{}: {c} has t >= 1", m.name());
                 let _ = m.unit_of(c); // would panic on an unassigned class
             }

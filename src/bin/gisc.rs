@@ -835,9 +835,8 @@ fn drive(opts: &Options) -> Result<(), String> {
             for (name, value) in stats.perf_counters() {
                 metrics.record(name, value);
             }
-            // Traced compiles bypass the region memo (splicing would skip
-            // the events a trace consumer needs), so one `gisc` run
-            // reports its hit/miss/splice counters as zero.
+            // Traced compiles go through the region memo too (outcomes
+            // carry their events), so these count this run's lookups.
             for (name, value) in gis_core::region_memo_counters().metrics() {
                 metrics.record(name, value);
             }

@@ -237,8 +237,6 @@ fn metrics_flag_prints_the_perf_counters() {
         "perf.dep-edges-reduced",
         "perf.liveness-full",
         "perf.liveness-incremental",
-        "perf.scratch-allocs",
-        "perf.scratch-reuses",
     ] {
         assert!(stderr.contains(counter), "missing {counter}: {stderr}");
     }
