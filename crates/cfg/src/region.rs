@@ -8,9 +8,10 @@
 //! graph.
 //!
 //! For each region we expose its *forward* control flow graph: the
-//! region's own back edges are removed (following [CHH89], the paper
-//! computes control dependences on this back-edge-free graph only), so the
-//! result is acyclic and has synthetic `ENTRY`/`EXIT` nodes. This graph is
+//! region's own back edges end an iteration, so they are routed to the
+//! synthetic `EXIT` node (following [CHH89], the paper computes control
+//! dependences on this back-edge-free graph only), and the result is
+//! acyclic with synthetic `ENTRY`/`EXIT` nodes. This graph is
 //! exactly what the CSPDG construction in `gis-pdg` and the global
 //! scheduler consume.
 
@@ -260,8 +261,8 @@ impl Error for IrreducibleRegionError {}
 ///
 /// Node 0 is `ENTRY`, node 1 is `EXIT`; the remaining nodes are the
 /// region's direct blocks followed by supernodes for its child regions.
-/// All of the region's own back edges are removed, so the graph is acyclic
-/// and a topological order exists.
+/// Each of the region's own back edges becomes an edge to `EXIT`, so the
+/// graph is acyclic and a topological order exists.
 #[derive(Debug, Clone)]
 pub struct RegionGraph {
     region: RegionId,
@@ -278,7 +279,7 @@ impl RegionGraph {
     /// # Errors
     ///
     /// Returns [`IrreducibleRegionError`] when the graph is cyclic after
-    /// removing the region's back edges.
+    /// routing the region's back edges to `EXIT`.
     pub fn new(
         cfg: &Cfg,
         tree: &RegionTree,
@@ -319,7 +320,8 @@ impl RegionGraph {
         };
         let header = region.header;
         // An edge to this region's header from inside the region is one of
-        // the region's own back edges: dropped from the forward graph.
+        // the region's own back edges: it ends the iteration, so the
+        // forward graph routes it to EXIT.
         let is_back_edge = |to: BlockId| Some(to) == header;
 
         let mut succs: Vec<Vec<(NodeId, EdgeLabel)>> = vec![Vec::new(); nodes.len()];
@@ -333,22 +335,23 @@ impl RegionGraph {
             }
         };
 
-        // Edges from direct blocks.
+        // Edges from direct blocks. A back edge is added after the
+        // forward edges, so a latch that also leaves the loop keeps that
+        // exit's label on its one EXIT edge.
         for &b in &region.blocks {
             let from = node_of_block[&b];
+            let mut back = None;
             for e in cfg.succs(NodeId::block(b)) {
                 match e.to.as_block() {
-                    Some(t) if is_back_edge(t) => continue,
-                    Some(t) => {
-                        let to = if tree.contains(rid, t) {
-                            map_block(t)
-                        } else {
-                            NodeId::EXIT
-                        };
-                        add(&mut succs, from, to, e.label);
+                    Some(t) if is_back_edge(t) => back = Some(e.label),
+                    Some(t) if tree.contains(rid, t) => {
+                        add(&mut succs, from, map_block(t), e.label)
                     }
-                    None => add(&mut succs, from, NodeId::EXIT, e.label),
+                    _ => add(&mut succs, from, NodeId::EXIT, e.label),
                 }
+            }
+            if let Some(label) = back {
+                add(&mut succs, from, NodeId::EXIT, label);
             }
         }
 
@@ -368,8 +371,7 @@ impl RegionGraph {
                     for e in cfg.succs(NodeId::block(b)) {
                         let to = match e.to.as_block() {
                             Some(t) if tree.contains(c, t) => continue, // internal
-                            Some(t) if is_back_edge(t) => continue,
-                            Some(t) if tree.contains(rid, t) => map_block(t),
+                            Some(t) if !is_back_edge(t) && tree.contains(rid, t) => map_block(t),
                             _ => NodeId::EXIT,
                         };
                         if !succs[from.index()].iter().any(|&(t, _)| t == to) {
@@ -378,6 +380,13 @@ impl RegionGraph {
                         }
                     }
                 }
+            }
+            // A child loop that never exits still ends the region's flow,
+            // so it keeps a place in the postdominator tree: without this
+            // edge a sibling reached from the same branch would seem to
+            // postdominate that branch.
+            if exits == 0 {
+                add(&mut succs, from, NodeId::EXIT, EdgeLabel::Always);
             }
         }
 
@@ -388,14 +397,6 @@ impl RegionGraph {
             None => map_block(BlockId::new(0)),
         };
         add(&mut succs, NodeId::ENTRY, entry_target, EdgeLabel::Always);
-
-        // Nodes left without successors (e.g. a latch whose only edge was
-        // the removed back edge) flow to EXIT: the end of the iteration.
-        for s in succs.iter_mut().skip(2) {
-            if s.is_empty() {
-                s.push((NodeId::EXIT, EdgeLabel::Always));
-            }
-        }
 
         // Predecessors.
         let mut preds: Vec<Vec<(NodeId, EdgeLabel)>> = vec![Vec::new(); nodes.len()];
@@ -573,7 +574,8 @@ mod tests {
             g.node_of_block(BlockId::new(2)).is_none(),
             "C is inside the supernode"
         );
-        // B -> supernode -> D -> EXIT (back edge D->B removed).
+        // B -> supernode -> D -> EXIT (back edge D->B routed to EXIT
+        // too, behind the loop exit's label).
         let b_succs = g.succs(bn);
         assert_eq!(b_succs.len(), 1);
         assert!(matches!(g.node(b_succs[0].0), RegionNode::Inner(_)));
@@ -594,11 +596,54 @@ mod tests {
         let (cfg, tree) = analyses(NESTED);
         let inner = tree.innermost(BlockId::new(2));
         let g = RegionGraph::new(&cfg, &tree, inner).expect("reducible");
-        // Single block C: ENTRY -> C -> EXIT (back edge removed; the loop
-        // exit fall-through to D leaves the region).
+        // Single block C: ENTRY -> C -> EXIT (the loop exit
+        // fall-through to D leaves the region; the back edge ends the
+        // iteration, merged into that EXIT edge).
         assert_eq!(g.num_nodes(), 3);
         let c = g.node_of_block(BlockId::new(2)).unwrap();
         assert_eq!(g.succs(c), &[(NodeId::EXIT, EdgeLabel::NotTaken)]);
+    }
+
+    #[test]
+    fn a_header_branching_to_itself_ends_an_iteration() {
+        // Two back edges: the header u0 also branches back to itself.
+        // That edge reaches EXIT, so the latch u1 no longer
+        // postdominates u0 and the two are not equivalent.
+        let (cfg, tree) = analyses(
+            "func u\n\
+             init:\n LI r9=5\n LI r14=0\n LI r15=0\n\
+             u0:\n AI r14=r14,1\n C cr5=r14,r15\n BT u0,cr5,0x1/lt\n\
+             u1:\n AI r15=r15,2\n C cr6=r15,r9\n BT u0,cr6,0x1/lt\n\
+             out:\n PRINT r14\n RET\n",
+        );
+        let (u0, u1) = (BlockId::new(1), BlockId::new(2));
+        let g = RegionGraph::new(&cfg, &tree, tree.innermost(u0)).expect("reducible");
+        let (n0, n1) = (g.node_of_block(u0).unwrap(), g.node_of_block(u1).unwrap());
+        assert_eq!(
+            g.succs(n0),
+            &[(n1, EdgeLabel::NotTaken), (NodeId::EXIT, EdgeLabel::Taken)]
+        );
+        assert_eq!(g.succs(n1), &[(NodeId::EXIT, EdgeLabel::NotTaken)]);
+        assert!(g.dominators().dominates(n0, n1));
+        assert!(!g.postdominators().dominates(n1, n0), "u0 may skip u1");
+    }
+
+    /// A branch to a loop that never exits or to a block that returns.
+    const EXITLESS: &str = "func x\n\
+        A:\n LI r3=4096\n LI r5=7\n LI r7=1\n C cr0=r6,r7\n BT S,cr0,0x1/lt\n\
+        B:\n ST r5=>a(r3,0)\n PRINT r5\n RET\n\
+        S:\n L r4=a(r3,0)\n PRINT r4\n B S\n";
+
+    #[test]
+    fn a_child_loop_that_never_exits_still_reaches_exit() {
+        let (cfg, tree) = analyses(EXITLESS);
+        let g = RegionGraph::new(&cfg, &tree, tree.root()).expect("reducible");
+        let a = g.node_of_block(BlockId::new(0)).unwrap();
+        let b = g.node_of_block(BlockId::new(1)).unwrap();
+        let s = g.succs(a)[0].0;
+        assert!(matches!(g.node(s), RegionNode::Inner(_)));
+        assert_eq!(g.succs(s), &[(NodeId::EXIT, EdgeLabel::Always)]);
+        assert!(!g.postdominators().dominates(b, a), "A may go to S");
     }
 
     #[test]

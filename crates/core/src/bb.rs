@@ -39,15 +39,16 @@ pub fn schedule_block_observed<O: SchedObserver>(
 type BbKey = (u32, u32, usize);
 
 /// Records the issue order; slot `p` is the body instruction at block
-/// position `p`.
-struct BbOrder {
+/// position `p`, `ids[p]`.
+struct BbOrder<'a> {
+    ids: &'a [InstId],
     order: Vec<InstId>,
     body_len: usize,
 }
 
-impl PassHooks<BbKey> for BbOrder {
+impl PassHooks<BbKey> for BbOrder<'_> {
     fn commit(&mut self, pick: &Pick<BbKey>, _t: u64) -> Commit {
-        self.order.push(pick.id);
+        self.order.push(self.ids[pick.slot]);
         Commit::Issue
     }
 
@@ -92,13 +93,7 @@ pub fn schedule_block(f: &mut Function, machine: &MachineDescription, block: Blo
     for (p, inst) in block_ref.insts().take(body_len).enumerate() {
         let class = inst.op.class();
         let key = (h.d(p), h.cp(p), usize::MAX - p);
-        list.push(
-            &deps,
-            inst.id,
-            key,
-            machine.unit_of(class),
-            machine.exec_time(class),
-        );
+        list.push(p, key, machine.unit_of(class), machine.exec_time(class));
     }
     list.link(&deps, |_, in_set| {
         if in_set {
@@ -108,6 +103,7 @@ pub fn schedule_block(f: &mut Function, machine: &MachineDescription, block: Blo
         }
     });
     let mut hooks = BbOrder {
+        ids: deps.scope_order(),
         order: Vec::with_capacity(block_ref.len()),
         body_len,
     };

@@ -30,6 +30,9 @@ pub(crate) struct Heuristics {
     /// computed.
     member: Vec<u32>,
     stamp: u32,
+    /// The block being computed: each in-scope instruction's position
+    /// and execution time, in block order.
+    block: Vec<(u32, u32)>,
 }
 
 impl Heuristics {
@@ -42,6 +45,7 @@ impl Heuristics {
             cp: vec![0; n],
             member: vec![0; n],
             stamp: 0,
+            block: Vec::new(),
         }
     }
 
@@ -59,23 +63,22 @@ impl Heuristics {
         block: BlockId,
     ) {
         self.stamp += 1;
-        let block_ref = f.block(block);
-        for inst in block_ref.insts() {
+        self.block.clear();
+        for inst in f.block(block).insts() {
             if let Some(p) = deps.position(inst.id) {
                 self.member[p] = self.stamp;
                 self.d[p] = 0;
                 self.cp[p] = 0;
+                self.block
+                    .push((p as u32, machine.exec_time(inst.op.class())));
             }
         }
-        for inst in block_ref.insts().rev() {
-            let Some(p) = deps.position(inst.id) else {
-                continue;
-            };
-            let exec = machine.exec_time(inst.op.class());
+        for &(p, exec) in self.block.iter().rev() {
+            let p = p as usize;
             let mut d = 0u32;
             let mut cp_tail = 0u32;
-            for e in deps.succs(inst.id) {
-                let q = deps.position(e.to).expect("edges stay inside the scope");
+            for e in deps.succs(p) {
+                let q = e.to as usize;
                 if self.member[q] != self.stamp {
                     continue;
                 }

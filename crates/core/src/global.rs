@@ -131,15 +131,13 @@ impl GlobalPass<'_> {
         stats.dep_edges_reduced += deps.num_edges();
 
         // Every per-region table is indexed by scope position, so its
-        // size is the scope's, whatever the function's id range.
+        // size is the scope's, whatever the function's id range. The
+        // scope lists `scope_blocks`' instructions in order.
         let n = deps.scope_order().len();
-        let mut inst_node = vec![0; n];
-        for &b in &scope_blocks {
-            for inst in f.block(b).insts() {
-                inst_node[deps.position(inst.id).expect("scope instruction")] =
-                    node_of[&b].index() as u32;
-            }
-        }
+        let inst_node: Vec<u32> = scope_blocks
+            .iter()
+            .flat_map(|b| std::iter::repeat_n(node_of[b].index() as u32, f.block(*b).len()))
+            .collect();
         let mut pass = RegionPass {
             global: self,
             deps: &deps,
@@ -279,7 +277,8 @@ struct Scratch {
     /// The list scheduler, holding one slot per candidate and the unit
     /// pool.
     list: ListScheduler<PriorityKey>,
-    new_order: Vec<InstId>,
+    /// The block pass's placements in issue order, by scope position.
+    new_order: Vec<usize>,
     /// Issue cycle by scope position ([`UNPLACED`] when not placed in
     /// this block pass).
     place_time: Vec<u64>,
@@ -313,10 +312,10 @@ impl Scratch {
     }
 }
 
+/// A candidate instruction, named by its dependence scope position; its
+/// id is `scope_order()[pos]`.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
-    id: InstId,
-    /// `id`'s dependence scope position.
     pos: usize,
     home: BlockId,
     useful: bool,
@@ -404,11 +403,12 @@ impl<O: SchedObserver> PassHooks<PriorityKey> for BlockPass<'_, '_, O> {
         if !self.pass.global.hooks.armed() {
             return;
         }
-        let a_branch = self.a_branch.map(|s| self.pass.scratch.cands[s].id);
+        let cands = &self.pass.scratch.cands;
+        let a_branch = self.a_branch.map(|s| cands[s].pos);
         let (best, second) =
             self.pass
                 .rescan_pick(self.f, list, self.node_a, a_branch, self.a_remaining, t);
-        let got = pick.map(|p| ((p.id, p.key), p.second));
+        let got = pick.map(|p| ((cands[p.slot].pos, p.key), p.second));
         let want = best.map(|b| (b, second));
         assert_eq!(
             got,
@@ -422,6 +422,7 @@ impl<O: SchedObserver> PassHooks<PriorityKey> for BlockPass<'_, '_, O> {
         let (f, a, node_a, enabled) = (&mut *self.f, self.a, self.node_a, self.enabled);
         let pass = &mut *self.pass;
         let cand = pass.scratch.cands[pick.slot];
+        let id = pass.deps.scope_order()[cand.pos];
 
         // CSE at motion commit: when a sibling copy of an instruction
         // already placed into A comes up, it folds into the placed one
@@ -445,7 +446,7 @@ impl<O: SchedObserver> PassHooks<PriorityKey> for BlockPass<'_, '_, O> {
             pass.scratch.rejected.insert(cand.pos);
             if enabled {
                 pass.obs.event(TraceEvent::Rejected {
-                    inst: cand.id.index() as u32,
+                    inst: id.index() as u32,
                     home: f.block(cand.home).label().to_owned(),
                     target: f.block(a).label().to_owned(),
                     reason: RejectReason::LiveOnExit,
@@ -457,12 +458,12 @@ impl<O: SchedObserver> PassHooks<PriorityKey> for BlockPass<'_, '_, O> {
         // Issue (the list scheduler takes the unit).
         pass.scratch.place_time[cand.pos] = t;
         pass.placed.insert(cand.pos);
-        pass.scratch.new_order.push(cand.id);
+        pass.scratch.new_order.push(cand.pos);
 
         if cand.home == a {
             if enabled {
                 pass.obs.event(TraceEvent::Placed {
-                    inst: cand.id.index() as u32,
+                    inst: id.index() as u32,
                     block: f.block(a).label().to_owned(),
                     cycle: t,
                     tie: tie_break(pick.key, pick.second),
@@ -479,12 +480,12 @@ impl<O: SchedObserver> PassHooks<PriorityKey> for BlockPass<'_, '_, O> {
             // each path into the join still executes the operation
             // exactly once.
             let copy_op = {
-                let pos = f.block(cand.home).position(cand.id).expect("exists");
+                let pos = f.block(cand.home).position(id).expect("exists");
                 f.block(cand.home).inst_at(pos).op.clone()
             };
             let block_a = f.block(a);
             let at = block_a.len() - usize::from(block_a.last().is_some_and(|i| i.op.is_branch()));
-            f.relink_inst(cand.id, cand.home, a, at);
+            f.relink_inst(id, cand.home, a, at);
             pass.inst_node[cand.pos] = node_a.index() as u32;
             let sibs: &[BlockId] = self
                 .dup_joins
@@ -493,19 +494,19 @@ impl<O: SchedObserver> PassHooks<PriorityKey> for BlockPass<'_, '_, O> {
                 .expect("dup candidate has a recorded join");
             let mut copies: Vec<(BlockId, InstId)> = Vec::with_capacity(sibs.len());
             for &p in sibs {
-                let id = f.fresh_inst_id();
-                f.record_dup_origin(id, cand.id);
+                let copy = f.fresh_inst_id();
+                f.record_dup_origin(copy, id);
                 let bp = f.block(p);
                 let ins = bp.len() - usize::from(bp.last().is_some_and(|i| i.op.is_branch()));
                 f.block_mut(p)
-                    .insert(ins, gis_ir::Inst::new(id, copy_op.clone()));
-                copies.push((p, id));
+                    .insert(ins, gis_ir::Inst::new(copy, copy_op.clone()));
+                copies.push((p, copy));
             }
             pass.stats.moved_duplicated += 1;
             pass.stats.dup_copies_minted += copies.len();
             if enabled {
                 pass.obs.event(TraceEvent::Duplicated {
-                    inst: cand.id.index() as u32,
+                    inst: id.index() as u32,
                     home: f.block(cand.home).label().to_owned(),
                     into: f.block(a).label().to_owned(),
                     cycle: t,
@@ -515,11 +516,11 @@ impl<O: SchedObserver> PassHooks<PriorityKey> for BlockPass<'_, '_, O> {
                         .collect(),
                 });
             }
-            pass.check_boundary(f, || format!("after duplicating {} into {a}", cand.id));
+            pass.check_boundary(f, || format!("after duplicating {id} into {a}"));
         } else {
             if enabled {
                 pass.obs.event(TraceEvent::Moved {
-                    inst: cand.id.index() as u32,
+                    inst: id.index() as u32,
                     from: f.block(cand.home).label().to_owned(),
                     into: f.block(a).label().to_owned(),
                     cycle: t,
@@ -535,7 +536,7 @@ impl<O: SchedObserver> PassHooks<PriorityKey> for BlockPass<'_, '_, O> {
             // final order applied at end of pass).
             let block_a = f.block(a);
             let at = block_a.len() - usize::from(block_a.last().is_some_and(|i| i.op.is_branch()));
-            f.relink_inst(cand.id, cand.home, a, at);
+            f.relink_inst(id, cand.home, a, at);
             pass.inst_node[cand.pos] = node_a.index() as u32;
             if cand.useful {
                 pass.stats.moved_useful += 1;
@@ -543,7 +544,7 @@ impl<O: SchedObserver> PassHooks<PriorityKey> for BlockPass<'_, '_, O> {
                 pass.stats.moved_speculative += 1;
             }
             pass.check_boundary(f, || {
-                format!("after moving {} from {} into {a}", cand.id, cand.home)
+                format!("after moving {id} from {} into {a}", cand.home)
             });
         }
         Commit::Issue
@@ -775,7 +776,6 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                 f,
                 &mut list,
                 Candidate {
-                    id: inst.id,
                     pos: self.pos(inst.id),
                     home: a,
                     useful: true,
@@ -799,7 +799,6 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                         f,
                         &mut list,
                         Candidate {
-                            id: inst.id,
                             pos: self.pos(inst.id),
                             home: b,
                             useful: true,
@@ -878,8 +877,8 @@ impl<O: SchedObserver> RegionPass<'_, O> {
             self.scratch.new_order.len(),
             "every instruction of A was scheduled"
         );
-        for (i, &id) in self.scratch.new_order.iter().enumerate() {
-            self.scratch.rank[deps.position(id).expect("candidate in scope")] = i as u32;
+        for (i, &p) in self.scratch.new_order.iter().enumerate() {
+            self.scratch.rank[p] = i as u32;
         }
         let rank = &self.scratch.rank;
         f.block_mut(a)
@@ -913,8 +912,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         }
         self.scratch.cands.push(c);
         list.push(
-            self.deps,
-            c.id,
+            c.pos,
             self.key(&c),
             self.global.machine.unit_of(class),
             self.global.machine.exec_time(class),
@@ -943,7 +941,6 @@ impl<O: SchedObserver> RegionPass<'_, O> {
             let reason = match offer {
                 Offer::Candidates { prob, dup } if movable => {
                     let c = Candidate {
-                        id: inst.id,
                         pos: self.pos(inst.id),
                         home: b,
                         useful: false,
@@ -989,29 +986,30 @@ impl<O: SchedObserver> RegionPass<'_, O> {
     /// The pick as it was made before the ready list: a rescan of every
     /// candidate through [`Self::ready`], kept as the oracle every
     /// ready-list pick is checked against under the armed checks. Returns
-    /// the winner with its key, and the runner-up's key.
+    /// the winner's scope position with its key, and the runner-up's key.
     fn rescan_pick(
         &self,
         f: &Function,
         list: &ListScheduler<PriorityKey>,
         node_a: NodeId,
-        a_branch: Option<InstId>,
+        a_branch: Option<usize>,
         a_remaining: usize,
         t: u64,
-    ) -> (Option<(InstId, PriorityKey)>, Option<PriorityKey>) {
-        let mut best: Option<(InstId, PriorityKey)> = None;
+    ) -> (Option<(usize, PriorityKey)>, Option<PriorityKey>) {
+        let mut best: Option<(usize, PriorityKey)> = None;
         let mut second: Option<PriorityKey> = None;
         for c in &self.scratch.cands {
             if self.scratch.place_time[c.pos] != UNPLACED || self.scratch.rejected.contains(c.pos) {
                 continue;
             }
-            if Some(c.id) == a_branch && a_remaining > 1 {
+            if Some(c.pos) == a_branch && a_remaining > 1 {
                 continue;
             }
-            if !self.ready(list, node_a, c.id, t) {
+            if !self.ready(list, node_a, c.pos, t) {
                 continue;
             }
-            let pos = f.block(c.home).position(c.id).expect("candidate exists");
+            let id = self.deps.scope_order()[c.pos];
+            let pos = f.block(c.home).position(id).expect("candidate exists");
             let op = &f.block(c.home).inst_at(pos).op;
             let kind = self.global.machine.unit_of(op.class());
             if !list.units().free(kind.index(), t) {
@@ -1020,7 +1018,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
             let key = self.key(c);
             if best.is_none_or(|(_, bk)| key > bk) {
                 second = best.map(|(_, bk)| bk);
-                best = Some((c.id, key));
+                best = Some((c.pos, key));
             } else if second.is_none_or(|sk| key > sk) {
                 second = Some(key);
             }
@@ -1028,10 +1026,11 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         (best, second)
     }
 
-    /// Whether all data dependences into `id` are fulfilled at cycle `t`.
-    fn ready(&self, list: &ListScheduler<PriorityKey>, node_a: NodeId, id: InstId, t: u64) -> bool {
-        for e in self.deps.preds(id) {
-            let from = self.pos(e.from);
+    /// Whether all data dependences into scope position `p` are
+    /// fulfilled at cycle `t`.
+    fn ready(&self, list: &ListScheduler<PriorityKey>, node_a: NodeId, p: usize, t: u64) -> bool {
+        for e in self.deps.preds(p) {
+            let from = e.from as usize;
             let tp = self.scratch.place_time[from];
             if tp != UNPLACED {
                 // Placed in this very block pass: timing applies.
@@ -1066,40 +1065,43 @@ impl<O: SchedObserver> RegionPass<'_, O> {
     /// unplaced is upstream of `a` — the dependence test never releases a
     /// candidate whose producer could still run between `a` and its home.
     fn try_fold_duplicate(&mut self, f: &mut Function, a: BlockId, cand: &Candidate) -> bool {
-        let root = f.dup_root(cand.id);
-        if root == cand.id && f.dup_origins().all(|(_, r)| r != root) {
+        let ids = self.deps.scope_order();
+        let id = ids[cand.pos];
+        let root = f.dup_root(id);
+        if root == id && f.dup_origins().all(|(_, r)| r != root) {
             return false; // not part of any duplication family
         }
         let Some(jpos) = self
             .scratch
             .new_order
             .iter()
-            .position(|&j| j != cand.id && f.dup_root(j) == root)
+            .position(|&j| j != cand.pos && f.dup_root(ids[j]) == root)
         else {
             return false;
         };
         let j = self.scratch.new_order[jpos];
-        let cpos = f.block(cand.home).position(cand.id).expect("exists");
-        let Some(japos) = f.block(a).position(j) else {
+        let cpos = f.block(cand.home).position(id).expect("exists");
+        let Some(japos) = f.block(a).position(ids[j]) else {
             return false; // twin not (or no longer) in a
         };
         if f.block(a).inst_at(japos).op != f.block(cand.home).inst_at(cpos).op {
             return false; // diverged (e.g. a speculative rename): keep both
         }
-        for e in self.deps.preds(cand.id) {
-            if self.scratch.place_time[self.pos(e.from)] == UNPLACED {
+        for e in self.deps.preds(cand.pos) {
+            let from = e.from as usize;
+            if self.scratch.place_time[from] == UNPLACED {
                 continue; // upstream of a on every path: same value
             }
-            match self.scratch.new_order.iter().position(|&x| x == e.from) {
+            match self.scratch.new_order.iter().position(|&x| x == from) {
                 Some(p) if p < jpos => {}
                 _ => return false, // placed after the twin: values differ
             }
         }
-        f.block_mut(cand.home).remove(cand.id);
-        self.scratch.place_time[cand.pos] = self.scratch.place_time[self.pos(j)];
+        f.block_mut(cand.home).remove(id);
+        self.scratch.place_time[cand.pos] = self.scratch.place_time[j];
         self.placed.insert(cand.pos);
         self.stats.dup_copies_deduped += 1;
-        self.check_boundary(f, || format!("after folding {} into {a}", cand.id));
+        self.check_boundary(f, || format!("after folding {id} into {a}"));
         true
     }
 
@@ -1162,7 +1164,8 @@ impl<O: SchedObserver> RegionPass<'_, O> {
     /// §5.3 gate for a speculative candidate, with the renaming escape.
     fn speculation_allowed(&mut self, f: &mut Function, a: BlockId, cand: &Candidate) -> bool {
         let bid = cand.home;
-        let pos = f.block(bid).position(cand.id).expect("exists");
+        let id = self.deps.scope_order()[cand.pos];
+        let pos = f.block(bid).position(id).expect("exists");
         let op = &f.block(bid).inst_at(pos).op;
         let clobbered: Vec<Reg> = op
             .defs()
@@ -1210,7 +1213,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
             self.stats.renamed_speculative += 1;
             if self.obs.enabled() {
                 self.obs.event(TraceEvent::Renamed {
-                    inst: cand.id.index() as u32,
+                    inst: id.index() as u32,
                     home: f.block(bid).label().to_owned(),
                     old: r.to_string(),
                     new: fresh.to_string(),

@@ -25,7 +25,6 @@
 //! target block's terminator), and commits each pick as an issue, a fold
 //! or a rejection.
 
-use gis_ir::InstId;
 use gis_machine::{MachineDescription, UnitKind};
 use gis_pdg::DataDeps;
 
@@ -81,8 +80,8 @@ impl UnitPool {
 #[derive(Debug, Clone, Copy)]
 struct Slot<K> {
     key: K,
-    id: InstId,
-    /// Dependence scope position (the [`ListScheduler::slot_of`] index).
+    /// The candidate's dependence scope position (the
+    /// [`ListScheduler::slot_of`] index).
     pos: u32,
     kind: u32,
     exec: u32,
@@ -113,7 +112,6 @@ pub(crate) enum Pred {
 pub(crate) struct Pick<K> {
     /// The winner's slot, in the order candidates were pushed.
     pub slot: usize,
-    pub id: InstId,
     pub key: K,
     /// The best key among the other candidates that could issue now.
     pub second: Option<K>,
@@ -197,24 +195,13 @@ impl<K: Ord + Copy> ListScheduler<K> {
         self.units.reset();
     }
 
-    /// Adds candidate `id` (which must be in `deps`'s scope) with its
+    /// Adds the candidate at dependence scope position `pos` with its
     /// priority key, unit kind and execution time; returns its slot.
-    pub(crate) fn push(
-        &mut self,
-        deps: &DataDeps,
-        id: InstId,
-        key: K,
-        kind: UnitKind,
-        exec: u32,
-    ) -> usize {
-        let pos = deps
-            .position(id)
-            .expect("candidate inside the dependence scope");
+    pub(crate) fn push(&mut self, pos: usize, key: K, kind: UnitKind, exec: u32) -> usize {
         let slot = self.slots.len();
         self.slot_of[pos] = slot as u32;
         self.slots.push(Slot {
             key,
-            id,
             pos: pos as u32,
             kind: kind.index() as u32,
             exec,
@@ -223,11 +210,6 @@ impl<K: Ord + Copy> ListScheduler<K> {
             blocked: false,
         });
         slot
-    }
-
-    fn slot_of(&self, deps: &DataDeps, id: InstId) -> Option<usize> {
-        let s = *self.slot_of.get(deps.position(id)?)?;
-        (s != NO_SLOT).then_some(s as usize)
     }
 
     /// Whether the instruction at dependence scope position `pos` is a
@@ -249,8 +231,8 @@ impl<K: Ord + Copy> ListScheduler<K> {
     pub(crate) fn link(&mut self, deps: &DataDeps, mut classify: impl FnMut(usize, bool) -> Pred) {
         for s in 0..self.slots.len() {
             let (mut waiting, mut blocked) = (0u32, false);
-            for e in deps.preds(self.slots[s].id) {
-                let from = deps.position(e.from).expect("edges stay inside the scope");
+            for e in deps.preds(self.slots[s].pos as usize) {
+                let from = e.from as usize;
                 match classify(from, self.holds(from)) {
                     Pred::Satisfied => {}
                     Pred::Waiting => waiting += 1,
@@ -285,15 +267,11 @@ impl<K: Ord + Copy> ListScheduler<K> {
                 second = Some(slot.key);
             }
         }
-        best.map(|(at, key)| {
-            let slot = self.ready[at] as usize;
-            Pick {
-                slot,
-                id: self.slots[slot].id,
-                key,
-                second,
-                at,
-            }
+        best.map(|(at, key)| Pick {
+            slot: self.ready[at] as usize,
+            key,
+            second,
+            at,
         })
     }
 
@@ -302,15 +280,16 @@ impl<K: Ord + Copy> ListScheduler<K> {
     fn settle(&mut self, deps: &DataDeps, pick: &Pick<K>, at: Option<u64>) {
         self.ready.swap_remove(pick.at);
         let Some(at) = at else { return };
-        for e in deps.succs(pick.id) {
-            let Some(s) = self.slot_of(deps, e.to) else {
+        for e in deps.succs(self.slots[pick.slot].pos as usize) {
+            let s = self.slot_of[e.to as usize];
+            if s == NO_SLOT {
                 continue;
-            };
-            let slot = &mut self.slots[s];
+            }
+            let slot = &mut self.slots[s as usize];
             slot.earliest = slot.earliest.max(at + u64::from(e.sep()));
             slot.waiting -= 1;
             if slot.waiting == 0 && !slot.blocked {
-                self.ready.push(s as u32);
+                self.ready.push(s);
             }
         }
     }

@@ -34,17 +34,21 @@ impl Heuristics {
             .enumerate()
             .map(|(pos, i)| (i.id, pos))
             .collect();
+        // The scope is this one block: scope positions are block
+        // positions.
+        let ids = deps.scope_order();
         let mut h = Heuristics::default();
-        for inst in block_ref.insts().rev() {
+        for (p, inst) in block_ref.insts().enumerate().rev() {
             let exec = machine.exec_time(inst.op.class());
             let mut d = 0u32;
             let mut cp_tail = 0u32;
-            for e in deps.succs(inst.id) {
-                if !member.contains_key(&e.to) {
+            for e in deps.succs(p) {
+                let to = ids[e.to as usize];
+                if !member.contains_key(&to) {
                     continue;
                 }
-                let dj = h.d.get(&e.to).copied().unwrap_or(0);
-                let cpj = h.cp.get(&e.to).copied().unwrap_or(0);
+                let dj = h.d.get(&to).copied().unwrap_or(0);
+                let cpj = h.cp.get(&to).copied().unwrap_or(0);
                 d = d.max(dj + e.delay);
                 cp_tail = cp_tail.max(cpj + e.delay);
             }
@@ -90,6 +94,7 @@ pub fn schedule_block_reference(
         .map(|(p, i)| (i.id, p))
         .collect();
     let body: Vec<InstId> = block_ref.insts().take(body_len).map(|i| i.id).collect();
+    let ids = deps.scope_order();
     let branch: Option<InstId> = block_ref.last().filter(|i| i.op.is_branch()).map(|i| i.id);
 
     // Cycle-by-cycle list scheduling.
@@ -110,8 +115,9 @@ pub fn schedule_block_reference(
                 if scheduled_at.contains_key(&id) {
                     continue;
                 }
-                let ready = deps.preds(id).iter().all(|e| {
-                    match (pos.get(&e.from), scheduled_at.get(&e.from)) {
+                let ready = deps.preds(pos[&id]).iter().all(|e| {
+                    let from = ids[e.from as usize];
+                    match (pos.get(&from), scheduled_at.get(&from)) {
                         (None, _) => true, // dep from outside the block
                         (Some(_), Some(&tp)) => tp + e.sep() as u64 <= t,
                         (Some(_), None) => false,

@@ -141,7 +141,6 @@ pub fn rotate_loop(f: &mut Function, lo: BlockId, hi: BlockId) -> bool {
         _ => unreachable!("checked above"),
     }
 
-    f.recompute_allocators();
     debug_assert_eq!(f.verify(), Ok(()));
     true
 }

@@ -171,7 +171,6 @@ pub fn unroll_loop(f: &mut Function, lo: BlockId, hi: BlockId) -> bool {
             .push(gis_ir::Inst::new(id, Op::Branch { target: exit }));
     }
 
-    f.recompute_allocators();
     debug_assert_eq!(f.verify(), Ok(()));
     true
 }

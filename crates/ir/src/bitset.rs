@@ -3,7 +3,7 @@
 //! The global scheduler spends most of its time asking membership
 //! questions about two dense key spaces: symbolic registers
 //! ([`Reg`] indices are allocated contiguously per class by
-//! [`FunctionBuilder`](crate::FunctionBuilder)) and basic blocks
+//! [`Function::fresh_reg`](crate::Function::fresh_reg)) and basic blocks
 //! ([`BlockId`](crate::BlockId)s are dense by construction). `HashSet`
 //! answers those questions in tens of nanoseconds with allocation churn;
 //! a word-packed bit set answers them in one shift and mask.

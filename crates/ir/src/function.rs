@@ -34,9 +34,11 @@ impl fmt::Display for SymId {
 /// the first block) that own their instructions, and the allocation state
 /// for fresh instruction ids and symbolic registers.
 ///
-/// Construct functions with [`FunctionBuilder`](crate::FunctionBuilder) or
-/// [`parse_function`](crate::parse_function); transformation passes mutate
-/// them in place and re-check [`Function::verify`].
+/// Construct functions with [`parse_function`](crate::parse_function), or
+/// from [`Function::new`] through [`Function::add_block`],
+/// [`Function::fresh_reg`], [`Function::fresh_inst_id`] and
+/// [`Function::block_mut`]; transformation passes mutate them in place and
+/// re-check [`Function::verify`].
 ///
 /// Each block sits behind its own `Arc`, shared copy-on-write with
 /// [`Function::snapshot`]s. Read a block through [`Function::block`] (a

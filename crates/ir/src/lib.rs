@@ -15,28 +15,16 @@
 //! # Example
 //!
 //! ```
-//! use gis_ir::{Function, FunctionBuilder, CondBit};
+//! use gis_ir::parse_function;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let mut b = FunctionBuilder::new("clamp_neg");
-//! let r_in = b.gpr();
-//! let cr = b.cr();
-//!
-//! let entry = b.block("entry");
-//! let neg = b.block("neg");
-//! let done = b.block("done");
-//!
-//! b.switch_to(entry);
-//! b.compare_imm(cr, r_in, 0);
-//! b.branch_false(done, cr, CondBit::Lt); // skip `neg` unless r_in < 0
-//!
-//! b.switch_to(neg);
-//! b.load_imm(r_in, 0);
-//!
-//! b.switch_to(done);
-//! b.ret();
-//!
-//! let f: Function = b.finish()?;
+//! // Clamp r0 at zero: skip `neg` unless r0 < 0.
+//! let f = parse_function(
+//!     "func clamp_neg\n\
+//!      entry:\n CI cr0=r0,0\n BF done,cr0,0x1/lt\n\
+//!      neg:\n LI r0=0\n\
+//!      done:\n RET\n",
+//! )?;
 //! assert_eq!(f.num_blocks(), 3);
 //! # Ok(())
 //! # }
@@ -46,7 +34,6 @@
 
 mod bitset;
 mod block;
-mod builder;
 pub mod canon;
 mod function;
 pub mod hash;
@@ -58,7 +45,6 @@ mod verify;
 
 pub use bitset::{DenseBitSet, RegSet};
 pub use block::{BlockId, Inst, InstId};
-pub use builder::FunctionBuilder;
 pub use canon::{canon_region, from_canonical_bytes, to_canonical_bytes, CanonError};
 pub use function::{BlockMut, BlockRef, BlockSnapshot, Function, SymId};
 pub use op::{CondBit, FpBinOp, FxBinOp, MemRef, Op, OpClass};

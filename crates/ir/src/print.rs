@@ -114,27 +114,16 @@ impl fmt::Display for Function {
 #[cfg(test)]
 mod tests {
     use crate::block::{Inst, InstId};
-    use crate::builder::FunctionBuilder;
     use crate::function::Function;
-    use crate::op::{CondBit, Op};
+    use crate::op::Op;
     use crate::reg::Reg;
 
     #[test]
     fn printed_form_matches_paper_style() {
-        let mut b = FunctionBuilder::new("t");
-        let r12 = b.gpr();
-        let r31 = b.gpr();
-        let cr7 = b.cr();
-        let a = b.symbol("a");
-        let e = b.block("CL.0");
-        let out = b.block("CL.4");
-        b.switch_to(e);
-        b.load(r12, a, r31, 4);
-        b.compare(cr7, r12, r12);
-        b.branch_false(out, cr7, CondBit::Gt);
-        b.switch_to(out);
-        b.ret();
-        let f = b.finish().expect("verifies");
+        let f = crate::parse_function(
+            "func t\nCL.0:\n L r0=a(r1,4)\n C cr0=r0,r0\n BF CL.4,cr0,0x2/gt\nCL.4:\n RET\n",
+        )
+        .expect("parses");
         let text = f.to_string();
         assert!(text.contains("func t"), "{text}");
         assert!(text.contains("CL.0:"), "{text}");

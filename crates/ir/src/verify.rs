@@ -4,6 +4,7 @@ use crate::bitset::DenseBitSet;
 use crate::block::{BlockId, InstId};
 use crate::function::Function;
 use crate::op::check_operand_classes;
+use crate::reg::Reg;
 use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
@@ -31,6 +32,14 @@ pub enum VerifyFunctionError {
     InstIdOutOfBounds {
         /// The out-of-bounds id.
         id: InstId,
+    },
+    /// A register's index is not below its class's allocation counter,
+    /// so [`Function::fresh_reg`] could hand it out again.
+    RegOutOfBounds {
+        /// The instruction naming the register.
+        id: InstId,
+        /// The out-of-bounds register.
+        reg: Reg,
     },
     /// A branch appears before the end of its block.
     BranchNotLast {
@@ -82,6 +91,9 @@ impl fmt::Display for VerifyFunctionError {
             VerifyFunctionError::InstIdOutOfBounds { id } => {
                 write!(f, "instruction id {id} is outside the allocation bound")
             }
+            VerifyFunctionError::RegOutOfBounds { id, reg } => {
+                write!(f, "register {reg} at {id} is outside the allocation bound")
+            }
             VerifyFunctionError::BranchNotLast { block, id } => {
                 write!(f, "branch {id} is not the last instruction of {block}")
             }
@@ -109,9 +121,10 @@ impl Error for VerifyFunctionError {}
 impl Function {
     /// Checks the structural invariants every pass relies on: blocks end
     /// in at most one branch and only as the final instruction, branch
-    /// targets exist, labels and instruction ids are unique, operand
-    /// register classes match, and control cannot fall off the end of the
-    /// function.
+    /// targets exist, labels and instruction ids are unique, instruction
+    /// ids and registers are below the allocation counters (so fresh ones
+    /// never collide), operand register classes match, and control cannot
+    /// fall off the end of the function.
     ///
     /// # Errors
     ///
@@ -126,6 +139,8 @@ impl Function {
         let num_syms = self.symbols().count();
         let bound = self.inst_id_bound();
         let mut ids = DenseBitSet::with_capacity(bound);
+        let reg_bound = self.reg_counters();
+        let mut regs: Vec<Reg> = Vec::new();
 
         for (bid, block) in self.blocks() {
             if !labels.insert(block.label()) {
@@ -175,6 +190,15 @@ impl Function {
                         detail,
                     });
                 }
+                regs.clear();
+                inst.op.defs_into(&mut regs);
+                inst.op.uses_into(&mut regs);
+                if let Some(&reg) = regs
+                    .iter()
+                    .find(|r| r.index() >= reg_bound[r.class().slot()])
+                {
+                    return Err(VerifyFunctionError::RegOutOfBounds { id: inst.id, reg });
+                }
             }
         }
 
@@ -191,7 +215,7 @@ mod tests {
     use super::*;
     use crate::block::Inst;
     use crate::op::{CondBit, Op};
-    use crate::reg::Reg;
+    use crate::reg::RegClass;
 
     fn ret_function() -> Function {
         let mut f = Function::new("t");
@@ -247,13 +271,9 @@ mod tests {
         let mut f = Function::new("t");
         let b = f.add_block("e");
         let id = f.fresh_inst_id();
-        f.block_mut(b).push(Inst::new(
-            id,
-            Op::LoadImm {
-                rt: Reg::gpr(0),
-                imm: 0,
-            },
-        ));
+        let rt = f.fresh_reg(RegClass::Gpr);
+        f.block_mut(b)
+            .push(Inst::new(id, Op::LoadImm { rt, imm: 0 }));
         assert!(matches!(
             f.verify(),
             Err(VerifyFunctionError::FallsOffEnd { .. })
@@ -265,11 +285,12 @@ mod tests {
         let mut f = Function::new("t");
         let b = f.add_block("e");
         let id0 = f.fresh_inst_id();
+        let cr = f.fresh_reg(RegClass::Cr);
         f.block_mut(b).push(Inst::new(
             id0,
             Op::BranchCond {
                 target: b,
-                cr: Reg::cr(0),
+                cr,
                 bit: CondBit::Eq,
                 when: true,
             },
@@ -287,13 +308,9 @@ mod tests {
         let mut f = Function::new("t");
         let b = f.add_block("e");
         let id = f.fresh_inst_id();
-        f.block_mut(b).push(Inst::new(
-            id,
-            Op::LoadImm {
-                rt: Reg::gpr(0),
-                imm: 0,
-            },
-        ));
+        let rt = f.fresh_reg(RegClass::Gpr);
+        f.block_mut(b)
+            .push(Inst::new(id, Op::LoadImm { rt, imm: 0 }));
         f.block_mut(b).push(Inst::new(id, Op::Ret));
         assert!(matches!(
             f.verify(),
@@ -306,18 +323,35 @@ mod tests {
         let mut f = Function::new("t");
         let b = f.add_block("e");
         let id = f.fresh_inst_id();
-        f.block_mut(b).push(Inst::new(
-            id,
-            Op::Move {
-                rt: Reg::gpr(0),
-                rs: Reg::cr(0),
-            },
-        ));
+        let (rt, rs) = (f.fresh_reg(RegClass::Gpr), f.fresh_reg(RegClass::Cr));
+        f.block_mut(b).push(Inst::new(id, Op::Move { rt, rs }));
         let id2 = f.fresh_inst_id();
         f.block_mut(b).push(Inst::new(id2, Op::Ret));
         assert!(matches!(
             f.verify(),
             Err(VerifyFunctionError::OperandClass { .. })
         ));
+    }
+
+    #[test]
+    fn registers_at_or_above_their_counter_rejected() {
+        // A register the counter has not passed could be handed out
+        // again by `fresh_reg`.
+        let mut f = ret_function();
+        let id = f.fresh_inst_id();
+        let rt = Reg::gpr(0);
+        f.block_mut(BlockId::new(0))
+            .insert(0, Inst::new(id, Op::LoadImm { rt, imm: 0 }));
+        assert_eq!(
+            f.verify(),
+            Err(VerifyFunctionError::RegOutOfBounds { id, reg: rt })
+        );
+        f.recompute_allocators();
+        assert_eq!(f.verify(), Ok(()));
+        // The parser sets the counters past every register it reads, so
+        // its output verifies.
+        let parsed = crate::parse_function("func p\nA:\n LI r7=1\n C cr3=r7,r2\n RET\n")
+            .expect("parses and verifies");
+        assert_eq!(parsed.reg_counters(), [8, 0, 4]);
     }
 }

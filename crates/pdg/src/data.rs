@@ -46,13 +46,15 @@ impl fmt::Display for DepKind {
 
 /// A data dependence edge: `to` must not be reordered above `from`, and
 /// for timing purposes should start no earlier than
-/// `start(from) + sep()`.
+/// `start(from) + sep()`. Both endpoints are scope positions: indices
+/// into [`DataDeps::scope_order`], the one name an instruction has
+/// inside a region pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataDep {
-    /// The earlier instruction.
-    pub from: InstId,
-    /// The later instruction.
-    pub to: InstId,
+    /// The earlier instruction's scope position.
+    pub from: u32,
+    /// The later instruction's scope position.
+    pub to: u32,
     /// Why they are ordered.
     pub kind: DepKind,
     /// Extra pipeline delay beyond `from`'s execution time (flow edges
@@ -85,8 +87,10 @@ const LOCAL_NONE: u32 = u32::MAX;
 /// function, and sizing per-instruction `Vec`s by the function's id
 /// bound made every build pay for the whole function — while even
 /// scope-sized `Vec<Vec<_>>` lists cost one heap allocation per
-/// non-empty list (hundreds per region). One dense `u32` map
-/// translates ids on access.
+/// non-empty list (hundreds per region). Edges name their endpoints by
+/// position too, so walking the graph never translates an id; one
+/// dense `u32` map ([`Self::position`]) names an instruction read from
+/// the function.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataDeps {
     /// Edges into each position: `p`'s preds are
@@ -104,7 +108,6 @@ pub struct DataDeps {
     /// Instructions of the scope in a topological-compatible order
     /// (block order as supplied, positions within blocks).
     order: Vec<InstId>,
-    num_edges: usize,
 }
 
 /// Builds the two CSR arenas from edges in emission order. The scatter
@@ -112,16 +115,13 @@ pub struct DataDeps {
 /// the relative order in which its edges were emitted — both builders
 /// emit in the reference's lexicographic pair order, so the slices
 /// compare bit for bit.
-fn csr_from_flat(
-    n: usize,
-    flat: &[(u32, u32, DataDep)],
-) -> (Vec<DataDep>, Vec<u32>, Vec<DataDep>, Vec<u32>) {
+fn csr_from_flat(n: usize, flat: &[DataDep]) -> (Vec<DataDep>, Vec<u32>, Vec<DataDep>, Vec<u32>) {
     let m = flat.len();
     let mut in_off = vec![0u32; n + 1];
     let mut out_off = vec![0u32; n + 1];
-    for &(fp, tp, _) in flat {
-        out_off[fp as usize + 1] += 1;
-        in_off[tp as usize + 1] += 1;
+    for dep in flat {
+        out_off[dep.from as usize + 1] += 1;
+        in_off[dep.to as usize + 1] += 1;
     }
     for p in 0..n {
         out_off[p + 1] += out_off[p];
@@ -130,16 +130,16 @@ fn csr_from_flat(
     if m == 0 {
         return (Vec::new(), in_off, Vec::new(), out_off);
     }
-    let fill = flat[0].2;
-    let mut edges_in = vec![fill; m];
-    let mut edges_out = vec![fill; m];
+    let mut edges_in = vec![flat[0]; m];
+    let mut edges_out = vec![flat[0]; m];
     let mut ic: Vec<u32> = in_off[..n].to_vec();
     let mut oc: Vec<u32> = out_off[..n].to_vec();
-    for &(fp, tp, dep) in flat {
-        edges_out[oc[fp as usize] as usize] = dep;
-        oc[fp as usize] += 1;
-        edges_in[ic[tp as usize] as usize] = dep;
-        ic[tp as usize] += 1;
+    for &dep in flat {
+        let (fp, tp) = (dep.from as usize, dep.to as usize);
+        edges_out[oc[fp] as usize] = dep;
+        oc[fp] += 1;
+        edges_in[ic[tp] as usize] = dep;
+        ic[tp] += 1;
     }
     (edges_in, in_off, edges_out, out_off)
 }
@@ -149,7 +149,8 @@ fn csr_from_flat(
 /// accessors allocate, so evaluating them per *pair* dominated the old
 /// builder's constant factor).
 struct Scope<'f> {
-    items: Vec<(BlockId, usize, InstId)>,
+    /// Each position's block and index within it.
+    items: Vec<(BlockId, usize)>,
     ops: Vec<&'f Op>,
     /// Flat def/use arenas: instruction `p`'s defs are
     /// `def_regs[def_off[p]..def_off[p + 1]]` (likewise uses) — two
@@ -196,7 +197,7 @@ impl<'f> Scope<'f> {
             for (pos, inst) in f.block(b).insts().enumerate() {
                 scope.local[inst.id.index() - id_base] = order.len() as u32;
                 order.push(inst.id);
-                scope.items.push((b, pos, inst.id));
+                scope.items.push((b, pos));
                 scope.ops.push(&inst.op);
                 inst.op.defs_into(&mut scope.def_regs);
                 scope.def_off.push(scope.def_regs.len() as u32);
@@ -241,8 +242,8 @@ impl<'f> Scope<'f> {
         } else {
             return None;
         };
-        let (pb, pp, pid) = self.items[p];
-        let (ib, ip, iid) = self.items[i];
+        let (pb, pp) = self.items[p];
+        let (ib, ip) = self.items[i];
         let (pop, iop) = (self.ops[p], self.ops[i]);
         let (p_defs, p_uses) = (self.defs(p), self.uses(p));
         let (i_defs, i_uses) = (self.defs(i), self.uses(i));
@@ -275,8 +276,8 @@ impl<'f> Scope<'f> {
             0
         };
         Some(DataDep {
-            from: pid,
-            to: iid,
+            from: p as u32,
+            to: i as u32,
             kind,
             delay,
             exec_from: machine.exec_time(pop.class()),
@@ -431,9 +432,9 @@ impl DataDeps {
     ) -> Self {
         let (order, scope) = Scope::collect(f, blocks);
         let n = scope.items.len();
-        // `(from position, to position, edge)` in emission order; the
-        // CSR scatter below turns it into the per-position slices.
-        let mut flat: Vec<(u32, u32, DataDep)> = Vec::new();
+        // Edges in emission order; the CSR scatter below turns them into
+        // the per-position slices.
+        let mut flat: Vec<DataDep> = Vec::new();
 
         // Sweep state: per register, the positions of earlier defs /
         // uses, kept in the thread-local [`SweepTables`]
@@ -481,18 +482,10 @@ impl DataDeps {
                     }
                 }
                 cand.sort_unstable();
-                for &i in &cand {
-                    let Some(dep) = scope.pair_dep(f, machine, &may_follow, i as usize, j) else {
-                        continue;
-                    };
-                    // `pair_dep` may orient the edge either way; record
-                    // the endpoints as scope positions.
-                    if dep.from == scope.items[i as usize].2 {
-                        flat.push((i, j as u32, dep));
-                    } else {
-                        flat.push((j as u32, i, dep));
-                    }
-                }
+                flat.extend(
+                    cand.iter()
+                        .filter_map(|&i| scope.pair_dep(f, machine, &may_follow, i as usize, j)),
+                );
 
                 // Register this instruction in the sweep tables.
                 for &r in scope.uses(j) {
@@ -510,7 +503,6 @@ impl DataDeps {
             }
         });
 
-        let num_edges = flat.len();
         let (edges_in, in_off, edges_out, out_off) = csr_from_flat(n, &flat);
         DataDeps {
             edges_in,
@@ -520,7 +512,6 @@ impl DataDeps {
             id_base: scope.id_base,
             local: scope.local,
             order,
-            num_edges,
         }
     }
 
@@ -539,22 +530,14 @@ impl DataDeps {
     ) -> Self {
         let (order, scope) = Scope::collect(f, blocks);
         let n = scope.items.len();
-        let mut flat: Vec<(u32, u32, DataDep)> = Vec::new();
+        let mut flat: Vec<DataDep> = Vec::new();
 
         for pi in 0..n {
             for pj in pi + 1..n {
-                let Some(dep) = scope.pair_dep(f, machine, &may_follow, pi, pj) else {
-                    continue;
-                };
-                if dep.from == scope.items[pi].2 {
-                    flat.push((pi as u32, pj as u32, dep));
-                } else {
-                    flat.push((pj as u32, pi as u32, dep));
-                }
+                flat.extend(scope.pair_dep(f, machine, &may_follow, pi, pj));
             }
         }
 
-        let num_edges = flat.len();
         let (edges_in, in_off, edges_out, out_off) = csr_from_flat(n, &flat);
         DataDeps {
             edges_in,
@@ -564,13 +547,14 @@ impl DataDeps {
             id_base: scope.id_base,
             local: scope.local,
             order,
-            num_edges,
         }
     }
 
     /// The scope position of `i`: its index in [`Self::scope_order`],
-    /// or `None` for instructions outside the scope. Callers index
-    /// per-scope tables by it instead of by instruction id.
+    /// or `None` for instructions outside the scope. The one id→position
+    /// translation: a pass calls it where it reads an instruction from
+    /// the function, then indexes edges and per-scope tables by the
+    /// position.
     pub fn position(&self, i: InstId) -> Option<usize> {
         // Ids below the base wrap around and fall off the map's end.
         match self.local.get(i.index().wrapping_sub(self.id_base)) {
@@ -579,29 +563,28 @@ impl DataDeps {
         }
     }
 
-    /// Dependence edges into `i` (instructions `i` must wait for).
-    /// Empty for instructions outside the scope.
-    pub fn preds(&self, i: InstId) -> &[DataDep] {
-        self.position(i).map_or(&[], |p| self.preds_at(p))
-    }
-
-    /// Dependence edges out of `i`. Empty for instructions outside the
-    /// scope.
-    pub fn succs(&self, i: InstId) -> &[DataDep] {
-        self.position(i).map_or(&[], |p| self.succs_at(p))
-    }
-
-    fn preds_at(&self, p: usize) -> &[DataDep] {
+    /// Dependence edges into scope position `p` (instructions it must
+    /// wait for).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not a scope position.
+    pub fn preds(&self, p: usize) -> &[DataDep] {
         &self.edges_in[self.in_off[p] as usize..self.in_off[p + 1] as usize]
     }
 
-    fn succs_at(&self, p: usize) -> &[DataDep] {
+    /// Dependence edges out of scope position `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not a scope position.
+    pub fn succs(&self, p: usize) -> &[DataDep] {
         &self.edges_out[self.out_off[p] as usize..self.out_off[p + 1] as usize]
     }
 
     /// Total number of edges.
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.edges_out.len()
     }
 
     /// The scope's instructions in dependence-compatible order.
@@ -618,23 +601,18 @@ impl DataDeps {
         // Topologically sort the scope positions by dependence edges
         // (the scope block list need not have been supplied in execution
         // order). Kahn's algorithm; the edge set is acyclic by
-        // construction, and every edge endpoint is a scope instruction,
-        // so `self.local` translates ids to positions throughout.
+        // construction.
         const NONE: u32 = u32::MAX;
-        let base = self.id_base;
-        let pos_of = move |local: &[u32], id: InstId| local[id.index() - base] as usize;
         let mut indeg = vec![0usize; n];
-        for p in 0..n {
-            for e in self.succs_at(p) {
-                indeg[pos_of(&self.local, e.to)] += 1;
-            }
+        for e in &self.edges_out {
+            indeg[e.to as usize] += 1;
         }
         let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut topo: Vec<usize> = Vec::with_capacity(n);
         while let Some(i) = queue.pop() {
             topo.push(i);
-            for e in self.succs_at(i) {
-                let j = pos_of(&self.local, e.to);
+            for e in self.succs(i) {
+                let j = e.to as usize;
                 indeg[j] -= 1;
                 if indeg[j] == 0 {
                     queue.push(j);
@@ -658,8 +636,8 @@ impl DataDeps {
             // Detach row i so the rows it reads stay borrowable.
             let mut row = std::mem::take(&mut longest[i]);
             row[i] = 0;
-            for dep in self.succs_at(a) {
-                let j = topo_index[pos_of(&self.local, dep.to)] as usize;
+            for dep in self.succs(a) {
+                let j = topo_index[dep.to as usize] as usize;
                 let w = dep.sep() as i64;
                 for (cur, &lj) in row.iter_mut().zip(&longest[j]) {
                     if lj > NEG && w + lj > *cur {
@@ -679,15 +657,15 @@ impl DataDeps {
         let mut removed_keys: Vec<u64> = Vec::new();
         for a in 0..n {
             let lo = self.out_off[a] as usize;
-            for (off, e) in self.succs_at(a).iter().enumerate() {
-                let c = topo_index[pos_of(&self.local, e.to)] as usize;
+            for (off, e) in self.succs(a).iter().enumerate() {
+                let c = topo_index[e.to as usize] as usize;
                 // Redundant when some first hop b != c already reaches
                 // c with at least sep(e).
-                let redundant = self.succs_at(a).iter().any(|first| {
+                let redundant = self.succs(a).iter().any(|first| {
                     if first.to == e.to {
                         return false;
                     }
-                    let b = topo_index[pos_of(&self.local, first.to)] as usize;
+                    let b = topo_index[first.to as usize] as usize;
                     longest[b][c] > NEG && first.sep() as i64 + longest[b][c] >= e.sep() as i64
                 });
                 if redundant {
@@ -710,7 +688,7 @@ impl DataDeps {
         let mut in_off = vec![0u32; n + 1];
         for a in 0..n {
             let lo = self.out_off[a] as usize;
-            for (off, e) in self.succs_at(a).iter().enumerate() {
+            for (off, e) in self.succs(a).iter().enumerate() {
                 if keep[lo + off] {
                     edges_out.push(*e);
                 }
@@ -718,16 +696,15 @@ impl DataDeps {
             out_off[a + 1] = edges_out.len() as u32;
         }
         for t in 0..n {
-            for e in self.preds_at(t) {
-                let a = pos_of(&self.local, e.from) as u64;
-                let c = topo_index[pos_of(&self.local, e.to)] as u64;
+            for e in self.preds(t) {
+                let a = u64::from(e.from);
+                let c = u64::from(topo_index[e.to as usize]);
                 if removed_keys.binary_search(&(a << 32 | c)).is_err() {
                     edges_in.push(*e);
                 }
             }
             in_off[t + 1] = edges_in.len() as u32;
         }
-        self.num_edges -= removed_keys.len();
         self.edges_out = edges_out;
         self.out_off = out_off;
         self.edges_in = edges_in;
@@ -768,11 +745,13 @@ mod tests {
         (f, d)
     }
 
+    /// The edge between the instructions with ids `from` and `to`.
     fn edge(d: &DataDeps, from: u32, to: u32) -> Option<DataDep> {
-        d.succs(InstId::new(from))
+        let at = |i: u32| d.position(InstId::new(i)).expect("in scope");
+        d.succs(at(from))
             .iter()
             .copied()
-            .find(|e| e.to == InstId::new(to))
+            .find(|e| e.to as usize == at(to))
     }
 
     #[test]

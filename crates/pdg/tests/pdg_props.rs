@@ -167,9 +167,8 @@ fn reduction_preserves_longest_separations() {
         reduced.reduce();
         assert!(reduced.num_edges() <= full.num_edges());
 
-        let ids: Vec<InstId> = f.insts().map(|(_, i)| i.id).collect();
-        let sep_full = all_pairs_longest(&full, &ids);
-        let sep_reduced = all_pairs_longest(&reduced, &ids);
+        let sep_full = all_pairs_longest(&full);
+        let sep_reduced = all_pairs_longest(&reduced);
         assert_eq!(sep_full, sep_reduced, "separations changed\n{f}");
     });
 }
@@ -270,21 +269,22 @@ fn reaching_defs_brute(
 }
 
 /// All-pairs longest separation over the dependence graph, keyed by
-/// instruction pair, computed naively (DFS with memoization is
+/// scope position pair, computed naively (DFS with memoization is
 /// unnecessary at these sizes).
-fn all_pairs_longest(deps: &DataDeps, ids: &[InstId]) -> HashMap<(InstId, InstId), u64> {
+fn all_pairs_longest(deps: &DataDeps) -> HashMap<(u32, u32), u64> {
+    let n = deps.scope_order().len() as u32;
     let mut out = HashMap::new();
-    for &a in ids {
+    for a in 0..n {
         // Bellman-ish relaxation from a.
-        let mut dist: HashMap<InstId, u64> = HashMap::new();
+        let mut dist: HashMap<u32, u64> = HashMap::new();
         dist.insert(a, 0);
         // Iterate to fixpoint; graphs are tiny and acyclic.
         let mut changed = true;
         while changed {
             changed = false;
-            for &x in ids {
+            for x in 0..n {
                 let Some(&dx) = dist.get(&x) else { continue };
-                for e in deps.succs(x) {
+                for e in deps.succs(x as usize) {
                     let cand = dx + e.sep() as u64;
                     let entry = dist.entry(e.to).or_insert(0);
                     if cand > *entry {

@@ -26,6 +26,7 @@ use gis_trace::Metrics;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -102,6 +103,56 @@ impl ServeConfig {
 }
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// One function's answer: its index in the batch, its name and outcome.
+type FuncResult = (usize, String, FuncOutcome);
+
+/// Starts `workers` pool threads, each running jobs from the returned
+/// queue until every sender is dropped.
+fn spawn_pool(workers: usize) -> (mpsc::Sender<Job>, Vec<thread::JoinHandle<()>>) {
+    let (tx, rx) = mpsc::channel::<Job>();
+    let rx = Arc::new(Mutex::new(rx));
+    let handles = (0..workers)
+        .map(|_| {
+            let rx = Arc::clone(&rx);
+            thread::spawn(move || loop {
+                let job = rx.lock().expect("pool queue lock").recv();
+                match job {
+                    Ok(job) => job(),
+                    Err(_) => break,
+                }
+            })
+        })
+        .collect();
+    (tx, handles)
+}
+
+/// The pool job for function `index` of a batch: runs `work` and sends
+/// its outcome to `results`, under `name` when the request gave one. A
+/// panic in `work` is answered as that function's `error` line
+/// (`internal error: …`) and the worker goes on to its next job.
+/// Unwinding out of a compile leaves nothing shared half-updated: the
+/// schedule cache and the region memo hold their locks only for a
+/// lookup or an insert, never while a compile runs.
+fn schedule_job(
+    index: usize,
+    name: Option<String>,
+    work: impl FnOnce() -> (String, FuncOutcome) + Send + 'static,
+    results: mpsc::Sender<FuncResult>,
+) -> Job {
+    Box::new(move || {
+        let (own_name, outcome) = panic::catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|p| {
+            let what = p
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| p.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "the compile panicked".to_owned());
+            let message = format!("internal error: {what}");
+            (format!("func{index}"), FuncOutcome::Error { message })
+        });
+        let _ = results.send((index, name.unwrap_or(own_name), outcome));
+    })
+}
 
 struct Shared {
     cache: ScheduleCache,
@@ -229,22 +280,8 @@ pub fn start(config: ServeConfig) -> io::Result<Server> {
     }
 
     // Fixed worker pool shared by every connection.
-    let workers = effective_jobs(config.jobs);
-    let (tx, rx) = mpsc::channel::<Job>();
+    let (tx, worker_handles) = spawn_pool(effective_jobs(config.jobs));
     *shared.pool_tx.lock().expect("pool lock") = Some(tx);
-    let rx = Arc::new(Mutex::new(rx));
-    let worker_handles: Vec<_> = (0..workers)
-        .map(|_| {
-            let rx = Arc::clone(&rx);
-            thread::spawn(move || loop {
-                let job = rx.lock().expect("pool queue lock").recv();
-                match job {
-                    Ok(job) => job(),
-                    Err(_) => break,
-                }
-            })
-        })
-        .collect();
 
     let accept_shared = Arc::clone(&shared);
     let accept_thread = thread::spawn(move || {
@@ -535,18 +572,14 @@ fn handle_schedule(
         .map(|(i, f)| f.name.clone().unwrap_or_else(|| format!("func{i}")))
         .collect();
 
-    let (results_tx, results_rx) = mpsc::channel::<(usize, String, FuncOutcome)>();
+    let (results_tx, results_rx) = mpsc::channel::<FuncResult>();
     for (index, func) in req.funcs.into_iter().enumerate() {
-        let results_tx = results_tx.clone();
         let machine = Arc::clone(&machine);
         let config = Arc::clone(&config);
         let shared = Arc::clone(shared);
-        let lang = req.lang;
-        let job: Job = Box::new(move || {
-            let (name, outcome) = schedule_one(&shared, lang, &func.text, &machine, &config);
-            let name = func.name.unwrap_or(name);
-            let _ = results_tx.send((index, name, outcome));
-        });
+        let (lang, text) = (req.lang, func.text);
+        let work = move || schedule_one(&shared, lang, &text, &machine, &config);
+        let job = schedule_job(index, func.name, work, results_tx.clone());
         if pool.send(job).is_err() {
             break; // pool retired mid-shutdown; unfinished funcs time out below
         }
@@ -766,6 +799,35 @@ pub fn signal_pending() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_panicking_job_answers_an_error_and_keeps_its_worker() {
+        let (pool, workers) = spawn_pool(1);
+        let (tx, rx) = mpsc::channel();
+        let planted = || -> (String, FuncOutcome) { panic!("planted") };
+        let next = || ("next".to_owned(), FuncOutcome::Timeout);
+        for job in [
+            schedule_job(0, None, planted, tx.clone()),
+            schedule_job(1, None, next, tx),
+        ] {
+            pool.send(job).expect("the pool is running");
+        }
+        let wait = Duration::from_secs(30);
+        let (index, name, outcome) = rx.recv_timeout(wait).expect("the panic is answered");
+        assert_eq!((index, name.as_str()), (0, "func0"));
+        assert!(
+            matches!(&outcome, FuncOutcome::Error { message } if message == "internal error: planted"),
+            "{outcome:?}"
+        );
+        let (index, name, _) = rx.recv_timeout(wait).expect("the worker ran the next job");
+        assert_eq!((index, name.as_str()), (1, "next"));
+        drop(pool);
+        for worker in workers {
+            worker
+                .join()
+                .expect("the worker exits when the pool closes");
+        }
+    }
 
     #[test]
     fn listen_specs_parse() {

@@ -37,6 +37,9 @@ pub enum ExecError {
     StepLimit {
         /// Steps executed when the limit was hit.
         steps: u64,
+        /// Observable output up to then, so runs that never end can
+        /// still be compared by what they printed.
+        output: Vec<OutputEvent>,
     },
     /// A memory access used an address that is not 4-byte aligned.
     Unaligned {
@@ -48,7 +51,7 @@ pub enum ExecError {
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExecError::StepLimit { steps } => {
+            ExecError::StepLimit { steps, .. } => {
                 write!(f, "step limit exhausted after {steps} instructions")
             }
             ExecError::Unaligned { addr } => {
@@ -268,7 +271,7 @@ pub fn execute(
         for inst in block.insts() {
             steps += 1;
             if steps > config.max_steps {
-                return Err(ExecError::StepLimit { steps });
+                return Err(ExecError::StepLimit { steps, output });
             }
             match &inst.op {
                 Op::Load { rt, mem } => {
@@ -457,9 +460,13 @@ mod tests {
 
     #[test]
     fn step_limit_stops_infinite_loops() {
-        let f = parse_function("func i\nL:\n B L\n").expect("parses");
-        let err = execute(&f, &[], &ExecConfig { max_steps: 100 }).unwrap_err();
-        assert!(matches!(err, ExecError::StepLimit { .. }));
+        let f = parse_function("func i\nL:\n PRINT r1\n B L\n").expect("parses");
+        let err = execute(&f, &[], &ExecConfig { max_steps: 5 }).unwrap_err();
+        // Three PRINTs and two branches fit in five steps.
+        let ExecError::StepLimit { steps: 6, output } = err else {
+            panic!("{err:?}");
+        };
+        assert_eq!(output, vec![OutputEvent::Print(0); 3]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Quickstart: build a function, schedule it globally, and measure the
+//! Quickstart: parse a function, schedule it globally, and measure the
 //! cycle win on the RS/6000 machine model.
 //!
 //! ```text
@@ -6,56 +6,37 @@
 //! ```
 
 use gis_core::{compile, SchedConfig};
-use gis_ir::{CondBit, FunctionBuilder};
+use gis_ir::parse_function;
 use gis_machine::MachineDescription;
 use gis_sim::{execute, ExecConfig, TimingSim};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A little loop: sum the positive elements of an array.
     //   for (i = 0; i < 8; i++) if (a[i] > 0) sum += a[i];
-    let mut b = FunctionBuilder::new("sum_positive");
-    let base = b.gpr();
-    let i = b.gpr();
-    let n = b.gpr();
-    let sum = b.gpr();
-    let x = b.gpr();
-    let sum2 = b.gpr();
-    let cr_pos = b.cr();
-    let cr_loop = b.cr();
-    let a = b.symbol("a");
-
-    let entry = b.block("entry");
-    let head = b.block("head");
-    let add = b.block("add");
-    let latch = b.block("latch");
-    let done = b.block("done");
-
-    b.switch_to(entry);
-    b.load_imm(base, 0x1000);
-    b.load_imm(i, 0);
-    b.load_imm(n, 8);
-    b.load_imm(sum, 0);
-
-    b.switch_to(head);
-    // x = a[i]; if (x <= 0) skip the add.
-    b.load_update(x, a, base, 4);
-    b.compare_imm(cr_pos, x, 0);
-    b.branch_false(latch, cr_pos, CondBit::Gt);
-
-    b.switch_to(add);
-    b.fx(gis_ir::FxBinOp::Add, sum2, sum, x);
-    b.mov(sum, sum2);
-
-    b.switch_to(latch);
-    b.add_imm(i, i, 1);
-    b.compare(cr_loop, i, n);
-    b.branch_true(head, cr_loop, CondBit::Lt);
-
-    b.switch_to(done);
-    b.print(sum);
-    b.ret();
-
-    let function = b.finish()?;
+    // r0 is the array cursor, r1 `i`, r2 `n`, r3 `sum`, r4 `a[i]`.
+    let function = parse_function(
+        "func sum_positive
+         entry:
+           LI r0=4096
+           LI r1=0
+           LI r2=8
+           LI r3=0
+         head:
+           LU r4,r0=a(r0,4)
+           CI cr0=r4,0
+           BF latch,cr0,0x2/gt
+         add:
+           A  r5=r3,r4
+           LR r3=r5
+         latch:
+           AI r1=r1,1
+           C  cr1=r1,r2
+           BT head,cr1,0x1/lt
+         done:
+           PRINT r3
+           RET
+        ",
+    )?;
 
     // Initial memory: a[0..8] just past the base pointer (the loop uses
     // load-with-update, so the first element sits at base+4).

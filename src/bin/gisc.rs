@@ -70,7 +70,7 @@ use gis_machine::MachineDescription;
 use gis_sim::{execute, ExecConfig, TimingSim};
 use gis_trace::{render_report, Metrics, NopObserver, Recorder, TraceEvent, TraceQuery};
 use gis_viz::{schedule_report, traced_cfg_dot, traced_cspdg_dot, ScheduleReport};
-use std::io::Read as _;
+use std::io::{Read as _, Write};
 use std::process::ExitCode;
 
 /// How (and whether) to print a graph in DOT instead of code.
@@ -297,26 +297,63 @@ fn read_input(file: &str) -> Result<String, String> {
     }
 }
 
+/// Stdout for everything gisc prints, through one locked handle. Once a
+/// write fails, later output is dropped but the command runs on, so its
+/// own checks still decide the exit status; [`Stdout::finish`] adds the
+/// write error to it. A reader that closed the pipe early (`gisc … | head`)
+/// has all it asked for, so that error alone changes nothing.
+struct Stdout {
+    out: std::io::StdoutLock<'static>,
+    error: Option<std::io::Error>,
+}
+
+impl Stdout {
+    /// Writes formatted output: the target of `write!` and `writeln!`.
+    fn write_fmt(&mut self, args: std::fmt::Arguments<'_>) {
+        if self.error.is_none() {
+            self.error = self.out.write_fmt(args).err();
+        }
+    }
+
+    /// Flushes, and fails `code` when a write failed other than on a
+    /// closed pipe.
+    fn finish(mut self, code: ExitCode) -> ExitCode {
+        if self.error.is_none() {
+            self.error = self.out.flush().err();
+        }
+        match self.error {
+            Some(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+                eprintln!("gisc: writing stdout: {e}");
+                ExitCode::FAILURE
+            }
+            _ => code,
+        }
+    }
+}
+
 fn main() -> ExitCode {
+    let mut out = Stdout {
+        out: std::io::stdout().lock(),
+        error: None,
+    };
     // Subcommand dispatch before flag parsing: `gisc fuzz`/`gisc verify`
     // wrap the gis-check subsystem.
     let mut raw = std::env::args().skip(1);
-    match raw.next().as_deref() {
-        Some("fuzz") => return fuzz_command(raw),
-        Some("verify") => return verify_command(raw),
-        Some("serve") => return serve_command(raw),
-        Some("serve-request") => return serve_request_command(raw),
-        Some("bench-matrix") => return bench_matrix_command(raw),
-        _ => {}
-    }
-    let opts = parse_args();
-    match drive(&opts) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("gisc: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    let code = match raw.next().as_deref() {
+        Some("fuzz") => fuzz_command(raw),
+        Some("verify") => verify_command(raw, &mut out),
+        Some("serve") => serve_command(raw),
+        Some("serve-request") => serve_request_command(raw, &mut out),
+        Some("bench-matrix") => bench_matrix_command(raw),
+        _ => match drive(&parse_args(), &mut out) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(msg) => {
+                eprintln!("gisc: {msg}");
+                ExitCode::FAILURE
+            }
+        },
+    };
+    out.finish(code)
 }
 
 /// `gisc fuzz [--seed N] [--iters K] [--out DIR]`: run the differential
@@ -377,7 +414,7 @@ fn fuzz_command(mut args: impl Iterator<Item = String>) -> ExitCode {
 /// `gisc verify <file|->`: structural verification of one textual-IR
 /// file. Accepts corpus reproducers (`; mem:` header lines are ignored
 /// for verification purposes).
-fn verify_command(mut args: impl Iterator<Item = String>) -> ExitCode {
+fn verify_command(mut args: impl Iterator<Item = String>, out: &mut Stdout) -> ExitCode {
     let Some(file) = args.next() else {
         bad_arg("verify expects a file argument (or '-' for stdin)");
     };
@@ -402,7 +439,8 @@ fn verify_command(mut args: impl Iterator<Item = String>) -> ExitCode {
     };
     match gis_check::verify_function(&function) {
         Ok(()) => {
-            println!(
+            writeln!(
+                out,
                 "{file}: ok ({} blocks, {} instructions)",
                 function.num_blocks(),
                 function.num_insts()
@@ -604,7 +642,7 @@ fn serve_command(mut args: impl Iterator<Item = String>) -> ExitCode {
 /// in a fixed order — ping, raw lines, schedule batches (each `--repeat`
 /// round re-sends the same batch, so round two onward measures the
 /// cache), stats, shutdown.
-fn serve_request_command(mut args: impl Iterator<Item = String>) -> ExitCode {
+fn serve_request_command(mut args: impl Iterator<Item = String>, out: &mut Stdout) -> ExitCode {
     let mut listen: Option<(gis_serve::Listen, String)> = None;
     let mut machine = String::from("rs6k");
     let mut lang = gis_serve::Lang::TinyC;
@@ -688,6 +726,7 @@ fn serve_request_command(mut args: impl Iterator<Item = String>) -> ExitCode {
         bad_arg("serve-request expects --listen unix:PATH or tcp:HOST:PORT");
     };
     let outcome = run_requests(
+        out,
         &listen,
         &machine,
         lang,
@@ -714,6 +753,7 @@ fn serve_request_command(mut args: impl Iterator<Item = String>) -> ExitCode {
 /// function failed or timed out.
 #[allow(clippy::too_many_arguments)] // a private arg-struct in all but name
 fn run_requests(
+    out: &mut Stdout,
     listen: &gis_serve::Listen,
     machine: &str,
     lang: gis_serve::Lang,
@@ -729,10 +769,10 @@ fn run_requests(
     let mut all_ok = true;
     if ping {
         client.ping()?;
-        println!("pong");
+        writeln!(out, "pong");
     }
     for line in raw_lines {
-        println!("{}", client.round_trip_raw(line)?);
+        writeln!(out, "{}", client.round_trip_raw(line)?);
     }
     for round in 1..=if funcs.is_empty() { 0 } else { repeat } {
         let batch = client.schedule_batch(lang, machine, Vec::new(), funcs)?;
@@ -746,9 +786,9 @@ fn run_requests(
                     ..
                 } => {
                     let source = if *cached { "hit" } else { "miss" };
-                    println!("{}: {source} {hash:016x} {nanos} ns", f.name);
+                    writeln!(out, "{}: {source} {hash:016x} {nanos} ns", f.name);
                     if print_schedule {
-                        print!("{schedule}");
+                        write!(out, "{schedule}");
                     }
                 }
                 gis_serve::FuncOutcome::Error { message } => {
@@ -769,7 +809,7 @@ fn run_requests(
     }
     if stats {
         for (name, value) in client.stats()? {
-            println!("{name} {value}");
+            writeln!(out, "{name} {value}");
         }
     }
     if shutdown {
@@ -779,7 +819,7 @@ fn run_requests(
     Ok(all_ok)
 }
 
-fn drive(opts: &Options) -> Result<(), String> {
+fn drive(opts: &Options, out: &mut Stdout) -> Result<(), String> {
     let text = read_input(&opts.file)?;
     let is_tinyc = opts
         .tinyc
@@ -864,19 +904,22 @@ fn drive(opts: &Options) -> Result<(), String> {
         DotMode::Off => {}
         DotMode::Plain => {
             let cfg = Cfg::new(&function);
-            print!("{}", cfg_to_dot(&function, &cfg));
+            write!(out, "{}", cfg_to_dot(&function, &cfg));
         }
         DotMode::Traced => {
-            print!("{}", traced_cfg_dot(Some(&original), &function, &query));
+            let dot = traced_cfg_dot(Some(&original), &function, &query);
+            write!(out, "{dot}");
         }
     }
     match opts.dot_cspdg {
         DotMode::Off => {}
-        DotMode::Plain => print!("{}", traced_cspdg_dot(&function, None)),
-        DotMode::Traced => print!("{}", traced_cspdg_dot(&function, Some(&query))),
+        DotMode::Plain => write!(out, "{}", traced_cspdg_dot(&function, None)),
+        DotMode::Traced => {
+            write!(out, "{}", traced_cspdg_dot(&function, Some(&query)));
+        }
     }
     if opts.dot_cfg == DotMode::Off && opts.dot_cspdg == DotMode::Off {
-        print!("{function}");
+        write!(out, "{function}");
     }
     if opts.stats {
         eprintln!("{stats}");

@@ -682,3 +682,61 @@ fn bench_matrix_rejects_unknown_arguments() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+#[test]
+fn a_reader_that_stops_early_ends_gisc_quietly() {
+    use std::io::{BufRead as _, Write as _};
+    // About 100 KiB of scheduled code: more than a pipe buffers, so gisc
+    // is still writing when the reader goes away.
+    let mut src = String::from("func big\n");
+    for b in 0..200 {
+        src.push_str(&format!("B{b}:\n"));
+        for r in 0..20 {
+            src.push_str(&format!(" LI r{r}={b}\n"));
+        }
+    }
+    src.push_str(" RET\n");
+    let missing = std::env::temp_dir()
+        .join(format!("gisc-missing-{}", std::process::id()))
+        .join("r.html");
+    let missing = missing.to_str().expect("utf-8 path");
+    // The work after the last write still runs, and decides the status:
+    // `--run` checks the schedule, a report that cannot be written fails.
+    let cases: [(&[&str], bool, &str); 3] = [
+        (&["--asm", "-"], true, ""),
+        (&["--asm", "--run", "-"], true, "printed: []\n"),
+        (&["--asm", "--report", missing, "-"], false, "gisc: writing"),
+    ];
+    for (args, ok, stderr_start) in cases {
+        let mut child = gisc()
+            .args(args)
+            .stdin(std::process::Stdio::piped())
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawns");
+        let mut stdin = child.stdin.take().expect("stdin");
+        stdin.write_all(src.as_bytes()).expect("writes");
+        drop(stdin);
+        let mut first = String::new();
+        std::io::BufReader::new(child.stdout.take().expect("stdout"))
+            .read_line(&mut first)
+            .expect("reads a line");
+        assert_eq!(first, "func big\n");
+        // The reader is dropped here: the pipe is closed.
+        let out = child.wait_with_output().expect("finishes");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.success(),
+            ok,
+            "{args:?}: {:?}: {stderr}",
+            out.status
+        );
+        assert!(stderr.starts_with(stderr_start), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr.is_empty(),
+            stderr_start.is_empty(),
+            "{args:?}: {stderr}"
+        );
+    }
+}

@@ -18,6 +18,7 @@ use gis_core::{compile, SchedConfig, SchedLevel};
 use gis_ir::{BlockId, Function, InstId};
 use gis_machine::MachineDescription;
 use gis_pdg::Cspdg;
+use gis_sim::{execute, ExecConfig, ExecError, OutputEvent};
 use gis_tinyc::compile_ast;
 use gis_workloads::rng::XorShift64Star;
 use std::collections::HashMap;
@@ -147,4 +148,72 @@ fn invariants_hold_on_the_paper_example() {
         compile(&mut f, &machine, &SchedConfig::paper_example(level)).expect("compiles");
         check_invariants(&original, &f, level);
     }
+}
+
+/// A run's output, and whether it ended within the step limit.
+fn run_bounded(f: &Function) -> (Vec<OutputEvent>, bool) {
+    match execute(f, &[], &ExecConfig { max_steps: 10_000 }) {
+        Ok(out) => (out.output, true),
+        Err(ExecError::StepLimit { output, .. }) => (output, false),
+        Err(e) => panic!("{e}\n{f}"),
+    }
+}
+
+/// Schedules `text` at the useful and speculative levels, unroll and
+/// rotate off, and checks that each schedule prints what the original
+/// does. A run that never ends is compared as far as both runs got.
+fn schedules_print_as_before(text: &str) {
+    let original = gis_ir::parse_function(text).expect("parses");
+    let (before, ends) = run_bounded(&original);
+    assert!(!before.is_empty(), "the original prints");
+    for level in [SchedLevel::Useful, SchedLevel::Speculative] {
+        let mut config = SchedConfig::speculative();
+        config.level = level;
+        config.unroll = false;
+        config.rotate = false;
+        let mut f = original.clone();
+        compile(&mut f, &MachineDescription::rs6k(), &config).expect("compiles");
+        let (after, after_ends) = run_bounded(&f);
+        assert_eq!(after_ends, ends, "{level:?}\n{f}");
+        let n = if ends {
+            before.len().max(after.len())
+        } else {
+            before.len().min(after.len())
+        };
+        let head = |v: &[OutputEvent]| v[..v.len().min(4)].to_vec();
+        assert!(
+            after.get(..n) == before.get(..n),
+            "{level:?}: printed {:?}… where the original printed {:?}…\n{f}",
+            head(&after),
+            head(&before)
+        );
+    }
+}
+
+/// A loop whose header also branches back to itself: its back edge ends
+/// an iteration, so the latch is not equivalent to the header and its
+/// increment may not move up into the block that runs more often.
+#[test]
+fn a_header_branching_to_itself_keeps_the_latch_apart() {
+    schedules_print_as_before(
+        "func u\n\
+         init:\n LI r9=5\n LI r14=0\n LI r15=0\n\
+         u0:\n AI r14=r14,1\n C cr5=r14,r15\n BT u0,cr5,0x1/lt\n\
+         u1:\n AI r15=r15,2\n C cr6=r15,r9\n BT u0,cr6,0x1/lt\n\
+         out:\n PRINT r14\n RET\n",
+    );
+}
+
+/// A branch either into a loop that never exits or to a block that
+/// stores and returns: the loop still reaches the region's EXIT, so the
+/// returning block does not postdominate the branch and its store may
+/// not move above it into the loop's path.
+#[test]
+fn a_loop_that_never_exits_keeps_its_sibling_apart() {
+    schedules_print_as_before(
+        "func x\n\
+         A:\n LI r3=4096\n LI r5=7\n LI r7=1\n C cr0=r6,r7\n BT S,cr0,0x1/lt\n\
+         B:\n ST r5=>a(r3,0)\n PRINT r5\n RET\n\
+         S:\n L r4=a(r3,0)\n PRINT r4\n B S\n",
+    );
 }
