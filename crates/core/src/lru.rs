@@ -51,6 +51,16 @@ impl<V> Lru<V> {
 
     /// Looks up a key, bumping its recency on a hit. Counts the access.
     pub fn get(&self, key: u64) -> Option<Arc<V>> {
+        let hit = self.probe(key);
+        if hit.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        hit
+    }
+
+    /// [`Lru::get`] that counts only a hit: for a caller that answers a
+    /// miss another way, which counts that access itself.
+    pub fn probe(&self, key: u64) -> Option<Arc<V>> {
         let mut inner = self.lock();
         inner.clock += 1;
         let stamp = inner.clock;
@@ -63,12 +73,9 @@ impl<V> Lru<V> {
             inner.by_stamp.insert(stamp, key);
         }
         drop(inner);
-        let counter = if hit.is_some() {
-            &self.hits
-        } else {
-            &self.misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        if hit.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
         hit.map(|(value, _)| value)
     }
 
@@ -161,6 +168,23 @@ mod tests {
         lru.clear();
         assert!(lru.is_empty());
         assert_eq!((lru.hits(), lru.misses(), lru.evictions()), (0, 0, 0));
+    }
+
+    #[test]
+    fn a_probe_counts_only_hits() {
+        let lru = Lru::new(2);
+        lru.insert(1, Arc::new("a"));
+        lru.insert(2, Arc::new("b"));
+        assert!(lru.probe(3).is_none());
+        assert_eq!(
+            (lru.hits(), lru.misses()),
+            (0, 0),
+            "a probe miss is uncounted"
+        );
+        assert!(lru.probe(1).is_some(), "1 becomes the most recent");
+        assert_eq!((lru.hits(), lru.misses()), (1, 0));
+        lru.insert(3, Arc::new("c"));
+        assert!(lru.get(2).is_none(), "the probe bumped 1 past 2");
     }
 
     #[test]

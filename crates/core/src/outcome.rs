@@ -24,7 +24,8 @@
 //! spellings. Two callers apply outcomes, both in region order: a region
 //! memo hit, whose key pins every scope block's id, label, successors,
 //! instruction ids and operations; and the `--jobs` merge, whose tasks
-//! recorded their outcomes on snapshots of the master's pre-pass content.
+//! recorded their outcomes on worker snapshots that still held the
+//! master's pre-pass content in each task's own (disjoint) unit.
 
 use crate::parallel::GlobalPass;
 use crate::stats::SchedStats;

@@ -160,8 +160,11 @@ pub(crate) fn global_pass<O: SchedObserver>(
 
 /// Fans the tasks out over the pool and returns every region's outcome.
 /// Workers claim tasks through one shared index, in plan order, and each
-/// task runs against its own snapshot of `master`, so the claim order
-/// cannot influence any result. A panicking task fails the pass: the
+/// worker runs its tasks on one snapshot of `master`, taken before its
+/// first claim. The claim order cannot influence any result: units are
+/// disjoint, and each outcome records its register and id draws
+/// relative to the allocators it started from, so the merge renumbers
+/// them wherever they landed. A panicking task fails the pass: the
 /// other workers drain the list, and the scope re-raises the panic.
 fn run_tasks(
     pass: &GlobalPass,
@@ -175,8 +178,8 @@ fn run_tasks(
     let next = AtomicUsize::new(0);
     let work = || {
         let mut outs = Vec::new();
+        let mut fu = master.snapshot();
         while let Some(task) = tasks.get(next.fetch_add(1, Ordering::Relaxed)) {
-            let mut fu = master.snapshot();
             for &rid in &task.regions {
                 // Statistics and events are the merge's to report.
                 let mut dropped = SchedStats::default();

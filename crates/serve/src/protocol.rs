@@ -12,6 +12,7 @@
 //!
 //! The full request/response grammar is specified in `docs/SERVICE.md`.
 
+use crate::cache::CachedSchedule;
 use gis_core::SchedConfig;
 use gis_machine::MachineDescription;
 use gis_trace::{Json, ObjectWriter};
@@ -417,12 +418,8 @@ pub(crate) fn push_schedule_line(
                 moved_speculative,
                 schedule,
             } => {
-                o.str("status", "ok").bool("cached", *cached);
-                let _ = write!(o.key("hash"), "\"{hash:016x}\"");
-                o.int("nanos", *nanos as i64)
-                    .int("moved_useful", *moved_useful as i64)
-                    .int("moved_speculative", *moved_speculative as i64)
-                    .str("schedule", schedule);
+                let moved = (*moved_useful, *moved_speculative);
+                ok_members(o, *cached, *hash, *nanos, moved, schedule);
             }
             FuncOutcome::Error { message } => {
                 o.str("status", "error").str("error", message);
@@ -432,6 +429,42 @@ pub(crate) fn push_schedule_line(
             }
         }
     });
+}
+
+/// Appends the line [`push_schedule_line`] writes for a cached
+/// [`FuncOutcome::Ok`] looked up in `nanos`, escaping the schedule
+/// straight from the cache entry `hit`.
+pub(crate) fn push_hit_line(
+    out: &mut String,
+    id: i64,
+    index: usize,
+    name: &str,
+    hit: &CachedSchedule,
+    nanos: u64,
+) {
+    out.reserve(line_capacity(name.len() + hit.text.len()));
+    push_response(out, "schedule", |o| {
+        o.int("id", id).int("index", index as i64).str("name", name);
+        let moved = (hit.moved_useful, hit.moved_speculative);
+        ok_members(o, true, hit.hash, nanos, moved, &hit.text);
+    });
+}
+
+/// The members of a [`FuncOutcome::Ok`] line.
+fn ok_members(
+    o: &mut ObjectWriter,
+    cached: bool,
+    hash: u64,
+    nanos: u64,
+    (moved_useful, moved_speculative): (u64, u64),
+    schedule: &str,
+) {
+    o.str("status", "ok").bool("cached", cached);
+    let _ = write!(o.key("hash"), "\"{hash:016x}\"");
+    o.int("nanos", nanos as i64)
+        .int("moved_useful", moved_useful as i64)
+        .int("moved_speculative", moved_speculative as i64)
+        .str("schedule", schedule);
 }
 
 /// The `batch-end` summary line closing batch `id`.
@@ -700,6 +733,16 @@ mod tests {
             schedule: "func f\ne:\n    (I0)   RET\n".to_owned(),
         };
         let line = schedule_line(9, 2, "f", &ok);
+        let hit = CachedSchedule {
+            text: "func f\ne:\n    (I0)   RET\n".to_owned(),
+            hash: 0xdead_beef_0123_4567,
+            moved_useful: 3,
+            moved_speculative: 1,
+            nanos: 7,
+        };
+        let mut from_hit = String::new();
+        push_hit_line(&mut from_hit, 9, 2, "f", &hit, 42);
+        assert_eq!(from_hit, line, "a source-index hit writes the same line");
         let Response::Schedule {
             id,
             index,

@@ -14,10 +14,11 @@
 //! the unix socket file is unlinked before [`Server::join`] returns the
 //! final metrics.
 
-use crate::cache::{cache_key, CachedSchedule, ScheduleCache};
+use crate::cache::{cache_key, source_prefix, CachedSchedule, ScheduleCache, SourceAddr};
 use crate::protocol::{
-    batch_end_line, error_line, parse_request, pong_line, push_schedule_line, resolve_machine,
-    shutdown_line, stats_line, BatchSummary, FuncOutcome, Lang, Request, ScheduleRequest,
+    batch_end_line, error_line, parse_request, pong_line, push_hit_line, push_schedule_line,
+    resolve_machine, shutdown_line, stats_line, BatchSummary, FuncOutcome, Lang, Request,
+    ScheduleRequest,
 };
 use gis_core::{compile, effective_jobs, SchedConfig};
 use gis_ir::hash::fnv64_str;
@@ -503,6 +504,13 @@ impl Outbox {
         self.buf.push('\n');
     }
 
+    /// Queues the `schedule` line of a source-index hit, serialized
+    /// straight from the cache entry.
+    fn push_hit(&mut self, id: i64, index: usize, name: &str, hit: &CachedSchedule, nanos: u64) {
+        push_hit_line(&mut self.buf, id, index, name, hit, nanos);
+        self.buf.push('\n');
+    }
+
     fn flush(&mut self, stream: &mut dyn Conn) -> io::Result<()> {
         if self.buf.is_empty() {
             return Ok(());
@@ -541,9 +549,21 @@ fn current_counters(shared: &Shared) -> Vec<(String, u64)> {
     out
 }
 
-/// Answers one batch into `out`. Result lines stream: whatever is ready
-/// is flushed before each wait for the next result, and the last result
-/// line goes out with `batch-end` in the caller's flush.
+/// Where one function of a batch stands.
+enum Slot {
+    /// With the pool; the name answers a timeout.
+    Pending(String),
+    /// Answered from the source index: name, schedule, lookup time.
+    Hit(String, Arc<CachedSchedule>, u64),
+    /// Answered by a worker.
+    Done(String, FuncOutcome),
+}
+
+/// Answers one batch into `out`. A function whose text the source index
+/// knows is answered here, on the connection thread; the rest go to the
+/// pool. Result lines stream: whatever is ready is flushed before each
+/// wait for the next result, and the last result line goes out with
+/// `batch-end` in the caller's flush.
 fn handle_schedule(
     stream: &mut dyn Conn,
     out: &mut Outbox,
@@ -565,38 +585,54 @@ fn handle_schedule(
 
     let started = Instant::now();
     let count = req.funcs.len();
-    let fallback_names: Vec<String> = req
-        .funcs
-        .iter()
-        .enumerate()
-        .map(|(i, f)| f.name.clone().unwrap_or_else(|| format!("func{i}")))
-        .collect();
-
+    let prefix = source_prefix(req.lang, &machine, &config);
     let (results_tx, results_rx) = mpsc::channel::<FuncResult>();
+    let mut slots = Vec::with_capacity(count);
+    let mut waiting = 0usize;
     for (index, func) in req.funcs.into_iter().enumerate() {
+        let looked_up = Instant::now();
+        let addr = shared.cache.source_addr(prefix, &func.text);
+        if let Some((entry, hit)) = shared.cache.lookup_source(&addr) {
+            let name = func.name.unwrap_or_else(|| entry.name.to_string());
+            let nanos = looked_up.elapsed().as_nanos() as u64;
+            slots.push(Slot::Hit(name, hit, nanos));
+            continue;
+        }
+        slots.push(Slot::Pending(
+            func.name.clone().unwrap_or_else(|| format!("func{index}")),
+        ));
         let machine = Arc::clone(&machine);
         let config = Arc::clone(&config);
         let shared = Arc::clone(shared);
         let (lang, text) = (req.lang, func.text);
-        let work = move || schedule_one(&shared, lang, &text, &machine, &config);
+        let work = move || schedule_one(&shared, lang, &text, &machine, &config, addr);
         let job = schedule_job(index, func.name, work, results_tx.clone());
-        if pool.send(job).is_err() {
-            break; // pool retired mid-shutdown; unfinished funcs time out below
+        // A pool retired mid-shutdown refuses the job; it times out below.
+        if pool.send(job).is_ok() {
+            waiting += 1;
         }
     }
     drop(results_tx);
 
     let deadline =
         (shared.timeout_ms > 0).then(|| started + Duration::from_millis(shared.timeout_ms));
-    let mut results: Vec<Option<(String, FuncOutcome)>> = (0..count).map(|_| None).collect();
-    let mut received = 0usize;
     let mut next_emit = 0usize;
     let mut summary = BatchSummary {
         count: count as u64,
         ..BatchSummary::default()
     };
-
-    while received < count {
+    loop {
+        // Queue every line now ready, in input order.
+        while let Some(slot) = slots.get(next_emit) {
+            if matches!(slot, Slot::Pending(_)) {
+                break;
+            }
+            emit(out, &mut summary, req.id, next_emit, slot);
+            next_emit += 1;
+        }
+        if waiting == 0 {
+            break;
+        }
         out.flush(stream)?;
         let next = match deadline {
             Some(d) => {
@@ -612,15 +648,8 @@ fn handle_schedule(
         };
         match next {
             Ok((index, name, outcome)) => {
-                results[index] = Some((name, outcome));
-                received += 1;
-                // Queue every line now ready, in input order.
-                while let Some(Some((name, outcome))) = results.get_mut(next_emit).map(Option::take)
-                {
-                    tally(&mut summary, &outcome);
-                    out.push_schedule(req.id, next_emit, &name, &outcome);
-                    next_emit += 1;
-                }
+                slots[index] = Slot::Done(name, outcome);
+                waiting -= 1;
             }
             Err(_) => break, // deadline hit, or pool retired under shutdown
         }
@@ -628,12 +657,8 @@ fn handle_schedule(
 
     // Anything still pending missed the deadline (results that arrived
     // out of order past `next_emit` are still emitted as themselves).
-    for index in next_emit..count {
-        let (name, outcome) = results[index]
-            .take()
-            .unwrap_or_else(|| (fallback_names[index].clone(), FuncOutcome::Timeout));
-        tally(&mut summary, &outcome);
-        out.push_schedule(req.id, index, &name, &outcome);
+    for (index, slot) in slots.iter().enumerate().skip(next_emit) {
+        emit(out, &mut summary, req.id, index, slot);
     }
 
     summary.nanos = started.elapsed().as_nanos() as u64;
@@ -641,6 +666,26 @@ fn handle_schedule(
     record(shared, "serve.batches", 1);
     out.push(&batch_end_line(req.id, &summary));
     Ok(())
+}
+
+/// Queues function `index`'s line and counts it in `summary`; a slot
+/// still pending is a timeout.
+fn emit(out: &mut Outbox, summary: &mut BatchSummary, id: i64, index: usize, slot: &Slot) {
+    match slot {
+        Slot::Pending(name) => {
+            tally(summary, &FuncOutcome::Timeout);
+            out.push_schedule(id, index, name, &FuncOutcome::Timeout);
+        }
+        Slot::Hit(name, hit, nanos) => {
+            summary.ok += 1;
+            summary.cache_hits += 1;
+            out.push_hit(id, index, name, hit, *nanos);
+        }
+        Slot::Done(name, outcome) => {
+            tally(summary, outcome);
+            out.push_schedule(id, index, name, outcome);
+        }
+    }
 }
 
 fn tally(summary: &mut BatchSummary, outcome: &FuncOutcome) {
@@ -658,12 +703,15 @@ fn tally(summary: &mut BatchSummary, outcome: &FuncOutcome) {
 }
 
 /// Schedules one function: front end, cache probe, compile on a miss.
+/// Once the function is cached, the source index learns that the text
+/// at `addr` compiles to it.
 fn schedule_one(
     shared: &Shared,
     lang: Lang,
     text: &str,
     machine: &MachineDescription,
     config: &SchedConfig,
+    addr: SourceAddr,
 ) -> (String, FuncOutcome) {
     let started = Instant::now();
     let mut function = match lang {
@@ -694,6 +742,7 @@ fn schedule_one(
     let key = cache_key(&function, machine, config);
 
     if let Some(hit) = shared.cache.get(key) {
+        shared.cache.record_source(addr, key, &name);
         return (
             name,
             FuncOutcome::Ok {
@@ -720,6 +769,7 @@ fn schedule_one(
                 nanos,
             });
             shared.cache.insert(key, entry);
+            shared.cache.record_source(addr, key, &name);
             if let Ok(mut m) = shared.metrics.lock() {
                 for (counter, value) in stats.perf_counters() {
                     m.record(counter, value);
@@ -799,6 +849,124 @@ pub fn signal_pending() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Client;
+    use crate::protocol::FuncSpec;
+
+    /// A `jobs 1` daemon on a fresh unix socket.
+    fn test_daemon(tag: &str) -> (Server, Client) {
+        let path =
+            std::env::temp_dir().join(format!("gis-serve-unit-{}-{tag}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listen = Listen::Unix(path);
+        let mut config = ServeConfig::new(listen.clone());
+        config.jobs = 1;
+        let server = start(config).expect("daemon starts");
+        let client = Client::connect(&listen).expect("connects");
+        (server, client)
+    }
+
+    /// Schedules one textual-IR function on `rs6k`: its name, `cached`
+    /// flag and hash.
+    fn submit(client: &mut Client, text: &str) -> (String, bool, u64) {
+        let spec = [FuncSpec {
+            name: None,
+            text: text.to_owned(),
+        }];
+        let batch = client
+            .schedule_batch(Lang::Asm, "rs6k", Vec::new(), &spec)
+            .expect("batch");
+        let result = &batch.funcs[0];
+        let FuncOutcome::Ok { cached, hash, .. } = result.outcome else {
+            panic!("{} failed: {:?}", result.name, result.outcome);
+        };
+        (result.name.clone(), cached, hash)
+    }
+
+    fn counter(client: &mut Client, name: &str) -> u64 {
+        let stats = client.stats().expect("stats");
+        stats
+            .into_iter()
+            .find(|(k, _)| k == name)
+            .map_or(0, |(_, v)| v)
+    }
+
+    const A: &str = "func a\ne:\n LI r0=1\n LI r1=2\n A r2=r0,r1\n PRINT r2\n RET\n";
+    const B: &str = "func b\ne:\n LI r0=3\n PRINT r0\n RET\n";
+
+    fn source_addr(server: &Server, text: &str) -> SourceAddr {
+        let prefix = source_prefix(
+            Lang::Asm,
+            &MachineDescription::rs6k(),
+            &SchedConfig::speculative(),
+        );
+        server.shared.cache.source_addr(prefix, text)
+    }
+
+    fn ir_key(text: &str) -> u64 {
+        let f = gis_ir::parse_function(text).expect("parses");
+        cache_key(&f, &MachineDescription::rs6k(), &SchedConfig::speculative())
+    }
+
+    #[test]
+    fn a_mismatched_index_entry_is_a_collision_and_is_replaced() {
+        let (server, mut client) = test_daemon("collision");
+        let (_, false, a_hash) = submit(&mut client, A) else {
+            panic!("A compiles cold");
+        };
+        submit(&mut client, B);
+        let addr = source_addr(&server, A);
+        let planted = [
+            SourceAddr {
+                check: addr.check ^ 1,
+                ..addr
+            },
+            SourceAddr {
+                len: addr.len + 1,
+                ..addr
+            },
+        ];
+        for (n, wrong) in planted.into_iter().enumerate() {
+            // Under A's key, an entry that points at B's schedule.
+            server.shared.cache.record_source(wrong, ir_key(B), "b");
+            let got = submit(&mut client, A);
+            assert_eq!(got, ("a".to_owned(), true, a_hash), "{wrong:?}");
+            assert_eq!(counter(&mut client, "cache.source.collision"), n as u64 + 1);
+            assert_eq!(counter(&mut client, "cache.source.hit"), 0);
+        }
+        // The slow path put the right entry back.
+        assert_eq!(submit(&mut client, A), ("a".to_owned(), true, a_hash));
+        assert_eq!(counter(&mut client, "cache.source.hit"), 1);
+        let lookups = counter(&mut client, "cache.hits") + counter(&mut client, "cache.misses");
+        assert_eq!(lookups, 5, "one schedule lookup per request");
+        client.shutdown_server().expect("shutdown");
+        server.join();
+    }
+
+    #[test]
+    fn an_index_entry_whose_schedule_is_gone_falls_back_with_one_miss() {
+        let (server, mut client) = test_daemon("stale");
+        // A matching entry for a text never compiled, under a schedule
+        // key the cache does not hold: as after an eviction.
+        server
+            .shared
+            .cache
+            .record_source(source_addr(&server, A), ir_key(A) ^ 1, "a");
+        let (name, cached, _) = submit(&mut client, A);
+        assert_eq!((name.as_str(), cached), ("a", false));
+        assert_eq!(counter(&mut client, "cache.misses"), 1, "counted once");
+        assert_eq!(counter(&mut client, "cache.hits"), 0);
+        assert_eq!(counter(&mut client, "cache.source.miss"), 1);
+        assert_eq!(counter(&mut client, "cache.source.collision"), 0);
+        let (_, cached, _) = submit(&mut client, A);
+        assert!(cached);
+        assert_eq!(
+            counter(&mut client, "cache.source.hit"),
+            1,
+            "entry replaced"
+        );
+        client.shutdown_server().expect("shutdown");
+        server.join();
+    }
 
     #[test]
     fn a_panicking_job_answers_an_error_and_keeps_its_worker() {

@@ -46,6 +46,21 @@ fn ok_hashes(results: &[gis_serve::client::FuncResult]) -> Vec<(bool, u64)> {
         .collect()
 }
 
+fn counter(stats: &[(String, u64)], name: &str) -> u64 {
+    stats
+        .iter()
+        .find(|(k, _)| k == name)
+        .map(|&(_, v)| v)
+        .unwrap_or(0)
+}
+
+fn one(text: &str) -> Vec<FuncSpec> {
+    vec![FuncSpec {
+        name: None,
+        text: text.to_owned(),
+    }]
+}
+
 #[test]
 fn warm_batch_hits_the_cache_with_identical_hashes() {
     let (server, listen) = start_unix("warm", |_| {});
@@ -447,6 +462,17 @@ fn cache_persists_across_restarts() {
         .find(|(k, _)| k == "cache.persist.loaded")
         .map(|&(_, v)| v);
     assert_eq!(loaded, Some(3));
+    // The source index is not persisted: the first resubmit went through
+    // the front end to the restored schedules; the second skips it.
+    assert_eq!(counter(&stats, "cache.source.hit"), 0);
+    assert_eq!(counter(&stats, "cache.source.entries"), 3);
+    let again = client
+        .schedule_batch(Lang::TinyC, "rs6k", vec![], &specs)
+        .expect("second warm batch");
+    assert_eq!(ok_hashes(&again.funcs), warm_hashes);
+    let stats = client.stats().expect("stats");
+    assert_eq!(counter(&stats, "cache.source.hit"), 3);
+    assert_eq!(counter(&stats, "cache.hits"), 6);
     client.shutdown_server().expect("shutdown");
     server.join();
     let _ = std::fs::remove_file(&cache_file);
@@ -480,7 +506,7 @@ fn stale_cache_images_are_rejected_cleanly() {
     server.join();
     // The drain overwrites the stale image with a current-version one.
     let rewritten = std::fs::read(&cache_file).expect("image rewritten");
-    assert_eq!(&rewritten[4..8], &1u32.to_le_bytes(), "current version");
+    assert_eq!(&rewritten[4..8], &2u32.to_le_bytes(), "current version");
     let _ = std::fs::remove_file(&cache_file);
 }
 
@@ -561,4 +587,121 @@ fn request_shutdown_drains_without_a_client() {
     assert!(server.shutdown_requested());
     let metrics = server.join();
     assert_eq!(metrics.counter("serve.requests"), 1);
+}
+
+#[test]
+fn an_identical_resubmit_is_answered_from_the_source_index() {
+    let (server, listen) = start_unix("source-hit", |_| {});
+    let source = loadgen::corpus(1, 1, 4, 2, 23).remove(0).source;
+    let mut client = Client::connect(&listen).expect("connects");
+    let cold = client
+        .schedule_batch(Lang::TinyC, "rs6k", vec![], &one(&source))
+        .expect("cold");
+    let warm = client
+        .schedule_batch(Lang::TinyC, "rs6k", vec![], &one(&source))
+        .expect("warm");
+    let [(false, cold_hash)] = ok_hashes(&cold.funcs)[..] else {
+        panic!("cold pass: {:?}", cold.funcs);
+    };
+    assert_eq!(ok_hashes(&warm.funcs), vec![(true, cold_hash)]);
+    assert_eq!(
+        warm.funcs[0].name, cold.funcs[0].name,
+        "the function's own name"
+    );
+    let stats = client.stats().expect("stats");
+    assert_eq!(counter(&stats, "cache.source.hit"), 1);
+    assert_eq!(counter(&stats, "cache.source.miss"), 1);
+    assert_eq!(counter(&stats, "cache.hits"), 1);
+    assert_eq!(counter(&stats, "cache.misses"), 1);
+    client.shutdown_server().expect("shutdown");
+    server.join();
+}
+
+#[test]
+fn a_whitespace_only_edit_misses_the_index_and_hits_the_canonical_cache() {
+    let (server, listen) = start_unix("source-space", |_| {});
+    let source = loadgen::corpus(1, 1, 4, 2, 29).remove(0).source;
+    let spaced = source.replace('\n', "\n\n");
+    assert_ne!(source, spaced);
+    let mut client = Client::connect(&listen).expect("connects");
+    let cold = client
+        .schedule_batch(Lang::TinyC, "rs6k", vec![], &one(&source))
+        .expect("cold");
+    let [(false, cold_hash)] = ok_hashes(&cold.funcs)[..] else {
+        panic!("cold pass: {:?}", cold.funcs);
+    };
+    let edited = client
+        .schedule_batch(Lang::TinyC, "rs6k", vec![], &one(&spaced))
+        .expect("edited");
+    assert_eq!(ok_hashes(&edited.funcs), vec![(true, cold_hash)]);
+    let stats = client.stats().expect("stats");
+    assert_eq!(counter(&stats, "cache.source.hit"), 0);
+    assert_eq!(counter(&stats, "cache.source.miss"), 2);
+    assert_eq!(counter(&stats, "cache.source.entries"), 2, "both texts");
+    assert_eq!(counter(&stats, "cache.hits"), 1);
+    assert_eq!(counter(&stats, "cache.entries"), 1, "one function");
+    client.shutdown_server().expect("shutdown");
+    server.join();
+}
+
+#[test]
+fn a_batch_mixing_index_hits_and_a_miss_streams_in_input_order() {
+    let (server, listen) = start_unix("source-mixed", |c| c.jobs = 1);
+    let corpus = tinyc_specs(&loadgen::corpus(3, 3, 5, 2, 31));
+    let mut client = Client::connect(&listen).expect("connects");
+    let known = [corpus[0].clone(), corpus[2].clone()];
+    let cold = client
+        .schedule_batch(Lang::TinyC, "rs6k", vec![], &known)
+        .expect("cold");
+    let cold = ok_hashes(&cold.funcs);
+    let mixed = client
+        .schedule_batch(Lang::TinyC, "rs6k", vec![], &corpus)
+        .expect("mixed");
+    let indices: Vec<usize> = mixed.funcs.iter().map(|r| r.index).collect();
+    assert_eq!(indices, vec![0, 1, 2], "lines stream in input order");
+    let names: Vec<&str> = mixed.funcs.iter().map(|r| r.name.as_str()).collect();
+    let want: Vec<&str> = corpus.iter().map(|f| f.name.as_deref().unwrap()).collect();
+    assert_eq!(names, want, "the request's names");
+    let got = ok_hashes(&mixed.funcs);
+    let flags: Vec<bool> = got.iter().map(|&(cached, _)| cached).collect();
+    assert_eq!(flags, vec![true, false, true]);
+    assert_eq!((got[0].1, got[2].1), (cold[0].1, cold[1].1));
+    assert_eq!(
+        (
+            mixed.summary.ok,
+            mixed.summary.cache_hits,
+            mixed.summary.cache_misses
+        ),
+        (3, 2, 1)
+    );
+    let stats = client.stats().expect("stats");
+    assert_eq!(counter(&stats, "cache.source.hit"), 2);
+    assert_eq!(
+        counter(&stats, "cache.hits") + counter(&stats, "cache.misses"),
+        5
+    );
+    client.shutdown_server().expect("shutdown");
+    server.join();
+}
+
+#[test]
+fn zero_cache_capacity_disables_the_source_index_too() {
+    let (server, listen) = start_unix("source-off", |c| c.cache_cap = 0);
+    let source = loadgen::corpus(1, 1, 3, 1, 37).remove(0).source;
+    let mut client = Client::connect(&listen).expect("connects");
+    let mut hashes = Vec::new();
+    for pass in ["first", "second"] {
+        let batch = client
+            .schedule_batch(Lang::TinyC, "rs6k", vec![], &one(&source))
+            .expect(pass);
+        hashes.extend(ok_hashes(&batch.funcs));
+    }
+    assert_eq!(hashes[0], hashes[1], "both compiled cold, alike");
+    assert!(!hashes[0].0);
+    let stats = client.stats().expect("stats");
+    assert_eq!(counter(&stats, "cache.source.hit"), 0);
+    assert_eq!(counter(&stats, "cache.source.entries"), 0);
+    assert_eq!(counter(&stats, "cache.misses"), 2);
+    client.shutdown_server().expect("shutdown");
+    server.join();
 }
