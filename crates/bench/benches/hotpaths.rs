@@ -1,11 +1,13 @@
 //! Hot-path benchmarks with a tracked baseline: the tinyc front end,
-//! the sweep dependence builder vs the all-pairs reference, the sparse
-//! whole-function liveness solve vs the dense reference and the §5.3
-//! queries, the linear §4.2 web renamer vs the reaching-definitions
+//! the sweep dependence builder vs the all-pairs reference, the
+//! block-local dependence reduction vs the whole-scope reference, the
+//! sparse whole-function liveness solve vs the dense reference and the
+//! §5.3 queries, the linear §4.2 web renamer vs the reaching-definitions
 //! reference, the ready-list basic-block scheduler vs the rescanning
 //! reference over every block of the final pass, and end-to-end
-//! compilation across `jobs` widths — measured on the scaled
-//! [`synth::MANY_LOOPS_PRESETS`] workloads.
+//! compilation across `jobs` widths and with the §6 region gates lifted
+//! — measured on the scaled [`synth::MANY_LOOPS_PRESETS`] workloads (the
+//! dispatch-diamonds presets get gated and lifted end-to-end rows too).
 //!
 //! Hand-rolled harness (`harness = false`, like `serve.rs`): the
 //! workspace takes no external crates, so there is no criterion. Each
@@ -20,6 +22,9 @@
 //! cargo bench -p gis-bench --bench hotpaths -- --smoke # 1 iteration, CI
 //! cargo bench -p gis-bench --bench hotpaths -- --out out.json
 //! ```
+//!
+//! A relative `--out` (or `--emit-src` path) is taken from the workspace
+//! root, not from the package directory cargo runs the bench in.
 //!
 //! Every `frontend` row carries an FNV-64 hash of the emitted
 //! function's canonical bytes, which pins what the front end produces
@@ -177,6 +182,66 @@ fn bench_dep_build(
         schedule_hash: None,
     });
     reference as f64 / sweep.max(1) as f64
+}
+
+/// Dependence reduction on the same in-gate loop scopes as the
+/// `dep-build` rows: the block-local [`DataDeps::reduce`] the scheduler
+/// runs against the whole-scope [`DataDeps::reduce_reference`] it
+/// replaced. Each iteration clones every scope's unreduced graph and
+/// reduces it, so both rows include the clones. Before timing, the run
+/// aborts unless the two keep the same edges inside blocks and the
+/// block-local one keeps every edge across them. Returns reference ÷
+/// block-local.
+fn bench_dep_reduce(
+    preset: &str,
+    f: &Function,
+    machine: &MachineDescription,
+    config: &SchedConfig,
+    iters: u32,
+    runs: usize,
+    rows: &mut Vec<Row>,
+) -> f64 {
+    let scopes = loop_scopes(f, config);
+    let n_insts: usize = scopes
+        .iter()
+        .map(|s| s.iter().map(|&b| f.block(b).len()).sum::<usize>())
+        .sum();
+    let graphs: Vec<DataDeps> = scopes
+        .iter()
+        .map(|s| DataDeps::build(f, machine, s, |x, y| x < y))
+        .collect();
+    let reduced = |reference: bool| -> Vec<DataDeps> {
+        graphs
+            .iter()
+            .map(|g| {
+                let mut g = g.clone();
+                if reference {
+                    g.reduce_reference();
+                } else {
+                    g.reduce();
+                }
+                g
+            })
+            .collect()
+    };
+    for ((local, whole), full) in reduced(false).iter().zip(&reduced(true)).zip(&graphs) {
+        let ((inside, across), (want_inside, _)) = (local.split_edges(), whole.split_edges());
+        assert!(
+            inside == want_inside && across == full.split_edges().1,
+            "{preset}: the block-local reduction disagrees with the whole-scope one"
+        );
+    }
+    let local = median_ns(iters, runs, || reduced(false));
+    let reference = median_ns(iters, runs, || reduced(true));
+    for (label, ns) in [("block-local", local), ("reference", reference)] {
+        rows.push(Row {
+            name: format!("dep-reduce/{preset}/{label}"),
+            n_insts,
+            median_ns: ns,
+            schedule_hash: None,
+        });
+    }
+    reference as f64 / local.max(1) as f64
 }
 
 /// The liveness rows price what a global pass pays, on the function as
@@ -417,6 +482,65 @@ fn bench_end_to_end(
     fast as f64 / jobs4.max(1) as f64
 }
 
+/// One end-to-end compile at `jobs 1` with the §6 region gates lifted
+/// (both limits at `usize::MAX`), so every region of height at most one
+/// is scheduled whatever its size: the row the gated `fast` row (or,
+/// for a dispatch-diamonds preset, the `gated` row this also emits) is
+/// compared against. Returns lifted ÷ gated time.
+fn bench_lifted(
+    preset: &str,
+    f: &Function,
+    machine: &MachineDescription,
+    iters: u32,
+    runs: usize,
+    gated_row: bool,
+    rows: &mut Vec<Row>,
+) -> f64 {
+    let n_insts = f.num_insts();
+    let (iters, runs) = if n_insts > 10_000 {
+        (1, runs.min(3))
+    } else {
+        (iters, runs)
+    };
+    let gated = SchedConfig {
+        region_memo: false,
+        ..SchedConfig::speculative()
+    };
+    let lifted = SchedConfig {
+        max_region_blocks: usize::MAX,
+        max_region_insts: usize::MAX,
+        ..gated.clone()
+    };
+    let time = |label: &str, config: &SchedConfig, rows: &mut Vec<Row>| {
+        let ns = median_ns(iters, runs, || {
+            let mut scheduled = f.clone();
+            compile(&mut scheduled, machine, config).expect("compiles");
+            scheduled
+        });
+        let mut scheduled = f.clone();
+        compile(&mut scheduled, machine, config).expect("compiles");
+        rows.push(Row {
+            name: format!("e2e/{preset}/{label}"),
+            n_insts,
+            median_ns: ns,
+            schedule_hash: Some(fnv64(&scheduled.to_string())),
+        });
+        ns
+    };
+    let gated_ns = if gated_row {
+        time("gated", &gated, rows)
+    } else {
+        // The `fast` row compiles under the same configuration.
+        let fast = format!("e2e/{preset}/fast");
+        rows.iter()
+            .find(|r| r.name == fast)
+            .expect("the fast row")
+            .median_ns
+    };
+    let lifted_ns = time("lifted", &lifted, rows);
+    lifted_ns as f64 / gated_ns.max(1) as f64
+}
+
 /// Measures the region schedule memo end-to-end: a cold compile (the
 /// process-wide memo cleared before every iteration) vs a warm one
 /// (the cache primed by a prior compile of the same function, so every
@@ -653,22 +777,24 @@ fn to_json(
 
 fn main() {
     let mut smoke = false;
-    let mut out_path = format!(
-        "{}/../../BENCH_sched.json",
-        env!("CARGO_MANIFEST_DIR") // the tracked baseline at the repo root
-    );
+    // The tracked baseline at the repo root; relative paths below are
+    // taken from there too.
+    let mut out_path = gis_bench::bench_path("BENCH_sched.json");
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
-            "--out" => out_path = args.next().expect("--out expects a path"),
+            "--out" => {
+                out_path = gis_bench::bench_path(&args.next().expect("--out expects a path"))
+            }
             // Writes a preset's tinyc source and exits, so the exact
             // benchmark input can be fed to other tools (for example
             // `gisc --tinyc --metrics` to get per-pass wall times, or
             // `gisc --tinyc --dup` for the CI determinism smoke).
             "--emit-src" => {
                 let preset = args.next().expect("--emit-src expects a preset name");
-                let path = args.next().expect("--emit-src expects an output path");
+                let path =
+                    gis_bench::bench_path(&args.next().expect("--emit-src expects an output path"));
                 let w = synth::many_loops_preset(&preset)
                     .or_else(|| synth::many_loops_skewed_preset(&preset))
                     .or_else(|| synth::dispatch_diamonds_preset(&preset))
@@ -677,7 +803,7 @@ fn main() {
                          or DISPATCH_DIAMONDS_PRESETS",
                     );
                 std::fs::write(&path, &w.source).expect("writing the source");
-                println!("hotpaths: {preset} source written to {path}");
+                println!("hotpaths: {preset} source written to {}", path.display());
                 return;
             }
             // Cargo passes --bench (and test-harness flags) through.
@@ -701,15 +827,19 @@ fn main() {
         );
         bench_frontend(preset, &w.source, iters, runs, &mut rows);
         let dep = bench_dep_build(preset, f, &machine, &config, iters, runs, &mut rows);
+        let reduce = bench_dep_reduce(preset, f, &machine, &config, iters, runs, &mut rows);
         let live = bench_liveness(preset, f, &machine, &config, iters, runs, &mut rows);
         let rename = bench_rename(preset, f, iters, runs, &mut rows);
         let final_bb = bench_final_bb(preset, f, &machine, iters, runs, &mut rows);
         let jobs4 = bench_end_to_end(preset, f, &machine, iters, runs, &mut rows);
+        let lifted = bench_lifted(preset, f, &machine, iters, runs, false, &mut rows);
         speedups.push((format!("dep-build/{preset}"), dep));
+        speedups.push((format!("dep-reduce/{preset}"), reduce));
         speedups.push((format!("liveness-pass/{preset}"), live));
         speedups.push((format!("rename/{preset}"), rename));
         speedups.push((format!("final-bb/{preset}"), final_bb));
         speedups.push((format!("jobs4/{preset}"), jobs4));
+        speedups.push((format!("lifted-over-gated/{preset}"), lifted));
         if preset == "many-loops-m" {
             jobs_hash_match &=
                 bench_memo(preset, f, &machine, iters, runs, &mut rows, &mut speedups);
@@ -737,6 +867,9 @@ fn main() {
             w.program.function.num_insts()
         );
         bench_quality(preset, &w, &machine, &mut quality, &mut speedups);
+        let f = &w.program.function;
+        let lifted = bench_lifted(preset, f, &machine, iters, runs, true, &mut rows);
+        speedups.push((format!("lifted-over-gated/{preset}"), lifted));
     }
 
     for r in &rows {
@@ -756,5 +889,5 @@ fn main() {
     }
     let json = to_json(&rows, &quality, &speedups, jobs_hash_match, smoke);
     std::fs::write(&out_path, &json).expect("writing the baseline file");
-    println!("hotpaths: baseline written to {out_path}");
+    println!("hotpaths: baseline written to {}", out_path.display());
 }

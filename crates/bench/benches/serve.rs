@@ -20,6 +20,9 @@
 //! cargo bench -p gis-bench --bench serve -- --out out.json
 //! ```
 //!
+//! A relative `--out` is taken from the workspace root, not from the
+//! package directory cargo runs the bench in.
+//!
 //! Correctness is part of the measurement contract: the warm pass must
 //! return bit-identical schedule hashes to the cold pass (the cache may
 //! never change the scheduler's answer) and must be at least 5x faster
@@ -82,15 +85,16 @@ fn to_json(rows: &[Row], speedup: f64, hashes_match: bool, smoke: bool) -> Strin
 
 fn main() {
     let mut smoke = false;
-    let mut out_path = format!(
-        "{}/../../BENCH_serve.json",
-        env!("CARGO_MANIFEST_DIR") // the tracked baseline at the repo root
-    );
+    // The tracked baseline at the repo root; a relative `--out` is taken
+    // from there too.
+    let mut out_path = gis_bench::bench_path("BENCH_serve.json");
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
-            "--out" => out_path = args.next().expect("--out expects a path"),
+            "--out" => {
+                out_path = gis_bench::bench_path(&args.next().expect("--out expects a path"))
+            }
             // Cargo passes --bench (and test-harness flags) through.
             _ => {}
         }
@@ -175,5 +179,5 @@ fn main() {
     println!("speedup/warm-over-cold {speedup:>26.2}x");
     let json = to_json(&rows, speedup, hashes_match, smoke);
     std::fs::write(&out_path, &json).expect("writing the baseline file");
-    println!("serve: baseline written to {out_path}");
+    println!("serve: baseline written to {}", out_path.display());
 }

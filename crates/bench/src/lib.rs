@@ -14,6 +14,18 @@ use gis_workloads::spec::Workload;
 use std::fmt;
 use std::time::Instant;
 
+/// Where a bench's output path argument points. Cargo runs benches from
+/// the package directory (`crates/bench`), so a relative path is taken
+/// from the workspace root, where `cargo bench` is typed; an absolute
+/// path is used as given.
+pub fn bench_path(arg: &str) -> std::path::PathBuf {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("the package sits two levels below the workspace root");
+    root.join(arg)
+}
+
 /// One benchmark measured under one configuration.
 #[derive(Debug, Clone)]
 pub struct Measurement {

@@ -4,58 +4,55 @@
 //! reverse postorder, plus Euler-interval numbering of the resulting tree
 //! so that `dominates` queries are O(1).
 
-use crate::graph::{reverse_postorder_from, Cfg, NodeId};
+use crate::graph::{reverse_postorder_from, Adjacency, Cfg, NodeId};
 
 /// A dominator tree over the nodes of a graph.
 ///
 /// The same structure serves as a *post*dominator tree when built over the
-/// reversed graph rooted at `EXIT` ([`DomTree::postdominators`]).
+/// reversed graph rooted at `EXIT` ([`DomTree::postdominators`]). Every
+/// table is flat: building one costs a fixed handful of allocations
+/// whatever the node count.
 #[derive(Debug, Clone)]
 pub struct DomTree {
     root: NodeId,
+    /// Immediate dominators (the root is its own; `None` for nodes
+    /// unreachable from the root).
     idom: Vec<Option<NodeId>>,
-    children: Vec<Vec<NodeId>>,
+    /// The tree's edges, parent to child, each node's children
+    /// ascending.
+    children: Adjacency,
     /// Euler tour entry/exit times on the dominator tree.
     pre: Vec<u32>,
     post: Vec<u32>,
-    reachable: Vec<bool>,
 }
 
 impl DomTree {
     /// Dominators of `cfg`, rooted at `ENTRY`.
     pub fn dominators(cfg: &Cfg) -> Self {
-        let succs: Vec<Vec<NodeId>> = cfg
-            .nodes()
-            .map(|n| cfg.succs(n).iter().map(|e| e.to).collect())
-            .collect();
-        Self::from_succs(&succs, NodeId::ENTRY)
+        let succs = Adjacency::new(cfg.num_nodes(), |i| {
+            cfg.succs(NodeId::from_index(i)).iter().map(|e| e.to)
+        });
+        Self::new(&succs, NodeId::ENTRY)
     }
 
     /// Postdominators of `cfg`: dominators of the reversed graph rooted at
     /// `EXIT`.
     pub fn postdominators(cfg: &Cfg) -> Self {
-        let succs: Vec<Vec<NodeId>> = cfg
-            .nodes()
-            .map(|n| cfg.preds(n).iter().map(|e| e.to).collect())
-            .collect();
-        Self::from_succs(&succs, NodeId::EXIT)
+        let succs = Adjacency::new(cfg.num_nodes(), |i| {
+            cfg.preds(NodeId::from_index(i)).iter().map(|e| e.to)
+        });
+        Self::new(&succs, NodeId::EXIT)
     }
 
-    /// Builds the dominator tree of an arbitrary graph given as successor
-    /// lists indexed by [`NodeId::index`], rooted at `root`.
-    pub fn from_succs(succs: &[Vec<NodeId>], root: NodeId) -> Self {
-        let n = succs.len();
-        let rpo = reverse_postorder_from(n, root, |x| succs[x.index()].clone());
+    /// Builds the dominator tree of the graph `succs`, rooted at `root`.
+    pub fn new(succs: &Adjacency, root: NodeId) -> Self {
+        let n = succs.num_nodes();
+        let rpo = reverse_postorder_from(n, root, |x, i| succs.succs(x).get(i).copied());
         let mut rpo_index = vec![usize::MAX; n];
         for (i, node) in rpo.iter().enumerate() {
             rpo_index[node.index()] = i;
         }
-        let mut preds: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for (from, ss) in succs.iter().enumerate() {
-            for &to in ss {
-                preds[to.index()].push(NodeId::from_index(from));
-            }
-        }
+        let preds = succs.reversed();
 
         let mut idom: Vec<Option<NodeId>> = vec![None; n];
         idom[root.index()] = Some(root);
@@ -77,7 +74,7 @@ impl DomTree {
             changed = false;
             for &b in rpo.iter().skip(1) {
                 let mut new_idom: Option<NodeId> = None;
-                for &p in &preds[b.index()] {
+                for &p in preds.succs(b) {
                     if idom[p.index()].is_none() {
                         continue;
                     }
@@ -93,15 +90,9 @@ impl DomTree {
             }
         }
 
-        // Children lists (root excluded from its own children).
-        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for (i, p) in idom.iter().enumerate() {
-            if let Some(p) = p {
-                if p.index() != i {
-                    children[p.index()].push(NodeId::from_index(i));
-                }
-            }
-        }
+        // Children (root excluded from its own children), ascending: the
+        // tree's edges, parent to child.
+        let children = Adjacency::new(n, |i| idom[i].filter(|p| p.index() != i)).reversed();
 
         // Euler intervals for O(1) ancestor queries.
         let mut pre = vec![0u32; n];
@@ -111,9 +102,8 @@ impl DomTree {
         pre[root.index()] = clock;
         clock += 1;
         while let Some(&(node, i)) = stack.last() {
-            if i < children[node.index()].len() {
+            if let Some(&c) = children.succs(node).get(i) {
                 stack.last_mut().expect("nonempty").1 += 1;
-                let c = children[node.index()][i];
                 pre[c.index()] = clock;
                 clock += 1;
                 stack.push((c, 0));
@@ -124,14 +114,12 @@ impl DomTree {
             }
         }
 
-        let reachable = idom.iter().map(Option::is_some).collect();
         DomTree {
             root,
             idom,
             children,
             pre,
             post,
-            reachable,
         }
     }
 
@@ -151,7 +139,7 @@ impl DomTree {
 
     /// Whether `n` is reachable from the root.
     pub fn is_reachable(&self, n: NodeId) -> bool {
-        self.reachable[n.index()]
+        self.idom[n.index()].is_some()
     }
 
     /// Whether `a` dominates `b` (reflexively). Unreachable nodes dominate
@@ -160,7 +148,7 @@ impl DomTree {
         if a == b {
             return true;
         }
-        if !self.reachable[a.index()] || !self.reachable[b.index()] {
+        if !self.is_reachable(a) || !self.is_reachable(b) {
             return false;
         }
         self.pre[a.index()] < self.pre[b.index()] && self.post[b.index()] < self.post[a.index()]
@@ -173,7 +161,7 @@ impl DomTree {
 
     /// The children of `n` in the dominator tree.
     pub fn children(&self, n: NodeId) -> &[NodeId] {
-        &self.children[n.index()]
+        self.children.succs(n)
     }
 }
 

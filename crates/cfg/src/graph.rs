@@ -218,17 +218,96 @@ impl Cfg {
 
     /// Reverse postorder starting at `ENTRY`.
     pub fn reverse_postorder(&self) -> Vec<NodeId> {
-        reverse_postorder_from(self.num_nodes(), NodeId::ENTRY, |n| {
-            self.succs(n).iter().map(|e| e.to).collect()
+        reverse_postorder_from(self.num_nodes(), NodeId::ENTRY, |n, i| {
+            self.succs(n).get(i).map(|e| e.to)
         })
     }
 }
 
-/// Reverse postorder of an arbitrary graph given by a successor closure.
+/// A graph's successor lists in two flat arrays (compressed sparse
+/// rows): node `i`'s successors are `targets[off[i]..off[i + 1]]`, in
+/// the order they were supplied. Building one allocates two arrays, not
+/// a list per node; the dominator machinery runs on it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Adjacency {
+    off: Vec<u32>,
+    targets: Vec<NodeId>,
+}
+
+impl Adjacency {
+    /// Collects `succs(i)` for every node index `i < num_nodes`.
+    pub fn new<I: IntoIterator<Item = NodeId>>(
+        num_nodes: usize,
+        mut succs: impl FnMut(usize) -> I,
+    ) -> Self {
+        let mut off = Vec::with_capacity(num_nodes + 1);
+        let mut targets = Vec::new();
+        off.push(0);
+        for i in 0..num_nodes {
+            targets.extend(succs(i));
+            off.push(targets.len() as u32);
+        }
+        Adjacency { off, targets }
+    }
+
+    /// Number of nodes.
+    pub fn num_nodes(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    /// The successors of `n`.
+    pub fn succs(&self, n: NodeId) -> &[NodeId] {
+        &self.targets[self.off[n.index()] as usize..self.off[n.index() + 1] as usize]
+    }
+
+    /// The reversed graph. Each node's list names its predecessors in
+    /// ascending order, one entry per edge.
+    pub fn reversed(&self) -> Adjacency {
+        let n = self.num_nodes();
+        let edges = (0..n).flat_map(|from| {
+            let to = self.succs(NodeId::from_index(from));
+            to.iter()
+                .map(move |t| (t.index(), NodeId::from_index(from)))
+        });
+        let (off, targets) = group_by(n, edges);
+        Adjacency { off, targets }
+    }
+}
+
+/// Groups `(key, item)` pairs by key into two flat arrays (compressed
+/// sparse rows), each group in the order its pairs come: the items of
+/// key `k < n` are `items[off[k]..off[k + 1]]`. Two passes over `pairs`:
+/// one counts, one scatters.
+pub fn group_by<T: Copy>(
+    n: usize,
+    pairs: impl Iterator<Item = (usize, T)> + Clone,
+) -> (Vec<u32>, Vec<T>) {
+    let mut off = vec![0u32; n + 1];
+    for (k, _) in pairs.clone() {
+        off[k + 1] += 1;
+    }
+    for k in 0..n {
+        off[k + 1] += off[k];
+    }
+    let Some((_, fill)) = pairs.clone().next() else {
+        return (off, Vec::new());
+    };
+    let mut next: Vec<u32> = off[..n].to_vec();
+    let mut items = vec![fill; off[n] as usize];
+    for (k, item) in pairs {
+        items[next[k] as usize] = item;
+        next[k] += 1;
+    }
+    (off, items)
+}
+
+/// Reverse postorder of the nodes reachable from `start` in a graph
+/// whose `i`-th successor of `n` is `succ(n, i)` (`None` past the
+/// last).
 pub(crate) fn reverse_postorder_from(
     num_nodes: usize,
     start: NodeId,
-    succs: impl Fn(NodeId) -> Vec<NodeId>,
+    succ: impl Fn(NodeId, usize) -> Option<NodeId>,
 ) -> Vec<NodeId> {
     let mut visited = vec![false; num_nodes];
     let mut post = Vec::with_capacity(num_nodes);
@@ -236,10 +315,8 @@ pub(crate) fn reverse_postorder_from(
     let mut stack: Vec<(NodeId, usize)> = vec![(start, 0)];
     visited[start.index()] = true;
     while let Some(&(n, i)) = stack.last() {
-        let children = succs(n);
-        if i < children.len() {
+        if let Some(c) = succ(n, i) {
             stack.last_mut().expect("nonempty").1 += 1;
-            let c = children[i];
             if !visited[c.index()] {
                 visited[c.index()] = true;
                 stack.push((c, 0));

@@ -16,7 +16,7 @@
 //! scheduler consume.
 
 use crate::dom::DomTree;
-use crate::graph::{Cfg, EdgeLabel, NodeId};
+use crate::graph::{Adjacency, Cfg, EdgeLabel, NodeId};
 use crate::loops::{LoopForest, LoopId};
 use gis_ir::BlockId;
 use std::collections::HashMap;
@@ -482,27 +482,18 @@ impl RegionGraph {
     }
 
     /// Successor lists without labels, for the dominator machinery.
-    pub fn succ_lists(&self) -> Vec<Vec<NodeId>> {
-        self.succs
-            .iter()
-            .map(|list| list.iter().map(|&(t, _)| t).collect())
-            .collect()
+    pub fn adjacency(&self) -> Adjacency {
+        Adjacency::new(self.num_nodes(), |i| self.succs[i].iter().map(|&(t, _)| t))
     }
 
     /// Dominators of this graph (rooted at region `ENTRY`).
     pub fn dominators(&self) -> DomTree {
-        DomTree::from_succs(&self.succ_lists(), NodeId::ENTRY)
+        DomTree::new(&self.adjacency(), NodeId::ENTRY)
     }
 
     /// Postdominators of this graph (rooted at region `EXIT`).
     pub fn postdominators(&self) -> DomTree {
-        let mut rev: Vec<Vec<NodeId>> = vec![Vec::new(); self.num_nodes()];
-        for (i, list) in self.succs.iter().enumerate() {
-            for &(to, _) in list {
-                rev[to.index()].push(NodeId::from_index(i));
-            }
-        }
-        DomTree::from_succs(&rev, NodeId::EXIT)
+        DomTree::new(&self.adjacency().reversed(), NodeId::EXIT)
     }
 }
 

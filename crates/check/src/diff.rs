@@ -12,7 +12,7 @@
 //! checked against its oracle as it is made.
 
 use crate::verify::check_pass;
-use gis_core::{compile_with_hooks, Fault, SchedConfig, TestHooks};
+use gis_core::{compile_with_hooks, Fault, SchedConfig, SchedLevel, TestHooks};
 use gis_ir::Function;
 use gis_machine::MachineDescription;
 use gis_sim::{execute, ExecConfig, ExecOutcome};
@@ -131,14 +131,41 @@ pub fn memo_matrix() -> Vec<DiffConfig> {
     out
 }
 
+/// The renaming-off surface: speculative scheduling without §4.2 web
+/// renaming, and the §5.4 paper-example setup (no renaming, unrolling,
+/// rotation or final pass). Registers shared between webs add anti and
+/// output edges, which make more dependence edges latency-redundant, and
+/// the delay heuristic `D` reads which in-block edges the reduction
+/// kept: with renaming off, a reduction that keeps or drops the wrong
+/// edge changes schedules, so the armed reduction check must see these
+/// columns.
+pub fn rename_off_matrix() -> Vec<DiffConfig> {
+    let mut no_rename = SchedConfig::speculative();
+    no_rename.rename = false;
+    let paper = SchedConfig::paper_example(SchedLevel::Speculative);
+    vec![
+        DiffConfig::new(
+            "spec/no-rename/jobs=1".to_owned(),
+            no_rename,
+            MachineDescription::rs6k(),
+        ),
+        DiffConfig::new(
+            "paper-example/spec".to_owned(),
+            paper,
+            MachineDescription::rs6k(),
+        ),
+    ]
+}
+
 /// The default fuzzing surface: [`jobs_matrix`] plus
 /// [`duplication_matrix`] plus [`wide_machine_matrix`] plus
-/// [`memo_matrix`].
+/// [`memo_matrix`] plus [`rename_off_matrix`].
 pub fn full_matrix() -> Vec<DiffConfig> {
     let mut out = jobs_matrix();
     out.extend(duplication_matrix());
     out.extend(wide_machine_matrix());
     out.extend(memo_matrix());
+    out.extend(rename_off_matrix());
     out
 }
 

@@ -33,8 +33,8 @@ pub mod shrink;
 pub mod verify;
 
 pub use diff::{
-    duplication_matrix, full_matrix, jobs_matrix, memo_matrix, run_case, wide_machine_matrix,
-    CaseResult, DiffConfig, Divergence,
+    duplication_matrix, full_matrix, jobs_matrix, memo_matrix, rename_off_matrix, run_case,
+    wide_machine_matrix, CaseResult, DiffConfig, Divergence,
 };
 pub use fuzz::{parse_reproducer, run_fuzz, FuzzFailure, FuzzReport};
 pub use gen::{generate, GenCase};

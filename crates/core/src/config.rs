@@ -53,7 +53,8 @@ pub struct TestHooks {
 impl TestHooks {
     /// Whether every fast-path decision is checked against its quadratic
     /// oracle as it is made: each region's sweep dependence graph against
-    /// the all-pairs builder, each ready-list pick against a full rescan,
+    /// the all-pairs builder, its block-local reduction against the
+    /// whole-scope one, each ready-list pick against a full rescan,
     /// each §5.3 answer and the region boundary against a fresh reference
     /// liveness solve, and each region memo hit against a re-schedule.
     /// True in debug builds and whenever a verifier is plugged in.

@@ -4,9 +4,10 @@
 //! machine description and the configuration — nothing else. These
 //! writers feed every *output-relevant* property of the machine and the
 //! config into an FNV-64 hasher so callers can build content addresses:
-//! `gis-serve` keys its whole-function schedule cache on them, and the
-//! in-process [region memo](crate::region_memo_counters) chains them into
-//! its per-region keys. They lived in `gis-serve` until the region memo
+//! `gis-serve` keys its whole-function schedule cache on them, and each
+//! global pass hashes them once into the digest the in-process
+//! [region memo](crate::region_memo_counters) chains into its per-region
+//! keys. They lived in `gis-serve` until the region memo
 //! needed them below the service layer; the byte streams are unchanged,
 //! so every pinned cache key from before the move still holds.
 //!

@@ -12,9 +12,12 @@
 //! before speculative, then the delay heuristic `D`, then the critical
 //! path heuristic `CP`, then original program order. Under the armed
 //! checks ([`TestHooks::armed`]: debug builds, or a plugged-in verifier),
-//! every pick is also recomputed by a full rescan of the candidates, and
+//! every pick is also recomputed by a full rescan of the candidates,
 //! every region's sweep dependence graph is rebuilt by the all-pairs
-//! [`DataDeps::build_reference`]; both must agree.
+//! [`DataDeps::build_reference`], and its block-local reduction is
+//! compared with the whole-scope [`DataDeps::reduce_reference`] on the
+//! edges inside blocks and with the unreduced graph on the edges across
+//! them; all must agree.
 //!
 //! Beyond the paper, [`SchedConfig::duplication`] lifts Definition 6's
 //! no-duplication restriction for one shape: a join every one of whose
@@ -127,7 +130,22 @@ impl GlobalPass<'_> {
             );
         }
         stats.dep_edges += deps.num_edges();
+        let unreduced = self.hooks.armed().then(|| deps.clone());
         deps.reduce();
+        if let Some(mut reference) = unreduced {
+            let (_, want_across) = reference.split_edges();
+            reference.reduce_reference();
+            let (want_inside, _) = reference.split_edges();
+            let (inside, across) = deps.split_edges();
+            assert!(
+                inside == want_inside,
+                "region {region}: in-block edges diverged from the whole-scope reduction"
+            );
+            assert!(
+                across == want_across,
+                "region {region}: the reduction dropped a cross-block edge"
+            );
+        }
         stats.dep_edges_reduced += deps.num_edges();
 
         // Every per-region table is indexed by scope position, so its

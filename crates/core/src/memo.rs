@@ -14,9 +14,10 @@
 //! which stay exact for the whole pass by the region-boundary invariant
 //! stated in `gis_pdg`'s liveness module. They iterate in `RegSet`'s
 //! `(class, index)` order. This module keys on exactly those inputs —
-//! [`gis_ir::canon_region`] chained with the
-//! [fingerprints](crate::fingerprint) — plus one byte saying whether the
-//! outcome carries trace events, and stores the outcome.
+//! [`gis_ir::canon_region`] chained with the digest of the
+//! [fingerprints](crate::fingerprint) its global pass hashed once — plus
+//! one byte saying whether the outcome carries trace events, and stores
+//! the outcome.
 //!
 //! Every region of a global pass goes through [`region_outcome`], the
 //! one path: a hit [applies](RegionOutcome::apply) the stored outcome
@@ -46,7 +47,6 @@
 //! surface as `cache.region.{hit,miss,splice}` in the daemon's stats.
 
 use crate::config::{SchedConfig, SchedLevel, TestHooks};
-use crate::fingerprint::{write_config_fingerprint, write_machine_fingerprint};
 use crate::global::{size_gate, subtree_blocks};
 use crate::lru::Lru;
 use crate::outcome::RegionOutcome;
@@ -203,8 +203,7 @@ fn memo_key(pass: &GlobalPass, f: &Function, rid: RegionId, tracing: bool) -> Op
             }
         }
     }
-    write_machine_fingerprint(&mut h, pass.machine);
-    write_config_fingerprint(&mut h, config, f.inst_id_bound());
+    h.write_u64(pass.fingerprint);
     Some(h.finish())
 }
 
@@ -287,7 +286,6 @@ mod tests {
     use crate::{compile, compile_observed};
     use gis_ir::InstId;
     use gis_machine::MachineDescription;
-    use gis_pdg::Liveness;
     use gis_trace::{NopObserver, TraceEvent};
 
     // The memo is process-wide and the test harness runs tests
@@ -503,14 +501,8 @@ mod tests {
             tree.region(first).parent,
             "the exit heads a sibling region"
         );
-        let pass = GlobalPass {
-            machine: &machine,
-            cfg: &cfg,
-            tree: &tree,
-            config: &config,
-            hooks: &TestHooks::default(),
-            live: Liveness::compute(&f0, &cfg),
-        };
+        let hooks = TestHooks::default();
+        let pass = GlobalPass::new(&f0, &machine, &cfg, &tree, &config, &hooks);
         let key = memo_key(&pass, &f0, first, false).expect("eligible");
         let memoized = || memo().entries().iter().any(|&(k, _)| k == key);
         assert!(!memoized(), "a fresh key");
@@ -582,14 +574,7 @@ mod tests {
             .filter(|&r| tree.region(r).height == 0)
             .collect();
         assert_eq!(inner.len(), 6, "one task per loop");
-        let pass = GlobalPass {
-            machine: &machine,
-            cfg: &cfg,
-            tree: &tree,
-            config: &config,
-            hooks: &hooks,
-            live: Liveness::compute(&f0, &cfg),
-        };
+        let pass = GlobalPass::new(&f0, &machine, &cfg, &tree, &config, &hooks);
         let other = RegionOutcome::record(&pass, &mut f0.clone(), inner[0], false);
         let key = memo_key(&pass, &f0, inner[1], false).expect("eligible");
         memo().insert(key, Arc::new(other));
@@ -633,15 +618,7 @@ mod tests {
         let mut config = SchedConfig::speculative();
         let none = TestHooks::default();
         let key = |config: &SchedConfig, tracing: bool| {
-            let live = Liveness::compute(&f, &cfg);
-            let pass = GlobalPass {
-                machine: &machine,
-                cfg: &cfg,
-                tree: &tree,
-                config,
-                hooks: &none,
-                live,
-            };
+            let pass = GlobalPass::new(&f, &machine, &cfg, &tree, config, &none);
             memo_key(&pass, &f, tree.root(), tracing)
         };
         assert!(memo_eligible(&config, &none));

@@ -250,7 +250,6 @@ mod tests {
     use crate::config::{SchedConfig, SchedLevel, TestHooks};
     use gis_cfg::{Cfg, DomTree, LoopForest, RegionTree};
     use gis_machine::MachineDescription;
-    use gis_pdg::Liveness;
 
     /// Applied onto a function whose allocator has moved on, an outcome
     /// draws its registers there and respells them in operations and
@@ -264,14 +263,8 @@ mod tests {
         let f0 = gis_workloads::minmax::figure2_function(99);
         let cfg = Cfg::new(&f0);
         let tree = RegionTree::new(&cfg, &LoopForest::new(&cfg, &DomTree::dominators(&cfg)));
-        let pass = GlobalPass {
-            machine: &machine,
-            cfg: &cfg,
-            tree: &tree,
-            config: &config,
-            hooks: &TestHooks::default(),
-            live: Liveness::compute(&f0, &cfg),
-        };
+        let hooks = TestHooks::default();
+        let pass = GlobalPass::new(&f0, &machine, &cfg, &tree, &config, &hooks);
         let (mut f, mut g) = (f0.clone(), f0);
         g.fresh_reg(RegClass::Cr); // g's allocator runs one ahead
         let order = tree.schedule_order();
@@ -325,14 +318,8 @@ mod tests {
         for (f0, config) in cases {
             let cfg = Cfg::new(&f0);
             let tree = RegionTree::new(&cfg, &LoopForest::new(&cfg, &DomTree::dominators(&cfg)));
-            let pass = GlobalPass {
-                machine: &machine,
-                cfg: &cfg,
-                tree: &tree,
-                config: &config,
-                hooks: &TestHooks::default(),
-                live: Liveness::compute(&f0, &cfg),
-            };
+            let hooks = TestHooks::default();
+            let pass = GlobalPass::new(&f0, &machine, &cfg, &tree, &config, &hooks);
             let mut f = f0;
             for rid in tree.schedule_order() {
                 let start = f.snapshot();

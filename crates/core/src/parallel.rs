@@ -52,11 +52,13 @@
 //! every workload.
 
 use crate::config::{SchedConfig, TestHooks};
+use crate::fingerprint::{write_config_fingerprint, write_machine_fingerprint};
 use crate::global::{size_gate, subtree_blocks};
 use crate::memo::region_outcome;
 use crate::outcome::RegionOutcome;
 use crate::stats::SchedStats;
 use gis_cfg::{Cfg, RegionId, RegionTree};
+use gis_ir::hash::Fnv64;
 use gis_ir::Function;
 use gis_machine::MachineDescription;
 use gis_pdg::Liveness;
@@ -90,6 +92,36 @@ pub(crate) struct GlobalPass<'a> {
     /// motions never change them (the region-boundary invariant in
     /// `gis_pdg`'s liveness module).
     pub(crate) live: Liveness,
+    /// The machine and configuration fingerprints hashed once, for the
+    /// region memo's keys: they are the same for every region of the
+    /// pass.
+    pub(crate) fingerprint: u64,
+}
+
+impl<'a> GlobalPass<'a> {
+    /// A pass over `f`'s current code: solves its liveness and hashes
+    /// the fingerprints.
+    pub(crate) fn new(
+        f: &Function,
+        machine: &'a MachineDescription,
+        cfg: &'a Cfg,
+        tree: &'a RegionTree,
+        config: &'a SchedConfig,
+        hooks: &'a TestHooks,
+    ) -> Self {
+        let mut h = Fnv64::new();
+        write_machine_fingerprint(&mut h, machine);
+        write_config_fingerprint(&mut h, config, f.inst_id_bound());
+        GlobalPass {
+            machine,
+            cfg,
+            tree,
+            config,
+            hooks,
+            live: Liveness::compute(f, cfg),
+            fingerprint: h.finish(),
+        }
+    }
 }
 
 /// One work item: a unit's regions, in schedule order.
@@ -125,16 +157,8 @@ pub(crate) fn global_pass<O: SchedObserver>(
     if order.is_empty() {
         return;
     }
-    let live = Liveness::compute(f, cfg);
+    let pass = GlobalPass::new(f, machine, cfg, tree, config, hooks);
     stats.liveness_full += 1;
-    let pass = GlobalPass {
-        machine,
-        cfg,
-        tree,
-        config,
-        hooks,
-        live,
-    };
     let jobs = effective_jobs(config.jobs);
     let tasks = if jobs > 1 && order.len() > 1 {
         plan_tasks(f, tree, config, &order)

@@ -41,7 +41,10 @@ pub struct SchedStats {
     /// latency-redundancy reduction).
     pub dep_edges: usize,
     /// Data dependence edges surviving `gis_pdg::DataDeps::reduce`'s
-    /// latency-redundancy elimination.
+    /// latency-redundancy elimination, which drops redundant edges
+    /// between instructions of one block only: every cross-block edge
+    /// is counted, including those the whole-scope
+    /// `gis_pdg::DataDeps::reduce_reference` would drop.
     pub dep_edges_reduced: usize,
     /// §5.3 live-on-exit queries answered by walking the region's
     /// current code (`gis_pdg::Liveness::walk_live_out`), which reads the

@@ -8,15 +8,23 @@
 //! edge so that unconditionally executed blocks come out control dependent
 //! on `ENTRY`.
 
-use gis_cfg::{Cfg, DomTree, EdgeLabel, NodeId, RegionGraph, RegionNode};
+use gis_cfg::{group_by, Adjacency, Cfg, DomTree, EdgeLabel, NodeId, RegionGraph, RegionNode};
 use std::fmt::Write as _;
 
 /// The control dependence subgraph of one region, with the dominance
 /// machinery needed for Definitions 1–7 of the paper.
+///
+/// Both dependence directions live in flat arrays indexed by node, so a
+/// region's CSPDG costs a fixed handful of allocations whatever its
+/// size.
 #[derive(Debug, Clone)]
 pub struct Cspdg {
-    parents: Vec<Vec<(NodeId, EdgeLabel)>>,
-    children: Vec<Vec<(NodeId, EdgeLabel)>>,
+    /// Node `b`'s CD parents: `parents[parent_off[b]..parent_off[b + 1]]`.
+    parent_off: Vec<u32>,
+    parents: Vec<(NodeId, EdgeLabel)>,
+    /// Node `a`'s CD children, same layout.
+    child_off: Vec<u32>,
+    children: Vec<(NodeId, EdgeLabel)>,
     dom: DomTree,
     pdom: DomTree,
     /// Which nodes are real basic blocks (not `ENTRY`/`EXIT`/supernodes).
@@ -48,60 +56,58 @@ impl Cspdg {
     /// ```
     pub fn new(g: &RegionGraph) -> Self {
         let n = g.num_nodes();
+        let fwd = g.adjacency();
+        let dom = DomTree::new(&fwd, NodeId::ENTRY);
+        // Postdominators of the graph augmented with ENTRY -> EXIT, the
+        // FOW construction's edge that makes unconditionally executed
+        // blocks control dependent on ENTRY. The edge itself is never a
+        // dependence source: EXIT postdominates ENTRY through it.
+        let has_exit = fwd.succs(NodeId::ENTRY).contains(&NodeId::EXIT);
+        let augmented = Adjacency::new(n, |i| {
+            let extra = (i == NodeId::ENTRY.index() && !has_exit).then_some(NodeId::EXIT);
+            fwd.succs(NodeId::from_index(i))
+                .iter()
+                .copied()
+                .chain(extra)
+        });
+        let pdom = DomTree::new(&augmented.reversed(), NodeId::EXIT);
 
-        // Augment with ENTRY -> EXIT for the FOW construction.
-        let mut succs = g.succ_lists();
-        if !succs[NodeId::ENTRY.index()].contains(&NodeId::EXIT) {
-            succs[NodeId::ENTRY.index()].push(NodeId::EXIT);
-        }
-        let mut rev: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for (i, list) in succs.iter().enumerate() {
-            for &t in list {
-                rev[t.index()].push(NodeId::from_index(i));
-            }
-        }
-        let pdom = DomTree::from_succs(&rev, NodeId::EXIT);
-        let dom = g.dominators();
-
-        let mut parents: Vec<Vec<(NodeId, EdgeLabel)>> = vec![Vec::new(); n];
-        let mut children: Vec<Vec<(NodeId, EdgeLabel)>> = vec![Vec::new(); n];
-
-        // Labelled edges: the region graph's edges plus the augmentation
-        // edge (whose dependents are the "always executed" blocks).
-        let mut edges: Vec<(NodeId, NodeId, EdgeLabel)> = Vec::new();
+        // Every dependence `(a, b, label)` in emission order: source by
+        // source, edge by edge, up the postdominator tree.
+        let mut deps: Vec<(NodeId, NodeId, EdgeLabel)> = Vec::new();
         for i in 0..n {
             let a = NodeId::from_index(i);
+            let first = deps.len();
             for &(s, l) in g.succs(a) {
-                edges.push((a, s, l));
+                if pdom.dominates(s, a) {
+                    continue; // not a control dependence source
+                }
+                // Walk the postdominator tree from S up to (excluding)
+                // ipdom(A); every node on the way is control dependent on
+                // A. Two edges of A with one label may reach a node twice.
+                let stop = pdom.idom(a);
+                let mut cur = Some(s);
+                while let Some(b) = cur {
+                    if Some(b) == stop {
+                        break;
+                    }
+                    if !deps[first..].contains(&(a, b, l)) {
+                        deps.push((a, b, l));
+                    }
+                    cur = pdom.idom(b);
+                }
             }
         }
-        edges.push((NodeId::ENTRY, NodeId::EXIT, EdgeLabel::Always));
-
-        for (a, s, l) in edges {
-            if pdom.dominates(s, a) {
-                continue; // not a control dependence source
-            }
-            // Walk the postdominator tree from S up to (excluding)
-            // ipdom(A); every node on the way is control dependent on A.
-            let stop = pdom.idom(a);
-            let mut cur = Some(s);
-            while let Some(b) = cur {
-                if Some(b) == stop {
-                    break;
-                }
-                if !parents[b.index()].iter().any(|&(p, pl)| p == a && pl == l) {
-                    parents[b.index()].push((a, l));
-                    children[a.index()].push((b, l));
-                }
-                cur = pdom.idom(b);
-            }
-        }
+        let (parent_off, parents) = group_by(n, deps.iter().map(|&(a, b, l)| (b.index(), (a, l))));
+        let (child_off, children) = group_by(n, deps.iter().map(|&(a, b, l)| (a.index(), (b, l))));
 
         let is_block = (0..n)
             .map(|i| matches!(g.node(NodeId::from_index(i)), RegionNode::Block(_)))
             .collect();
         Cspdg {
+            parent_off,
             parents,
+            child_off,
             children,
             dom,
             pdom,
@@ -111,18 +117,18 @@ impl Cspdg {
 
     /// Number of nodes (same numbering as the region graph).
     pub fn num_nodes(&self) -> usize {
-        self.parents.len()
+        self.is_block.len()
     }
 
     /// The nodes `n` is control dependent on, with the branch label.
     pub fn cd_parents(&self, n: NodeId) -> &[(NodeId, EdgeLabel)] {
-        &self.parents[n.index()]
+        &self.parents[self.parent_off[n.index()] as usize..self.parent_off[n.index() + 1] as usize]
     }
 
     /// The nodes control dependent on `n` — the "immediate successors of
     /// `n` in CSPDG" that 1-branch speculative scheduling draws from.
     pub fn cd_children(&self, n: NodeId) -> &[(NodeId, EdgeLabel)] {
-        &self.children[n.index()]
+        &self.children[self.child_off[n.index()] as usize..self.child_off[n.index() + 1] as usize]
     }
 
     /// The region's dominator tree (Definition 1).
@@ -149,8 +155,8 @@ impl Cspdg {
     /// [`Cspdg::equivalent`] on the graphs we schedule (a property the
     /// test suite checks on random programs).
     pub fn identically_control_dependent(&self, a: NodeId, b: NodeId) -> bool {
-        let mut pa = self.parents[a.index()].clone();
-        let mut pb = self.parents[b.index()].clone();
+        let mut pa = self.cd_parents(a).to_vec();
+        let mut pb = self.cd_parents(b).to_vec();
         pa.sort();
         pb.sort();
         pa == pb

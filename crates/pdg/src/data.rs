@@ -13,8 +13,13 @@
 //! [`DataDeps::reduce`] removes latency-redundant edges: an edge is
 //! dropped when some other path already enforces at least as large a
 //! separation — the practical effect of the paper's "no need to compute
-//! the edge from a to c" transitive-closure observation.
+//! the edge from a to c" transitive-closure observation. It reduces the
+//! edges inside each block with a table over that block alone and keeps
+//! every cross-block edge; [`DataDeps::reduce_reference`], the
+//! whole-scope reduction, is its oracle (see `docs/PAPER_MAP.md` for
+//! why the two agree wherever the schedule looks).
 
+use gis_cfg::group_by;
 use gis_ir::{BlockId, Function, InstId, MemRef, Op, Reg};
 use gis_machine::MachineDescription;
 use std::fmt;
@@ -108,6 +113,9 @@ pub struct DataDeps {
     /// Instructions of the scope in a topological-compatible order
     /// (block order as supplied, positions within blocks).
     order: Vec<InstId>,
+    /// Block boundaries: the `k`-th supplied block holds positions
+    /// `block_off[k]..block_off[k + 1]`, in program order.
+    block_off: Vec<u32>,
 }
 
 /// Builds the two CSR arenas from edges in emission order. The scatter
@@ -116,31 +124,8 @@ pub struct DataDeps {
 /// emit in the reference's lexicographic pair order, so the slices
 /// compare bit for bit.
 fn csr_from_flat(n: usize, flat: &[DataDep]) -> (Vec<DataDep>, Vec<u32>, Vec<DataDep>, Vec<u32>) {
-    let m = flat.len();
-    let mut in_off = vec![0u32; n + 1];
-    let mut out_off = vec![0u32; n + 1];
-    for dep in flat {
-        out_off[dep.from as usize + 1] += 1;
-        in_off[dep.to as usize + 1] += 1;
-    }
-    for p in 0..n {
-        out_off[p + 1] += out_off[p];
-        in_off[p + 1] += in_off[p];
-    }
-    if m == 0 {
-        return (Vec::new(), in_off, Vec::new(), out_off);
-    }
-    let mut edges_in = vec![flat[0]; m];
-    let mut edges_out = vec![flat[0]; m];
-    let mut ic: Vec<u32> = in_off[..n].to_vec();
-    let mut oc: Vec<u32> = out_off[..n].to_vec();
-    for &dep in flat {
-        let (fp, tp) = (dep.from as usize, dep.to as usize);
-        edges_out[oc[fp] as usize] = dep;
-        oc[fp] += 1;
-        edges_in[ic[tp] as usize] = dep;
-        ic[tp] += 1;
-    }
+    let (in_off, edges_in) = group_by(n, flat.iter().map(|d| (d.to as usize, *d)));
+    let (out_off, edges_out) = group_by(n, flat.iter().map(|d| (d.from as usize, *d)));
     (edges_in, in_off, edges_out, out_off)
 }
 
@@ -162,6 +147,8 @@ struct Scope<'f> {
     /// Compact id→position map (see [`DataDeps::local`]).
     id_base: usize,
     local: Vec<u32>,
+    /// Block boundaries (see [`DataDeps::block_off`]).
+    block_off: Vec<u32>,
 }
 
 impl<'f> Scope<'f> {
@@ -190,10 +177,12 @@ impl<'f> Scope<'f> {
             use_off: Vec::with_capacity(n + 1),
             id_base,
             local: vec![LOCAL_NONE; span],
+            block_off: Vec::with_capacity(blocks.len() + 1),
         };
         scope.def_off.push(0);
         scope.use_off.push(0);
         for &b in blocks {
+            scope.block_off.push(order.len() as u32);
             for (pos, inst) in f.block(b).insts().enumerate() {
                 scope.local[inst.id.index() - id_base] = order.len() as u32;
                 order.push(inst.id);
@@ -205,6 +194,7 @@ impl<'f> Scope<'f> {
                 scope.use_off.push(scope.use_regs.len() as u32);
             }
         }
+        scope.block_off.push(order.len() as u32);
         (order, scope)
     }
 
@@ -512,6 +502,7 @@ impl DataDeps {
             id_base: scope.id_base,
             local: scope.local,
             order,
+            block_off: scope.block_off,
         }
     }
 
@@ -547,6 +538,7 @@ impl DataDeps {
             id_base: scope.id_base,
             local: scope.local,
             order,
+            block_off: scope.block_off,
         }
     }
 
@@ -592,11 +584,105 @@ impl DataDeps {
         &self.order
     }
 
-    /// Removes latency-redundant edges: an edge `(a, c)` is dropped when a
-    /// path of other edges from `a` to `c` already enforces a separation
-    /// of at least `sep(a, c)`. The surviving graph admits exactly the
-    /// same schedules.
+    /// The scope's edges split into those joining two instructions of
+    /// one block and those crossing blocks, each in `succs` order
+    /// (position by position).
+    pub fn split_edges(&self) -> (Vec<DataDep>, Vec<DataDep>) {
+        let block = |p: u32| self.block_off.partition_point(|&o| o <= p);
+        self.edges_out
+            .iter()
+            .partition(|e| block(e.from) == block(e.to))
+    }
+
+    /// Removes latency-redundant edges between instructions of one block:
+    /// an in-block edge `(a, c)` is dropped when a path of other edges
+    /// from `a` to `c` already enforces a separation of at least
+    /// `sep(a, c)`. Every cross-block edge is kept.
+    ///
+    /// Each block is reduced with a longest-path table over that block
+    /// alone, filled in position order (program order is topological for
+    /// in-block edges). That drops exactly the in-block edges
+    /// [`Self::reduce_reference`] drops: in a forward scope a dependence
+    /// path between two instructions of one block never leaves the block,
+    /// because returning to it would need a cycle in the forward graph.
+    /// The cross-block edges the reference also drops are each implied by
+    /// a path of kept edges, so the graph admits the same schedules.
     pub fn reduce(&mut self) {
+        const NEG: i32 = i32::MIN / 4;
+        let mut removed: Vec<u32> = Vec::new();
+        // One block's longest separations, upper-triangular and reused:
+        // row `i` holds columns `i..len` (a position reaches only later
+        // ones of its block) from `row(i)` on.
+        let mut longest: Vec<i32> = Vec::new();
+        for w in self.block_off.windows(2) {
+            let (lo, hi) = (w[0] as usize, w[1] as usize);
+            let len = hi - lo;
+            // A redundant edge needs a path through a third instruction.
+            if len < 3 {
+                continue;
+            }
+            let local = |p: u32| (p as usize).checked_sub(lo).filter(|&q| q < len);
+            // ... and a source with at least two successors in the block.
+            let fans_out = |p: usize| {
+                self.succs(p)
+                    .iter()
+                    .filter(|e| local(e.to).is_some())
+                    .nth(1)
+                    .is_some()
+            };
+            if !(lo..hi).any(fans_out) {
+                continue;
+            }
+            let row = |i: usize| i * len - i * i.saturating_sub(1) / 2;
+            longest.clear();
+            longest.resize(row(len), NEG);
+            for i in (0..len).rev() {
+                let (head, tail) = longest.split_at_mut(row(i + 1));
+                let row_i = &mut head[row(i)..];
+                row_i[0] = 0;
+                for e in self.succs(lo + i) {
+                    let Some(j) = local(e.to) else { continue };
+                    let w = e.sep() as i32;
+                    let row_j = &tail[row(j) - row(i + 1)..][..len - j];
+                    for (cur, &lj) in row_i[j - i..].iter_mut().zip(row_j) {
+                        if lj > NEG && w + lj > *cur {
+                            *cur = w + lj;
+                        }
+                    }
+                }
+            }
+            // Redundancy is judged against the unreduced block, so every
+            // decision is independent of the others.
+            for i in 0..len {
+                let succs = self.succs(lo + i);
+                for (k, e) in succs.iter().enumerate() {
+                    let Some(c) = local(e.to) else { continue };
+                    // Redundant when some first hop b != c of the block
+                    // already reaches c with at least sep(e).
+                    let redundant = succs.iter().any(|first| match local(first.to) {
+                        Some(b) if b < c => {
+                            let l = longest[row(b) + c - b];
+                            l > NEG && first.sep() as i32 + l >= e.sep() as i32
+                        }
+                        _ => false,
+                    });
+                    if redundant {
+                        removed.push(self.out_off[lo + i] + k as u32);
+                    }
+                }
+            }
+        }
+        self.remove_edges(removed);
+    }
+
+    /// The whole-scope reduction [`Self::reduce`] replaced, kept as its
+    /// oracle: an edge `(a, c)` anywhere in the scope is dropped when a
+    /// path of other edges from `a` to `c` already enforces a separation
+    /// of at least `sep(a, c)`, judged with a longest-path table over the
+    /// whole scope — quadratic in the scope's size, in time and memory.
+    /// The scheduler calls it only under its armed checks, to check that
+    /// each region's in-block edges come out alike.
+    pub fn reduce_reference(&mut self) {
         let n = self.order.len();
         // Topologically sort the scope positions by dependence edges
         // (the scope block list need not have been supplied in execution
@@ -650,14 +736,10 @@ impl DataDeps {
 
         // Redundancy is judged against the *original* graph (the paths
         // in `longest` and each node's own full out list), so the keep
-        // decision for every out edge is independent; decide them all,
-        // then rebuild both arenas in one pass each.
-        let m = self.edges_out.len();
-        let mut keep = vec![true; m];
-        let mut removed_keys: Vec<u64> = Vec::new();
+        // decision for every out edge is independent.
+        let mut removed: Vec<u32> = Vec::new();
         for a in 0..n {
-            let lo = self.out_off[a] as usize;
-            for (off, e) in self.succs(a).iter().enumerate() {
+            for (k, e) in self.succs(a).iter().enumerate() {
                 let c = topo_index[e.to as usize] as usize;
                 // Redundant when some first hop b != c already reaches
                 // c with at least sep(e).
@@ -669,47 +751,57 @@ impl DataDeps {
                     longest[b][c] > NEG && first.sep() as i64 + longest[b][c] >= e.sep() as i64
                 });
                 if redundant {
-                    keep[lo + off] = false;
-                    removed_keys.push((a as u64) << 32 | c as u64);
+                    removed.push(self.out_off[a] + k as u32);
                 }
             }
         }
-        if removed_keys.is_empty() {
+        self.remove_edges(removed);
+    }
+
+    /// Drops the edges at the ascending out-arena indices `removed` from
+    /// both arenas, keeping the order of every list.
+    fn remove_edges(&mut self, removed: Vec<u32>) {
+        if removed.is_empty() {
             return;
         }
-        removed_keys.sort_unstable();
-
-        // Out side: filter by index; in side: an edge's identity is its
-        // (from, to) position pair — unique, since each unordered pair
-        // yields at most one edge.
-        let mut edges_out = Vec::with_capacity(m - removed_keys.len());
-        let mut out_off = vec![0u32; n + 1];
-        let mut edges_in = Vec::with_capacity(m - removed_keys.len());
-        let mut in_off = vec![0u32; n + 1];
-        for a in 0..n {
-            let lo = self.out_off[a] as usize;
-            for (off, e) in self.succs(a).iter().enumerate() {
-                if keep[lo + off] {
-                    edges_out.push(*e);
-                }
-            }
-            out_off[a + 1] = edges_out.len() as u32;
-        }
-        for t in 0..n {
-            for e in self.preds(t) {
-                let a = u64::from(e.from);
-                let c = u64::from(topo_index[e.to as usize]);
-                if removed_keys.binary_search(&(a << 32 | c)).is_err() {
-                    edges_in.push(*e);
-                }
-            }
-            in_off[t + 1] = edges_in.len() as u32;
-        }
-        self.edges_out = edges_out;
-        self.out_off = out_off;
-        self.edges_in = edges_in;
-        self.in_off = in_off;
+        debug_assert!(removed.windows(2).all(|w| w[0] < w[1]), "ascending");
+        // The same edges in the in arena: each is the one entry of its
+        // target's list from its source (a pair yields at most one edge).
+        let mut removed_in: Vec<u32> = removed
+            .iter()
+            .map(|&i| {
+                let e = self.edges_out[i as usize];
+                let at = self
+                    .preds(e.to as usize)
+                    .iter()
+                    .position(|p| p.from == e.from);
+                self.in_off[e.to as usize] + at.expect("every edge is in both arenas") as u32
+            })
+            .collect();
+        removed_in.sort_unstable();
+        compact(&mut self.edges_out, &mut self.out_off, &removed);
+        compact(&mut self.edges_in, &mut self.in_off, &removed_in);
     }
+}
+
+/// Removes the entries at the ascending indices `removed` from a CSR
+/// arena in place, shifting the rest down and the offsets with them.
+fn compact(edges: &mut Vec<DataDep>, off: &mut [u32], removed: &[u32]) {
+    let (mut next, mut kept, mut start) = (0, 0, 0);
+    for p in 0..off.len() - 1 {
+        let end = off[p + 1] as usize;
+        for i in start..end {
+            if removed.get(next) == Some(&(i as u32)) {
+                next += 1;
+            } else {
+                edges[kept] = edges[i];
+                kept += 1;
+            }
+        }
+        start = end;
+        off[p + 1] = kept as u32;
+    }
+    edges.truncate(kept);
 }
 
 /// Whether the shared base register of two memory ops could be redefined
@@ -808,6 +900,43 @@ mod tests {
         d.reduce();
         let f02 = edge(&d, 0, 2).expect("flow survives");
         assert_eq!(f02.sep(), 2);
+    }
+
+    #[test]
+    fn reduction_is_block_local() {
+        // I0's load feeds I1 (sep 2), I1 feeds I2 and I3 (sep 1), and I0
+        // also feeds I2 and I3 directly (sep 2). Both direct edges are
+        // implied by the path through I1 (2 + 1 >= 2), but only I0->I2
+        // lies inside a block.
+        let (_, full) = deps_for(
+            "func t\nA:\n\
+             (I0) L  r1=a(r9,0)\n\
+             (I1) AI r2=r1,1\n\
+             (I2) A  r4=r1,r2\n\
+             B:\n\
+             (I3) A  r3=r1,r2\n\
+             RET\n",
+        );
+        let mut local = full.clone();
+        local.reduce();
+        assert!(
+            edge(&local, 0, 2).is_none(),
+            "in-block transitive edge dropped"
+        );
+        assert!(edge(&local, 0, 3).is_some(), "cross-block edge kept");
+        assert!(edge(&local, 1, 3).is_some());
+        let mut reference = full.clone();
+        reference.reduce_reference();
+        assert!(edge(&reference, 0, 2).is_none());
+        assert!(
+            edge(&reference, 0, 3).is_none(),
+            "the whole-scope oracle drops it"
+        );
+        // The two agree inside blocks; across them the block-local
+        // reduction keeps the unreduced graph.
+        assert_eq!(local.split_edges().0, reference.split_edges().0);
+        assert_eq!(local.split_edges().1, full.split_edges().1);
+        assert_ne!(local.split_edges().1, reference.split_edges().1);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! * §4.2 renaming leaves every use reached by the same definitions,
 //!   found by a brute-force backward path search;
 //! * redundant-edge elimination preserves the pairwise longest
-//!   separations of the dependence graph.
+//!   separations of the dependence graph, and the block-local reduction
+//!   drops exactly the in-block edges the whole-scope reduction drops
+//!   while keeping every cross-block edge.
 
 use gis_cfg::{Cfg, DomTree, LoopForest, NodeId, RegionGraph, RegionTree};
 use gis_ir::{parse_function, BlockId, Function, InstId, Reg};
@@ -171,6 +173,57 @@ fn reduction_preserves_longest_separations() {
         let sep_reduced = all_pairs_longest(&reduced);
         assert_eq!(sep_full, sep_reduced, "separations changed\n{f}");
     });
+}
+
+/// A random strict order on `n` blocks: the transitive closure of random
+/// forward edges `i -> j` (`i < j`), so some pairs of blocks are
+/// mutually unreachable, as the arms of a diamond are.
+fn arb_reachability(r: &mut XorShift64Star, n: usize) -> Vec<Vec<bool>> {
+    let mut reach = vec![vec![false; n]; n];
+    for i in (0..n).rev() {
+        for j in i + 1..n {
+            if r.chance(1, 2) {
+                let (head, tail) = reach.split_at_mut(j);
+                head[i][j] = true;
+                for (to, &via) in head[i].iter_mut().zip(&tail[0]) {
+                    *to |= via;
+                }
+            }
+        }
+    }
+    reach
+}
+
+#[test]
+fn block_local_reduction_matches_the_whole_scope_one_inside_blocks() {
+    let machine = MachineDescription::rs6k();
+    let (mut dropped_inside, mut dropped_across) = (0, 0);
+    for seed in 0..128u64 {
+        let mut r = XorShift64Star::new(seed);
+        let f = arb_function(&mut r, false);
+        let reach = arb_reachability(&mut r, f.num_blocks());
+        let blocks: Vec<BlockId> = f.block_ids().collect();
+        let full = DataDeps::build(&f, &machine, &blocks, |x, y| reach[x.index()][y.index()]);
+        let mut local = full.clone();
+        local.reduce();
+        let mut reference = full.clone();
+        reference.reduce_reference();
+        let (inside, across) = local.split_edges();
+        let (full_inside, full_across) = full.split_edges();
+        let (ref_inside, ref_across) = reference.split_edges();
+        assert_eq!(inside, ref_inside, "in-block edges differ\n{f}");
+        assert_eq!(across, full_across, "a cross-block edge was dropped\n{f}");
+        assert_eq!(
+            all_pairs_longest(&local),
+            all_pairs_longest(&full),
+            "separations changed\n{f}"
+        );
+        dropped_inside += full_inside.len() - inside.len();
+        dropped_across += full_across.len() - ref_across.len();
+    }
+    // Both kinds of redundancy occur, so the equalities above bite.
+    assert!(dropped_inside > 0, "no in-block edge was redundant");
+    assert!(dropped_across > 0, "no cross-block edge was redundant");
 }
 
 /// Brute-force live-in: `b` reads `r` before writing it, or writes it

@@ -377,7 +377,8 @@ fn fuzz_command(mut args: impl Iterator<Item = String>) -> ExitCode {
     }
     // The full surface: the jobs matrix, the duplication matrix (gate
     // on/off × jobs {1, 4} × speculation depth {1, 2}), the wide-machine
-    // matrix, and the region-memo matrix (memo on/off × jobs {1, 4}).
+    // matrix, the region-memo matrix (memo on/off × jobs {1, 4}) and the
+    // renaming-off columns (no-rename and the paper example).
     let matrix = gis_check::full_matrix();
     eprintln!(
         "gisc fuzz: seed {seed}, {iters} iterations, matrix of {} configs",
