@@ -40,7 +40,12 @@
 //! aborts unless they order every block alike, and their `final-bb`
 //! rows carry the hash of the result.
 //!
-//! Two groups measure this PR's work-distribution machinery. The
+//! The `host/parallel-probe` row and speedup say how much a second
+//! thread buys on the host at all: a fixed compile job on two threads
+//! at once against the same work on one thread (2.0 with two free
+//! cores). Quote a `jobs` speedup only next to it.
+//!
+//! Two groups measure the work-distribution machinery. The
 //! `e2e-memo` group compiles many-loops-m against a cold vs a warm
 //! region schedule memo (the warm path splices cached block payloads
 //! instead of re-scheduling), after asserting bit-identical schedules
@@ -423,6 +428,54 @@ fn bench_final_bb(
         });
     }
     reference as f64 / ready.max(1) as f64
+}
+
+/// The host-parallelism probe: a fixed job — `PROBE_COMPILES` cold
+/// `jobs 1` compiles of many-loops-s — run twice on one thread, then
+/// once on each of two threads at the same time. Emits the two-thread
+/// wall time as the `host/parallel-probe` row and returns the one-thread
+/// time ÷ the two-thread time: 2.0 on a host with two free cores, 1.0
+/// on one core. A `--jobs` speedup means something only next to it: a
+/// host whose two threads do not run at twice one thread's throughput
+/// cannot show a two-worker pool doing so.
+fn bench_host_parallelism(machine: &MachineDescription, runs: usize, rows: &mut Vec<Row>) -> f64 {
+    const PROBE_COMPILES: usize = 8;
+    let f = &synth::many_loops_preset("many-loops-s")
+        .expect("a MANY_LOOPS_PRESETS name")
+        .program
+        .function;
+    let config = SchedConfig {
+        jobs: 1,
+        // Both threads compile the same function: the shared memo would
+        // turn most compiles into splices.
+        region_memo: false,
+        ..SchedConfig::speculative()
+    };
+    let job = || {
+        for _ in 0..PROBE_COMPILES {
+            let mut scheduled = f.clone();
+            compile(&mut scheduled, machine, &config).expect("compiles");
+            black_box(scheduled);
+        }
+    };
+    let one = median_ns(1, runs, || {
+        job();
+        job();
+    });
+    let two = median_ns(1, runs, || {
+        std::thread::scope(|s| {
+            let other = s.spawn(job);
+            job();
+            other.join().expect("probe thread");
+        })
+    });
+    rows.push(Row {
+        name: "host/parallel-probe".to_owned(),
+        n_insts: f.num_insts(),
+        median_ns: two,
+        schedule_hash: None,
+    });
+    one as f64 / two.max(1) as f64
 }
 
 /// End-to-end compiles at `jobs` 1/2/4/8, which must hash alike.
@@ -817,6 +870,10 @@ fn main() {
     let mut rows = Vec::new();
     let mut speedups = Vec::new();
     let mut jobs_hash_match = true;
+    // Next to the `--jobs` rows, how much a second thread buys on this
+    // host at all.
+    let probe = bench_host_parallelism(&machine, runs, &mut rows);
+    speedups.push(("host/parallel-probe".to_owned(), probe));
     for &(preset, loops, stmts, seed) in synth::MANY_LOOPS_PRESETS {
         let w = synth::many_loops_scaled(loops, stmts, seed);
         let f = &w.program.function;

@@ -7,12 +7,12 @@
 
 pub mod matrix;
 
-use gis_core::{compile, SchedConfig, SchedStats};
+use gis_core::{compile, region_memo_clear, SchedConfig, SchedStats};
 use gis_machine::MachineDescription;
 use gis_sim::{execute, ExecConfig, ExecOutcome, TimingSim};
 use gis_workloads::spec::Workload;
 use std::fmt;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Where a bench's output path argument points. Cargo runs benches from
 /// the package directory (`crates/bench`), so a relative path is taken
@@ -159,14 +159,19 @@ impl fmt::Display for Figure7Row {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{:<10} {:>10.4}s {:>7.0}%",
-            self.name, self.base_seconds, self.cto_percent
+            "{:<10} {:>8.3} ms {:>7.0}%",
+            self.name,
+            self.base_seconds * 1e3,
+            self.cto_percent
         )
     }
 }
 
 /// Measures Figure 7 (compile-time overhead). `repeats` compilations are
 /// timed per configuration to stabilize sub-millisecond measurements.
+/// Every one is cold: the process-wide region memo is cleared before
+/// each (outside the timed span), or every repeat after the first would
+/// splice its regions from the memo instead of scheduling them.
 pub fn figure7(
     workloads: &[Workload],
     machine: &MachineDescription,
@@ -176,9 +181,11 @@ pub fn figure7(
         .iter()
         .map(|w| {
             let time = |config: &SchedConfig| -> (f64, SchedStats) {
-                let t0 = Instant::now();
+                let mut elapsed = Duration::ZERO;
                 let mut stats = SchedStats::default();
                 for _ in 0..repeats {
+                    region_memo_clear();
+                    let t0 = Instant::now();
                     // Whole-compiler time, as in the paper's Figure 7: the
                     // frontend runs too, not just the scheduling pipeline.
                     let mut f = if w.source.is_empty() {
@@ -189,8 +196,9 @@ pub fn figure7(
                             .function
                     };
                     stats.absorb(compile(&mut f, machine, config).expect("compiles"));
+                    elapsed += t0.elapsed();
                 }
-                (t0.elapsed().as_secs_f64() / f64::from(repeats), stats)
+                (elapsed.as_secs_f64() / f64::from(repeats), stats)
             };
             let (base, _) = time(&SchedConfig::base());
             let (full, stats) = time(&SchedConfig::speculative());

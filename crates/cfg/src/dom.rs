@@ -4,14 +4,15 @@
 //! reverse postorder, plus Euler-interval numbering of the resulting tree
 //! so that `dominates` queries are O(1).
 
-use crate::graph::{reverse_postorder_from, Adjacency, Cfg, NodeId};
+use crate::graph::{reverse_postorder_into, Adjacency, Cfg, NodeId};
 
 /// A dominator tree over the nodes of a graph.
 ///
 /// The same structure serves as a *post*dominator tree when built over the
 /// reversed graph rooted at `EXIT` ([`DomTree::postdominators`]). Every
 /// table is flat: building one costs a fixed handful of allocations
-/// whatever the node count.
+/// whatever the node count, and [`DomTree::rebuild`] reuses them, so a
+/// tree rebuilt once per region allocates only while it grows.
 #[derive(Debug, Clone)]
 pub struct DomTree {
     root: NodeId,
@@ -24,6 +25,33 @@ pub struct DomTree {
     /// Euler tour entry/exit times on the dominator tree.
     pre: Vec<u32>,
     post: Vec<u32>,
+    /// Buffers of the construction, kept for the next rebuild.
+    scratch: DomScratch,
+}
+
+/// The working arrays of one [`DomTree`] construction.
+#[derive(Debug, Clone, Default)]
+struct DomScratch {
+    rpo: Vec<NodeId>,
+    rpo_index: Vec<usize>,
+    preds: Adjacency,
+    parents: Adjacency,
+    visited: Vec<bool>,
+    stack: Vec<(NodeId, usize)>,
+}
+
+/// An empty tree, for [`DomTree::rebuild`] to fill.
+impl Default for DomTree {
+    fn default() -> Self {
+        DomTree {
+            root: NodeId::ENTRY,
+            idom: Vec::new(),
+            children: Adjacency::default(),
+            pre: Vec::new(),
+            post: Vec::new(),
+            scratch: DomScratch::default(),
+        }
+    }
 }
 
 impl DomTree {
@@ -46,15 +74,41 @@ impl DomTree {
 
     /// Builds the dominator tree of the graph `succs`, rooted at `root`.
     pub fn new(succs: &Adjacency, root: NodeId) -> Self {
+        let mut tree = DomTree::default();
+        tree.rebuild(succs, root);
+        tree
+    }
+
+    /// [`DomTree::new`] in place: the tree of `succs` rooted at `root`,
+    /// reusing this tree's arrays.
+    pub fn rebuild(&mut self, succs: &Adjacency, root: NodeId) {
         let n = succs.num_nodes();
-        let rpo = reverse_postorder_from(n, root, |x, i| succs.succs(x).get(i).copied());
-        let mut rpo_index = vec![usize::MAX; n];
+        let DomScratch {
+            rpo,
+            rpo_index,
+            preds,
+            parents,
+            visited,
+            stack,
+        } = &mut self.scratch;
+        reverse_postorder_into(
+            n,
+            root,
+            |x, i| succs.succs(x).get(i).copied(),
+            visited,
+            stack,
+            rpo,
+        );
+        rpo_index.clear();
+        rpo_index.resize(n, usize::MAX);
         for (i, node) in rpo.iter().enumerate() {
             rpo_index[node.index()] = i;
         }
-        let preds = succs.reversed();
+        succs.reverse_into(preds);
 
-        let mut idom: Vec<Option<NodeId>> = vec![None; n];
+        let idom = &mut self.idom;
+        idom.clear();
+        idom.resize(n, None);
         idom[root.index()] = Some(root);
 
         let intersect = |idom: &[Option<NodeId>], mut a: NodeId, mut b: NodeId| -> NodeId {
@@ -80,7 +134,7 @@ impl DomTree {
                     }
                     new_idom = Some(match new_idom {
                         None => p,
-                        Some(cur) => intersect(&idom, cur, p),
+                        Some(cur) => intersect(idom, cur, p),
                     });
                 }
                 if new_idom.is_some() && idom[b.index()] != new_idom {
@@ -92,13 +146,19 @@ impl DomTree {
 
         // Children (root excluded from its own children), ascending: the
         // tree's edges, parent to child.
-        let children = Adjacency::new(n, |i| idom[i].filter(|p| p.index() != i)).reversed();
+        parents.rebuild(n, |i| idom[i].filter(|p| p.index() != i));
+        parents.reverse_into(&mut self.children);
+        let children = &self.children;
 
         // Euler intervals for O(1) ancestor queries.
-        let mut pre = vec![0u32; n];
-        let mut post = vec![0u32; n];
+        let (pre, post) = (&mut self.pre, &mut self.post);
+        pre.clear();
+        pre.resize(n, 0);
+        post.clear();
+        post.resize(n, 0);
         let mut clock = 0u32;
-        let mut stack: Vec<(NodeId, usize)> = vec![(root, 0)];
+        stack.clear();
+        stack.push((root, 0));
         pre[root.index()] = clock;
         clock += 1;
         while let Some(&(node, i)) = stack.last() {
@@ -113,14 +173,7 @@ impl DomTree {
                 stack.pop();
             }
         }
-
-        DomTree {
-            root,
-            idom,
-            children,
-            pre,
-            post,
-        }
+        self.root = root;
     }
 
     /// The tree's root (`ENTRY` for dominators, `EXIT` for postdominators).

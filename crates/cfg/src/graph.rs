@@ -96,67 +96,78 @@ pub struct Edge {
 /// The control flow graph of a function, augmented with unique `ENTRY` and
 /// `EXIT` nodes (paper Figure 3). `ENTRY` has a single edge to the entry
 /// block; every block that leaves the function feeds `EXIT`.
-#[derive(Debug, Clone)]
+///
+/// Both edge directions live in flat arrays (compressed sparse rows):
+/// node `i`'s successors are `succs[succ_off[i]..succ_off[i + 1]]`, so a
+/// build costs four allocations whatever the block count.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cfg {
-    succs: Vec<Vec<Edge>>,
-    preds: Vec<Vec<Edge>>,
+    succ_off: Vec<u32>,
+    succs: Vec<Edge>,
+    pred_off: Vec<u32>,
+    preds: Vec<Edge>,
 }
 
 impl Cfg {
     /// Builds the CFG of `f`.
     pub fn new(f: &Function) -> Self {
         let n = f.num_blocks() + 2;
-        let mut succs: Vec<Vec<Edge>> = vec![Vec::new(); n];
-        let mut preds: Vec<Vec<Edge>> = vec![Vec::new(); n];
-        let mut add = |from: NodeId, to: NodeId, label: EdgeLabel| {
-            succs[from.index()].push(Edge { to, label });
-            preds[to.index()].push(Edge { to: from, label });
+        let mut succ_off: Vec<u32> = Vec::with_capacity(n + 1);
+        let mut succs: Vec<Edge> = Vec::with_capacity(2 * f.num_blocks() + 1);
+        // Successor lists in node order: ENTRY, EXIT (none), then every
+        // block in layout order.
+        succ_off.push(0);
+        succs.push(Edge {
+            to: NodeId::block(f.entry()),
+            label: EdgeLabel::Always,
+        });
+        succ_off.extend([1, 1]);
+        let fall_through = |bid: BlockId| {
+            let next = bid.index() + 1;
+            (next < f.num_blocks()).then(|| NodeId::block(BlockId::new(next as u32)))
         };
-
-        add(NodeId::ENTRY, NodeId::block(f.entry()), EdgeLabel::Always);
-
         for (bid, block) in f.blocks() {
-            let node = NodeId::block(bid);
-            let last = block.last().map(|i| &i.op);
-            match last {
+            let mut add = |to: NodeId, label: EdgeLabel| succs.push(Edge { to, label });
+            match block.last().map(|i| &i.op) {
                 Some(Op::BranchCond { target, .. }) => {
-                    add(node, NodeId::block(*target), EdgeLabel::Taken);
-                    let next = bid.index() + 1;
-                    if next < f.num_blocks() {
-                        let ft = BlockId::new(next as u32);
-                        if ft != *target {
-                            add(node, NodeId::block(ft), EdgeLabel::NotTaken);
-                        }
-                    } else {
-                        add(node, NodeId::EXIT, EdgeLabel::NotTaken);
+                    add(NodeId::block(*target), EdgeLabel::Taken);
+                    match fall_through(bid) {
+                        Some(ft) if ft == NodeId::block(*target) => {}
+                        Some(ft) => add(ft, EdgeLabel::NotTaken),
+                        None => add(NodeId::EXIT, EdgeLabel::NotTaken),
                     }
                 }
-                Some(Op::Branch { target }) => {
-                    add(node, NodeId::block(*target), EdgeLabel::Always);
-                }
-                Some(Op::Ret) => add(node, NodeId::EXIT, EdgeLabel::Always),
-                _ => {
-                    // Plain fall-through (verify guarantees this is not the
-                    // last block).
-                    let next = bid.index() + 1;
-                    if next < f.num_blocks() {
-                        add(
-                            node,
-                            NodeId::block(BlockId::new(next as u32)),
-                            EdgeLabel::Always,
-                        );
-                    } else {
-                        add(node, NodeId::EXIT, EdgeLabel::Always);
-                    }
-                }
+                Some(Op::Branch { target }) => add(NodeId::block(*target), EdgeLabel::Always),
+                Some(Op::Ret) => add(NodeId::EXIT, EdgeLabel::Always),
+                // Plain fall-through (verify guarantees this is not the
+                // last block).
+                _ => add(fall_through(bid).unwrap_or(NodeId::EXIT), EdgeLabel::Always),
             }
+            succ_off.push(succs.len() as u32);
         }
-        Cfg { succs, preds }
+        // Predecessors in the order the edges were listed.
+        let (mut pred_off, mut preds) = (Vec::new(), Vec::new());
+        let off = &succ_off;
+        let edges = (0..n).flat_map(|from| {
+            succs[off[from] as usize..off[from + 1] as usize]
+                .iter()
+                .map(move |e| {
+                    let to = NodeId::from_index(from);
+                    (e.to.index(), Edge { to, label: e.label })
+                })
+        });
+        group_into(n, edges, &mut pred_off, &mut preds);
+        Cfg {
+            succ_off,
+            succs,
+            pred_off,
+            preds,
+        }
     }
 
     /// Number of nodes including `ENTRY` and `EXIT`.
     pub fn num_nodes(&self) -> usize {
-        self.succs.len()
+        self.succ_off.len() - 1
     }
 
     /// Number of basic blocks.
@@ -166,12 +177,12 @@ impl Cfg {
 
     /// Successor edges of a node.
     pub fn succs(&self, n: NodeId) -> &[Edge] {
-        &self.succs[n.index()]
+        &self.succs[self.succ_off[n.index()] as usize..self.succ_off[n.index() + 1] as usize]
     }
 
     /// Predecessor edges of a node (`Edge::to` is the predecessor).
     pub fn preds(&self, n: NodeId) -> &[Edge] {
-        &self.preds[n.index()]
+        &self.preds[self.pred_off[n.index()] as usize..self.pred_off[n.index() + 1] as usize]
     }
 
     /// All nodes in dense order.
@@ -227,8 +238,9 @@ impl Cfg {
 /// A graph's successor lists in two flat arrays (compressed sparse
 /// rows): node `i`'s successors are `targets[off[i]..off[i + 1]]`, in
 /// the order they were supplied. Building one allocates two arrays, not
-/// a list per node; the dominator machinery runs on it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// a list per node, and rebuilding one in place allocates nothing once
+/// its arrays are large enough; the dominator machinery runs on it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Adjacency {
     off: Vec<u32>,
     targets: Vec<NodeId>,
@@ -238,21 +250,33 @@ impl Adjacency {
     /// Collects `succs(i)` for every node index `i < num_nodes`.
     pub fn new<I: IntoIterator<Item = NodeId>>(
         num_nodes: usize,
-        mut succs: impl FnMut(usize) -> I,
+        succs: impl FnMut(usize) -> I,
     ) -> Self {
-        let mut off = Vec::with_capacity(num_nodes + 1);
-        let mut targets = Vec::new();
-        off.push(0);
+        let mut adj = Adjacency::default();
+        adj.rebuild(num_nodes, succs);
+        adj
+    }
+
+    /// [`Adjacency::new`] in place, keeping the arrays' capacity.
+    pub fn rebuild<I: IntoIterator<Item = NodeId>>(
+        &mut self,
+        num_nodes: usize,
+        mut succs: impl FnMut(usize) -> I,
+    ) {
+        self.off.clear();
+        self.targets.clear();
+        self.off.reserve(num_nodes + 1);
+        self.targets.reserve(num_nodes);
+        self.off.push(0);
         for i in 0..num_nodes {
-            targets.extend(succs(i));
-            off.push(targets.len() as u32);
+            self.targets.extend(succs(i));
+            self.off.push(self.targets.len() as u32);
         }
-        Adjacency { off, targets }
     }
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.off.len() - 1
+        self.off.len().saturating_sub(1)
     }
 
     /// The successors of `n`.
@@ -263,42 +287,56 @@ impl Adjacency {
     /// The reversed graph. Each node's list names its predecessors in
     /// ascending order, one entry per edge.
     pub fn reversed(&self) -> Adjacency {
+        let mut out = Adjacency::default();
+        self.reverse_into(&mut out);
+        out
+    }
+
+    /// [`Adjacency::reversed`] into `out`, keeping its capacity.
+    pub fn reverse_into(&self, out: &mut Adjacency) {
         let n = self.num_nodes();
         let edges = (0..n).flat_map(|from| {
             let to = self.succs(NodeId::from_index(from));
             to.iter()
                 .map(move |t| (t.index(), NodeId::from_index(from)))
         });
-        let (off, targets) = group_by(n, edges);
-        Adjacency { off, targets }
+        group_into(n, edges, &mut out.off, &mut out.targets);
     }
 }
 
 /// Groups `(key, item)` pairs by key into two flat arrays (compressed
 /// sparse rows), each group in the order its pairs come: the items of
 /// key `k < n` are `items[off[k]..off[k + 1]]`. Two passes over `pairs`:
-/// one counts, one scatters.
-pub fn group_by<T: Copy>(
+/// one counts, one scatters. The arrays are the caller's, overwritten
+/// and kept at their capacity: a caller that groups once per region
+/// allocates only while its arrays grow.
+pub fn group_into<T: Copy>(
     n: usize,
     pairs: impl Iterator<Item = (usize, T)> + Clone,
-) -> (Vec<u32>, Vec<T>) {
-    let mut off = vec![0u32; n + 1];
-    for (k, _) in pairs.clone() {
+    off: &mut Vec<u32>,
+    items: &mut Vec<T>,
+) {
+    off.clear();
+    off.resize(n + 1, 0);
+    items.clear();
+    let mut fill = None;
+    for (k, item) in pairs.clone() {
         off[k + 1] += 1;
+        fill.get_or_insert(item);
     }
+    let Some(fill) = fill else { return };
+    // `off[k]` becomes key `k`'s start, then serves as its cursor while
+    // scattering, which leaves it at `k`'s end: one shift restores it.
     for k in 0..n {
         off[k + 1] += off[k];
     }
-    let Some((_, fill)) = pairs.clone().next() else {
-        return (off, Vec::new());
-    };
-    let mut next: Vec<u32> = off[..n].to_vec();
-    let mut items = vec![fill; off[n] as usize];
+    items.resize(off[n] as usize, fill);
     for (k, item) in pairs {
-        items[next[k] as usize] = item;
-        next[k] += 1;
+        items[off[k] as usize] = item;
+        off[k] += 1;
     }
-    (off, items)
+    off.copy_within(0..n, 1);
+    off[0] = 0;
 }
 
 /// Reverse postorder of the nodes reachable from `start` in a graph
@@ -309,10 +347,35 @@ pub(crate) fn reverse_postorder_from(
     start: NodeId,
     succ: impl Fn(NodeId, usize) -> Option<NodeId>,
 ) -> Vec<NodeId> {
-    let mut visited = vec![false; num_nodes];
     let mut post = Vec::with_capacity(num_nodes);
+    reverse_postorder_into(
+        num_nodes,
+        start,
+        succ,
+        &mut Vec::new(),
+        &mut Vec::new(),
+        &mut post,
+    );
+    post
+}
+
+/// [`reverse_postorder_from`] into `out`, with caller-owned `visited`
+/// and DFS `stack` buffers (all three are overwritten).
+pub(crate) fn reverse_postorder_into(
+    num_nodes: usize,
+    start: NodeId,
+    succ: impl Fn(NodeId, usize) -> Option<NodeId>,
+    visited: &mut Vec<bool>,
+    stack: &mut Vec<(NodeId, usize)>,
+    out: &mut Vec<NodeId>,
+) {
+    visited.clear();
+    visited.resize(num_nodes, false);
+    out.clear();
+    out.reserve(num_nodes);
     // Iterative DFS with an explicit stack of (node, next-child-index).
-    let mut stack: Vec<(NodeId, usize)> = vec![(start, 0)];
+    stack.clear();
+    stack.push((start, 0));
     visited[start.index()] = true;
     while let Some(&(n, i)) = stack.last() {
         if let Some(c) = succ(n, i) {
@@ -322,12 +385,11 @@ pub(crate) fn reverse_postorder_from(
                 stack.push((c, 0));
             }
         } else {
-            post.push(n);
+            out.push(n);
             stack.pop();
         }
     }
-    post.reverse();
-    post
+    out.reverse();
 }
 
 #[cfg(test)]

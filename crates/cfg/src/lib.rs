@@ -41,7 +41,7 @@ mod region;
 
 pub use dom::DomTree;
 pub use dot::{cfg_to_dot, cfg_to_dot_with, dot_escape, dot_node_id, DotOverlay, NoOverlay};
-pub use graph::{group_by, Adjacency, Cfg, Edge, EdgeLabel, NodeId};
+pub use graph::{group_into, Adjacency, Cfg, Edge, EdgeLabel, NodeId};
 pub use loops::{LoopForest, LoopId, NaturalLoop};
 pub use region::{
     IrreducibleRegionError, Region, RegionGraph, RegionId, RegionKind, RegionNode, RegionTree,

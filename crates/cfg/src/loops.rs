@@ -22,7 +22,7 @@ impl LoopId {
 
 /// A natural loop: the blocks that can reach a latch of a dominance back
 /// edge without passing its header.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NaturalLoop {
     /// The loop header (the unique entry; dominates every block in the loop).
     pub header: BlockId,
@@ -47,7 +47,7 @@ impl NaturalLoop {
 }
 
 /// The forest of natural loops of a function, with a reducibility verdict.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoopForest {
     loops: Vec<NaturalLoop>,
     innermost: Vec<Option<LoopId>>,
@@ -143,22 +143,21 @@ impl LoopForest {
         //    remaining graph must be acyclic.
         let reducible = {
             let n = cfg.num_nodes();
+            let forward = |from: NodeId| {
+                cfg.succs(from)
+                    .iter()
+                    .map(|e| e.to)
+                    .filter(move |&to| !dom.dominates(to, from))
+            };
             let mut indeg = vec![0usize; n];
-            let mut fwd: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-            for from in cfg.nodes() {
-                for e in cfg.succs(from) {
-                    if dom.dominates(e.to, from) {
-                        continue; // back edge
-                    }
-                    fwd[from.index()].push(e.to);
-                    indeg[e.to.index()] += 1;
-                }
+            for to in cfg.nodes().flat_map(forward) {
+                indeg[to.index()] += 1;
             }
             let mut queue: Vec<NodeId> = cfg.nodes().filter(|x| indeg[x.index()] == 0).collect();
             let mut seen = 0;
             while let Some(x) = queue.pop() {
                 seen += 1;
-                for &s in &fwd[x.index()] {
+                for s in forward(x) {
                     indeg[s.index()] -= 1;
                     if indeg[s.index()] == 0 {
                         queue.push(s);

@@ -16,10 +16,9 @@
 //! scheduler consume.
 
 use crate::dom::DomTree;
-use crate::graph::{Adjacency, Cfg, EdgeLabel, NodeId};
+use crate::graph::{group_into, Adjacency, Cfg, EdgeLabel, NodeId};
 use crate::loops::{LoopForest, LoopId};
 use gis_ir::BlockId;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -50,7 +49,7 @@ pub enum RegionKind {
 }
 
 /// A region of the region tree.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Region {
     /// Loop or routine body.
     pub kind: RegionKind,
@@ -81,7 +80,7 @@ impl Region {
 
 /// The tree of regions of a function: one region per natural loop plus the
 /// routine body at the root.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionTree {
     regions: Vec<Region>,
     root: RegionId,
@@ -263,14 +262,50 @@ impl Error for IrreducibleRegionError {}
 /// region's direct blocks followed by supernodes for its child regions.
 /// Each of the region's own back edges becomes an edge to `EXIT`, so the
 /// graph is acyclic and a topological order exists.
+///
+/// Every table is flat, and [`RegionGraph::rebuild`] refills them in
+/// place: a scheduler that keeps one graph for a whole pass allocates
+/// only while its tables grow.
 #[derive(Debug, Clone)]
 pub struct RegionGraph {
     region: RegionId,
     nodes: Vec<RegionNode>,
-    succs: Vec<Vec<(NodeId, EdgeLabel)>>,
-    preds: Vec<Vec<(NodeId, EdgeLabel)>>,
-    node_of_block: HashMap<BlockId, NodeId>,
+    /// Node `n`'s successors: `succs[succ_off[n]..succ_off[n + 1]]`.
+    succ_off: Vec<u32>,
+    succs: Vec<(NodeId, EdgeLabel)>,
+    /// Node `n`'s predecessors, same layout.
+    pred_off: Vec<u32>,
+    preds: Vec<(NodeId, EdgeLabel)>,
+    /// By block index: `(stamp, node)`, the node each block of the
+    /// region's subtree lifts to (see [`RegionGraph::lift_block`]);
+    /// entries from earlier builds carry an older stamp.
+    lift: Vec<(u32, u32)>,
+    stamp: u32,
     topo: Vec<NodeId>,
+    /// Buffers of the construction, kept for the next rebuild.
+    indeg: Vec<usize>,
+    ready: Vec<usize>,
+    walk: Vec<RegionId>,
+}
+
+/// An empty graph, for [`RegionGraph::rebuild`] to fill.
+impl Default for RegionGraph {
+    fn default() -> Self {
+        RegionGraph {
+            region: RegionId(0),
+            nodes: Vec::new(),
+            succ_off: Vec::new(),
+            succs: Vec::new(),
+            pred_off: Vec::new(),
+            preds: Vec::new(),
+            lift: Vec::new(),
+            stamp: 0,
+            topo: Vec::new(),
+            indeg: Vec::new(),
+            ready: Vec::new(),
+            walk: Vec::new(),
+        }
+    }
 }
 
 impl RegionGraph {
@@ -285,37 +320,67 @@ impl RegionGraph {
         tree: &RegionTree,
         rid: RegionId,
     ) -> Result<Self, IrreducibleRegionError> {
-        let region = tree.region(rid);
+        let mut g = RegionGraph::default();
+        g.rebuild(cfg, tree, rid)?;
+        Ok(g)
+    }
 
-        // Node table: ENTRY, EXIT, direct blocks, child supernodes.
-        let mut nodes = vec![RegionNode::Entry, RegionNode::Exit];
-        let mut node_of_block: HashMap<BlockId, NodeId> = HashMap::new();
+    /// [`RegionGraph::new`] in place: this graph becomes region `rid`'s,
+    /// reusing its tables.
+    ///
+    /// # Errors
+    ///
+    /// See [`RegionGraph::new`]; the graph's contents are unspecified
+    /// after an error.
+    pub fn rebuild(
+        &mut self,
+        cfg: &Cfg,
+        tree: &RegionTree,
+        rid: RegionId,
+    ) -> Result<(), IrreducibleRegionError> {
+        let region = tree.region(rid);
+        self.region = rid;
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.lift.fill((0, 0));
+            self.stamp = 1;
+        }
+        if self.lift.len() < cfg.num_blocks() {
+            self.lift.resize(cfg.num_blocks(), (0, 0));
+        }
+        let stamp = self.stamp;
+
+        // Node table: ENTRY, EXIT, direct blocks, child supernodes; and
+        // every subtree block's lifted node.
+        let (nodes, lift, walk) = (&mut self.nodes, &mut self.lift, &mut self.walk);
+        let n = 2 + region.blocks.len() + region.children.len();
+        nodes.clear();
+        nodes.reserve(n);
+        nodes.extend([RegionNode::Entry, RegionNode::Exit]);
         for &b in &region.blocks {
-            node_of_block.insert(b, NodeId::from_index(nodes.len()));
+            lift[b.index()] = (stamp, nodes.len() as u32);
             nodes.push(RegionNode::Block(b));
         }
-        let mut node_of_child: HashMap<RegionId, NodeId> = HashMap::new();
         for &c in &region.children {
-            node_of_child.insert(c, NodeId::from_index(nodes.len()));
+            let node = nodes.len() as u32;
             nodes.push(RegionNode::Inner(c));
+            walk.clear();
+            walk.push(c);
+            while let Some(r) = walk.pop() {
+                let reg = tree.region(r);
+                walk.extend(reg.children.iter().copied());
+                for &b in &reg.blocks {
+                    lift[b.index()] = (stamp, node);
+                }
+            }
         }
 
         // Maps any function block to a node of this graph, or EXIT when it
         // lies outside the region.
         let map_block = |b: BlockId| -> NodeId {
-            if let Some(&n) = node_of_block.get(&b) {
-                return n;
-            }
-            // Walk up from b's innermost region to a direct child of rid.
-            let mut cur = tree.innermost(b);
-            loop {
-                if let Some(&n) = node_of_child.get(&cur) {
-                    return n;
-                }
-                match tree.region(cur).parent {
-                    Some(p) if cur != rid => cur = p,
-                    _ => return NodeId::EXIT,
-                }
+            match lift[b.index()] {
+                (s, n) if s == stamp => NodeId::from_index(n as usize),
+                _ => NodeId::EXIT,
             }
         };
         let header = region.header;
@@ -324,35 +389,43 @@ impl RegionGraph {
         // forward graph routes it to EXIT.
         let is_back_edge = |to: BlockId| Some(to) == header;
 
-        let mut succs: Vec<Vec<(NodeId, EdgeLabel)>> = vec![Vec::new(); nodes.len()];
-        let add = |succs: &mut Vec<Vec<(NodeId, EdgeLabel)>>,
-                   from: NodeId,
-                   to: NodeId,
-                   label: EdgeLabel| {
-            let list = &mut succs[from.index()];
-            if !list.iter().any(|(t, _)| *t == to) {
-                list.push((to, label));
+        // Successor lists in node order; a node's list names each target
+        // once.
+        let (succ_off, succs) = (&mut self.succ_off, &mut self.succs);
+        succ_off.clear();
+        succs.clear();
+        succ_off.reserve(n + 1);
+        succs.reserve(2 * n);
+        succ_off.push(0);
+        let add = |succs: &mut Vec<(NodeId, EdgeLabel)>, from: u32, to: NodeId, label| {
+            if !succs[from as usize..].iter().any(|&(t, _)| t == to) {
+                succs.push((to, label));
             }
         };
+
+        // Region entry: the loop header (possibly a supernode for the root
+        // body whose entry block sits inside a loop), or the function entry.
+        let entry_target = map_block(header.unwrap_or(BlockId::new(0)));
+        succs.push((entry_target, EdgeLabel::Always));
+        succ_off.extend([1, 1]);
 
         // Edges from direct blocks. A back edge is added after the
         // forward edges, so a latch that also leaves the loop keeps that
         // exit's label on its one EXIT edge.
         for &b in &region.blocks {
-            let from = node_of_block[&b];
+            let from = succs.len() as u32;
             let mut back = None;
             for e in cfg.succs(NodeId::block(b)) {
                 match e.to.as_block() {
                     Some(t) if is_back_edge(t) => back = Some(e.label),
-                    Some(t) if tree.contains(rid, t) => {
-                        add(&mut succs, from, map_block(t), e.label)
-                    }
-                    _ => add(&mut succs, from, NodeId::EXIT, e.label),
+                    Some(t) => add(succs, from, map_block(t), e.label),
+                    None => add(succs, from, NodeId::EXIT, e.label),
                 }
             }
             if let Some(label) = back {
-                add(&mut succs, from, NodeId::EXIT, label);
+                add(succs, from, NodeId::EXIT, label);
             }
+            succ_off.push(succs.len() as u32);
         }
 
         // Edges leaving child regions (from any block inside the child to a
@@ -360,22 +433,24 @@ impl RegionGraph {
         // is a distinct *exit* of the supernode and gets its own label —
         // the supernode acts as a multi-way branch whose outcome is
         // decided inside it.
-        for &c in &region.children {
-            let from = node_of_child[&c];
+        for (k, &c) in region.children.iter().enumerate() {
+            let from = succs.len() as u32;
+            let child = NodeId::from_index(2 + region.blocks.len() + k);
             let mut exits = 0u32;
-            let mut stack = vec![c];
-            while let Some(r) = stack.pop() {
+            walk.clear();
+            walk.push(c);
+            while let Some(r) = walk.pop() {
                 let reg = tree.region(r);
-                stack.extend(reg.children.iter().copied());
+                walk.extend(reg.children.iter().copied());
                 for &b in &reg.blocks {
                     for e in cfg.succs(NodeId::block(b)) {
                         let to = match e.to.as_block() {
-                            Some(t) if tree.contains(c, t) => continue, // internal
-                            Some(t) if !is_back_edge(t) && tree.contains(rid, t) => map_block(t),
+                            Some(t) if map_block(t) == child => continue, // internal
+                            Some(t) if !is_back_edge(t) => map_block(t),
                             _ => NodeId::EXIT,
                         };
-                        if !succs[from.index()].iter().any(|&(t, _)| t == to) {
-                            add(&mut succs, from, to, EdgeLabel::Exit(exits));
+                        if !succs[from as usize..].iter().any(|&(t, _)| t == to) {
+                            succs.push((to, EdgeLabel::Exit(exits)));
                             exits += 1;
                         }
                     }
@@ -386,42 +461,38 @@ impl RegionGraph {
             // edge a sibling reached from the same branch would seem to
             // postdominate that branch.
             if exits == 0 {
-                add(&mut succs, from, NodeId::EXIT, EdgeLabel::Always);
+                succs.push((NodeId::EXIT, EdgeLabel::Always));
             }
+            succ_off.push(succs.len() as u32);
         }
 
-        // Region entry: the loop header (possibly a supernode for the root
-        // body whose entry block sits inside a loop), or the function entry.
-        let entry_target = match header {
-            Some(h) => node_of_block[&h],
-            None => map_block(BlockId::new(0)),
-        };
-        add(&mut succs, NodeId::ENTRY, entry_target, EdgeLabel::Always);
-
-        // Predecessors.
-        let mut preds: Vec<Vec<(NodeId, EdgeLabel)>> = vec![Vec::new(); nodes.len()];
-        for (i, list) in succs.iter().enumerate() {
-            for &(to, label) in list {
-                preds[to.index()].push((NodeId::from_index(i), label));
-            }
-        }
+        // Predecessors, in the order of their sources.
+        let off = &*succ_off;
+        let edges = (0..n).flat_map(|from| {
+            succs[off[from] as usize..off[from + 1] as usize]
+                .iter()
+                .map(move |&(to, label)| (to.index(), (NodeId::from_index(from), label)))
+        });
+        group_into(n, edges, &mut self.pred_off, &mut self.preds);
 
         // Topological order (Kahn; ties by node index, which follows block
         // layout order). Cyclic graphs are irreducible regions.
-        let n = nodes.len();
-        let mut indeg = vec![0usize; n];
-        for list in &succs {
-            for &(to, _) in list {
-                indeg[to.index()] += 1;
-            }
+        let (indeg, ready, topo) = (&mut self.indeg, &mut self.ready, &mut self.topo);
+        indeg.clear();
+        indeg.resize(n, 0);
+        for &(to, _) in succs.iter() {
+            indeg[to.index()] += 1;
         }
-        let mut topo = Vec::with_capacity(n);
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        topo.clear();
+        topo.reserve(n);
+        ready.clear();
+        ready.reserve(n);
+        ready.extend((0..n).filter(|&i| indeg[i] == 0));
         while !ready.is_empty() {
             ready.sort_unstable_by(|a, b| b.cmp(a)); // pop smallest index
             let i = ready.pop().expect("nonempty");
             topo.push(NodeId::from_index(i));
-            for &(to, _) in &succs[i] {
+            for &(to, _) in &succs[off[i] as usize..off[i + 1] as usize] {
                 indeg[to.index()] -= 1;
                 if indeg[to.index()] == 0 {
                     ready.push(to.index());
@@ -431,15 +502,7 @@ impl RegionGraph {
         if topo.len() != n {
             return Err(IrreducibleRegionError { region: rid });
         }
-
-        Ok(RegionGraph {
-            region: rid,
-            nodes,
-            succs,
-            preds,
-            node_of_block,
-            topo,
-        })
+        Ok(())
     }
 
     /// The region this graph describes.
@@ -463,17 +526,28 @@ impl RegionGraph {
 
     /// The node for a block directly in this region.
     pub fn node_of_block(&self, b: BlockId) -> Option<NodeId> {
-        self.node_of_block.get(&b).copied()
+        self.lift_block(b)
+            .filter(|n| self.nodes[n.index()] == RegionNode::Block(b))
+    }
+
+    /// The node a block of the region's subtree maps to: its own node
+    /// when it lies directly in the region, otherwise the supernode of
+    /// the child region enclosing it; `None` outside the subtree.
+    pub fn lift_block(&self, b: BlockId) -> Option<NodeId> {
+        match self.lift.get(b.index()) {
+            Some(&(s, n)) if s == self.stamp => Some(NodeId::from_index(n as usize)),
+            _ => None,
+        }
     }
 
     /// Labelled successor edges.
     pub fn succs(&self, n: NodeId) -> &[(NodeId, EdgeLabel)] {
-        &self.succs[n.index()]
+        &self.succs[self.succ_off[n.index()] as usize..self.succ_off[n.index() + 1] as usize]
     }
 
     /// Labelled predecessor edges (`.0` is the predecessor).
     pub fn preds(&self, n: NodeId) -> &[(NodeId, EdgeLabel)] {
-        &self.preds[n.index()]
+        &self.preds[self.pred_off[n.index()] as usize..self.pred_off[n.index() + 1] as usize]
     }
 
     /// A topological order of all nodes (`ENTRY` first).
@@ -483,7 +557,16 @@ impl RegionGraph {
 
     /// Successor lists without labels, for the dominator machinery.
     pub fn adjacency(&self) -> Adjacency {
-        Adjacency::new(self.num_nodes(), |i| self.succs[i].iter().map(|&(t, _)| t))
+        let mut adj = Adjacency::default();
+        self.adjacency_into(&mut adj);
+        adj
+    }
+
+    /// [`RegionGraph::adjacency`] into `out`, keeping its capacity.
+    pub fn adjacency_into(&self, out: &mut Adjacency) {
+        out.rebuild(self.num_nodes(), |i| {
+            self.succs(NodeId::from_index(i)).iter().map(|&(t, _)| t)
+        });
     }
 
     /// Dominators of this graph (rooted at region `ENTRY`).

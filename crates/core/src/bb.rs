@@ -12,7 +12,7 @@
 
 use crate::dcp::Heuristics;
 use crate::list::{Commit, ListScheduler, PassHooks, Pick, Pred};
-use gis_ir::{BlockId, Function, InstId};
+use gis_ir::{BlockId, Function};
 use gis_machine::MachineDescription;
 use gis_pdg::DataDeps;
 use gis_trace::{SchedObserver, TraceEvent};
@@ -24,7 +24,45 @@ pub fn schedule_block_observed<O: SchedObserver>(
     block: BlockId,
     obs: &mut O,
 ) -> bool {
-    let changed = schedule_block(f, machine, block);
+    schedule_block_in(&mut BbWorkspace::new(machine), f, machine, block, obs)
+}
+
+/// What scheduling one block builds, kept from block to block: the final
+/// basic-block pass holds one for all of its blocks, so it allocates only
+/// while the tables grow to its largest block, and drops it when the
+/// pass ends.
+pub(crate) struct BbWorkspace {
+    deps: DataDeps,
+    heur: Heuristics,
+    list: ListScheduler<BbKey>,
+    /// Issue order, by block position.
+    order: Vec<usize>,
+    /// Final position by block position.
+    rank: Vec<u32>,
+}
+
+impl BbWorkspace {
+    /// An empty workspace for blocks scheduled on `machine`.
+    pub(crate) fn new(machine: &MachineDescription) -> Self {
+        BbWorkspace {
+            deps: DataDeps::default(),
+            heur: Heuristics::default(),
+            list: ListScheduler::new(machine),
+            order: Vec::new(),
+            rank: Vec::new(),
+        }
+    }
+}
+
+/// [`schedule_block_observed`] in workspace `ws`.
+pub(crate) fn schedule_block_in<O: SchedObserver>(
+    ws: &mut BbWorkspace,
+    f: &mut Function,
+    machine: &MachineDescription,
+    block: BlockId,
+    obs: &mut O,
+) -> bool {
+    let changed = reorder_block(ws, f, machine, block);
     if obs.enabled() {
         obs.event(TraceEvent::BlockScheduled {
             block: f.block(block).label().to_owned(),
@@ -39,16 +77,15 @@ pub fn schedule_block_observed<O: SchedObserver>(
 type BbKey = (u32, u32, usize);
 
 /// Records the issue order; slot `p` is the body instruction at block
-/// position `p`, `ids[p]`.
+/// position `p`.
 struct BbOrder<'a> {
-    ids: &'a [InstId],
-    order: Vec<InstId>,
+    order: &'a mut Vec<usize>,
     body_len: usize,
 }
 
 impl PassHooks<BbKey> for BbOrder<'_> {
     fn commit(&mut self, pick: &Pick<BbKey>, _t: u64) -> Commit {
-        self.order.push(self.ids[pick.slot]);
+        self.order.push(pick.slot);
         Commit::Issue
     }
 
@@ -76,47 +113,66 @@ impl PassHooks<BbKey> for BbOrder<'_> {
 /// # }
 /// ```
 pub fn schedule_block(f: &mut Function, machine: &MachineDescription, block: BlockId) -> bool {
+    reorder_block(&mut BbWorkspace::new(machine), f, machine, block)
+}
+
+/// [`schedule_block`] in workspace `ws`.
+fn reorder_block(
+    ws: &mut BbWorkspace,
+    f: &mut Function,
+    machine: &MachineDescription,
+    block: BlockId,
+) -> bool {
     let block_ref = f.block(block);
     let has_branch = block_ref.last().is_some_and(|i| i.op.is_branch());
     let body_len = block_ref.len() - usize::from(has_branch);
     if body_len <= 1 {
         return false;
     }
-    let deps = DataDeps::build(f, machine, &[block], |_, _| false);
-    let mut h = Heuristics::new(&deps);
-    h.compute_block(f, machine, &deps, block);
+    let BbWorkspace {
+        deps,
+        heur,
+        list,
+        order,
+        rank,
+    } = ws;
+    deps.rebuild(f, machine, &[block], |_, _| false);
+    heur.reset(deps.scope_order().len());
+    heur.compute_block(f, machine, deps, block);
 
     // The scope is this one block, so scope positions are block
     // positions; the branch stays out of the candidate set.
-    let mut list = ListScheduler::new(machine);
-    list.begin(&deps);
+    list.begin(deps);
     for (p, inst) in block_ref.insts().take(body_len).enumerate() {
         let class = inst.op.class();
-        let key = (h.d(p), h.cp(p), usize::MAX - p);
+        let key = (heur.d(p), heur.cp(p), usize::MAX - p);
         list.push(p, key, machine.unit_of(class), machine.exec_time(class));
     }
-    list.link(&deps, |_, in_set| {
+    list.link(deps, |_, in_set| {
         if in_set {
             Pred::Waiting
         } else {
             Pred::Satisfied
         }
     });
-    let mut hooks = BbOrder {
-        ids: deps.scope_order(),
-        order: Vec::with_capacity(block_ref.len()),
-        body_len,
-    };
-    list.run(&deps, machine.dispatch_width(), &mut hooks);
+    order.clear();
+    let mut hooks = BbOrder { order, body_len };
+    list.run(deps, machine.dispatch_width(), &mut hooks);
 
-    let mut order = hooks.order;
     if has_branch {
-        order.push(block_ref.inst_at(body_len).id);
+        order.push(body_len);
     }
-    if block_ref.insts().map(|i| i.id).eq(order.iter().copied()) {
+    if order.iter().enumerate().all(|(i, &p)| i == p) {
         return false;
     }
-    f.block_mut(block).set_order(&order);
+    rank.clear();
+    rank.resize(order.len(), 0);
+    for (i, &p) in order.iter().enumerate() {
+        rank[p] = i as u32;
+    }
+    let deps = &*deps;
+    f.block_mut(block)
+        .sort_by_rank(|inst| rank[deps.position(inst.id).expect("in the block")]);
     true
 }
 

@@ -22,7 +22,7 @@ use gis_machine::MachineDescription;
 use gis_pdg::DataDeps;
 
 /// `D` and `CP` values by dependence scope position.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Heuristics {
     d: Vec<u32>,
     cp: Vec<u32>,
@@ -38,15 +38,21 @@ pub(crate) struct Heuristics {
 impl Heuristics {
     /// Tables for `deps`'s scope, every value 0 until its block is
     /// computed.
+    #[cfg(test)]
     pub(crate) fn new(deps: &DataDeps) -> Self {
-        let n = deps.scope_order().len();
-        Heuristics {
-            d: vec![0; n],
-            cp: vec![0; n],
-            member: vec![0; n],
-            stamp: 0,
-            block: Vec::new(),
+        let mut h = Heuristics::default();
+        h.reset(deps.scope_order().len());
+        h
+    }
+
+    /// [`Heuristics::new`] in place, for a scope of `n` instructions:
+    /// every value 0, keeping the tables' capacity.
+    pub(crate) fn reset(&mut self, n: usize) {
+        for table in [&mut self.d, &mut self.cp, &mut self.member] {
+            table.clear();
+            table.resize(n, 0);
         }
+        self.stamp = 0;
     }
 
     /// Computes `D` and `CP` for the current contents of `block`.

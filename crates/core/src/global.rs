@@ -56,24 +56,75 @@ use crate::stats::SchedStats;
 use gis_cfg::{NodeId, RegionGraph, RegionNode, RegionTree};
 use gis_ir::{BlockId, DenseBitSet, Function, InstId, OpClass, Reg};
 use gis_machine::MachineDescription;
-use gis_pdg::{Cspdg, DataDeps, Liveness};
+use gis_pdg::{Cspdg, DataDeps, LiveOutWalk, Liveness};
 use gis_trace::{MotionKind, RejectReason, SchedObserver, TieBreak, TraceEvent};
-use std::collections::HashMap;
 
 /// Sentinel for "not placed in this block pass" in the
 /// [`Scratch::place_time`] table.
 const UNPLACED: u64 = u64::MAX;
 
+/// Everything one region's scheduling builds, kept from region to
+/// region: the sequential region loop of a global pass and each pool
+/// worker hold one, and every region clears and refills it, so a pass
+/// allocates only while its tables grow to its largest region. It is
+/// dropped when its pass ends, so a long-lived daemon worker keeps no
+/// high-water buffers between compiles, and nothing in it is shared
+/// between threads.
+pub(crate) struct Workspace {
+    /// The region's subtree's blocks, ascending (also the memo key's
+    /// scope).
+    pub(crate) scope: Vec<BlockId>,
+    graph: RegionGraph,
+    cspdg: Cspdg,
+    reach: Reach,
+    deps: DataDeps,
+    /// `D`/`CP` by scope position, computed per home block as each
+    /// block pass collects its candidates.
+    heur: Heuristics,
+    /// Instructions placed by this region pass (any block), by scope
+    /// position.
+    placed: DenseBitSet,
+    /// Current region-graph node index of every scope instruction, by
+    /// scope position.
+    inst_node: Vec<u32>,
+    scratch: Scratch,
+    lists: CandidateBlocks,
+    /// The region memo key's canonical bytes and exit blocks.
+    pub(crate) key_bytes: Vec<u8>,
+    pub(crate) exits: Vec<BlockId>,
+}
+
+impl Workspace {
+    /// An empty workspace for regions scheduled on `machine`.
+    pub(crate) fn new(machine: &MachineDescription) -> Self {
+        Workspace {
+            scope: Vec::new(),
+            graph: RegionGraph::default(),
+            cspdg: Cspdg::default(),
+            reach: Reach::default(),
+            deps: DataDeps::default(),
+            heur: Heuristics::default(),
+            placed: DenseBitSet::new(),
+            inst_node: Vec::new(),
+            scratch: Scratch::new(machine),
+            lists: CandidateBlocks::default(),
+            key_bytes: Vec::new(),
+            exits: Vec::new(),
+        }
+    }
+}
+
 impl GlobalPass<'_> {
-    /// Schedules region `rid` of `f`, reporting every decision — candidate
-    /// blocks, motions with their winning tie-break, §5.3 rejections,
-    /// renames — to `obs`. Returns `false` when the region was skipped
-    /// (irreducible or over the §6 size limits); statistics accumulate
-    /// into `stats` either way.
+    /// Schedules region `rid` of `f` in workspace `ws`, reporting every
+    /// decision — candidate blocks, motions with their winning
+    /// tie-break, §5.3 rejections, renames — to `obs`. Returns `false`
+    /// when the region was skipped (irreducible or over the §6 size
+    /// limits); statistics accumulate into `stats` either way.
     pub(crate) fn schedule<O: SchedObserver>(
         &self,
         f: &mut Function,
         rid: gis_cfg::RegionId,
+        ws: &mut Workspace,
         stats: &mut SchedStats,
         obs: &mut O,
     ) -> bool {
@@ -89,43 +140,51 @@ impl GlobalPass<'_> {
             }
             false
         };
-        let scope_blocks = subtree_blocks(tree, rid);
-        if let Some(reason) = size_gate(f, &scope_blocks, config) {
+        subtree_blocks_into(tree, rid, &mut ws.scope);
+        if let Some(reason) = size_gate(f, &ws.scope, config) {
             return skip(stats, obs, reason);
         }
-        let Ok(g) = RegionGraph::new(cfg, tree, rid) else {
+        if ws.graph.rebuild(cfg, tree, rid).is_err() {
             return skip(stats, obs, RejectReason::Irreducible);
-        };
+        }
+        let Workspace {
+            scope,
+            graph: g,
+            cspdg,
+            reach,
+            deps,
+            heur,
+            placed,
+            inst_node,
+            scratch,
+            lists,
+            ..
+        } = ws;
+        let (scope, g) = (&*scope, &*g);
         if obs.enabled() {
             obs.event(TraceEvent::RegionBegin {
                 region,
-                blocks: scope_blocks
+                blocks: scope
                     .iter()
                     .map(|&b| f.block(b).label().to_owned())
                     .collect(),
             });
         }
-        let cspdg = Cspdg::new(&g);
+        cspdg.rebuild(g);
+        reach.rebuild(g);
 
-        // Node-level forward reachability (small graphs; dense matrix).
-        let reach = reachability(&g);
-
-        // Map every scope block to its node: direct blocks to their own
-        // node, blocks of enclosed regions to the supernode of the
+        // Every scope block lifts to its node: direct blocks to their
+        // own, blocks of enclosed regions to the supernode of the
         // enclosing child.
-        let node_of: HashMap<BlockId, NodeId> = scope_blocks
-            .iter()
-            .map(|&b| (b, lift_block(&g, tree, rid, b)))
-            .collect();
-
+        let node = |b: BlockId| g.lift_block(b).expect("scope block").index();
         let may_follow = |x: BlockId, y: BlockId| {
-            let (nx, ny) = (node_of[&x], node_of[&y]);
-            nx != ny && reach[nx.index()].contains(ny.index())
+            let (nx, ny) = (node(x), node(y));
+            nx != ny && reach.contains(nx, ny)
         };
-        let mut deps = DataDeps::build(f, machine, &scope_blocks, may_follow);
+        deps.rebuild(f, machine, scope, may_follow);
         if self.hooks.armed() {
             assert!(
-                deps == DataDeps::build_reference(f, machine, &scope_blocks, may_follow),
+                *deps == DataDeps::build_reference(f, machine, scope, may_follow),
                 "region {region}: the sweep dependence graph diverged from the all-pairs reference"
             );
         }
@@ -150,22 +209,28 @@ impl GlobalPass<'_> {
 
         // Every per-region table is indexed by scope position, so its
         // size is the scope's, whatever the function's id range. The
-        // scope lists `scope_blocks`' instructions in order.
+        // scope lists `scope`'s instructions in order.
         let n = deps.scope_order().len();
-        let inst_node: Vec<u32> = scope_blocks
-            .iter()
-            .flat_map(|b| std::iter::repeat_n(node_of[b].index() as u32, f.block(*b).len()))
-            .collect();
+        inst_node.clear();
+        inst_node.extend(
+            scope
+                .iter()
+                .flat_map(|&b| std::iter::repeat_n(node(b) as u32, f.block(b).len())),
+        );
+        heur.reset(n);
+        placed.clear();
+        scratch.reset_region(n);
         let mut pass = RegionPass {
             global: self,
-            deps: &deps,
-            reach: &reach,
-            heur: Heuristics::new(&deps),
-            placed: DenseBitSet::with_capacity(n),
+            deps,
+            reach,
+            heur,
+            placed,
             inst_node,
-            scope: scope_blocks,
+            scope,
             reference: None,
-            scratch: Scratch::new(machine, n),
+            scratch,
+            lists,
             stats,
             obs,
         };
@@ -173,7 +238,7 @@ impl GlobalPass<'_> {
 
         for &node in g.topo_order() {
             if let RegionNode::Block(a) = g.node(node) {
-                pass.schedule_block(f, &g, &cspdg, node, a);
+                pass.schedule_block(f, g, cspdg, node, a);
             }
         }
         pass.stats.regions_scheduled += 1;
@@ -181,17 +246,30 @@ impl GlobalPass<'_> {
     }
 }
 
-/// All blocks of a region's subtree (direct blocks plus nested regions').
+/// All blocks of a region's subtree (direct blocks plus nested regions'),
+/// ascending.
 pub(crate) fn subtree_blocks(tree: &RegionTree, rid: gis_cfg::RegionId) -> Vec<BlockId> {
     let mut out = Vec::new();
-    let mut stack = vec![rid];
-    while let Some(r) = stack.pop() {
-        let reg = tree.region(r);
-        out.extend(reg.blocks.iter().copied());
-        stack.extend(reg.children.iter().copied());
-    }
-    out.sort();
+    subtree_blocks_into(tree, rid, &mut out);
     out
+}
+
+/// [`subtree_blocks`] into `out`, which is overwritten.
+pub(crate) fn subtree_blocks_into(
+    tree: &RegionTree,
+    rid: gis_cfg::RegionId,
+    out: &mut Vec<BlockId>,
+) {
+    fn extend(tree: &RegionTree, rid: gis_cfg::RegionId, out: &mut Vec<BlockId>) {
+        let region = tree.region(rid);
+        out.extend(region.blocks.iter().copied());
+        for &c in &region.children {
+            extend(tree, c, out);
+        }
+    }
+    out.clear();
+    extend(tree, rid, out);
+    out.sort_unstable();
 }
 
 /// The §6 size gates, at most 64 blocks and 256 instructions per region
@@ -216,46 +294,49 @@ pub(crate) fn size_gate(
     (insts > config.max_region_insts).then_some(RejectReason::RegionTooManyInsts)
 }
 
-/// Dense forward reachability over a region graph (reflexive), one bit
-/// set per start node.
-fn reachability(g: &RegionGraph) -> Vec<DenseBitSet> {
-    let n = g.num_nodes();
-    let mut reach = vec![DenseBitSet::with_capacity(n); n];
-    for (start, row) in reach.iter_mut().enumerate() {
-        let mut stack = vec![NodeId::from_index(start)];
-        row.insert(start);
-        while let Some(x) = stack.pop() {
-            for &(to, _) in g.succs(x) {
-                if row.insert(to.index()) {
-                    stack.push(to);
+/// Reflexive forward reachability between the nodes of a region graph:
+/// one bit row per node, in one flat array.
+#[derive(Default)]
+struct Reach {
+    /// Words per row.
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl Reach {
+    /// The reachability of `g`, whose topological order exists: in
+    /// reverse topological order, a node reaches itself and whatever its
+    /// successors reach.
+    fn rebuild(&mut self, g: &RegionGraph) {
+        let n = g.num_nodes();
+        let w = n.div_ceil(64);
+        self.words = w;
+        self.bits.clear();
+        self.bits.resize(n * w, 0);
+        for &x in g.topo_order().iter().rev() {
+            let x = x.index();
+            self.bits[x * w + x / 64] |= 1 << (x % 64);
+            for &(to, _) in g.succs(NodeId::from_index(x)) {
+                // `to` follows `x` in topological order: its row is final.
+                let (to, bits) = (to.index(), &mut self.bits);
+                let (row_x, row_to) = if x < to {
+                    let (lo, hi) = bits.split_at_mut(to * w);
+                    (&mut lo[x * w..x * w + w], &hi[..w])
+                } else {
+                    let (lo, hi) = bits.split_at_mut(x * w);
+                    (&mut hi[..w], &lo[to * w..to * w + w])
+                };
+                for (a, b) in row_x.iter_mut().zip(row_to) {
+                    *a |= b;
                 }
             }
         }
     }
-    reach
-}
 
-/// The node a block maps to in this region's graph: itself when direct,
-/// otherwise the supernode of the direct child that encloses it.
-fn lift_block(g: &RegionGraph, tree: &RegionTree, rid: gis_cfg::RegionId, b: BlockId) -> NodeId {
-    if let Some(n) = g.node_of_block(b) {
-        return n;
+    /// Whether node `to` is reachable from node `from` (reflexively).
+    fn contains(&self, from: usize, to: usize) -> bool {
+        self.bits[from * self.words + to / 64] & (1 << (to % 64)) != 0
     }
-    // Walk up the region tree to the direct child of `rid`.
-    let mut cur = tree.innermost(b);
-    loop {
-        let parent = tree.region(cur).parent.expect("b is inside rid's subtree");
-        if parent == rid {
-            break;
-        }
-        cur = parent;
-    }
-    for i in 0..g.num_nodes() {
-        if g.node(NodeId::from_index(i)) == RegionNode::Inner(cur) {
-            return NodeId::from_index(i);
-        }
-    }
-    unreachable!("supernode for child region exists");
 }
 
 struct RegionPass<'a, O: SchedObserver> {
@@ -263,23 +344,18 @@ struct RegionPass<'a, O: SchedObserver> {
     /// region's exits for the whole pass (the region-boundary invariant).
     global: &'a GlobalPass<'a>,
     deps: &'a DataDeps,
-    reach: &'a [DenseBitSet],
-    /// `D`/`CP` by scope position, computed per home block as each
-    /// block pass collects its candidates.
-    heur: Heuristics,
-    /// Instructions placed by this region pass (any block), by scope
-    /// position.
-    placed: DenseBitSet,
-    /// Current region-graph node index of every scope instruction, by
-    /// scope position.
-    inst_node: Vec<u32>,
+    reach: &'a Reach,
+    heur: &'a mut Heuristics,
+    placed: &'a mut DenseBitSet,
+    inst_node: &'a mut Vec<u32>,
     /// The region's subtree's blocks, ascending.
-    scope: Vec<BlockId>,
+    scope: &'a [BlockId],
     /// The reference solve [`RegionPass::check_boundary`] made at the
     /// last commit, which every query is checked against; `None` when
     /// the checks are off.
     reference: Option<Liveness>,
-    scratch: Scratch,
+    scratch: &'a mut Scratch,
+    lists: &'a mut CandidateBlocks,
     stats: &'a mut SchedStats,
     obs: &'a mut O,
 }
@@ -304,18 +380,36 @@ struct Scratch {
     rejected: DenseBitSet,
     /// Final position in the block by scope position, for the reorder.
     rank: Vec<u32>,
+    /// The registers a speculative candidate would clobber.
+    clobbered: Vec<Reg>,
+    /// The §5.3 live-out walk's buffers.
+    walk: LiveOutWalk,
 }
 
 impl Scratch {
-    fn new(machine: &MachineDescription, scope_len: usize) -> Self {
+    fn new(machine: &MachineDescription) -> Self {
         Scratch {
             cands: Vec::new(),
             list: ListScheduler::new(machine),
             new_order: Vec::new(),
-            place_time: vec![UNPLACED; scope_len],
-            rejected: DenseBitSet::with_capacity(scope_len),
-            rank: vec![0; scope_len],
+            place_time: Vec::new(),
+            rejected: DenseBitSet::new(),
+            rank: Vec::new(),
+            clobbered: Vec::new(),
+            walk: LiveOutWalk::default(),
         }
+    }
+
+    /// Sizes the buffers for a region of `scope_len` instructions, all
+    /// empty (the list scheduler is reset by its own `begin`).
+    fn reset_region(&mut self, scope_len: usize) {
+        self.cands.clear();
+        self.new_order.clear();
+        self.place_time.clear();
+        self.place_time.resize(scope_len, UNPLACED);
+        self.rejected.clear();
+        self.rank.clear();
+        self.rank.resize(scope_len, 0);
     }
 
     /// Returns the buffers to their empty state, keeping capacity (the
@@ -328,6 +422,27 @@ impl Scratch {
         self.new_order.clear();
         self.rejected.clear();
     }
+}
+
+/// One block pass's candidate blocks, kept for the next block pass.
+#[derive(Default)]
+struct CandidateBlocks {
+    /// `EQUIV(A)`.
+    equiv: Vec<NodeId>,
+    /// `A` and then `EQUIV(A)`: the useful candidate blocks.
+    useful: Vec<NodeId>,
+    /// Speculative candidate blocks with their probabilities.
+    spec: Vec<(NodeId, f64)>,
+    /// The speculation search's current and next breadth-first levels.
+    frontier: Vec<(NodeId, f64)>,
+    next: Vec<(NodeId, f64)>,
+    /// Joins eligible for duplication-based motion out of `A`, with
+    /// their sibling predecessor blocks (ascending), and joins that were
+    /// identified but failed the structural guards (reported as
+    /// `WouldDuplicate` rejections). Both stay empty unless
+    /// [`SchedConfig::duplication`] is on.
+    dup_joins: Vec<(BlockId, Vec<BlockId>)>,
+    dup_rejected: Vec<BlockId>,
 }
 
 /// A candidate instruction, named by its dependence scope position; its
@@ -584,16 +699,26 @@ impl<O: SchedObserver> RegionPass<'_, O> {
     ) {
         let (config, enabled) = (self.global.config, self.obs.enabled());
         // ---- Candidate blocks. ----------------------------------------
-        let equiv: Vec<NodeId> = cspdg.equiv_dominated(node_a);
-        let mut useful_blocks: Vec<NodeId> = equiv.clone();
-        let mut spec_blocks: Vec<(NodeId, f64)> = Vec::new();
-        // Joins eligible for duplication-based motion out of `A`, with
-        // their sibling predecessor blocks (ascending), and joins that
-        // were identified but failed the structural guards (reported as
-        // `WouldDuplicate` rejections). Both stay empty unless
-        // [`SchedConfig::duplication`] is on.
-        let mut dup_joins: Vec<(BlockId, Vec<BlockId>)> = Vec::new();
-        let mut dup_rejected: Vec<BlockId> = Vec::new();
+        // The lists leave the workspace for the block pass (the commit
+        // hook reads the duplication joins while the pass is borrowed)
+        // and return to it, capacity intact, at the end.
+        let mut lists = std::mem::take(self.lists);
+        let CandidateBlocks {
+            equiv,
+            useful,
+            spec,
+            frontier,
+            next,
+            dup_joins,
+            dup_rejected,
+        } = &mut lists;
+        cspdg.equiv_dominated_into(node_a, equiv);
+        useful.clear();
+        useful.push(node_a);
+        useful.extend_from_slice(equiv);
+        spec.clear();
+        dup_joins.clear();
+        dup_rejected.clear();
         if config.level == SchedLevel::Speculative {
             // Probability that the child of a CD edge executes, from the
             // branch profile when one is supplied (§1's profile-guided
@@ -614,10 +739,10 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                     _ => 1.0,
                 }
             };
-            let classify = |n: NodeId, prob: f64, spec: &Vec<(NodeId, f64)>| -> SpecClass {
+            let classify = |n: NodeId, prob: f64, spec: &[(NodeId, f64)]| -> SpecClass {
                 let structural = cspdg.is_block(n)
                     && n != node_a
-                    && !useful_blocks.contains(&n)
+                    && !useful.contains(&n)
                     && !spec.iter().any(|&(b, _)| b == n)
                     // No duplication (Definition 6): A must dominate B.
                     && cspdg.dom().strictly_dominates(node_a, n);
@@ -632,17 +757,16 @@ impl<O: SchedObserver> RegionPass<'_, O> {
             // Breadth-first over CSPDG children: depth 1 reproduces the
             // paper's prototype; larger `max_speculation_branches` crosses
             // more branches, with path probabilities multiplying.
-            let mut frontier: Vec<(NodeId, f64)> = std::iter::once((node_a, 1.0))
-                .chain(equiv.iter().map(|&e| (e, 1.0)))
-                .collect();
+            frontier.clear();
+            frontier.extend(useful.iter().map(|&n| (n, 1.0)));
             for _ in 0..config.max_speculation_branches {
-                let mut next = Vec::new();
-                for &(n, p) in &frontier {
+                next.clear();
+                for &(n, p) in frontier.iter() {
                     for &(c, l) in cspdg.cd_children(n) {
                         let prob = p * prob_of(n, l);
-                        match classify(c, prob, &spec_blocks) {
+                        match classify(c, prob, spec) {
                             SpecClass::Eligible => {
-                                spec_blocks.push((c, prob));
+                                spec.push((c, prob));
                                 next.push((c, prob));
                             }
                             SpecClass::ProbGate => {
@@ -664,15 +788,15 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                 if next.is_empty() {
                     break;
                 }
-                frontier = next;
+                std::mem::swap(frontier, next);
             }
             // Purely for the trace: blocks one branch past the speculation
             // bound that would otherwise have been candidates.
             if enabled {
-                for &(n, p) in &frontier {
+                for &(n, p) in frontier.iter() {
                     for &(c, l) in cspdg.cd_children(n) {
                         let prob = p * prob_of(n, l);
-                        if classify(c, prob, &spec_blocks) == SpecClass::Eligible {
+                        if classify(c, prob, spec) == SpecClass::Eligible {
                             if let RegionNode::Block(cb) = g.node(c) {
                                 self.obs.event(TraceEvent::SpecBlockRejected {
                                     target: f.block(a).label().to_owned(),
@@ -709,8 +833,8 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                         continue;
                     };
                     if s == node_a
-                        || useful_blocks.contains(&s)
-                        || spec_blocks.iter().any(|&(b, _)| b == s)
+                        || useful.contains(&s)
+                        || spec.iter().any(|&(b, _)| b == s)
                         || dup_joins.iter().any(|(b, _)| *b == sb)
                         || dup_rejected.contains(&sb)
                     {
@@ -766,7 +890,6 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                 }
             }
         }
-        useful_blocks.insert(0, node_a);
         if enabled {
             let label = |n: &NodeId| match g.node(*n) {
                 RegionNode::Block(b) => Some(f.block(b).label().to_owned()),
@@ -775,7 +898,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
             self.obs.event(TraceEvent::CandidateBlocks {
                 target: f.block(a).label().to_owned(),
                 equivalent: equiv.iter().filter_map(&label).collect(),
-                speculative: spec_blocks
+                speculative: spec
                     .iter()
                     .filter_map(|(n, p)| label(n).map(|l| (l, *p)))
                     .collect(),
@@ -807,7 +930,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
             }
             a_remaining += 1;
         }
-        for &n in useful_blocks.iter().skip(1) {
+        for &n in useful.iter().skip(1) {
             let RegionNode::Block(b) = g.node(n) else {
                 continue;
             };
@@ -828,7 +951,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                 }
             }
         }
-        for &(n, prob) in &spec_blocks {
+        for &(n, prob) in spec.iter() {
             if let RegionNode::Block(b) = g.node(n) {
                 self.offer(f, &mut list, a, b, Offer::Candidates { prob, dup: false });
             }
@@ -836,7 +959,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         // Instructions of eligible duplication joins: the speculation
         // operand gates apply (no side effects cross a block boundary,
         // loads obey the config), but not the §5.3 register gate.
-        for &(b, _) in &dup_joins {
+        for &(b, _) in dup_joins.iter() {
             let offer = Offer::Candidates {
                 prob: 1.0,
                 dup: true,
@@ -846,7 +969,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         // Joins whose shape fails the duplication guards (a predecessor
         // branches around the join, or the join heads a loop): their
         // movable instructions are reported as needing duplication.
-        for &b in &dup_rejected {
+        for &b in dup_rejected.iter() {
             self.offer(f, &mut list, a, b, Offer::WouldDuplicate);
         }
 
@@ -857,14 +980,13 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         // blocked when it could still execute between A and the
         // candidate's home block. Nothing outside the set moves during a
         // block pass, so the last test holds for the whole pass.
-        let (placed, reach_a, inst_node) =
-            (&self.placed, &self.reach[node_a.index()], &self.inst_node);
+        let (placed, reach, inst_node) = (&*self.placed, self.reach, &*self.inst_node);
         list.link(deps, |from, in_set| {
             if placed.contains(from) {
                 Pred::Satisfied
             } else if in_set {
                 Pred::Waiting
-            } else if reach_a.contains(inst_node[from] as usize) {
+            } else if reach.contains(node_a.index(), inst_node[from] as usize) {
                 Pred::Blocks
             } else {
                 Pred::Satisfied
@@ -881,13 +1003,14 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                 f,
                 a,
                 node_a,
-                dup_joins: &dup_joins,
+                dup_joins,
                 a_branch,
                 a_remaining,
                 enabled,
             },
         );
         self.scratch.list = list;
+        *self.lists = lists;
 
         // ---- Apply A's final order. ------------------------------------
         debug_assert_eq!(
@@ -900,7 +1023,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         }
         let rank = &self.scratch.rank;
         f.block_mut(a)
-            .sort_by_key(|inst| rank[deps.position(inst.id).expect("placed in A")]);
+            .sort_by_rank(|inst| rank[deps.position(inst.id).expect("placed in A")]);
     }
 
     /// The dependence scope position of scope instruction `id`.
@@ -1064,7 +1187,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                 // Outside the candidate set: blocked when it could still
                 // execute between A and the candidate's home block.
                 let pn = self.inst_node[from];
-                if self.reach[node_a.index()].contains(pn as usize) {
+                if self.reach.contains(node_a.index(), pn as usize) {
                     return false;
                 }
             }
@@ -1168,7 +1291,8 @@ impl<O: SchedObserver> RegionPass<'_, O> {
     fn live_out(&mut self, f: &Function, b: BlockId, r: Reg) -> bool {
         let cfg = self.global.cfg;
         self.stats.liveness_incremental += 1;
-        let live = self.global.live.walk_live_out(f, cfg, &self.scope, b, r);
+        let walk = &mut self.scratch.walk;
+        let live = (self.global.live).walk_live_out_in(f, cfg, self.scope, b, r, walk);
         if let Some(reference) = &self.reference {
             let want = reference.live_out_contains(cfg, b, r);
             assert_eq!(
@@ -1185,14 +1309,32 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         let id = self.deps.scope_order()[cand.pos];
         let pos = f.block(bid).position(id).expect("exists");
         let op = &f.block(bid).inst_at(pos).op;
-        let clobbered: Vec<Reg> = op
-            .defs()
-            .into_iter()
-            .filter(|&r| self.live_out(f, a, r))
-            .collect();
+        let mut clobbered = std::mem::take(&mut self.scratch.clobbered);
+        clobbered.clear();
+        for r in op.defs_iter() {
+            if self.live_out(f, a, r) {
+                clobbered.push(r);
+            }
+        }
+        let allowed = self.rename_clobbered(f, bid, pos, id, &clobbered);
+        self.scratch.clobbered = clobbered;
+        allowed
+    }
+
+    /// The rest of [`Self::speculation_allowed`] once the clobbered
+    /// registers of the candidate at `(bid, pos)` are known.
+    fn rename_clobbered(
+        &mut self,
+        f: &mut Function,
+        bid: BlockId,
+        pos: usize,
+        id: InstId,
+        clobbered: &[Reg],
+    ) -> bool {
         if clobbered.is_empty() {
             return true;
         }
+        let op = &f.block(bid).inst_at(pos).op;
         // Planted-miscompile hook for the gis-check self-test: pretend the
         // live-on-exit guard passed, letting the speculated definition
         // clobber a live register (see Fault::SkipLiveOnExit).
@@ -1207,13 +1349,13 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         // the home block: the uses between the definition and the next
         // redefinition (or block end, provided the register is dead on
         // exit from the home block) see exactly this definition.
-        for r in &clobbered {
+        for r in clobbered {
             if !self.chain_is_local(f, bid, pos, *r) {
                 self.stats.rejected_live_out += 1;
                 return false;
             }
         }
-        for r in clobbered {
+        for &r in clobbered {
             let fresh = f.fresh_reg(r.class());
             let mut block = f.block_mut(bid);
             let len = block.len();
@@ -1221,7 +1363,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                 let op = &mut block.inst_mut(p).op;
                 if p > pos {
                     op.map_uses(|x| if x == r { fresh } else { x });
-                    if op.defs().contains(&r) {
+                    if op.defs_iter().any(|d| d == r) {
                         break;
                     }
                 } else {
@@ -1247,10 +1389,10 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         for inst in f.block(bid).insts().skip(pos + 1) {
             // An update-form base both uses and defines `r` in one field;
             // the chain cannot be renamed apart from its successor.
-            if inst.op.has_tied_base() && inst.op.uses().contains(&r) {
+            if inst.op.has_tied_base() && inst.op.uses_iter().any(|u| u == r) {
                 return false;
             }
-            if inst.op.defs().contains(&r) {
+            if inst.op.defs_iter().any(|d| d == r) {
                 return true; // redefined before block end: chain is local
             }
         }

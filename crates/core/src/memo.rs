@@ -47,7 +47,7 @@
 //! surface as `cache.region.{hit,miss,splice}` in the daemon's stats.
 
 use crate::config::{SchedConfig, SchedLevel, TestHooks};
-use crate::global::{size_gate, subtree_blocks};
+use crate::global::{size_gate, subtree_blocks_into, Workspace};
 use crate::lru::Lru;
 use crate::outcome::RegionOutcome;
 use crate::parallel::GlobalPass;
@@ -133,9 +133,10 @@ fn memo_eligible(config: &SchedConfig, hooks: &TestHooks) -> bool {
 }
 
 /// Blocks outside `scope` that some scope block branches or falls
-/// through into, ascending and deduplicated. `scope` must be sorted.
-fn exit_blocks(f: &Function, scope: &[BlockId]) -> Vec<BlockId> {
-    let mut out = Vec::new();
+/// through into, ascending and deduplicated, into `out`. `scope` must be
+/// sorted.
+fn exit_blocks(f: &Function, scope: &[BlockId], out: &mut Vec<BlockId>) {
+    out.clear();
     for &b in scope {
         for s in f.succs(b) {
             if scope.binary_search(&s).is_err() {
@@ -145,7 +146,6 @@ fn exit_blocks(f: &Function, scope: &[BlockId]) -> Vec<BlockId> {
     }
     out.sort_unstable();
     out.dedup();
-    out
 }
 
 /// Chains the region-tree shape below `rid` into the hasher: per region
@@ -171,24 +171,33 @@ fn write_tree_shape(h: &mut Fnv64, tree: &RegionTree, rid: RegionId) {
 
 /// The memo key — every input that determines the outcome — or `None`
 /// when the configuration bypasses the memo or the region is over the
-/// size limits (a skip is cheaper to re-detect than to look up).
-fn memo_key(pass: &GlobalPass, f: &Function, rid: RegionId, tracing: bool) -> Option<u64> {
+/// size limits (a skip is cheaper to re-detect than to look up). The
+/// scope, canonical bytes and exits are gathered in `ws`'s buffers.
+fn memo_key(
+    pass: &GlobalPass,
+    f: &Function,
+    rid: RegionId,
+    tracing: bool,
+    ws: &mut Workspace,
+) -> Option<u64> {
     let config = pass.config;
     if !memo_eligible(config, pass.hooks) {
         return None;
     }
-    let scope = subtree_blocks(pass.tree, rid);
-    if size_gate(f, &scope, config).is_some() {
+    subtree_blocks_into(pass.tree, rid, &mut ws.scope);
+    let scope = &ws.scope;
+    if size_gate(f, scope, config).is_some() {
         return None;
     }
     let mut h = Fnv64::new();
     h.write(b"region-memo/v2\0");
     h.write_u8(u8::from(tracing));
-    h.write(&gis_ir::canon_region(f, &scope));
+    gis_ir::canon_region_into(f, scope, &mut ws.key_bytes);
+    h.write(&ws.key_bytes);
     write_tree_shape(&mut h, pass.tree, rid);
-    let exits = exit_blocks(f, &scope);
-    h.write_u32(exits.len() as u32);
-    for &b in &exits {
+    exit_blocks(f, scope, &mut ws.exits);
+    h.write_u32(ws.exits.len() as u32);
+    for &b in &ws.exits {
         h.write_u32(b.index() as u32);
         for &r in pass.live.live_in(b) {
             h.write_u8(r.class().slot() as u8);
@@ -197,7 +206,7 @@ fn memo_key(pass: &GlobalPass, f: &Function, rid: RegionId, tracing: bool) -> Op
         h.write_u8(0xff);
     }
     if config.duplication {
-        for &b in &scope {
+        for &b in scope {
             for inst in f.block(b).insts() {
                 h.write_u32(f.dup_origin(inst.id).map_or(u32::MAX, |o| o.index() as u32));
             }
@@ -207,30 +216,31 @@ fn memo_key(pass: &GlobalPass, f: &Function, rid: RegionId, tracing: bool) -> Op
     Some(h.finish())
 }
 
-/// Schedules region `rid` of `f` through the memo, reports its
-/// statistics and events into `stats` and `obs`, and returns its
-/// outcome: applied from the memo on a hit, else recorded (and memoized
-/// when the key allows). `tracing` says whether the outcome carries
-/// events — a pool worker records them for the merge while reporting
-/// nowhere.
+/// Schedules region `rid` of `f` through the memo in workspace `ws`,
+/// reports its statistics and events into `stats` and `obs`, and returns
+/// its outcome: applied from the memo on a hit, else recorded (and
+/// memoized when the key allows). `tracing` says whether the outcome
+/// carries events — a pool worker records them for the merge while
+/// reporting nowhere.
 pub(crate) fn region_outcome<O: SchedObserver>(
     pass: &GlobalPass,
     f: &mut Function,
     rid: RegionId,
     tracing: bool,
+    ws: &mut Workspace,
     stats: &mut SchedStats,
     obs: &mut O,
 ) -> Arc<RegionOutcome> {
-    let key = memo_key(pass, f, rid, tracing);
+    let key = memo_key(pass, f, rid, tracing, ws);
     if let Some(out) = key.and_then(|key| memo().get(key)) {
         if pass.hooks.armed() {
-            verify_hit(pass, f, rid, &out, tracing);
+            verify_hit(pass, f, rid, &out, tracing, ws);
         }
         out.apply(f, rid, stats, obs);
         SPLICES.fetch_add(out.num_blocks() as u64, Ordering::Relaxed);
         return out;
     }
-    let out = Arc::new(RegionOutcome::record(pass, f, rid, tracing));
+    let out = Arc::new(RegionOutcome::record(pass, f, rid, tracing, ws));
     out.report(stats, obs);
     if let Some(key) = key {
         memo().insert(key, Arc::clone(&out));
@@ -241,12 +251,19 @@ pub(crate) fn region_outcome<O: SchedObserver>(
 /// The differential gate: applies the memoized outcome and schedules the
 /// region for real, each on its own snapshot of `f`, and panics unless
 /// the two agree on every block, allocator, origin, statistic and event.
-fn verify_hit(pass: &GlobalPass, f: &Function, rid: RegionId, out: &RegionOutcome, tracing: bool) {
+fn verify_hit(
+    pass: &GlobalPass,
+    f: &Function,
+    rid: RegionId,
+    out: &RegionOutcome,
+    tracing: bool,
+    ws: &mut Workspace,
+) {
     let (mut applied, mut stats, mut events) =
         (f.snapshot(), SchedStats::default(), Recorder::new());
     out.apply(&mut applied, rid, &mut stats, &mut events);
     let mut real = f.snapshot();
-    let want = RegionOutcome::record(pass, &mut real, rid, tracing);
+    let want = RegionOutcome::record(pass, &mut real, rid, tracing, ws);
     let mut want_stats = SchedStats::default();
     let mut want_events = Recorder::new();
     want.report(&mut want_stats, &mut want_events);
@@ -493,8 +510,9 @@ mod tests {
         );
         let (l1, l2) = (BlockId::new(1), BlockId::new(3));
         let first = tree.innermost(l1);
-        let scope = subtree_blocks(&tree, first);
-        let exits = exit_blocks(&f0, &scope);
+        let scope = crate::global::subtree_blocks(&tree, first);
+        let mut exits = Vec::new();
+        exit_blocks(&f0, &scope, &mut exits);
         assert_eq!(exits, vec![l2], "the first loop exits into the second");
         assert_eq!(
             tree.region(tree.innermost(l2)).parent,
@@ -503,7 +521,8 @@ mod tests {
         );
         let hooks = TestHooks::default();
         let pass = GlobalPass::new(&f0, &machine, &cfg, &tree, &config, &hooks);
-        let key = memo_key(&pass, &f0, first, false).expect("eligible");
+        let key =
+            memo_key(&pass, &f0, first, false, &mut Workspace::new(&machine)).expect("eligible");
         let memoized = || memo().entries().iter().any(|&(k, _)| k == key);
         assert!(!memoized(), "a fresh key");
 
@@ -575,8 +594,9 @@ mod tests {
             .collect();
         assert_eq!(inner.len(), 6, "one task per loop");
         let pass = GlobalPass::new(&f0, &machine, &cfg, &tree, &config, &hooks);
-        let other = RegionOutcome::record(&pass, &mut f0.clone(), inner[0], false);
-        let key = memo_key(&pass, &f0, inner[1], false).expect("eligible");
+        let mut ws = Workspace::new(&machine);
+        let other = RegionOutcome::record(&pass, &mut f0.clone(), inner[0], false, &mut ws);
+        let key = memo_key(&pass, &f0, inner[1], false, &mut ws).expect("eligible");
         memo().insert(key, Arc::new(other));
 
         let (done, ended) = channel::<()>();
@@ -619,7 +639,13 @@ mod tests {
         let none = TestHooks::default();
         let key = |config: &SchedConfig, tracing: bool| {
             let pass = GlobalPass::new(&f, &machine, &cfg, &tree, config, &none);
-            memo_key(&pass, &f, tree.root(), tracing)
+            memo_key(
+                &pass,
+                &f,
+                tree.root(),
+                tracing,
+                &mut Workspace::new(&machine),
+            )
         };
         assert!(memo_eligible(&config, &none));
         assert!(key(&config, true).is_some(), "tracing is eligible");

@@ -27,6 +27,7 @@
 //! recorded their outcomes on worker snapshots that still held the
 //! master's pre-pass content in each task's own (disjoint) unit.
 
+use crate::global::Workspace;
 use crate::parallel::GlobalPass;
 use crate::stats::SchedStats;
 use gis_cfg::RegionId;
@@ -51,13 +52,15 @@ pub(crate) struct RegionOutcome {
 }
 
 impl RegionOutcome {
-    /// Schedules region `rid` of `f` and records what that did, leaving
-    /// `f` scheduled. Events are recorded only when `tracing`.
+    /// Schedules region `rid` of `f` in workspace `ws` and records what
+    /// that did, leaving `f` scheduled. Events are recorded only when
+    /// `tracing`.
     pub(crate) fn record(
         pass: &GlobalPass,
         f: &mut Function,
         rid: RegionId,
         tracing: bool,
+        ws: &mut Workspace,
     ) -> Self {
         let reg_base = f.reg_counters();
         let inst_base = f.inst_id_bound() as u32;
@@ -65,12 +68,12 @@ impl RegionOutcome {
         let (scheduled, events) = if tracing {
             let mut rec = Recorder::new();
             (
-                pass.schedule(f, rid, &mut stats, &mut rec),
+                pass.schedule(f, rid, ws, &mut stats, &mut rec),
                 rec.into_events(),
             )
         } else {
             (
-                pass.schedule(f, rid, &mut stats, &mut NopObserver),
+                pass.schedule(f, rid, ws, &mut stats, &mut NopObserver),
                 Vec::new(),
             )
         };
@@ -265,12 +268,13 @@ mod tests {
         let tree = RegionTree::new(&cfg, &LoopForest::new(&cfg, &DomTree::dominators(&cfg)));
         let hooks = TestHooks::default();
         let pass = GlobalPass::new(&f0, &machine, &cfg, &tree, &config, &hooks);
+        let mut ws = Workspace::new(&machine);
         let (mut f, mut g) = (f0.clone(), f0);
         g.fresh_reg(RegClass::Cr); // g's allocator runs one ahead
         let order = tree.schedule_order();
         let mut renamed = Vec::new();
         for (i, &rid) in order.iter().enumerate() {
-            let out = RegionOutcome::record(&pass, &mut f, rid, true);
+            let out = RegionOutcome::record(&pass, &mut f, rid, true, &mut ws);
             let other = order[(i + 1) % order.len()];
             let (mut stats, mut rec) = (SchedStats::default(), Recorder::new());
             out.apply(&mut g, other, &mut stats, &mut rec);
@@ -320,11 +324,12 @@ mod tests {
             let tree = RegionTree::new(&cfg, &LoopForest::new(&cfg, &DomTree::dominators(&cfg)));
             let hooks = TestHooks::default();
             let pass = GlobalPass::new(&f0, &machine, &cfg, &tree, &config, &hooks);
+            let mut ws = Workspace::new(&machine);
             let mut f = f0;
             for rid in tree.schedule_order() {
                 let start = f.snapshot();
                 let mut recording = f.snapshot();
-                let out = RegionOutcome::record(&pass, &mut recording, rid, false);
+                let out = RegionOutcome::record(&pass, &mut recording, rid, false, &mut ws);
                 f = recording.snapshot();
                 if out.regs == [0; 3] && out.roots.is_empty() {
                     continue;

@@ -53,7 +53,7 @@
 
 use crate::config::{SchedConfig, TestHooks};
 use crate::fingerprint::{write_config_fingerprint, write_machine_fingerprint};
-use crate::global::{size_gate, subtree_blocks};
+use crate::global::{size_gate, subtree_blocks, Workspace};
 use crate::memo::region_outcome;
 use crate::outcome::RegionOutcome;
 use crate::stats::SchedStats;
@@ -171,12 +171,14 @@ pub(crate) fn global_pass<O: SchedObserver>(
         HashMap::new()
     };
     // In sequential region order: the tasks' outcomes merge
-    // deterministically, and every other region runs here.
+    // deterministically, and every other region runs here, in one
+    // workspace.
+    let mut ws = Workspace::new(machine);
     for &rid in &order {
         match outcomes.remove(&rid) {
             Some(out) => out.apply(f, rid, stats, obs),
             None => {
-                region_outcome(&pass, f, rid, obs.enabled(), stats, obs);
+                region_outcome(&pass, f, rid, obs.enabled(), &mut ws, stats, obs);
             }
         }
     }
@@ -185,11 +187,12 @@ pub(crate) fn global_pass<O: SchedObserver>(
 /// Fans the tasks out over the pool and returns every region's outcome.
 /// Workers claim tasks through one shared index, in plan order, and each
 /// worker runs its tasks on one snapshot of `master`, taken before its
-/// first claim. The claim order cannot influence any result: units are
-/// disjoint, and each outcome records its register and id draws
-/// relative to the allocators it started from, so the merge renumbers
-/// them wherever they landed. A panicking task fails the pass: the
-/// other workers drain the list, and the scope re-raises the panic.
+/// first claim, in one workspace. The claim order cannot influence any
+/// result: units are disjoint, and each outcome records its register
+/// and id draws relative to the allocators it started from, so the
+/// merge renumbers them wherever they landed. A panicking task fails
+/// the pass: the other workers drain the list, and the scope re-raises
+/// the panic.
 fn run_tasks(
     pass: &GlobalPass,
     master: &Function,
@@ -203,12 +206,20 @@ fn run_tasks(
     let work = || {
         let mut outs = Vec::new();
         let mut fu = master.snapshot();
+        let mut ws = Workspace::new(pass.machine);
         while let Some(task) = tasks.get(next.fetch_add(1, Ordering::Relaxed)) {
             for &rid in &task.regions {
                 // Statistics and events are the merge's to report.
                 let mut dropped = SchedStats::default();
-                let out =
-                    region_outcome(pass, &mut fu, rid, tracing, &mut dropped, &mut NopObserver);
+                let out = region_outcome(
+                    pass,
+                    &mut fu,
+                    rid,
+                    tracing,
+                    &mut ws,
+                    &mut dropped,
+                    &mut NopObserver,
+                );
                 outs.push((rid, out));
             }
         }

@@ -9,7 +9,7 @@
 //!    subsumes both);
 //! 6. the basic block scheduler runs over every block.
 
-use crate::bb::schedule_block_observed;
+use crate::bb::{schedule_block_in, BbWorkspace};
 use crate::config::{SchedConfig, SchedLevel, TestHooks, MAX_REGION_HEIGHT, SMALL_LOOP_BLOCKS};
 use crate::parallel::global_pass;
 use crate::rotate::rotate_loop_observed;
@@ -20,6 +20,7 @@ use gis_ir::{BlockId, Function, VerifyFunctionError};
 use gis_machine::MachineDescription;
 use gis_pdg::webs::rename_webs;
 use gis_trace::{NopObserver, Pass, SchedObserver, TraceEvent};
+use std::cell::OnceCell;
 use std::error::Error;
 use std::fmt;
 use std::time::Instant;
@@ -63,25 +64,73 @@ impl Error for CompileError {
     }
 }
 
-fn analyze(f: &Function) -> (Cfg, RegionTree) {
-    let cfg = Cfg::new(f);
-    let dom = DomTree::dominators(&cfg);
-    let tree = RegionTree::new(&cfg, &LoopForest::new(&cfg, &dom));
-    (cfg, tree)
+/// The whole-function analyses of one CFG version, shared by every pass
+/// until one changes the CFG: renaming and the global passes never do
+/// (motions stay inside blocks' bodies, terminators stay put), so only
+/// an unroll or rotate pass that transformed a loop calls for new ones.
+/// The dominators are built once per version too; only the loops read
+/// them. The region tree is built when a global pass first asks for it,
+/// so a version that only renaming and unrolling see never builds one.
+struct Analyses {
+    cfg: Cfg,
+    loops: LoopForest,
+    tree: OnceCell<RegionTree>,
+}
+
+impl Analyses {
+    fn new(f: &Function) -> Self {
+        let cfg = Cfg::new(f);
+        let loops = LoopForest::new(&cfg, &DomTree::dominators(&cfg));
+        Analyses {
+            cfg,
+            loops,
+            tree: OnceCell::new(),
+        }
+    }
+
+    fn tree(&self) -> &RegionTree {
+        self.tree
+            .get_or_init(|| RegionTree::new(&self.cfg, &self.loops))
+    }
+
+    /// The analyses of `f`'s current CFG: `kept` when a pass left it
+    /// unchanged, else built afresh. Under the armed checks, analyses
+    /// about to be reused are compared with a fresh build first.
+    fn current<'a>(
+        kept: &'a mut Option<Analyses>,
+        f: &Function,
+        hooks: &TestHooks,
+        pass: Pass,
+    ) -> &'a Analyses {
+        if let (Some(a), true) = (kept.as_ref(), hooks.armed()) {
+            let fresh = Analyses::new(f);
+            assert!(a.cfg == fresh.cfg, "{pass:?}: the kept CFG went stale");
+            assert!(
+                a.loops == fresh.loops,
+                "{pass:?}: the kept loops went stale"
+            );
+            if let Some(tree) = a.tree.get() {
+                assert!(
+                    tree == fresh.tree(),
+                    "{pass:?}: the kept region tree went stale"
+                );
+            }
+        }
+        kept.get_or_insert_with(|| Analyses::new(f))
+    }
 }
 
 /// Applies `transform` once to each small inner loop of `f` — at most
 /// [`SMALL_LOOP_BLOCKS`] blocks, layout-contiguous with the header first
-/// — found by one analysis, in ascending layout order, and returns how
-/// many it changed. A transform inserts blocks only right after its own
-/// loop, so each later loop's range shifts by the blocks inserted so
+/// — among `loops`, `f`'s loops, in ascending layout order, and returns
+/// how many it changed. A transform inserts blocks only right after its
+/// own loop, so each later loop's range shifts by the blocks inserted so
 /// far, and the loops a transform re-forms are never revisited.
 fn each_small_inner_loop(
     f: &mut Function,
+    loops: &LoopForest,
     mut transform: impl FnMut(&mut Function, BlockId, BlockId) -> bool,
 ) -> usize {
-    let cfg = Cfg::new(f);
-    let loops = LoopForest::new(&cfg, &DomTree::dominators(&cfg));
     let mut ranges: Vec<(usize, usize)> = loops
         .loops()
         .filter_map(|(_, l)| {
@@ -187,12 +236,16 @@ pub fn compile_with_hooks<O: SchedObserver>(
     // `None` keeps the normal path allocation-free.
     let snapshot = |f: &Function| hooks.verifier.map(|_| f.clone());
 
+    // The whole-function analyses, built when a pass first needs them
+    // and again only after a pass changed the CFG.
+    let mut kept: Option<Analyses> = None;
+
     // 1. Register-web renaming.
     if config.rename {
         let snap = snapshot(f);
         let t0 = pass_begin(obs, Pass::Rename);
-        let cfg = Cfg::new(f);
-        stats.webs_renamed = rename_webs(f, &cfg).renamed;
+        let cfg = &Analyses::current(&mut kept, f, hooks, Pass::Rename).cfg;
+        stats.webs_renamed = rename_webs(f, cfg).renamed;
         if obs.enabled() {
             obs.event(TraceEvent::WebsRenamed {
                 count: stats.webs_renamed as u64,
@@ -206,8 +259,13 @@ pub fn compile_with_hooks<O: SchedObserver>(
     if config.unroll {
         let snap = snapshot(f);
         let t0 = pass_begin(obs, Pass::Unroll);
-        stats.loops_unrolled +=
-            each_small_inner_loop(f, |f, lo, hi| unroll_loop_observed(f, lo, hi, obs));
+        let loops = &Analyses::current(&mut kept, f, hooks, Pass::Unroll).loops;
+        let unrolled =
+            each_small_inner_loop(f, loops, |f, lo, hi| unroll_loop_observed(f, lo, hi, obs));
+        if unrolled > 0 {
+            kept = None;
+        }
+        stats.loops_unrolled += unrolled;
         pass_end(obs, Pass::Unroll, t0, &mut stats);
         pass_checkpoint(hooks, Pass::Unroll, snap.as_ref(), f)?;
     }
@@ -218,8 +276,18 @@ pub fn compile_with_hooks<O: SchedObserver>(
     if config.level != SchedLevel::BasicBlockOnly {
         let snap = snapshot(f);
         let t0 = pass_begin(obs, Pass::Global1);
-        let (cfg, tree) = analyze(f);
-        global_pass(f, machine, &cfg, &tree, config, hooks, 0, &mut stats, obs);
+        let a = Analyses::current(&mut kept, f, hooks, Pass::Global1);
+        global_pass(
+            f,
+            machine,
+            &a.cfg,
+            a.tree(),
+            config,
+            hooks,
+            0,
+            &mut stats,
+            obs,
+        );
         pass_end(obs, Pass::Global1, t0, &mut stats);
         pass_checkpoint(hooks, Pass::Global1, snap.as_ref(), f)?;
 
@@ -228,8 +296,13 @@ pub fn compile_with_hooks<O: SchedObserver>(
         if config.rotate {
             let snap = snapshot(f);
             let t0 = pass_begin(obs, Pass::Rotate);
-            stats.loops_rotated +=
-                each_small_inner_loop(f, |f, lo, hi| rotate_loop_observed(f, lo, hi, obs));
+            let loops = &Analyses::current(&mut kept, f, hooks, Pass::Rotate).loops;
+            let rotated =
+                each_small_inner_loop(f, loops, |f, lo, hi| rotate_loop_observed(f, lo, hi, obs));
+            if rotated > 0 {
+                kept = None;
+            }
+            stats.loops_rotated += rotated;
             pass_end(obs, Pass::Rotate, t0, &mut stats);
             pass_checkpoint(hooks, Pass::Rotate, snap.as_ref(), f)?;
         }
@@ -238,12 +311,12 @@ pub fn compile_with_hooks<O: SchedObserver>(
         //    (every region up to the height limit).
         let snap = snapshot(f);
         let t0 = pass_begin(obs, Pass::Global2);
-        let (cfg, tree) = analyze(f);
+        let a = Analyses::current(&mut kept, f, hooks, Pass::Global2);
         global_pass(
             f,
             machine,
-            &cfg,
-            &tree,
+            &a.cfg,
+            a.tree(),
             config,
             hooks,
             MAX_REGION_HEIGHT,
@@ -254,12 +327,13 @@ pub fn compile_with_hooks<O: SchedObserver>(
         pass_checkpoint(hooks, Pass::Global2, snap.as_ref(), f)?;
     }
 
-    // 6. Final basic block pass.
+    // 6. Final basic block pass, in one workspace.
     if config.final_bb_pass {
         let snap = snapshot(f);
         let t0 = pass_begin(obs, Pass::FinalBb);
-        for b in f.block_ids().collect::<Vec<_>>() {
-            if schedule_block_observed(f, machine, b, obs) {
+        let mut ws = BbWorkspace::new(machine);
+        for b in 0..f.num_blocks() {
+            if schedule_block_in(&mut ws, f, machine, BlockId::new(b as u32), obs) {
                 stats.blocks_bb_scheduled += 1;
             }
         }

@@ -169,29 +169,44 @@ const REGION_VERSION: u8 = 1;
 /// The bytes depend only on the logical layout-ordered content, so
 /// snapshotting or round-tripping the function leaves them unchanged.
 pub fn canon_region(f: &Function, blocks: &[BlockId]) -> Vec<u8> {
-    let mut sorted: Vec<BlockId> = blocks.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    let mut out = Vec::with_capacity(16 + sorted.len() * 24);
+    let mut out = Vec::with_capacity(16 + blocks.len() * 24);
+    canon_region_into(f, blocks, &mut out);
+    out
+}
+
+/// [`canon_region`] into a caller-owned buffer, which is cleared first:
+/// a caller that keys many regions reuses one buffer. Blocks supplied
+/// already ascending and distinct are encoded without a sorted copy.
+pub fn canon_region_into(f: &Function, blocks: &[BlockId], out: &mut Vec<u8>) {
+    let sorted_copy;
+    let sorted = if blocks.windows(2).all(|w| w[0] < w[1]) {
+        blocks
+    } else {
+        let mut copy = blocks.to_vec();
+        copy.sort_unstable();
+        copy.dedup();
+        sorted_copy = copy;
+        &sorted_copy
+    };
+    out.clear();
     out.extend_from_slice(REGION_MAGIC);
     out.push(REGION_VERSION);
-    put_u32(&mut out, sorted.len() as u32);
-    for &b in &sorted {
+    put_u32(out, sorted.len() as u32);
+    for &b in sorted {
         let block = f.block(b);
-        put_u32(&mut out, b.index() as u32);
-        put_str(&mut out, block.label());
+        put_u32(out, b.index() as u32);
+        put_str(out, block.label());
         let succs = f.succs(b);
-        put_u32(&mut out, succs.len() as u32);
+        put_u32(out, succs.len() as u32);
         for s in succs {
-            put_u32(&mut out, s.index() as u32);
+            put_u32(out, s.index() as u32);
         }
-        put_u32(&mut out, block.len() as u32);
+        put_u32(out, block.len() as u32);
         for inst in block.insts() {
-            put_u32(&mut out, inst.id.index() as u32);
-            put_op(&mut out, &inst.op);
+            put_u32(out, inst.id.index() as u32);
+            put_op(out, &inst.op);
         }
     }
-    out
 }
 
 // --------------------------------------------------------------- encode

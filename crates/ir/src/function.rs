@@ -232,10 +232,11 @@ impl BlockMut<'_> {
         self.data().insts.truncate(n);
     }
 
-    /// Reorders the block's instructions by a sort key. The sort is
-    /// stable.
-    pub fn sort_by_key<K: Ord>(&mut self, key: impl FnMut(&Inst) -> K) {
-        self.data().insts.sort_by_key(key);
+    /// Reorders the block's instructions by a sort key that no two
+    /// instructions share (a rank), in place and without allocating.
+    /// Keys that tie leave their instructions in an unspecified order.
+    pub fn sort_by_rank<K: Ord>(&mut self, key: impl FnMut(&Inst) -> K) {
+        self.data().insts.sort_unstable_by_key(key);
     }
 
     /// Reorders the block to match `order`, which must list exactly the
@@ -388,25 +389,27 @@ impl Function {
     }
 
     /// The control-flow successors of a block: the explicit branch target
-    /// (if any) followed by the fall-through block.
-    pub fn succs(&self, id: BlockId) -> Vec<BlockId> {
+    /// (if any) followed by the fall-through block. At most two, held
+    /// inline: asking allocates nothing.
+    pub fn succs(&self, id: BlockId) -> impl ExactSizeIterator<Item = BlockId> + Clone {
         let block = self.block(id);
-        let mut out = Vec::with_capacity(2);
-        if let Some(last) = block.last() {
-            if let Some(t) = last.op.branch_target() {
-                out.push(t);
-            }
+        let mut out = [id; 2];
+        let mut n = 0;
+        if let Some(t) = block.last().and_then(|last| last.op.branch_target()) {
+            out[0] = t;
+            n = 1;
         }
         if block.falls_through() {
             let next = id.index() + 1;
             if next < self.blocks.len() {
                 let next = BlockId::new(next as u32);
-                if !out.contains(&next) {
-                    out.push(next);
+                if n == 0 || out[0] != next {
+                    out[n] = next;
+                    n += 1;
                 }
             }
         }
-        out
+        out.into_iter().take(n)
     }
 
     /// Registers a memory symbol (or returns the existing id for `name`).
@@ -704,8 +707,8 @@ mod tests {
     fn succs_branch_and_fallthrough() {
         let f = two_block_function();
         // Conditional branch to BL1, fall-through also BL1: deduplicated.
-        assert_eq!(f.succs(BlockId::new(0)), vec![BlockId::new(1)]);
-        assert!(f.succs(BlockId::new(1)).is_empty());
+        assert!(f.succs(BlockId::new(0)).eq([BlockId::new(1)]));
+        assert_eq!(f.succs(BlockId::new(1)).len(), 0);
     }
 
     #[test]
@@ -831,7 +834,7 @@ mod tests {
             .unwrap();
         assert_eq!(tgt, BlockId::new(2));
         // Fall-through now passes through the empty inserted block.
-        assert_eq!(f.succs(BlockId::new(1)), vec![BlockId::new(2)]);
+        assert!(f.succs(BlockId::new(1)).eq([BlockId::new(2)]));
     }
 
     #[test]
@@ -873,7 +876,7 @@ mod tests {
     }
 
     #[test]
-    fn set_order_and_sort_by_key_permute() {
+    fn set_order_and_sort_by_rank_permute() {
         let mut f = Function::new("t");
         let b = f.add_block("e");
         for imm in 0..3 {
@@ -890,8 +893,11 @@ mod tests {
             .set_order(&[InstId::new(2), InstId::new(0), InstId::new(1)]);
         let order: Vec<InstId> = f.block(b).insts().map(|i| i.id).collect();
         assert_eq!(order, vec![InstId::new(2), InstId::new(0), InstId::new(1)]);
-        f.block_mut(b).sort_by_key(|i| i.id);
+        f.block_mut(b).sort_by_rank(|i| i.id);
         let order: Vec<InstId> = f.block(b).insts().map(|i| i.id).collect();
         assert_eq!(order, vec![InstId::new(0), InstId::new(1), InstId::new(2)]);
+        f.block_mut(b).sort_by_rank(|i| 2 - i.id.index());
+        let order: Vec<InstId> = f.block(b).insts().map(|i| i.id).collect();
+        assert_eq!(order, vec![InstId::new(2), InstId::new(1), InstId::new(0)]);
     }
 }

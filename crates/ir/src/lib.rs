@@ -45,7 +45,9 @@ mod verify;
 
 pub use bitset::{DenseBitSet, RegSet};
 pub use block::{BlockId, Inst, InstId};
-pub use canon::{canon_region, from_canonical_bytes, to_canonical_bytes, CanonError};
+pub use canon::{
+    canon_region, canon_region_into, from_canonical_bytes, to_canonical_bytes, CanonError,
+};
 pub use function::{BlockMut, BlockRef, BlockSnapshot, Function, SymId};
 pub use op::{CondBit, FpBinOp, FxBinOp, MemRef, Op, OpClass};
 pub use parse::{parse_function, ParseFunctionError, MAX_INST_ID, MAX_REG_INDEX};

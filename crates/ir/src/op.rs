@@ -455,6 +455,30 @@ impl Op {
         }
     }
 
+    /// The registers written by this operation, in [`defs`](Self::defs)
+    /// order, without allocating.
+    pub fn defs_iter(&self) -> impl Iterator<Item = Reg> + '_ {
+        let none = Reg::gpr(0);
+        let (fixed, n, rest): ([Reg; 2], usize, &[Reg]) = match self {
+            Op::Load { rt, .. } | Op::LoadImm { rt, .. } | Op::Move { rt, .. } => {
+                ([*rt, none], 1, &[])
+            }
+            Op::LoadUpdate { rt, mem } => ([*rt, mem.base], 2, &[]),
+            Op::StoreUpdate { mem, .. } => ([mem.base, none], 1, &[]),
+            Op::Fx { rt, .. } | Op::FxImm { rt, .. } | Op::Fp { rt, .. } => ([*rt, none], 1, &[]),
+            Op::Compare { crt, .. } | Op::CompareImm { crt, .. } | Op::FpCompare { crt, .. } => {
+                ([*crt, none], 1, &[])
+            }
+            Op::Store { .. }
+            | Op::BranchCond { .. }
+            | Op::Branch { .. }
+            | Op::Ret
+            | Op::Print { .. } => ([none; 2], 0, &[]),
+            Op::Call { defs, .. } => ([none; 2], 0, defs),
+        };
+        fixed.into_iter().take(n).chain(rest.iter().copied())
+    }
+
     /// Registers read by this operation.
     pub fn uses(&self) -> Vec<Reg> {
         match self {
@@ -490,6 +514,26 @@ impl Op {
             Op::Call { uses, .. } => out.extend_from_slice(uses),
             Op::Print { rs } => out.push(*rs),
         }
+    }
+
+    /// The registers read by this operation, in [`uses`](Self::uses)
+    /// order, without allocating.
+    pub fn uses_iter(&self) -> impl Iterator<Item = Reg> + '_ {
+        let none = Reg::gpr(0);
+        let (fixed, n, rest): ([Reg; 2], usize, &[Reg]) = match self {
+            Op::Load { mem, .. } | Op::LoadUpdate { mem, .. } => ([mem.base, none], 1, &[]),
+            Op::Store { rs, mem } | Op::StoreUpdate { rs, mem } => ([*rs, mem.base], 2, &[]),
+            Op::Move { rs, .. } | Op::Print { rs } => ([*rs, none], 1, &[]),
+            Op::Fx { ra, rb, .. }
+            | Op::Fp { ra, rb, .. }
+            | Op::Compare { ra, rb, .. }
+            | Op::FpCompare { ra, rb, .. } => ([*ra, *rb], 2, &[]),
+            Op::FxImm { ra, .. } | Op::CompareImm { ra, .. } => ([*ra, none], 1, &[]),
+            Op::BranchCond { cr, .. } => ([*cr, none], 1, &[]),
+            Op::LoadImm { .. } | Op::Branch { .. } | Op::Ret => ([none; 2], 0, &[]),
+            Op::Call { uses, .. } => ([none; 2], 0, uses),
+        };
+        fixed.into_iter().take(n).chain(rest.iter().copied())
     }
 
     /// The coarse class used by the parametric machine description.

@@ -55,7 +55,7 @@ fn snapshot_edits_never_reach_the_original() {
         "inst_mut",
         "retain",
         "truncate",
-        "sort_by_key",
+        "sort_by_rank",
         "set_order",
         "set_label",
         "relink_inst",
@@ -79,7 +79,7 @@ fn snapshot_edits_never_reach_the_original() {
             "inst_mut" => f.block_mut(e).inst_mut(0).op = Op::Ret,
             "retain" => f.block_mut(e).retain(|i| i.id != InstId::new(0)),
             "truncate" => f.block_mut(tail).truncate(1),
-            "sort_by_key" => f.block_mut(e).sort_by_key(|i| std::cmp::Reverse(i.id)),
+            "sort_by_rank" => f.block_mut(e).sort_by_rank(|i| std::cmp::Reverse(i.id)),
             "set_order" => f.block_mut(e).set_order(&[1, 0, 2, 3].map(InstId::new)),
             "set_label" => f.block_mut(mid).set_label("renamed"),
             "relink_inst" => f.relink_inst(InstId::new(4), mid, e, 0),

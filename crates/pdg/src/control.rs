@@ -8,7 +8,7 @@
 //! edge so that unconditionally executed blocks come out control dependent
 //! on `ENTRY`.
 
-use gis_cfg::{group_by, Adjacency, Cfg, DomTree, EdgeLabel, NodeId, RegionGraph, RegionNode};
+use gis_cfg::{group_into, Adjacency, Cfg, DomTree, EdgeLabel, NodeId, RegionGraph, RegionNode};
 use std::fmt::Write as _;
 
 /// The control dependence subgraph of one region, with the dominance
@@ -16,8 +16,8 @@ use std::fmt::Write as _;
 ///
 /// Both dependence directions live in flat arrays indexed by node, so a
 /// region's CSPDG costs a fixed handful of allocations whatever its
-/// size.
-#[derive(Debug, Clone)]
+/// size, and [`Cspdg::rebuild`] refills them in place.
+#[derive(Debug, Clone, Default)]
 pub struct Cspdg {
     /// Node `b`'s CD parents: `parents[parent_off[b]..parent_off[b + 1]]`.
     parent_off: Vec<u32>,
@@ -29,6 +29,13 @@ pub struct Cspdg {
     pdom: DomTree,
     /// Which nodes are real basic blocks (not `ENTRY`/`EXIT`/supernodes).
     is_block: Vec<bool>,
+    /// Buffers of the construction, kept for the next rebuild: the
+    /// forward graph, its `ENTRY -> EXIT` augmentation reversed, and the
+    /// dependences in emission order.
+    fwd: Adjacency,
+    augmented: Adjacency,
+    reversed: Adjacency,
+    deps: Vec<(NodeId, NodeId, EdgeLabel)>,
 }
 
 impl Cspdg {
@@ -55,26 +62,39 @@ impl Cspdg {
     /// # }
     /// ```
     pub fn new(g: &RegionGraph) -> Self {
+        let mut cspdg = Cspdg::default();
+        cspdg.rebuild(g);
+        cspdg
+    }
+
+    /// [`Cspdg::new`] in place: this CSPDG becomes `g`'s, reusing its
+    /// arrays and both trees'.
+    pub fn rebuild(&mut self, g: &RegionGraph) {
         let n = g.num_nodes();
-        let fwd = g.adjacency();
-        let dom = DomTree::new(&fwd, NodeId::ENTRY);
+        let fwd = &mut self.fwd;
+        g.adjacency_into(fwd);
+        self.dom.rebuild(fwd, NodeId::ENTRY);
         // Postdominators of the graph augmented with ENTRY -> EXIT, the
         // FOW construction's edge that makes unconditionally executed
         // blocks control dependent on ENTRY. The edge itself is never a
         // dependence source: EXIT postdominates ENTRY through it.
         let has_exit = fwd.succs(NodeId::ENTRY).contains(&NodeId::EXIT);
-        let augmented = Adjacency::new(n, |i| {
+        self.augmented.rebuild(n, |i| {
             let extra = (i == NodeId::ENTRY.index() && !has_exit).then_some(NodeId::EXIT);
             fwd.succs(NodeId::from_index(i))
                 .iter()
                 .copied()
                 .chain(extra)
         });
-        let pdom = DomTree::new(&augmented.reversed(), NodeId::EXIT);
+        self.augmented.reverse_into(&mut self.reversed);
+        self.pdom.rebuild(&self.reversed, NodeId::EXIT);
+        let pdom = &self.pdom;
 
         // Every dependence `(a, b, label)` in emission order: source by
         // source, edge by edge, up the postdominator tree.
-        let mut deps: Vec<(NodeId, NodeId, EdgeLabel)> = Vec::new();
+        let deps = &mut self.deps;
+        deps.clear();
+        deps.reserve(n);
         for i in 0..n {
             let a = NodeId::from_index(i);
             let first = deps.len();
@@ -98,21 +118,14 @@ impl Cspdg {
                 }
             }
         }
-        let (parent_off, parents) = group_by(n, deps.iter().map(|&(a, b, l)| (b.index(), (a, l))));
-        let (child_off, children) = group_by(n, deps.iter().map(|&(a, b, l)| (a.index(), (b, l))));
+        let parents = deps.iter().map(|&(a, b, l)| (b.index(), (a, l)));
+        group_into(n, parents, &mut self.parent_off, &mut self.parents);
+        let children = deps.iter().map(|&(a, b, l)| (a.index(), (b, l)));
+        group_into(n, children, &mut self.child_off, &mut self.children);
 
-        let is_block = (0..n)
-            .map(|i| matches!(g.node(NodeId::from_index(i)), RegionNode::Block(_)))
-            .collect();
-        Cspdg {
-            parent_off,
-            parents,
-            child_off,
-            children,
-            dom,
-            pdom,
-            is_block,
-        }
+        self.is_block.clear();
+        self.is_block
+            .extend((0..n).map(|i| matches!(g.node(NodeId::from_index(i)), RegionNode::Block(_))));
     }
 
     /// Number of nodes (same numbering as the region graph).
@@ -173,15 +186,20 @@ impl Cspdg {
     /// Synthetic nodes and supernodes are never members — they cannot
     /// contribute or receive instructions.
     pub fn equiv_dominated(&self, a: NodeId) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = (0..self.num_nodes())
-            .map(NodeId::from_index)
-            .filter(|&b| {
-                self.is_block[b.index()]
-                    && b != a
-                    && self.dom.strictly_dominates(a, b)
-                    && self.equivalent(a, b)
-            })
-            .collect();
+        let mut out = Vec::new();
+        self.equiv_dominated_into(a, &mut out);
+        out
+    }
+
+    /// [`Cspdg::equiv_dominated`] into `out`, which is overwritten.
+    pub fn equiv_dominated_into(&self, a: NodeId, out: &mut Vec<NodeId>) {
+        out.clear();
+        out.extend((0..self.num_nodes()).map(NodeId::from_index).filter(|&b| {
+            self.is_block[b.index()]
+                && b != a
+                && self.dom.strictly_dominates(a, b)
+                && self.equivalent(a, b)
+        }));
         // Dominance is total on an equivalence class; sort outermost first.
         out.sort_by(|&x, &y| {
             if self.dom.strictly_dominates(x, y) {
@@ -190,7 +208,6 @@ impl Cspdg {
                 std::cmp::Ordering::Greater
             }
         });
-        out
     }
 
     /// Definition 6's duplication clause, inverted: an instruction may

@@ -19,8 +19,8 @@
 //! whole-scope reduction, is its oracle (see `docs/PAPER_MAP.md` for
 //! why the two agree wherever the schedule looks).
 
-use gis_cfg::group_by;
-use gis_ir::{BlockId, Function, InstId, MemRef, Op, Reg};
+use gis_cfg::group_into;
+use gis_ir::{BlockId, Function, InstId, MemRef, OpClass, Reg};
 use gis_machine::MachineDescription;
 use std::fmt;
 
@@ -81,10 +81,6 @@ impl DataDep {
     }
 }
 
-/// Sentinel in the id→scope-position map for instructions outside the
-/// scope.
-const LOCAL_NONE: u32 = u32::MAX;
-
 /// The data dependence graph of a scope's instructions.
 ///
 /// Edges live in two CSR arenas indexed by *scope position*, not per
@@ -94,9 +90,12 @@ const LOCAL_NONE: u32 = u32::MAX;
 /// scope-sized `Vec<Vec<_>>` lists cost one heap allocation per
 /// non-empty list (hundreds per region). Edges name their endpoints by
 /// position too, so walking the graph never translates an id; one
-/// dense `u32` map ([`Self::position`]) names an instruction read from
+/// id→position table ([`Self::position`]) names an instruction read from
 /// the function.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// [`DataDeps::rebuild`] refills a graph in place: a scheduler that keeps
+/// one graph for a whole pass allocates only while its arrays grow.
+#[derive(Debug, Default)]
 pub struct DataDeps {
     /// Edges into each position: `p`'s preds are
     /// `edges_in[in_off[p]..in_off[p + 1]]`.
@@ -105,99 +104,156 @@ pub struct DataDeps {
     /// Edges out of each position, same layout.
     edges_out: Vec<DataDep>,
     out_off: Vec<u32>,
-    /// Instruction id → scope position, covering only the scope's
-    /// compact id range `[id_base, id_base + local.len())`
-    /// ([`LOCAL_NONE`] for in-range ids not in the scope).
-    id_base: usize,
-    local: Vec<u32>,
     /// Instructions of the scope in a topological-compatible order
     /// (block order as supplied, positions within blocks).
     order: Vec<InstId>,
     /// Block boundaries: the `k`-th supplied block holds positions
     /// `block_off[k]..block_off[k + 1]`, in program order.
     block_off: Vec<u32>,
+    /// Instruction id → scope position.
+    positions: PositionTable,
+    /// What the pair evaluation reads of each position.
+    scope: Scope,
+    /// Buffers of the construction and reduction, kept for the next
+    /// rebuild.
+    scratch: Scratch,
 }
 
-/// Builds the two CSR arenas from edges in emission order. The scatter
-/// is stable, so each position's `preds` / `succs` slice keeps exactly
-/// the relative order in which its edges were emitted — both builders
-/// emit in the reference's lexicographic pair order, so the slices
-/// compare bit for bit.
-fn csr_from_flat(n: usize, flat: &[DataDep]) -> (Vec<DataDep>, Vec<u32>, Vec<DataDep>, Vec<u32>) {
-    let (in_off, edges_in) = group_by(n, flat.iter().map(|d| (d.to as usize, *d)));
-    let (out_off, edges_out) = group_by(n, flat.iter().map(|d| (d.from as usize, *d)));
-    (edges_in, in_off, edges_out, out_off)
+/// Two graphs are equal when they order the same instructions into the
+/// same blocks and hold the same edges in the same lists; the id table
+/// follows from the order, and buffers do not count.
+impl PartialEq for DataDeps {
+    fn eq(&self, other: &Self) -> bool {
+        self.order == other.order
+            && self.block_off == other.block_off
+            && self.in_off == other.in_off
+            && self.edges_in == other.edges_in
+            && self.out_off == other.out_off
+            && self.edges_out == other.edges_out
+    }
+}
+
+impl Eq for DataDeps {}
+
+/// A clone holds the graph and its id table; the construction buffers
+/// start empty, since only a rebuild reads them.
+impl Clone for DataDeps {
+    fn clone(&self) -> Self {
+        DataDeps {
+            edges_in: self.edges_in.clone(),
+            in_off: self.in_off.clone(),
+            edges_out: self.edges_out.clone(),
+            out_off: self.out_off.clone(),
+            order: self.order.clone(),
+            block_off: self.block_off.clone(),
+            positions: self.positions.clone(),
+            scope: Scope::default(),
+            scratch: Scratch::default(),
+        }
+    }
+}
+
+/// Ids per page of a [`PositionTable`], as a power of two.
+const PAGE_BITS: u32 = 8;
+const PAGE: usize = 1 << PAGE_BITS;
+
+/// Instruction id → scope position, version-stamped and paged. Ids come
+/// in pages of [`PAGE`] consecutive ids, and a page exists once some
+/// scope held one of its ids, so the table grows with the ids in use,
+/// not with their magnitude: one explicit `(I1048575)` in a function
+/// adds a page and a directory, not a million entries. Each rebuild
+/// starts a new version and writes only its own scope's entries; an
+/// entry of an older version reads as absent, so nothing is cleared
+/// between scopes.
+#[derive(Debug, Clone, Default)]
+struct PositionTable {
+    /// Page number → 1 + the page's index in `slots` (0: no page).
+    dir: Vec<u32>,
+    /// The pages' `(version, position)` entries.
+    slots: Vec<(u32, u32)>,
+    version: u32,
+}
+
+impl PositionTable {
+    /// Starts a new scope: every entry reads as absent.
+    fn begin(&mut self) {
+        self.version = self.version.wrapping_add(1);
+        if self.version == 0 {
+            self.slots.fill((0, 0));
+            self.version = 1;
+        }
+    }
+
+    fn set(&mut self, id: InstId, pos: u32) {
+        let (page, at) = (id.index() >> PAGE_BITS, id.index() & (PAGE - 1));
+        if page >= self.dir.len() {
+            self.dir.resize(page + 1, 0);
+        }
+        if self.dir[page] == 0 {
+            self.slots.resize(self.slots.len() + PAGE, (0, 0));
+            self.dir[page] = (self.slots.len() / PAGE) as u32;
+        }
+        self.slots[(self.dir[page] as usize - 1) * PAGE + at] = (self.version, pos);
+    }
+
+    fn get(&self, id: InstId) -> Option<usize> {
+        let (page, at) = (id.index() >> PAGE_BITS, id.index() & (PAGE - 1));
+        match self.dir.get(page) {
+            Some(&d) if d > 0 => match self.slots[(d as usize - 1) * PAGE + at] {
+                (v, p) if v == self.version => Some(p as usize),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+}
+
+/// What the pair evaluation reads of one scope instruction, gathered
+/// once per instruction.
+#[derive(Debug, Clone, Copy)]
+struct Facts {
+    block: BlockId,
+    class: OpClass,
+    /// Reads or writes memory, or may (calls).
+    touches_memory: bool,
+    writes_memory: bool,
+    /// The plain memory reference of a load or store.
+    mem: Option<MemRef>,
+    /// An update form: the access also moves its base.
+    tied_base: bool,
 }
 
 /// The scope's instructions flattened with everything the pair
 /// evaluation needs precomputed once per instruction (the `defs`/`uses`
 /// accessors allocate, so evaluating them per *pair* dominated the old
 /// builder's constant factor).
-struct Scope<'f> {
-    /// Each position's block and index within it.
-    items: Vec<(BlockId, usize)>,
-    ops: Vec<&'f Op>,
+#[derive(Debug, Clone, Default)]
+struct Scope {
+    facts: Vec<Facts>,
     /// Flat def/use arenas: instruction `p`'s defs are
     /// `def_regs[def_off[p]..def_off[p + 1]]` (likewise uses) — two
-    /// allocations for the whole scope instead of two per instruction.
+    /// arrays for the whole scope instead of two per instruction.
     def_regs: Vec<Reg>,
     def_off: Vec<u32>,
     use_regs: Vec<Reg>,
     use_off: Vec<u32>,
-    /// Compact id→position map (see [`DataDeps::local`]).
-    id_base: usize,
-    local: Vec<u32>,
-    /// Block boundaries (see [`DataDeps::block_off`]).
-    block_off: Vec<u32>,
 }
 
-impl<'f> Scope<'f> {
-    fn collect(f: &'f Function, blocks: &[BlockId]) -> (Vec<InstId>, Scope<'f>) {
-        // Size everything in one cheap counting pass: instruction ids
-        // need not start at zero (regions sit anywhere in the function),
-        // so the id→position map covers only the scope's id range.
-        let mut n = 0usize;
-        let (mut id_min, mut id_max) = (usize::MAX, 0usize);
-        for &b in blocks {
-            for inst in f.block(b).insts() {
-                n += 1;
-                id_min = id_min.min(inst.id.index());
-                id_max = id_max.max(inst.id.index());
-            }
-        }
-        let id_base = if n == 0 { 0 } else { id_min };
-        let span = if n == 0 { 0 } else { id_max - id_base + 1 };
-        let mut order: Vec<InstId> = Vec::with_capacity(n);
-        let mut scope = Scope {
-            items: Vec::with_capacity(n),
-            ops: Vec::with_capacity(n),
-            def_regs: Vec::new(),
-            def_off: Vec::with_capacity(n + 1),
-            use_regs: Vec::new(),
-            use_off: Vec::with_capacity(n + 1),
-            id_base,
-            local: vec![LOCAL_NONE; span],
-            block_off: Vec::with_capacity(blocks.len() + 1),
-        };
-        scope.def_off.push(0);
-        scope.use_off.push(0);
-        for &b in blocks {
-            scope.block_off.push(order.len() as u32);
-            for (pos, inst) in f.block(b).insts().enumerate() {
-                scope.local[inst.id.index() - id_base] = order.len() as u32;
-                order.push(inst.id);
-                scope.items.push((b, pos));
-                scope.ops.push(&inst.op);
-                inst.op.defs_into(&mut scope.def_regs);
-                scope.def_off.push(scope.def_regs.len() as u32);
-                inst.op.uses_into(&mut scope.use_regs);
-                scope.use_off.push(scope.use_regs.len() as u32);
-            }
-        }
-        scope.block_off.push(order.len() as u32);
-        (order, scope)
-    }
+/// The construction's and reduction's working arrays.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Edges in emission order, before the CSR scatter.
+    flat: Vec<DataDep>,
+    mem_touch: Vec<u32>,
+    mem_write: Vec<u32>,
+    seen: Vec<u32>,
+    cand: Vec<u32>,
+    removed: Vec<u32>,
+    removed_in: Vec<u32>,
+    longest: Vec<i32>,
+}
 
+impl Scope {
     fn defs(&self, p: usize) -> &[Reg] {
         &self.def_regs[self.def_off[p] as usize..self.def_off[p + 1] as usize]
     }
@@ -214,40 +270,34 @@ impl<'f> Scope<'f> {
     /// only on which pairs they bother to evaluate.
     fn pair_dep(
         &self,
-        f: &Function,
         machine: &MachineDescription,
         may_follow: &impl Fn(BlockId, BlockId) -> bool,
         x: usize,
         y: usize,
     ) -> Option<DataDep> {
-        let (a, b) = (self.items[x], self.items[y]);
+        let (a, b) = (self.facts[x].block, self.facts[y].block);
         // Orient the pair: earlier instruction first. Same-block pairs
         // use program order; cross-block pairs use the forward
         // reachability predicate (at most one direction holds — the
         // scope's forward graph is acyclic).
-        let (p, i) = if a.0 == b.0 || may_follow(a.0, b.0) {
+        let (p, i) = if a == b || may_follow(a, b) {
             (x, y)
-        } else if may_follow(b.0, a.0) {
+        } else if may_follow(b, a) {
             (y, x)
         } else {
             return None;
         };
-        let (pb, pp) = self.items[p];
-        let (ib, ip) = self.items[i];
-        let (pop, iop) = (self.ops[p], self.ops[i]);
+        let (fp, fi) = (self.facts[p], self.facts[i]);
         let (p_defs, p_uses) = (self.defs(p), self.uses(p));
         let (i_defs, i_uses) = (self.defs(i), self.uses(i));
 
         let flow = p_defs.iter().any(|d| i_uses.contains(d));
         let anti = p_uses.iter().any(|u| i_defs.contains(u));
         let output = p_defs.iter().any(|d| i_defs.contains(d));
-        let memory = pop.touches_memory()
-            && iop.touches_memory()
-            && (pop.writes_memory() || iop.writes_memory())
-            && {
-                let between_defs_base = base_redefined_between(f, pb, pp, ib, ip);
-                may_alias(f, pop, iop, between_defs_base)
-            };
+        let memory = fp.touches_memory
+            && fi.touches_memory
+            && (fp.writes_memory || fi.writes_memory)
+            && may_alias(&fp, &fi, self.base_redefined_between(p, i));
 
         let kind = if flow {
             DepKind::Flow
@@ -261,7 +311,7 @@ impl<'f> Scope<'f> {
             return None;
         };
         let delay = if flow {
-            machine.delay(pop.class(), iop.class())
+            machine.delay(fp.class, fi.class)
         } else {
             0
         };
@@ -270,84 +320,119 @@ impl<'f> Scope<'f> {
             to: i as u32,
             kind,
             delay,
-            exec_from: machine.exec_time(pop.class()),
+            exec_from: machine.exec_time(fp.class),
         })
+    }
+
+    /// Whether the shared base register of the memory ops at positions
+    /// `p < i` could be redefined between them. Only same-block pairs
+    /// with no intervening definition are declared safe; everything else
+    /// is conservatively "maybe redefined". A block's instructions hold
+    /// consecutive positions, so the ones between are `p + 1..i`.
+    fn base_redefined_between(&self, p: usize, i: usize) -> bool {
+        let fp = &self.facts[p];
+        if fp.block != self.facts[i].block {
+            return true; // conservatively assume redefinition across blocks
+        }
+        let Some(mem_p) = fp.mem else {
+            return true;
+        };
+        // The earlier instruction itself may update the base (LU/STU).
+        if fp.tied_base {
+            return true;
+        }
+        (p + 1..i).any(|x| self.defs(x).contains(&mem_p.base))
     }
 }
 
 /// Per-register sweep state: the scope positions of earlier defs and
-/// uses, *version-stamped* — an entry belongs to the current build
-/// only when its stamp matches the build's version, so successive
-/// builds skip re-clearing the tables entirely (regions are scheduled
-/// in a loop — per-build clearing of register-indexed tables was a
-/// visible fraction of small-scope builds). Keeping a register's defs,
-/// uses and stamp in one entry makes each register touch a single
-/// random access, and the lists keep their capacity across builds, so
-/// pushes stop allocating after a thread's first few regions.
-/// Positions are pushed in sweep order, so every list is ascending and
-/// gathers are contiguous forward scans.
-#[derive(Default)]
-struct RegEntry {
+/// uses, as linked lists threaded through one flat arena
+/// (`links`), with each register's list heads *version-stamped* — a
+/// head belongs to the current build only when its stamp matches the
+/// build's version, so successive builds skip re-clearing the tables
+/// entirely (regions are scheduled in a loop — per-build clearing of
+/// register-indexed tables was a visible fraction of small-scope
+/// builds). Keeping a register's heads and stamp in one entry makes
+/// each register touch a single random access, and no register owns a
+/// list of its own: the tables stop allocating once a thread's arrays
+/// have grown to its largest scope and register index. The gather
+/// order within a list does not matter, since the candidates are
+/// deduplicated and sorted before they are evaluated.
+#[derive(Clone, Copy, Default)]
+struct Heads {
     stamp: u64,
-    defs: Vec<u32>,
-    uses: Vec<u32>,
+    /// 1 + the `links` index of the register's latest def (0: none).
+    defs: u32,
+    /// Same, for uses.
+    uses: u32,
 }
 
-const EMPTY_ENTRY: &RegEntry = &RegEntry {
-    stamp: 0,
-    defs: Vec::new(),
-    uses: Vec::new(),
-};
-
-struct RegTable {
-    entries: Vec<RegEntry>,
-}
-
-impl RegTable {
-    const fn new() -> Self {
-        RegTable {
-            entries: Vec::new(),
-        }
-    }
-
-    /// The register's entry for reading; a missing or stale entry reads
-    /// as empty.
-    fn get(&self, ver: u64, r: Reg) -> &RegEntry {
-        match self.entries.get(r.index() as usize) {
-            Some(e) if e.stamp == ver => e,
-            _ => EMPTY_ENTRY,
-        }
-    }
-
-    /// The register's entry for appending, grown and freshened on
-    /// demand.
-    fn fresh(&mut self, ver: u64, r: Reg) -> &mut RegEntry {
-        let i = r.index() as usize;
-        if i >= self.entries.len() {
-            self.entries.resize_with(i + 1, RegEntry::default);
-        }
-        let e = &mut self.entries[i];
-        if e.stamp != ver {
-            e.stamp = ver;
-            e.defs.clear();
-            e.uses.clear();
-        }
-        e
-    }
-}
-
-/// The per-thread sweep tables, one per register class.
+/// The per-thread sweep tables.
 struct SweepTables {
     ver: u64,
-    regs: [RegTable; 3],
+    /// Per register class, by register index.
+    heads: [Vec<Heads>; 3],
+    /// `(position, 1 + the index of the next older link of the same
+    /// list, or 0)`.
+    links: Vec<(u32, u32)>,
 }
 
 impl SweepTables {
     const fn new() -> Self {
         SweepTables {
             ver: 0,
-            regs: [RegTable::new(), RegTable::new(), RegTable::new()],
+            heads: [Vec::new(), Vec::new(), Vec::new()],
+            links: Vec::new(),
         }
+    }
+
+    /// Starts a build: every register's lists read as empty.
+    fn begin(&mut self) {
+        self.ver += 1;
+        self.links.clear();
+    }
+
+    /// The register's heads; a missing or stale entry reads as empty.
+    fn heads(&self, r: Reg) -> Heads {
+        match self.heads[r.class().slot()].get(r.index() as usize) {
+            Some(&h) if h.stamp == self.ver => h,
+            _ => Heads::default(),
+        }
+    }
+
+    /// Pushes every position of the list starting at link `head` not
+    /// yet gathered for the current instruction (stamp-deduplicated —
+    /// `seen[i] == stamp` marks already-gathered positions without
+    /// clearing between instructions).
+    fn gather(&self, mut head: u32, seen: &mut [u32], stamp: u32, cand: &mut Vec<u32>) {
+        while head != 0 {
+            let (i, next) = self.links[head as usize - 1];
+            if seen[i as usize] != stamp {
+                seen[i as usize] = stamp;
+                cand.push(i);
+            }
+            head = next;
+        }
+    }
+
+    /// Records position `p` as a def (`def`) or use of `r`.
+    fn push(&mut self, r: Reg, p: u32, def: bool) {
+        let (ver, table) = (self.ver, &mut self.heads[r.class().slot()]);
+        let i = r.index() as usize;
+        if i >= table.len() {
+            table.resize(i + 1, Heads::default());
+        }
+        let h = &mut table[i];
+        if h.stamp != ver {
+            *h = Heads {
+                stamp: ver,
+                defs: 0,
+                uses: 0,
+            };
+        }
+        let head = if def { &mut h.defs } else { &mut h.uses };
+        self.links.push((p, *head));
+        *head = self.links.len() as u32;
     }
 }
 
@@ -357,8 +442,7 @@ thread_local! {
 }
 
 /// Pushes every position of `list` not yet gathered for the current
-/// instruction (stamp-deduplicated — `seen[i] == stamp` marks
-/// already-gathered positions without clearing between instructions).
+/// instruction (see [`SweepTables::gather`]).
 fn gather_list(list: &[u32], seen: &mut [u32], stamp: u32, cand: &mut Vec<u32>) {
     for &i in list {
         if seen[i as usize] != stamp {
@@ -368,9 +452,9 @@ fn gather_list(list: &[u32], seen: &mut [u32], stamp: u32, cand: &mut Vec<u32>) 
     }
 }
 
-fn may_alias(f: &Function, a: &Op, b: &Op, between_defs_base: bool) -> bool {
+fn may_alias(a: &Facts, b: &Facts, between_defs_base: bool) -> bool {
     // Calls (and PRINT) conflict with every memory toucher.
-    let (Some((ma, _)), Some((mb, _))) = (a.mem_access(), b.mem_access()) else {
+    let (Some(ma), Some(mb)) = (a.mem, b.mem) else {
         return true;
     };
     // Distinct symbols never alias (arrays are disjoint objects).
@@ -381,7 +465,6 @@ fn may_alias(f: &Function, a: &Op, b: &Op, between_defs_base: bool) -> bool {
     }
     // Same base register with no intervening redefinition: differing
     // displacements address different words.
-    let _ = f;
     if ma.base == mb.base && !between_defs_base && disjoint_displacements(&ma, &mb) {
         return false;
     }
@@ -420,30 +503,55 @@ impl DataDeps {
         blocks: &[BlockId],
         may_follow: impl Fn(BlockId, BlockId) -> bool,
     ) -> Self {
-        let (order, scope) = Scope::collect(f, blocks);
-        let n = scope.items.len();
+        let mut deps = DataDeps::default();
+        deps.rebuild(f, machine, blocks, may_follow);
+        deps
+    }
+
+    /// [`DataDeps::build`] in place: this graph becomes the graph of
+    /// `blocks`, reusing every array it holds.
+    pub fn rebuild(
+        &mut self,
+        f: &Function,
+        machine: &MachineDescription,
+        blocks: &[BlockId],
+        may_follow: impl Fn(BlockId, BlockId) -> bool,
+    ) {
+        self.collect(f, blocks);
+        let (scope, s) = (&self.scope, &mut self.scratch);
+        let n = scope.facts.len();
         // Edges in emission order; the CSR scatter below turns them into
         // the per-position slices.
-        let mut flat: Vec<DataDep> = Vec::new();
+        s.flat.clear();
 
         // Sweep state: per register, the positions of earlier defs /
         // uses, kept in the thread-local [`SweepTables`]
         // (version-stamped, so nothing is cleared between builds).
         // Memory touchers keep two plain position lists (split by
         // whether they write).
-        let mut mem_touch: Vec<u32> = Vec::new();
-        let mut mem_write: Vec<u32> = Vec::new();
+        s.mem_touch.clear();
+        s.mem_write.clear();
+        s.mem_touch.reserve(n);
+        s.mem_write.reserve(n);
+        s.cand.reserve(n);
+        s.flat.reserve(n);
 
         // Stamp-based dedup of the candidate list: `seen[i] == stamp`
         // marks position `i` as already gathered for the current `j`,
         // without clearing anything between instructions.
-        let mut seen: Vec<u32> = vec![0; n];
-        let mut cand: Vec<u32> = Vec::new();
+        s.seen.clear();
+        s.seen.resize(n, 0);
+        let Scratch {
+            flat,
+            mem_touch,
+            mem_write,
+            seen,
+            cand,
+            ..
+        } = s;
         SWEEP_TABLES.with(|tables| {
-            let mut tables = tables.borrow_mut();
-            let SweepTables { ver, regs } = &mut *tables;
-            *ver += 1;
-            let ver = *ver;
+            let tables = &mut *tables.borrow_mut();
+            tables.begin();
             for j in 0..n {
                 // Earlier instructions this one can possibly depend on:
                 // defs of any register it reads or writes (flow /
@@ -455,55 +563,43 @@ impl DataDeps {
                 let jstamp = j as u32 + 1;
                 cand.clear();
                 for &r in scope.uses(j) {
-                    let e = regs[r.class().slot()].get(ver, r);
-                    gather_list(&e.defs, &mut seen, jstamp, &mut cand);
+                    tables.gather(tables.heads(r).defs, seen, jstamp, cand);
                 }
                 for &r in scope.defs(j) {
-                    let e = regs[r.class().slot()].get(ver, r);
-                    gather_list(&e.defs, &mut seen, jstamp, &mut cand);
-                    gather_list(&e.uses, &mut seen, jstamp, &mut cand);
+                    let h = tables.heads(r);
+                    tables.gather(h.defs, seen, jstamp, cand);
+                    tables.gather(h.uses, seen, jstamp, cand);
                 }
-                let op = scope.ops[j];
-                if op.touches_memory() {
-                    if op.writes_memory() {
-                        gather_list(&mem_touch, &mut seen, jstamp, &mut cand);
+                let facts = scope.facts[j];
+                if facts.touches_memory {
+                    if facts.writes_memory {
+                        gather_list(mem_touch, seen, jstamp, cand);
                     } else {
-                        gather_list(&mem_write, &mut seen, jstamp, &mut cand);
+                        gather_list(mem_write, seen, jstamp, cand);
                     }
                 }
                 cand.sort_unstable();
                 flat.extend(
                     cand.iter()
-                        .filter_map(|&i| scope.pair_dep(f, machine, &may_follow, i as usize, j)),
+                        .filter_map(|&i| scope.pair_dep(machine, &may_follow, i as usize, j)),
                 );
 
                 // Register this instruction in the sweep tables.
                 for &r in scope.uses(j) {
-                    regs[r.class().slot()].fresh(ver, r).uses.push(j as u32);
+                    tables.push(r, j as u32, false);
                 }
                 for &r in scope.defs(j) {
-                    regs[r.class().slot()].fresh(ver, r).defs.push(j as u32);
+                    tables.push(r, j as u32, true);
                 }
-                if op.touches_memory() {
+                if facts.touches_memory {
                     mem_touch.push(j as u32);
-                    if op.writes_memory() {
+                    if facts.writes_memory {
                         mem_write.push(j as u32);
                     }
                 }
             }
         });
-
-        let (edges_in, in_off, edges_out, out_off) = csr_from_flat(n, &flat);
-        DataDeps {
-            edges_in,
-            in_off,
-            edges_out,
-            out_off,
-            id_base: scope.id_base,
-            local: scope.local,
-            order,
-            block_off: scope.block_off,
-        }
+        self.scatter_edges();
     }
 
     /// The original all-pairs builder, kept verbatim as the
@@ -519,27 +615,80 @@ impl DataDeps {
         blocks: &[BlockId],
         may_follow: impl Fn(BlockId, BlockId) -> bool,
     ) -> Self {
-        let (order, scope) = Scope::collect(f, blocks);
-        let n = scope.items.len();
+        let mut deps = DataDeps::default();
+        deps.collect(f, blocks);
+        let n = deps.order.len();
         let mut flat: Vec<DataDep> = Vec::new();
 
         for pi in 0..n {
             for pj in pi + 1..n {
-                flat.extend(scope.pair_dep(f, machine, &may_follow, pi, pj));
+                flat.extend(deps.scope.pair_dep(machine, &may_follow, pi, pj));
             }
         }
 
-        let (edges_in, in_off, edges_out, out_off) = csr_from_flat(n, &flat);
-        DataDeps {
-            edges_in,
-            in_off,
-            edges_out,
-            out_off,
-            id_base: scope.id_base,
-            local: scope.local,
-            order,
-            block_off: scope.block_off,
+        deps.scratch.flat = flat;
+        deps.scatter_edges();
+        deps
+    }
+
+    /// Flattens the instructions of `blocks` into scope positions: the
+    /// order, the block boundaries, the id table and each position's
+    /// facts and register lists.
+    fn collect(&mut self, f: &Function, blocks: &[BlockId]) {
+        let (order, block_off, scope) = (&mut self.order, &mut self.block_off, &mut self.scope);
+        self.positions.begin();
+        order.clear();
+        block_off.clear();
+        scope.facts.clear();
+        scope.def_regs.clear();
+        scope.def_off.clear();
+        scope.use_regs.clear();
+        scope.use_off.clear();
+        // Each array grows at most once per scope, not once per doubling.
+        let n: usize = blocks.iter().map(|&b| f.block(b).len()).sum();
+        order.reserve(n);
+        block_off.reserve(blocks.len() + 1);
+        scope.facts.reserve(n);
+        scope.def_regs.reserve(n);
+        scope.def_off.reserve(n + 1);
+        scope.use_regs.reserve(2 * n);
+        scope.use_off.reserve(n + 1);
+        scope.def_off.push(0);
+        scope.use_off.push(0);
+        for &b in blocks {
+            block_off.push(order.len() as u32);
+            for inst in f.block(b).insts() {
+                let op = &inst.op;
+                self.positions.set(inst.id, order.len() as u32);
+                order.push(inst.id);
+                scope.facts.push(Facts {
+                    block: b,
+                    class: op.class(),
+                    touches_memory: op.touches_memory(),
+                    writes_memory: op.writes_memory(),
+                    mem: op.mem_access().map(|(m, _)| m),
+                    tied_base: op.has_tied_base(),
+                });
+                op.defs_into(&mut scope.def_regs);
+                scope.def_off.push(scope.def_regs.len() as u32);
+                op.uses_into(&mut scope.use_regs);
+                scope.use_off.push(scope.use_regs.len() as u32);
+            }
         }
+        block_off.push(order.len() as u32);
+    }
+
+    /// Builds the two CSR arenas from the edges in emission order. The
+    /// scatter is stable, so each position's `preds` / `succs` slice
+    /// keeps exactly the relative order in which its edges were emitted
+    /// — both builders emit in the reference's lexicographic pair order,
+    /// so the slices compare bit for bit.
+    fn scatter_edges(&mut self) {
+        let (n, flat) = (self.order.len(), &self.scratch.flat);
+        let edges = flat.iter().map(|d| (d.to as usize, *d));
+        group_into(n, edges, &mut self.in_off, &mut self.edges_in);
+        let edges = flat.iter().map(|d| (d.from as usize, *d));
+        group_into(n, edges, &mut self.out_off, &mut self.edges_out);
     }
 
     /// The scope position of `i`: its index in [`Self::scope_order`],
@@ -548,11 +697,7 @@ impl DataDeps {
     /// the function, then indexes edges and per-scope tables by the
     /// position.
     pub fn position(&self, i: InstId) -> Option<usize> {
-        // Ids below the base wrap around and fall off the map's end.
-        match self.local.get(i.index().wrapping_sub(self.id_base)) {
-            Some(&p) if p != LOCAL_NONE => Some(p as usize),
-            _ => None,
-        }
+        self.positions.get(i)
     }
 
     /// Dependence edges into scope position `p` (instructions it must
@@ -609,11 +754,12 @@ impl DataDeps {
     /// a path of kept edges, so the graph admits the same schedules.
     pub fn reduce(&mut self) {
         const NEG: i32 = i32::MIN / 4;
-        let mut removed: Vec<u32> = Vec::new();
+        let mut removed = std::mem::take(&mut self.scratch.removed);
+        removed.clear();
         // One block's longest separations, upper-triangular and reused:
         // row `i` holds columns `i..len` (a position reaches only later
         // ones of its block) from `row(i)` on.
-        let mut longest: Vec<i32> = Vec::new();
+        let mut longest = std::mem::take(&mut self.scratch.longest);
         for w in self.block_off.windows(2) {
             let (lo, hi) = (w[0] as usize, w[1] as usize);
             let len = hi - lo;
@@ -672,6 +818,7 @@ impl DataDeps {
                 }
             }
         }
+        self.scratch.longest = longest;
         self.remove_edges(removed);
     }
 
@@ -759,28 +906,31 @@ impl DataDeps {
     }
 
     /// Drops the edges at the ascending out-arena indices `removed` from
-    /// both arenas, keeping the order of every list.
+    /// both arenas, keeping the order of every list; `removed` is kept
+    /// for the next reduction's list.
     fn remove_edges(&mut self, removed: Vec<u32>) {
         if removed.is_empty() {
+            self.scratch.removed = removed;
             return;
         }
         debug_assert!(removed.windows(2).all(|w| w[0] < w[1]), "ascending");
         // The same edges in the in arena: each is the one entry of its
         // target's list from its source (a pair yields at most one edge).
-        let mut removed_in: Vec<u32> = removed
-            .iter()
-            .map(|&i| {
-                let e = self.edges_out[i as usize];
-                let at = self
-                    .preds(e.to as usize)
-                    .iter()
-                    .position(|p| p.from == e.from);
-                self.in_off[e.to as usize] + at.expect("every edge is in both arenas") as u32
-            })
-            .collect();
+        let mut removed_in = std::mem::take(&mut self.scratch.removed_in);
+        removed_in.clear();
+        removed_in.extend(removed.iter().map(|&i| {
+            let e = self.edges_out[i as usize];
+            let at = self
+                .preds(e.to as usize)
+                .iter()
+                .position(|p| p.from == e.from);
+            self.in_off[e.to as usize] + at.expect("every edge is in both arenas") as u32
+        }));
         removed_in.sort_unstable();
         compact(&mut self.edges_out, &mut self.out_off, &removed);
         compact(&mut self.edges_in, &mut self.in_off, &removed_in);
+        self.scratch.removed = removed;
+        self.scratch.removed_in = removed_in;
     }
 }
 
@@ -802,25 +952,6 @@ fn compact(edges: &mut Vec<DataDep>, off: &mut [u32], removed: &[u32]) {
         off[p + 1] = kept as u32;
     }
     edges.truncate(kept);
-}
-
-/// Whether the shared base register of two memory ops could be redefined
-/// between them. Only same-block pairs with no intervening definition are
-/// declared safe; everything else is conservatively "maybe redefined".
-fn base_redefined_between(f: &Function, pb: BlockId, pp: usize, ib: BlockId, ip: usize) -> bool {
-    if pb != ib {
-        return true; // conservatively assume redefinition across blocks
-    }
-    let block = f.block(pb);
-    let Some((mem_p, _)) = block.inst_at(pp).op.mem_access() else {
-        return true;
-    };
-    let base = mem_p.base;
-    // The earlier instruction itself may update the base (LU/STU).
-    if block.inst_at(pp).op.has_tied_base() {
-        return true;
-    }
-    (pp + 1..ip).any(|x| block.inst_at(x).op.defs().contains(&base))
 }
 
 #[cfg(test)]

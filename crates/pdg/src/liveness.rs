@@ -319,10 +319,27 @@ impl Liveness {
         b: BlockId,
         r: Reg,
     ) -> bool {
+        self.walk_live_out_in(f, cfg, scope, b, r, &mut LiveOutWalk::default())
+    }
+
+    /// [`Liveness::walk_live_out`] with the walk's buffers in `walk`: a
+    /// caller that asks many questions reuses one, and a query then
+    /// allocates nothing once the buffers have grown to the scope.
+    pub fn walk_live_out_in(
+        &self,
+        f: &Function,
+        cfg: &Cfg,
+        scope: &[BlockId],
+        b: BlockId,
+        r: Reg,
+        walk: &mut LiveOutWalk,
+    ) -> bool {
         debug_assert!(scope.windows(2).all(|w| w[0] < w[1]), "scope ascending");
-        let mut seen = vec![false; scope.len()];
-        let mut stack: Vec<BlockId> = block_succs(cfg, b).collect();
-        let mut ops = Vec::new();
+        let LiveOutWalk { seen, stack, ops } = walk;
+        seen.clear();
+        seen.resize(scope.len(), false);
+        stack.clear();
+        stack.extend(block_succs(cfg, b));
         while let Some(x) = stack.pop() {
             let Ok(i) = scope.binary_search(&x) else {
                 if self.live_in_contains(x, r) {
@@ -333,7 +350,7 @@ impl Liveness {
             if std::mem::replace(&mut seen[i], true) {
                 continue;
             }
-            match first_access(f.block(x), r, &mut ops) {
+            match first_access(f.block(x), r, ops) {
                 Some(true) => return true,
                 Some(false) => {}
                 None => stack.extend(block_succs(cfg, x)),
@@ -341,6 +358,16 @@ impl Liveness {
         }
         false
     }
+}
+
+/// The buffers of [`Liveness::walk_live_out_in`]: which scope blocks
+/// the walk has entered, the blocks still to visit, and one
+/// instruction's operands.
+#[derive(Debug, Clone, Default)]
+pub struct LiveOutWalk {
+    seen: Vec<bool>,
+    stack: Vec<BlockId>,
+    ops: Vec<Reg>,
 }
 
 fn block_succs(cfg: &Cfg, b: BlockId) -> impl Iterator<Item = BlockId> + '_ {
