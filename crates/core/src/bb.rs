@@ -15,7 +15,7 @@ use crate::list::{Commit, ListScheduler, PassHooks, Pick, Pred};
 use gis_ir::{BlockId, Function};
 use gis_machine::MachineDescription;
 use gis_pdg::DataDeps;
-use gis_trace::{SchedObserver, TraceEvent};
+use gis_trace::{NopObserver, SchedObserver, TraceEvent};
 
 /// [`schedule_block`], reporting the visit to `obs`.
 pub fn schedule_block_observed<O: SchedObserver>(
@@ -24,16 +24,18 @@ pub fn schedule_block_observed<O: SchedObserver>(
     block: BlockId,
     obs: &mut O,
 ) -> bool {
-    schedule_block_in(&mut BbWorkspace::new(machine), f, machine, block, obs)
+    let (mut deps, mut heur) = (DataDeps::default(), Heuristics::default());
+    let ws = &mut BbWorkspace::new(machine);
+    schedule_block_in(ws, &mut deps, &mut heur, f, machine, block, obs)
 }
 
-/// What scheduling one block builds, kept from block to block: the final
-/// basic-block pass holds one for all of its blocks, so it allocates only
-/// while the tables grow to its largest block, and drops it when the
+/// What scheduling one block builds besides its dependence graph and
+/// `D`/`CP` tables, kept from block to block: the final basic-block pass
+/// holds one for all of its blocks, and borrows the graph and tables
+/// from the compile's global-pass workspace, so it allocates only while
+/// the tables grow past the largest region's, and drops it when the
 /// pass ends.
 pub(crate) struct BbWorkspace {
-    deps: DataDeps,
-    heur: Heuristics,
     list: ListScheduler<BbKey>,
     /// Issue order, by block position.
     order: Vec<usize>,
@@ -45,8 +47,6 @@ impl BbWorkspace {
     /// An empty workspace for blocks scheduled on `machine`.
     pub(crate) fn new(machine: &MachineDescription) -> Self {
         BbWorkspace {
-            deps: DataDeps::default(),
-            heur: Heuristics::default(),
             list: ListScheduler::new(machine),
             order: Vec::new(),
             rank: Vec::new(),
@@ -54,15 +54,18 @@ impl BbWorkspace {
     }
 }
 
-/// [`schedule_block_observed`] in workspace `ws`.
+/// [`schedule_block_observed`] in workspace `ws`, rebuilding `deps` and
+/// `heur` for the block.
 pub(crate) fn schedule_block_in<O: SchedObserver>(
     ws: &mut BbWorkspace,
+    deps: &mut DataDeps,
+    heur: &mut Heuristics,
     f: &mut Function,
     machine: &MachineDescription,
     block: BlockId,
     obs: &mut O,
 ) -> bool {
-    let changed = reorder_block(ws, f, machine, block);
+    let changed = reorder_block(ws, deps, heur, f, machine, block);
     if obs.enabled() {
         obs.event(TraceEvent::BlockScheduled {
             block: f.block(block).label().to_owned(),
@@ -113,12 +116,15 @@ impl PassHooks<BbKey> for BbOrder<'_> {
 /// # }
 /// ```
 pub fn schedule_block(f: &mut Function, machine: &MachineDescription, block: BlockId) -> bool {
-    reorder_block(&mut BbWorkspace::new(machine), f, machine, block)
+    schedule_block_observed(f, machine, block, &mut NopObserver)
 }
 
-/// [`schedule_block`] in workspace `ws`.
+/// Reorders `block` (see [`schedule_block`]) in workspace `ws`,
+/// rebuilding `deps` and `heur` for it.
 fn reorder_block(
     ws: &mut BbWorkspace,
+    deps: &mut DataDeps,
+    heur: &mut Heuristics,
     f: &mut Function,
     machine: &MachineDescription,
     block: BlockId,
@@ -129,13 +135,7 @@ fn reorder_block(
     if body_len <= 1 {
         return false;
     }
-    let BbWorkspace {
-        deps,
-        heur,
-        list,
-        order,
-        rank,
-    } = ws;
+    let BbWorkspace { list, order, rank } = ws;
     deps.rebuild(f, machine, &[block], |_, _| false);
     heur.reset(deps.scope_order().len());
     heur.compute_block(f, machine, deps, block);

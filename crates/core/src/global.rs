@@ -37,16 +37,18 @@
 //! register is live on exit from a scope block, is answered on demand
 //! by [`Liveness::walk_live_out`] over the region's current code, and a
 //! path that leaves the region reads the one whole-function
-//! [`Liveness`] solve its global pass makes. A motion therefore costs
-//! nothing for liveness and a query O(region). This rests on the
-//! region-boundary invariant stated in `gis_pdg`'s liveness module: a
-//! legal motion never changes liveness outside the region that makes
-//! it, so the pass-start live-ins of every exit successor stay exact.
-//! The same invariant lets the region memo key on those live-ins and
-//! the `--jobs` workers share the one solve. Under the armed checks,
-//! every answer is compared with [`Liveness::compute_reference`] on the
-//! current function and, after every commit, the exit successors'
-//! pass-level live-ins with a fresh reference solve.
+//! [`Liveness`] solve of the current CFG version, which both global
+//! passes share unless rotate changed the CFG between them. A motion
+//! therefore costs nothing for liveness and a query O(region). This
+//! rests on the region-boundary invariant stated in `gis_pdg`'s
+//! liveness module: a legal motion never changes liveness outside the
+//! region that makes it, so the solve's live-ins of every exit successor
+//! stay exact, across regions and across passes. The same invariant
+//! lets the region memo key on those live-ins and the `--jobs` workers
+//! share the one solve. Under the armed checks, every answer is compared
+//! with [`Liveness::compute_reference`] on the current function and, at
+//! the region's start and after every commit, the exit successors'
+//! live-ins in the shared solve with a fresh reference solve.
 
 use crate::config::{Fault, SchedConfig, SchedLevel};
 use crate::dcp::Heuristics;
@@ -64,12 +66,14 @@ use gis_trace::{MotionKind, RejectReason, SchedObserver, TieBreak, TraceEvent};
 const UNPLACED: u64 = u64::MAX;
 
 /// Everything one region's scheduling builds, kept from region to
-/// region: the sequential region loop of a global pass and each pool
-/// worker hold one, and every region clears and refills it, so a pass
-/// allocates only while its tables grow to its largest region. It is
-/// dropped when its pass ends, so a long-lived daemon worker keeps no
-/// high-water buffers between compiles, and nothing in it is shared
-/// between threads.
+/// region: a compile holds one for the sequential region loop of both
+/// global passes, whose dependence graph and heuristic tables the final
+/// basic-block pass reuses, and each pool worker holds one for its pass.
+/// Every region clears and refills it, so a compile allocates only while
+/// its tables grow to its largest region. It is dropped when its compile
+/// (or worker) ends, so a long-lived daemon worker keeps no high-water
+/// buffers between compiles, and nothing in it is shared between
+/// threads.
 pub(crate) struct Workspace {
     /// The region's subtree's blocks, ascending (also the memo key's
     /// scope).
@@ -111,6 +115,12 @@ impl Workspace {
             key_bytes: Vec::new(),
             exits: Vec::new(),
         }
+    }
+
+    /// The dependence graph and heuristic tables, for the final
+    /// basic-block pass to rebuild block by block.
+    pub(crate) fn block_tables(&mut self) -> (&mut DataDeps, &mut Heuristics) {
+        (&mut self.deps, &mut self.heur)
     }
 }
 
@@ -341,7 +351,7 @@ impl Reach {
 
 struct RegionPass<'a, O: SchedObserver> {
     /// The pass's inputs. Its whole-function liveness is exact at the
-    /// region's exits for the whole pass (the region-boundary invariant).
+    /// region's exits (the region-boundary invariant).
     global: &'a GlobalPass<'a>,
     deps: &'a DataDeps,
     reach: &'a Reach,
@@ -698,6 +708,13 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         a: BlockId,
     ) {
         let (config, enabled) = (self.global.config, self.obs.enabled());
+        // An empty block can receive nothing: the pass is done before its
+        // first pick. Unless a trace reports the candidates or
+        // duplication counts the joins it would need, collecting them
+        // changes nothing.
+        if !enabled && !config.duplication && f.block(a).is_empty() {
+            return;
+        }
         // ---- Candidate blocks. ----------------------------------------
         // The lists leave the workspace for the block pass (the commit
         // hook reads the duplication joins while the pass is borrowed)
@@ -1249,8 +1266,9 @@ impl<O: SchedObserver> RegionPass<'_, O> {
     /// The differential behind the region-boundary invariant (stated in
     /// `gis_pdg`'s liveness module), at the region's start and after every
     /// commit under the armed checks: a fresh reference solve of the
-    /// current function must agree with the pass solve on the live-ins of
-    /// every exit successor, on every register the region names. That
+    /// current function must agree with the shared solve, made before
+    /// this pass or an earlier one, on the live-ins of every exit
+    /// successor, on every register the region names. That
     /// solve then checks every query until the next commit. Skipped under
     /// a planted [`Fault`], whose motions are illegal by design: the
     /// invariant does not hold for them, and the fault must surface as a

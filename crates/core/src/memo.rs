@@ -8,16 +8,20 @@
 //! region-tree shape below it (which fixes the topological tie-breaks),
 //! the machine description and the configuration — and, under
 //! duplication, the recorded origin of every scope instruction, which
-//! the dedup fold reads. The exit live-ins are read from the global
-//! pass's one whole-function liveness solve: the very lists the
-//! scheduler's §5.3 query answers from once a path leaves the region,
-//! which stay exact for the whole pass by the region-boundary invariant
-//! stated in `gis_pdg`'s liveness module. They iterate in `RegSet`'s
-//! `(class, index)` order. This module keys on exactly those inputs —
-//! [`gis_ir::canon_region`] chained with the digest of the
-//! [fingerprints](crate::fingerprint) its global pass hashed once — plus
-//! one byte saying whether the outcome carries trace events, and stores
-//! the outcome.
+//! the dedup fold reads. The exit live-ins are read from the compile's
+//! one whole-function liveness solve of the current CFG version: the
+//! very lists the scheduler's §5.3 query answers from once a path
+//! leaves the region, which stay exact across regions and passes by the
+//! region-boundary invariant stated in `gis_pdg`'s liveness module.
+//! They iterate in `RegSet`'s `(class, index)` order. This module keys
+//! on exactly those inputs — [`gis_ir::canon_region`], chained as one
+//! keyed SipHash digest of its bytes, with the digest of the
+//! [fingerprints](crate::fingerprint) its compile hashed once — plus one
+//! byte saying whether the outcome carries trace events, and stores the
+//! outcome. The canonical bytes are most of a key's input, and SipHash
+//! takes them eight at a time where FNV-64 takes one; its key is drawn
+//! once per process, which is all an in-process memo needs, and keeps
+//! key collisions out of a client's reach.
 //!
 //! Every region of a global pass goes through [`region_outcome`], the
 //! one path: a hit [applies](RegionOutcome::apply) the stored outcome
@@ -56,6 +60,7 @@ use gis_cfg::{RegionId, RegionKind, RegionTree};
 use gis_ir::hash::Fnv64;
 use gis_ir::{BlockId, Function};
 use gis_trace::{Recorder, SchedObserver};
+use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -65,6 +70,13 @@ const CAPACITY: usize = 4096;
 fn memo() -> &'static Lru<RegionOutcome> {
     static MEMO: OnceLock<Lru<RegionOutcome>> = OnceLock::new();
     MEMO.get_or_init(|| Lru::new(CAPACITY))
+}
+
+/// The process-wide key of the SipHash-1-3 digest of a region's
+/// canonical bytes.
+fn canon_keys() -> &'static RandomState {
+    static KEYS: OnceLock<RandomState> = OnceLock::new();
+    KEYS.get_or_init(RandomState::new)
 }
 
 /// Block payloads spliced from memoized outcomes.
@@ -193,7 +205,8 @@ fn memo_key(
     h.write(b"region-memo/v2\0");
     h.write_u8(u8::from(tracing));
     gis_ir::canon_region_into(f, scope, &mut ws.key_bytes);
-    h.write(&ws.key_bytes);
+    // The bytes and their length.
+    h.write_u64(canon_keys().hash_one(ws.key_bytes.as_slice()));
     write_tree_shape(&mut h, pass.tree, rid);
     exit_blocks(f, scope, &mut ws.exits);
     h.write_u32(ws.exits.len() as u32);
@@ -299,10 +312,11 @@ fn verify_hit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::tests::{analyses, TWO_DUP_LOOPS, TWO_LOOPS};
+    use crate::parallel::tests::{analyses, pass, TWO_DUP_LOOPS, TWO_LOOPS};
     use crate::{compile, compile_observed};
     use gis_ir::InstId;
     use gis_machine::MachineDescription;
+    use gis_pdg::Liveness;
     use gis_trace::{NopObserver, TraceEvent};
 
     // The memo is process-wide and the test harness runs tests
@@ -520,7 +534,8 @@ mod tests {
             "the exit heads a sibling region"
         );
         let hooks = TestHooks::default();
-        let pass = GlobalPass::new(&f0, &machine, &cfg, &tree, &config, &hooks);
+        let live = Liveness::compute(&f0, &cfg);
+        let pass = pass(&f0, &machine, &cfg, &tree, &live, &config, &hooks);
         let key =
             memo_key(&pass, &f0, first, false, &mut Workspace::new(&machine)).expect("eligible");
         let memoized = || memo().entries().iter().any(|&(k, _)| k == key);
@@ -529,17 +544,10 @@ mod tests {
         let global = |config: &SchedConfig| {
             let mut f = f0.clone();
             let mut st = SchedStats::default();
-            crate::parallel::global_pass(
-                &mut f,
-                &machine,
-                &cfg,
-                &tree,
-                config,
-                &TestHooks::default(),
-                0,
-                &mut st,
-                &mut NopObserver,
-            );
+            let pass =
+                crate::parallel::tests::pass(&f0, &machine, &cfg, &tree, &live, config, &hooks);
+            let mut ws = Workspace::new(&machine);
+            crate::parallel::global_pass(&pass, &mut f, 0, &mut ws, &mut st, &mut NopObserver);
             (f, st)
         };
         let (cold, st_cold) = global(&config);
@@ -593,7 +601,8 @@ mod tests {
             .filter(|&r| tree.region(r).height == 0)
             .collect();
         assert_eq!(inner.len(), 6, "one task per loop");
-        let pass = GlobalPass::new(&f0, &machine, &cfg, &tree, &config, &hooks);
+        let live = Liveness::compute(&f0, &cfg);
+        let pass = pass(&f0, &machine, &cfg, &tree, &live, &config, &hooks);
         let mut ws = Workspace::new(&machine);
         let other = RegionOutcome::record(&pass, &mut f0.clone(), inner[0], false, &mut ws);
         let key = memo_key(&pass, &f0, inner[1], false, &mut ws).expect("eligible");
@@ -602,19 +611,12 @@ mod tests {
         let (done, ended) = channel::<()>();
         let run = std::thread::spawn(move || {
             let _done = done; // dropped when the pass returns or panics
-            let mut f = f0;
+            let mut f = f0.clone();
             let mut st = SchedStats::default();
-            crate::parallel::global_pass(
-                &mut f,
-                &machine,
-                &cfg,
-                &tree,
-                &config,
-                &hooks,
-                0,
-                &mut st,
-                &mut NopObserver,
-            );
+            let pass =
+                crate::parallel::tests::pass(&f0, &machine, &cfg, &tree, &live, &config, &hooks);
+            let mut ws = Workspace::new(&machine);
+            crate::parallel::global_pass(&pass, &mut f, 0, &mut ws, &mut st, &mut NopObserver);
         });
         assert_eq!(
             ended.recv_timeout(Duration::from_secs(60)),
@@ -637,8 +639,9 @@ mod tests {
         let (f, cfg, tree) = analyses(TWO_LOOPS);
         let mut config = SchedConfig::speculative();
         let none = TestHooks::default();
+        let live = Liveness::compute(&f, &cfg);
         let key = |config: &SchedConfig, tracing: bool| {
-            let pass = GlobalPass::new(&f, &machine, &cfg, &tree, config, &none);
+            let pass = pass(&f, &machine, &cfg, &tree, &live, config, &none);
             memo_key(
                 &pass,
                 &f,

@@ -251,8 +251,10 @@ impl Renumber {
 mod tests {
     use super::*;
     use crate::config::{SchedConfig, SchedLevel, TestHooks};
+    use crate::parallel::tests::pass;
     use gis_cfg::{Cfg, DomTree, LoopForest, RegionTree};
     use gis_machine::MachineDescription;
+    use gis_pdg::Liveness;
 
     /// Applied onto a function whose allocator has moved on, an outcome
     /// draws its registers there and respells them in operations and
@@ -267,7 +269,8 @@ mod tests {
         let cfg = Cfg::new(&f0);
         let tree = RegionTree::new(&cfg, &LoopForest::new(&cfg, &DomTree::dominators(&cfg)));
         let hooks = TestHooks::default();
-        let pass = GlobalPass::new(&f0, &machine, &cfg, &tree, &config, &hooks);
+        let live = Liveness::compute(&f0, &cfg);
+        let pass = pass(&f0, &machine, &cfg, &tree, &live, &config, &hooks);
         let mut ws = Workspace::new(&machine);
         let (mut f, mut g) = (f0.clone(), f0);
         g.fresh_reg(RegClass::Cr); // g's allocator runs one ahead
@@ -323,7 +326,8 @@ mod tests {
             let cfg = Cfg::new(&f0);
             let tree = RegionTree::new(&cfg, &LoopForest::new(&cfg, &DomTree::dominators(&cfg)));
             let hooks = TestHooks::default();
-            let pass = GlobalPass::new(&f0, &machine, &cfg, &tree, &config, &hooks);
+            let live = Liveness::compute(&f0, &cfg);
+            let pass = pass(&f0, &machine, &cfg, &tree, &live, &config, &hooks);
             let mut ws = Workspace::new(&machine);
             let mut f = f0;
             for rid in tree.schedule_order() {

@@ -42,8 +42,8 @@
 //! Installing is exact because a region rewrites only its direct blocks,
 //! and a task's snapshot holds the master's pre-pass content of them.
 //!
-//! Every task reads the same pass-level liveness: one whole-function
-//! solve on the pre-pass function, whose live-ins answer a region's
+//! Every task reads the same pass-level liveness: the one whole-function
+//! solve of the current CFG version, whose live-ins answer a region's
 //! §5.3 queries wherever a path leaves the region. A *legal* motion in
 //! another task can never change the facts a task consumes — the
 //! region-boundary invariant stated (and checked) in `gis_pdg`'s
@@ -84,44 +84,33 @@ pub(crate) struct GlobalPass<'a> {
     pub(crate) machine: &'a MachineDescription,
     pub(crate) cfg: &'a Cfg,
     pub(crate) tree: &'a RegionTree,
+    /// The whole-function liveness solve of the current CFG version,
+    /// which the compile's global passes share until unroll or rotate
+    /// changes the CFG. Every region's §5.3 queries read the live-ins of
+    /// its exit successors here, and the memo keys on the same lists:
+    /// legal motions never change them, in this pass or an earlier one
+    /// (the region-boundary invariant in `gis_pdg`'s liveness module).
+    pub(crate) live: &'a Liveness,
     pub(crate) config: &'a SchedConfig,
     pub(crate) hooks: &'a TestHooks,
-    /// The pass's one whole-function liveness solve, on the pre-pass
-    /// function. Every region's §5.3 queries read the live-ins of its
-    /// exit successors here, and the memo keys on the same lists: legal
-    /// motions never change them (the region-boundary invariant in
-    /// `gis_pdg`'s liveness module).
-    pub(crate) live: Liveness,
-    /// The machine and configuration fingerprints hashed once, for the
-    /// region memo's keys: they are the same for every region of the
-    /// pass.
+    /// [`memo_fingerprint`], hashed once per compile for the region
+    /// memo's keys.
     pub(crate) fingerprint: u64,
 }
 
-impl<'a> GlobalPass<'a> {
-    /// A pass over `f`'s current code: solves its liveness and hashes
-    /// the fingerprints.
-    pub(crate) fn new(
-        f: &Function,
-        machine: &'a MachineDescription,
-        cfg: &'a Cfg,
-        tree: &'a RegionTree,
-        config: &'a SchedConfig,
-        hooks: &'a TestHooks,
-    ) -> Self {
-        let mut h = Fnv64::new();
-        write_machine_fingerprint(&mut h, machine);
-        write_config_fingerprint(&mut h, config, f.inst_id_bound());
-        GlobalPass {
-            machine,
-            cfg,
-            tree,
-            config,
-            hooks,
-            live: Liveness::compute(f, cfg),
-            fingerprint: h.finish(),
-        }
-    }
+/// The machine and configuration fingerprints of a compile, hashed into
+/// one digest that every region memo key chains in. A compile hashes it
+/// once: `inst_bound`, the only input that changes between its passes,
+/// is read only for a branch profile, and a profile bypasses the memo.
+pub(crate) fn memo_fingerprint(
+    machine: &MachineDescription,
+    config: &SchedConfig,
+    inst_bound: usize,
+) -> u64 {
+    let mut h = Fnv64::new();
+    write_machine_fingerprint(&mut h, machine);
+    write_config_fingerprint(&mut h, config, inst_bound);
+    h.finish()
 }
 
 /// One work item: a unit's regions, in schedule order.
@@ -134,31 +123,23 @@ struct Task {
 
 /// Runs one global scheduling pass over every region of height at most
 /// `max_height`, using `config.jobs` workers. With one job (or one task)
-/// this is exactly the sequential region loop; with more, tasks are
-/// scheduled concurrently and merged deterministically — the output is
-/// bit-identical either way.
-#[allow(clippy::too_many_arguments)]
+/// this is exactly the sequential region loop, in the compile's
+/// workspace `ws`; with more, tasks are scheduled concurrently and
+/// merged deterministically — the output is bit-identical either way.
 pub(crate) fn global_pass<O: SchedObserver>(
+    pass: &GlobalPass,
     f: &mut Function,
-    machine: &MachineDescription,
-    cfg: &Cfg,
-    tree: &RegionTree,
-    config: &SchedConfig,
-    hooks: &TestHooks,
     max_height: usize,
+    ws: &mut Workspace,
     stats: &mut SchedStats,
     obs: &mut O,
 ) {
+    let (tree, config) = (pass.tree, pass.config);
     let order: Vec<RegionId> = tree
         .schedule_order()
         .into_iter()
         .filter(|r| tree.region(*r).height <= max_height)
         .collect();
-    if order.is_empty() {
-        return;
-    }
-    let pass = GlobalPass::new(f, machine, cfg, tree, config, hooks);
-    stats.liveness_full += 1;
     let jobs = effective_jobs(config.jobs);
     let tasks = if jobs > 1 && order.len() > 1 {
         plan_tasks(f, tree, config, &order)
@@ -166,19 +147,17 @@ pub(crate) fn global_pass<O: SchedObserver>(
         Vec::new()
     };
     let mut outcomes = if tasks.len() > 1 {
-        run_tasks(&pass, f, &tasks, jobs, obs.enabled())
+        run_tasks(pass, f, &tasks, jobs, obs.enabled())
     } else {
         HashMap::new()
     };
     // In sequential region order: the tasks' outcomes merge
-    // deterministically, and every other region runs here, in one
-    // workspace.
-    let mut ws = Workspace::new(machine);
+    // deterministically, and every other region runs here.
     for &rid in &order {
         match outcomes.remove(&rid) {
             Some(out) => out.apply(f, rid, stats, obs),
             None => {
-                region_outcome(&pass, f, rid, obs.enabled(), &mut ws, stats, obs);
+                region_outcome(pass, f, rid, obs.enabled(), ws, stats, obs);
             }
         }
     }
@@ -331,6 +310,28 @@ pub(crate) mod tests {
         l2:\n AI r2=r2,2\n C cr1=r2,r9\n BT l2,cr1,0x1/lt\n\
         out:\n PRINT r1\n PRINT r2\n RET\n";
 
+    /// A global pass over `f` with these analyses, as a compile sets it
+    /// up.
+    pub(crate) fn pass<'a>(
+        f: &Function,
+        machine: &'a MachineDescription,
+        cfg: &'a Cfg,
+        tree: &'a RegionTree,
+        live: &'a Liveness,
+        config: &'a SchedConfig,
+        hooks: &'a TestHooks,
+    ) -> GlobalPass<'a> {
+        GlobalPass {
+            machine,
+            cfg,
+            tree,
+            live,
+            config,
+            hooks,
+            fingerprint: memo_fingerprint(machine, config, f.inst_id_bound()),
+        }
+    }
+
     /// Runs one global pass (at the §6 height limit) traced.
     fn traced_pass(
         f0: &Function,
@@ -343,17 +344,10 @@ pub(crate) mod tests {
         let mut st = SchedStats::default();
         let mut rec = Recorder::new();
         let hooks = TestHooks::default();
-        global_pass(
-            &mut f,
-            &machine,
-            cfg,
-            tree,
-            config,
-            &hooks,
-            MAX_REGION_HEIGHT,
-            &mut st,
-            &mut rec,
-        );
+        let live = Liveness::compute(f0, cfg);
+        let pass = pass(f0, &machine, cfg, tree, &live, config, &hooks);
+        let mut ws = Workspace::new(&machine);
+        global_pass(&pass, &mut f, MAX_REGION_HEIGHT, &mut ws, &mut st, &mut rec);
         (f, st, rec.into_events())
     }
 

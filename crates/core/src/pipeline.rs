@@ -11,7 +11,8 @@
 
 use crate::bb::{schedule_block_in, BbWorkspace};
 use crate::config::{SchedConfig, SchedLevel, TestHooks, MAX_REGION_HEIGHT, SMALL_LOOP_BLOCKS};
-use crate::parallel::global_pass;
+use crate::global::Workspace;
+use crate::parallel::{global_pass, memo_fingerprint, GlobalPass};
 use crate::rotate::rotate_loop_observed;
 use crate::stats::SchedStats;
 use crate::unroll::unroll_loop_observed;
@@ -19,6 +20,7 @@ use gis_cfg::{Cfg, DomTree, LoopForest, RegionTree};
 use gis_ir::{BlockId, Function, VerifyFunctionError};
 use gis_machine::MachineDescription;
 use gis_pdg::webs::rename_webs;
+use gis_pdg::Liveness;
 use gis_trace::{NopObserver, Pass, SchedObserver, TraceEvent};
 use std::cell::OnceCell;
 use std::error::Error;
@@ -69,12 +71,23 @@ impl Error for CompileError {
 /// (motions stay inside blocks' bodies, terminators stay put), so only
 /// an unroll or rotate pass that transformed a loop calls for new ones.
 /// The dominators are built once per version too; only the loops read
-/// them. The region tree is built when a global pass first asks for it,
-/// so a version that only renaming and unrolling see never builds one.
+/// them. The region tree and the liveness solve are built when a global
+/// pass first asks for them, so a version that only renaming and
+/// unrolling see builds neither.
+///
+/// The liveness solve outlives the global pass that made it: the
+/// scheduler reads it only at region boundaries (the exit live-ins of
+/// the §5.3 walks and of the memo keys), which legal motions never
+/// change (the region-boundary invariant in `gis_pdg`'s liveness
+/// module), so global-2 reads global-1's solve unless rotate changed the
+/// CFG. Inside regions motions do change liveness, so the kept solve is
+/// not compared whole with a fresh one; the armed checks hold it to a
+/// fresh reference solve at every region's boundary instead.
 struct Analyses {
     cfg: Cfg,
     loops: LoopForest,
     tree: OnceCell<RegionTree>,
+    live: OnceCell<Liveness>,
 }
 
 impl Analyses {
@@ -85,6 +98,7 @@ impl Analyses {
             cfg,
             loops,
             tree: OnceCell::new(),
+            live: OnceCell::new(),
         }
     }
 
@@ -93,9 +107,22 @@ impl Analyses {
             .get_or_init(|| RegionTree::new(&self.cfg, &self.loops))
     }
 
+    /// The liveness solve of this CFG version, solving `f` (counted in
+    /// `stats`) on first use.
+    fn live(&self, f: &Function, stats: &mut SchedStats) -> &Liveness {
+        self.live.get_or_init(|| {
+            stats.liveness_full += 1;
+            Liveness::compute(f, &self.cfg)
+        })
+    }
+
     /// The analyses of `f`'s current CFG: `kept` when a pass left it
     /// unchanged, else built afresh. Under the armed checks, analyses
-    /// about to be reused are compared with a fresh build first.
+    /// about to be reused are compared with a fresh build first. Under a
+    /// planted fault the liveness solve is dropped before every pass, so
+    /// each global pass solves anew: the fault's illegal motions break
+    /// the region-boundary invariant a kept solve rests on (the region
+    /// memo is bypassed for the same reason).
     fn current<'a>(
         kept: &'a mut Option<Analyses>,
         f: &Function,
@@ -115,6 +142,9 @@ impl Analyses {
                     "{pass:?}: the kept region tree went stale"
                 );
             }
+        }
+        if let (Some(a), Some(_)) = (kept.as_mut(), hooks.fault) {
+            a.live.take();
         }
         kept.get_or_insert_with(|| Analyses::new(f))
     }
@@ -239,6 +269,11 @@ pub fn compile_with_hooks<O: SchedObserver>(
     // The whole-function analyses, built when a pass first needs them
     // and again only after a pass changed the CFG.
     let mut kept: Option<Analyses> = None;
+    // One workspace for every pass: the global passes' region loop and
+    // the final block pass clear and refill it. It is dropped when the
+    // compile ends, so a daemon worker keeps no high-water buffers
+    // between compiles.
+    let mut ws = Workspace::new(machine);
 
     // 1. Register-web renaming.
     if config.rename {
@@ -276,18 +311,19 @@ pub fn compile_with_hooks<O: SchedObserver>(
     if config.level != SchedLevel::BasicBlockOnly {
         let snap = snapshot(f);
         let t0 = pass_begin(obs, Pass::Global1);
+        // The memo fingerprint, hashed once for both global passes.
+        let fingerprint = memo_fingerprint(machine, config, f.inst_id_bound());
         let a = Analyses::current(&mut kept, f, hooks, Pass::Global1);
-        global_pass(
-            f,
+        let pass = GlobalPass {
             machine,
-            &a.cfg,
-            a.tree(),
+            cfg: &a.cfg,
+            tree: a.tree(),
+            live: a.live(f, &mut stats),
             config,
             hooks,
-            0,
-            &mut stats,
-            obs,
-        );
+            fingerprint,
+        };
+        global_pass(&pass, f, 0, &mut ws, &mut stats, obs);
         pass_end(obs, Pass::Global1, t0, &mut stats);
         pass_checkpoint(hooks, Pass::Global1, snap.as_ref(), f)?;
 
@@ -312,28 +348,30 @@ pub fn compile_with_hooks<O: SchedObserver>(
         let snap = snapshot(f);
         let t0 = pass_begin(obs, Pass::Global2);
         let a = Analyses::current(&mut kept, f, hooks, Pass::Global2);
-        global_pass(
-            f,
+        let pass = GlobalPass {
             machine,
-            &a.cfg,
-            a.tree(),
+            cfg: &a.cfg,
+            tree: a.tree(),
+            live: a.live(f, &mut stats),
             config,
             hooks,
-            MAX_REGION_HEIGHT,
-            &mut stats,
-            obs,
-        );
+            fingerprint,
+        };
+        global_pass(&pass, f, MAX_REGION_HEIGHT, &mut ws, &mut stats, obs);
         pass_end(obs, Pass::Global2, t0, &mut stats);
         pass_checkpoint(hooks, Pass::Global2, snap.as_ref(), f)?;
     }
 
-    // 6. Final basic block pass, in one workspace.
+    // 6. Final basic block pass, on the compile workspace's dependence
+    //    graph and heuristic tables.
     if config.final_bb_pass {
         let snap = snapshot(f);
         let t0 = pass_begin(obs, Pass::FinalBb);
-        let mut ws = BbWorkspace::new(machine);
+        let mut bb = BbWorkspace::new(machine);
+        let (deps, heur) = ws.block_tables();
         for b in 0..f.num_blocks() {
-            if schedule_block_in(&mut ws, f, machine, BlockId::new(b as u32), obs) {
+            let b = BlockId::new(b as u32);
+            if schedule_block_in(&mut bb, deps, heur, f, machine, b, obs) {
                 stats.blocks_bb_scheduled += 1;
             }
         }

@@ -50,8 +50,11 @@ pub struct SchedStats {
     /// current code (`gis_pdg::Liveness::walk_live_out`), which reads the
     /// pass solve only where a path leaves the region.
     pub liveness_incremental: usize,
-    /// Whole-function liveness solves: one per global pass, shared by
-    /// all of its regions.
+    /// Whole-function liveness solves: one per CFG version the global
+    /// passes read, shared by all of their regions. Global-2 reuses
+    /// global-1's solve unless rotate changed the CFG, so a compile
+    /// counts 1, or 2 when a loop was rotated (or a planted fault made
+    /// each pass solve anew).
     pub liveness_full: usize,
     /// Monotonic wall time of each pipeline pass, in nanoseconds, indexed
     /// by [`gis_trace::Pass`] order (rename, unroll, global-1, rotate,

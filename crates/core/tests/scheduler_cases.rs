@@ -363,43 +363,65 @@ J:
     }
 }
 
-/// A global pass solves whole-function liveness once, however many
-/// regions it schedules: every region's §5.3 queries walk its own code
-/// and read that one solve where a path leaves the region. At `jobs 2`
-/// the pass's workers share it. A planted fault changes nothing here:
-/// its queries walk the region too.
+/// A two-block loop, which the pipeline unrolls and then rotates.
+const ROTATING_LOOP: &str = "func once\n\
+    init:\n LI r1=0\n LI r2=0\n LI r9=7\n\
+    h:\n AI r2=r2,1\n\
+    l:\n A r1=r1,r2\n C cr0=r2,r9\n BT h,cr0,0x1/lt\n\
+    out:\n PRINT r1\n RET\n";
+
+/// Whole-function liveness is solved once per CFG version, however many
+/// regions and passes read it: every region's §5.3 queries walk its own
+/// code and read the solve where a path leaves the region, global-2
+/// reads global-1's solve unless rotate changed the CFG, and at `jobs 2`
+/// a pass's workers share it. Many-loops-m rotates nothing, so one solve
+/// serves both passes; the rotated loop needs a second. Under a planted
+/// fault every global pass solves anew, because its illegal motions
+/// break the region-boundary invariant a kept solve rests on.
 #[test]
-fn liveness_is_solved_once_per_global_pass() {
-    let w = gis_workloads::synth::many_loops_preset("many-loops-m").expect("preset");
-    let mut config = SchedConfig::speculative();
-    config.jobs = 2;
-    for fault in [None, Some(Fault::SkipLiveOnExit)] {
-        let mut f = w.program.function.clone();
-        let hooks = TestHooks {
-            verifier: None,
-            fault,
-        };
-        let stats = compile_with_hooks(
-            &mut f,
-            &MachineDescription::rs6k(),
-            &config,
-            &hooks,
-            &mut NopObserver,
-        )
-        .expect("compiles");
-        assert_eq!(
-            stats.liveness_full, 2,
-            "{fault:?}: one whole-function solve per global pass"
-        );
-        assert!(
-            stats.regions_scheduled > 50,
-            "{fault:?}: {} regions scheduled",
-            stats.regions_scheduled
-        );
-        assert!(
-            stats.liveness_incremental > 0,
-            "{fault:?}: §5.3 queries walk the region's code"
-        );
+fn liveness_is_solved_once_per_cfg_version() {
+    let many_loops = gis_workloads::synth::many_loops_preset("many-loops-m")
+        .expect("preset")
+        .program
+        .function;
+    let rotating = parse_function(ROTATING_LOOP).expect("parses");
+    for (f0, rotates) in [(&many_loops, false), (&rotating, true)] {
+        for jobs in [1, 2] {
+            for fault in [None, Some(Fault::SkipLiveOnExit)] {
+                let config = SchedConfig {
+                    jobs,
+                    ..SchedConfig::speculative()
+                };
+                let hooks = TestHooks {
+                    verifier: None,
+                    fault,
+                };
+                let mut f = f0.clone();
+                let stats = compile_with_hooks(
+                    &mut f,
+                    &MachineDescription::rs6k(),
+                    &config,
+                    &hooks,
+                    &mut NopObserver,
+                )
+                .expect("compiles");
+                let what = format!("rotates {rotates}, jobs {jobs}, {fault:?}");
+                assert_eq!(stats.loops_rotated > 0, rotates, "{what}");
+                let solves = if rotates || fault.is_some() { 2 } else { 1 };
+                assert_eq!(stats.liveness_full, solves, "{what}: solves");
+                if !rotates {
+                    assert!(
+                        stats.regions_scheduled > 50,
+                        "{what}: {} regions scheduled",
+                        stats.regions_scheduled
+                    );
+                    assert!(
+                        stats.liveness_incremental > 0,
+                        "{what}: §5.3 queries walk the region's code"
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -8,6 +8,7 @@
 
 use crate::op::Op;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifies a basic block within its [`Function`](crate::Function).
 ///
@@ -79,17 +80,19 @@ impl Inst {
     }
 }
 
-/// Block storage: a label and the block's instructions in order.
+/// Block storage: a label and the block's instructions in order. The
+/// label is shared, so a copy-on-write block copy or a worker's
+/// snapshot copies the instructions but not the label.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockData {
-    pub(crate) label: String,
+    pub(crate) label: Arc<str>,
     pub(crate) insts: Vec<Inst>,
 }
 
 impl BlockData {
     pub(crate) fn new(label: impl Into<String>) -> Self {
         BlockData {
-            label: label.into(),
+            label: label.into().into(),
             insts: Vec::new(),
         }
     }

@@ -179,7 +179,7 @@ impl BlockMut<'_> {
     /// unrolling, rotation) use this to keep labels unique; callers must
     /// re-[`verify`](Function::verify) afterwards.
     pub fn set_label(&mut self, label: impl Into<String>) {
-        self.data().label = label.into();
+        self.data().label = label.into().into();
     }
 
     /// Appends an instruction.

@@ -90,6 +90,9 @@ struct ClassInfo {
     exec_time: u32,
 }
 
+/// The number of op classes, the side of the delay table.
+const CLASSES: usize = OpClass::ALL.len();
+
 /// A parametric description of a superscalar machine.
 ///
 /// Build custom machines with [`MachineBuilder`]; the presets
@@ -100,7 +103,10 @@ pub struct MachineDescription {
     name: String,
     units: Vec<Unit>,
     classes: Vec<Option<ClassInfo>>,
-    delays: Vec<DelayRule>,
+    /// The delay between producer class `p` and consumer class `c` at
+    /// `[p.index()][c.index()]`: [`MachineBuilder::finish`] folds the
+    /// delay rules into it by maximum, so a lookup is one read.
+    delays: [[u32; CLASSES]; CLASSES],
     dispatch_width: Option<u32>,
 }
 
@@ -156,12 +162,7 @@ impl MachineDescription {
     /// The pipeline delay `d >= 0` between a producer and a consumer class:
     /// the maximum over all matching delay rules, 0 if none match.
     pub fn delay(&self, producer: OpClass, consumer: OpClass) -> u32 {
-        self.delays
-            .iter()
-            .filter(|r| r.producer.matches(producer) && r.consumer.matches(consumer))
-            .map(|r| r.cycles)
-            .max()
-            .unwrap_or(0)
+        self.delays[producer.index()][consumer.index()]
     }
 
     /// Maximum instructions dispatched per cycle across all units;
@@ -413,6 +414,9 @@ impl std::error::Error for BuildMachineError {}
 #[derive(Debug)]
 pub struct MachineBuilder {
     m: MachineDescription,
+    /// The delay rules, folded into the machine's table by
+    /// [`MachineBuilder::finish`].
+    rules: Vec<DelayRule>,
 }
 
 impl MachineBuilder {
@@ -422,10 +426,11 @@ impl MachineBuilder {
             m: MachineDescription {
                 name: name.into(),
                 units: Vec::new(),
-                classes: vec![None; OpClass::ALL.len()],
-                delays: Vec::new(),
+                classes: vec![None; CLASSES],
+                delays: [[0; CLASSES]; CLASSES],
                 dispatch_width: None,
             },
+            rules: Vec::new(),
         }
     }
 
@@ -452,7 +457,7 @@ impl MachineBuilder {
         consumer: ClassMatcher,
         cycles: u32,
     ) -> &mut Self {
-        self.m.delays.push(DelayRule {
+        self.rules.push(DelayRule {
             producer,
             consumer,
             cycles,
@@ -466,13 +471,15 @@ impl MachineBuilder {
         self
     }
 
-    /// Validates and returns the machine.
+    /// Validates and returns the machine, its delay rules folded into
+    /// one class-by-class table (the maximum over the matching rules, 0
+    /// where none match).
     ///
     /// # Errors
     ///
     /// Returns a [`BuildMachineError`] when a class is unassigned, an
     /// execution time is zero, a unit count is zero, or no units exist.
-    pub fn finish(self) -> Result<MachineDescription, BuildMachineError> {
+    pub fn finish(mut self) -> Result<MachineDescription, BuildMachineError> {
         if self.m.units.is_empty() {
             return Err(BuildMachineError::NoUnits);
         }
@@ -488,6 +495,17 @@ impl MachineBuilder {
                     return Err(BuildMachineError::ZeroExecTime(OpClass::ALL[i]))
                 }
                 _ => {}
+            }
+        }
+        for p in OpClass::ALL {
+            for c in OpClass::ALL {
+                self.m.delays[p.index()][c.index()] = self
+                    .rules
+                    .iter()
+                    .filter(|r| r.producer.matches(p) && r.consumer.matches(c))
+                    .map(|r| r.cycles)
+                    .max()
+                    .unwrap_or(0);
             }
         }
         Ok(self.m)
@@ -538,6 +556,84 @@ mod tests {
         let m = b.finish().expect("complete");
         assert_eq!(m.delay(OpClass::Load, OpClass::Fx), 3);
         assert_eq!(m.delay(OpClass::Fx, OpClass::Fx), 1);
+    }
+
+    /// The maximum over the rules matching `(p, c)`, 0 if none do: the
+    /// scan `delay` made before the rules were folded into a table.
+    fn scanned(rules: &[(ClassMatcher, ClassMatcher, u32)], p: OpClass, c: OpClass) -> u32 {
+        rules
+            .iter()
+            .filter(|(mp, mc, _)| mp.matches(p) && mc.matches(c))
+            .map(|r| r.2)
+            .max()
+            .unwrap_or(0)
+    }
+
+    fn assert_table(m: &MachineDescription, rules: &[(ClassMatcher, ClassMatcher, u32)]) {
+        for p in OpClass::ALL {
+            for c in OpClass::ALL {
+                assert_eq!(
+                    m.delay(p, c),
+                    scanned(rules, p, c),
+                    "{}: {p}->{c}",
+                    m.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_delay_table_is_the_max_over_matching_rules() {
+        use ClassMatcher::{Any, AnyOf, One};
+        use OpClass::*;
+        // Overlapping matchers, a zero rule under a larger one, and a
+        // later rule smaller than an earlier one.
+        let rules = [
+            (Any, Any, 1),
+            (One(Load), Any, 3),
+            (AnyOf(vec![Load, Fx]), One(Branch), 4),
+            (Any, AnyOf(vec![Branch, Store]), 2),
+            (One(Load), One(Store), 0),
+            (One(FpMul), AnyOf(vec![Fp, FpMul, Branch]), 6),
+            (AnyOf(vec![FpMul, FxMul]), One(Fp), 5),
+        ];
+        let mut b = MachineBuilder::new("overlap");
+        let u = b.unit("u", 1);
+        for c in OpClass::ALL {
+            b.class(c, u, 1);
+        }
+        for (p, c, d) in &rules {
+            b.delay(p.clone(), c.clone(), *d);
+        }
+        let m = b.finish().expect("complete");
+        assert_table(&m, &rules);
+        assert_eq!(m.delay(Load, Branch), 4);
+        assert_eq!(m.delay(FpMul, Fp), 6);
+        assert_eq!(m.delay(Store, Fx), 1);
+
+        // Every preset, against the rules its constructor adds.
+        let superscalar = |load: u32| {
+            vec![
+                (One(Load), Any, load),
+                (One(FxCompare), One(Branch), 3),
+                (AnyOf(vec![Fp, FpMul, FpDiv]), Any, 1),
+                (One(FpCompare), One(Branch), 5),
+            ]
+        };
+        let scalar = vec![
+            (One(Load), Any, 1),
+            (One(FxCompare), One(Branch), 3),
+            (One(FpCompare), One(Branch), 5),
+        ];
+        for name in ["rs6k", "issue2", "issue4", "issue8", "wide1", "wide64"] {
+            let m = MachineDescription::by_name(name).expect("preset");
+            assert_table(&m, &superscalar(1));
+        }
+        for name in ["vliw1", "vliw8"] {
+            let m = MachineDescription::by_name(name).expect("preset");
+            assert_table(&m, &superscalar(2));
+        }
+        assert_table(&MachineDescription::scalar_pipeline(), &scalar);
     }
 
     #[test]

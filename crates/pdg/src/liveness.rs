@@ -13,14 +13,15 @@
 //!   renaming gives webs "the effect of SSA", so most registers are live
 //!   in a few blocks, and the cost is O(instructions + Σ live-range
 //!   blocks) instead of blocks × registers. The result is one sorted
-//!   live-in list per block. The global scheduler solves once per pass;
-//!   dead-code elimination, web renaming and the pressure report read the
-//!   same lists. [`Liveness::compute_reference`], the dense iterative
+//!   live-in list per block. The global scheduler solves once per CFG
+//!   version, and both of its passes read that solve unless rotate
+//!   changed the CFG between them; dead-code elimination, web renaming
+//!   and the pressure report read the same lists. [`Liveness::compute_reference`], the dense iterative
 //!   fixed point, is its oracle: the two must be equal.
 //! * [`Liveness::walk_live_out`] answers §5.3's question on demand, on the
 //!   *current* code of one region: it walks forward from the block's
 //!   successors and stops each path at the first use (live) or def (dead)
-//!   of the register; a path that leaves the region reads the pass
+//!   of the register; a path that leaves the region reads the shared
 //!   solve's live-ins. Nothing is kept between queries, so a motion costs
 //!   nothing for liveness and a query costs O(region).
 //!
@@ -42,22 +43,26 @@
 //!   only fall into that join, and the dedup fold deletes a copy whose
 //!   twin computes the same value in the same region.
 //!
-//! So the live-ins of a region's exit successors at pass start stay
-//! exact for the whole pass, even when the successor heads a region
-//! scheduled earlier in it. Three mechanisms rest on this: the query
-//! answering from one solve per pass (`gis-core`'s `global.rs`), the
-//! parallel pass sharing that solve among its workers (`parallel.rs`),
-//! and the region memo keying on it (`memo.rs`).
+//! So the live-ins of a region's exit successors, solved before the
+//! first global pass, stay exact across every region and both passes,
+//! even when the successor heads a region scheduled earlier: only a
+//! transform that changes the CFG (unroll, rotate) calls for a new
+//! solve. Four mechanisms rest on this: the query answering from one
+//! solve per CFG version (`gis-core`'s `global.rs`), the second global
+//! pass reusing the first pass's solve (`pipeline.rs`), the parallel
+//! pass sharing it among its workers (`parallel.rs`), and the region
+//! memo keying on it (`memo.rs`).
 //!
 //! It is checked, not assumed. Under `gis-core`'s armed checks (debug
 //! builds, or a verifier plugged in through `TestHooks`), every answer
 //! the §5.3 gate reads must equal [`Liveness::compute_reference`] on the
-//! current function, and after every commit each exit successor's
-//! pass-level live-ins must agree with a fresh reference solve on every
-//! register the region names; the differential fuzzer (`gisc fuzz`)
-//! plugs its verifier into every configuration. A planted fault skips
-//! the boundary check, since its illegal motions break the invariant by
-//! design. `crates/check/tests/hotpath_differential.rs` also compares
+//! current function, and at every region's start and after every commit
+//! each exit successor's live-ins in the shared solve must agree with a
+//! fresh reference solve on every register the region names; the
+//! differential fuzzer (`gisc fuzz`) plugs its verifier into every
+//! configuration. A planted fault skips the boundary check, since its
+//! illegal motions break the invariant by design, and each global pass
+//! then solves anew. `crates/check/tests/hotpath_differential.rs` also compares
 //! every query a region can ask with the reference solve directly, over
 //! 200 generated functions.
 

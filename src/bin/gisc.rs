@@ -457,39 +457,50 @@ fn verify_command(mut args: impl Iterator<Item = String>, out: &mut Stdout) -> E
     }
 }
 
+/// The tracked experiment matrix, `gisc bench-matrix`'s default `--out`.
+const MATRIX_JSON: &str = "BENCH_matrix.json";
+/// The tracked report rendered from it, the default `--results`.
+const MATRIX_REPORT: &str = "docs/RESULTS.md";
+
 /// `gisc bench-matrix [--smoke] [--out FILE] [--results FILE] [--check]`:
 /// the `(workload × machine × policy)` experiment behind docs/RESULTS.md.
 ///
 /// The default run schedules, checks and times every cell, then writes
 /// the JSON matrix (`--out`, default `BENCH_matrix.json`) and the
 /// rendered report (`--results`, default `docs/RESULTS.md`). `--smoke`
-/// shrinks every workload so the whole pipeline runs in seconds.
-/// `--check` runs nothing: it re-renders the committed JSON and fails
-/// if the committed markdown differs — the CI gate that keeps the
-/// report from drifting from the data it claims to present.
+/// shrinks every workload so the whole pipeline runs in seconds, and
+/// writes only the files named: the defaults are the tracked report,
+/// which smoke numbers must not replace. `--check` runs nothing: it
+/// re-renders the committed JSON and fails if the committed markdown
+/// differs — the CI gate that keeps the report from drifting from the
+/// data it claims to present.
 fn bench_matrix_command(mut args: impl Iterator<Item = String>) -> ExitCode {
     let mut smoke = false;
     let mut check = false;
-    let mut out_path = String::from("BENCH_matrix.json");
-    let mut results_path = String::from("docs/RESULTS.md");
+    let mut out_path = None;
+    let mut results_path = None;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
             "--check" => check = true,
             "--out" => {
-                out_path = args
-                    .next()
-                    .unwrap_or_else(|| bad_arg("--out expects a file path"));
+                out_path = Some(
+                    args.next()
+                        .unwrap_or_else(|| bad_arg("--out expects a file path")),
+                );
             }
             "--results" => {
-                results_path = args
-                    .next()
-                    .unwrap_or_else(|| bad_arg("--results expects a file path"));
+                results_path = Some(
+                    args.next()
+                        .unwrap_or_else(|| bad_arg("--results expects a file path")),
+                );
             }
             other => bad_arg(&format!("unknown bench-matrix argument '{other}'")),
         }
     }
     if check {
+        let out_path = out_path.unwrap_or_else(|| MATRIX_JSON.to_owned());
+        let results_path = results_path.unwrap_or_else(|| MATRIX_REPORT.to_owned());
         let json = match std::fs::read_to_string(&out_path) {
             Ok(t) => t,
             Err(e) => {
@@ -521,6 +532,16 @@ fn bench_matrix_command(mut args: impl Iterator<Item = String>) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
+    // A smoke run writes only the paths given: the defaults are the
+    // tracked files, which smoke numbers must not replace.
+    let (out_path, results_path) = if smoke {
+        (out_path, results_path)
+    } else {
+        (
+            Some(out_path.unwrap_or_else(|| MATRIX_JSON.to_owned())),
+            Some(results_path.unwrap_or_else(|| MATRIX_REPORT.to_owned())),
+        )
+    };
     let report = gis_bench::matrix::run_matrix(smoke, |line| eprintln!("{line}"));
     let json = gis_bench::matrix::to_json(&report);
     let markdown = match gis_bench::matrix::render_markdown(&json) {
@@ -530,21 +551,26 @@ fn bench_matrix_command(mut args: impl Iterator<Item = String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("gisc bench-matrix: writing {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = std::fs::write(&results_path, &markdown) {
-        eprintln!("gisc bench-matrix: writing {results_path}: {e}");
-        return ExitCode::FAILURE;
+    let mut wrote = Vec::new();
+    for (path, text) in [(out_path, &json), (results_path, &markdown)] {
+        let Some(path) = path else { continue };
+        if let Err(e) = std::fs::write(&path, text) {
+            eprintln!("gisc bench-matrix: writing {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+        wrote.push(path);
     }
     eprintln!(
-        "gisc bench-matrix: {} cells ({} workloads × {} machines × {} policies) — \
-         wrote {out_path} and {results_path}",
+        "gisc bench-matrix: {} cells ({} workloads × {} machines × {} policies) — {}",
         report.cells.len(),
         report.workloads.len(),
         report.machines.len(),
-        report.policies.len()
+        report.policies.len(),
+        if wrote.is_empty() {
+            "wrote nothing".to_owned()
+        } else {
+            format!("wrote {}", wrote.join(" and "))
+        }
     );
     ExitCode::SUCCESS
 }

@@ -81,28 +81,28 @@ fn allocations_per_compile_stay_inside_their_budgets() {
         .program
         .function;
     // (input, jobs, allocator calls, bytes) per compile. The budgets sit
-    // about 15% above the larger of two counts measured when they were
-    // set (25% at jobs 2, where the order in which the two workers claim
-    // tasks moves a few copy-on-write block copies between runs). The
-    // parent of the change that set them made 1,480 calls for gcc and
-    // 62,387 for the rung at jobs 1.
+    // about 15% above the largest count measured when they were set (25%
+    // at jobs 2, where the order in which the two workers claim tasks
+    // moves a few copy-on-write block copies between runs). The parent
+    // of the change that set them made 592 calls for gcc, 575 for
+    // fletcher and 4,966 and about 9,600 for the rung at jobs 1 and 2.
     let cases: [(&str, Function, usize, u64, u64); 4] = [
         (
             "gcc",
             gis_workloads::spec::gcc(64).program.function,
             1,
-            700,
-            136_000,
+            470,
+            89_500,
         ),
         (
             "fletcher",
             gis_workloads::kernels::fletcher(64).program.function,
             1,
-            665,
-            117_000,
+            425,
+            80_500,
         ),
-        ("many-loops 48x4", rung.clone(), 1, 5_750, 4_460_000),
-        ("many-loops 48x4", rung, 2, 11_600, 6_240_000),
+        ("many-loops 48x4", rung.clone(), 1, 4_220, 3_540_000),
+        ("many-loops 48x4", rung, 2, 8_760, 6_010_000),
     ];
     let mut report = String::new();
     let mut over = false;

@@ -669,6 +669,35 @@ fn bench_matrix_smoke_round_trips_with_check() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A smoke run writes only the paths it is given. The defaults are the
+/// tracked `BENCH_matrix.json` and `docs/RESULTS.md`, so a smoke run
+/// from the repository root must not replace them: here it runs in a
+/// temporary directory that has a `docs/` folder, with `--out` only.
+#[test]
+fn bench_matrix_smoke_writes_only_the_paths_given() {
+    let dir = std::env::temp_dir().join(format!("gisc-matrix-paths-{}", std::process::id()));
+    std::fs::create_dir_all(dir.join("docs")).expect("mkdir");
+    let out = gisc()
+        .current_dir(&dir)
+        .args(["bench-matrix", "--smoke", "--out", "m.json"])
+        .output()
+        .expect("gisc runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = std::fs::read_to_string(dir.join("m.json")).expect("the given --out is written");
+    assert!(json.contains("\"smoke\": true"), "{json}");
+    for tracked in ["BENCH_matrix.json", "docs/RESULTS.md"] {
+        assert!(
+            !dir.join(tracked).exists(),
+            "a smoke run wrote the default {tracked}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn bench_matrix_rejects_unknown_arguments() {
     let out = gisc()
